@@ -14,11 +14,9 @@ from .errors import (
 )
 from .schrodinger_1d import (
     PiecewisePotential,
-    TransferMatrix,
     global_secular,
     make_secular_handle,
     reconstruct_eigenfunction,
-    transfer_matrix,
 )
 from .sparse_builder import (
     EnvelopeParams,

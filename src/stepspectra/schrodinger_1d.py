@@ -1,4 +1,4 @@
-"""Transfer-matrix oracle for piecewise-constant complex potentials on the line.
+"""Global secular function for piecewise-constant complex potentials on the line.
 
 The global secular function imposes a decaying wave e^{-i*chi*x} left of all
 supports, propagates (psi, psi') across the pieces by closed-form 2x2
@@ -6,9 +6,15 @@ matrices, and reads off the coefficient of the non-decaying exterior solution
 on the right, normalized so the free potential gives identically 1.  Zeros in
 {Im sqrt(E) > 0} are exactly the eigenvalues.
 
-Propagating through long gaps loses the subdominant component at a known
-exponential rate, so evaluations whose decimal-digit budget exceeds float64
-are transparently rerun in mpmath at a precision chosen from the geometry.
+The sweep runs in float64 with log scaling, the standard remedy for
+exponential dichotomy in shooting methods (Pryce, *Numerical Solution of
+Sturm-Liouville Problems*, OUP 1993).  A piece matrix of phase w = k*width is
+factored by e^{|Im w|} and built from e^{+-iw - |Im w|} (below |Im w| = 1,
+where the factor stays under e, from cos and sin directly); the state is
+renormalized after every piece and its log-norm accumulated; the log-norm
+meets the exterior factor e^{i*chi*span} in one final exp.  The propagated
+solution is the one that grows to the right, so long gaps cost no accuracy.
+A value beyond float range raises ``UnsupportedDomainError``.
 """
 
 from __future__ import annotations
@@ -16,47 +22,15 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import threading
-from dataclasses import dataclass
+import sys
 
-import mpmath
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, UnsupportedDomainError
 from .special_functions import sqrt_upper
 
-_MP_LOCK = threading.Lock()  # mpmath precision state is global
-_FLOAT64_DIGIT_BUDGET = 10.0
+_LOG_MAX = math.log(sys.float_info.max)
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Maps (psi, psi') at one point to (psi, psi') at another; det = 1."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    @property
-    def det(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def apply(self, psi: complex, dpsi: complex) -> tuple[complex, complex]:
-        return (self.m11 * psi + self.m12 * dpsi, self.m21 * psi + self.m22 * dpsi)
-
-    @staticmethod
-    def identity() -> "TransferMatrix":
-        return TransferMatrix(1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
 
 class PiecewisePotential:
@@ -149,11 +123,6 @@ class PiecewisePotential:
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"piece {idx}: non-numeric field ({exc})", index=idx)
             pieces.append((a, b, v))
-        for idx in range(1, len(pieces)):
-            if pieces[idx][0] < pieces[idx - 1][1]:
-                raise SchemaError(
-                    f"piece {idx}: intervals must be strictly increasing", index=idx
-                )
         return cls(pieces)
 
     @classmethod
@@ -165,123 +134,92 @@ class PiecewisePotential:
         return cls.from_dict(data)
 
 
-def _breakpoints(pot: PiecewisePotential, x_from: float, x_to: float):
-    """Constant-value subintervals partitioning [x_from, x_to]."""
-    cuts = {x_from, x_to}
-    for a, b, _ in pot.pieces:
-        for point in (a, b):
-            if x_from < point < x_to:
-                cuts.add(point)
-    xs = sorted(cuts)
+def _segments(pot: PiecewisePotential):
+    """((width, value), ...) of the constant stretches across the support hull,
+    gaps included with value 0, and the hull's length."""
+    if not pot.pieces:
+        return (), 0.0
+    x = pot.pieces[0][0]
     out = []
-    for left, right in zip(xs[:-1], xs[1:]):
-        mid = 0.5 * (left + right)
-        out.append((left, right, pot.value_at(mid)))
-    return out
-
-
-def _piece_matrix(k2: complex, width: float) -> TransferMatrix:
-    w = cmath.sqrt(k2) * width
-    if abs(w) < 1e-8:
-        sinc = 1.0 - w * w / 6.0
-    else:
-        sinc = cmath.sin(w) / w
-    c = cmath.cos(w)
-    return TransferMatrix(c, width * sinc, -k2 * width * sinc, c)
-
-
-def _piece_matrix_mp(k2, width):
-    w = mpmath.sqrt(k2) * width
-    if abs(w) < mpmath.mpf("1e-12"):
-        sinc = 1 - w * w / 6
-    else:
-        sinc = mpmath.sin(w) / w
-    c = mpmath.cos(w)
-    return (c, width * sinc, -k2 * width * sinc, c)
-
-
-def transfer_matrix(pot: PiecewisePotential, E: complex, x_from: float, x_to: float) -> TransferMatrix:
-    """Propagator of (psi, psi') from ``x_from`` to ``x_to`` at energy ``E``."""
-    if not x_from < x_to:
-        raise ValueError(f"need x_from < x_to, got ({x_from}, {x_to})")
-    E = complex(E)
-    m = TransferMatrix.identity()
-    for left, right, v in _breakpoints(pot, x_from, x_to):
-        m = _piece_matrix(E - v, right - left) @ m
-    return m
-
-
-def digit_budget(pot: PiecewisePotential, E: complex) -> float:
-    """Decimal digits lost to dominant/subdominant splitting in the worst case.
-
-    Contamination injected at a piece's right edge grows at most like
-    e^{2*rate*(x_R - b_j)}; the first piece's edge bounds all of them.
-    """
-    hull = pot.support_hull
-    if hull is None or len(pot.pieces) <= 1:
-        return 0.0
-    chi = sqrt_upper(complex(E))
-    rate = chi.imag
     for a, b, v in pot.pieces:
-        rate = max(rate, abs(cmath.sqrt(complex(E) - v).imag))
-    reach = hull[1] - pot.pieces[0][1]
-    return 2.0 * rate * reach / math.log(10.0)
+        if a > x:
+            out.append((a - x, 0j))
+        out.append((b - a, v))
+        x = b
+    return tuple(out), x - pot.pieces[0][0]
 
 
-def _global_secular_f64(pot: PiecewisePotential, E: complex) -> complex:
+def _piece(k2: complex, width: float):
+    """(c, s, log_factor): the propagator over ``width`` at k^2 = ``k2`` is
+    e^{log_factor} * [[c, s], [-k2*s, c]], with c ~ cos(w), s ~ sin(w)/k."""
+    w = cmath.sqrt(k2) * width
+    t = abs(w.imag)
+    if t < 1.0:
+        # the factor would stay below e: cos/sin keep sin(w)/w accurate at small w
+        sinc = cmath.sin(w) / w if abs(w) > 1e-8 else 1.0 - w * w / 6.0
+        return cmath.cos(w), width * sinc, 0.0
+    ep = cmath.exp(1j * w - t)
+    em = cmath.exp(-1j * w - t)
+    return 0.5 * (ep + em), width * (ep - em) / (2j * w), t
+
+
+def _sweep(segments, E: complex, chi: complex, starts=None):
+    """Carry (psi, psi') = (1, -i*chi) across ``segments``; return the final
+    (psi, psi', log_scale), the true state being e^{log_scale} times it.
+
+    If ``starts`` is a list, each segment's start state is appended to it in
+    the same (psi, psi', log_scale) form.
+    """
+    psi, dpsi, log_scale = 1.0 + 0j, -1j * chi, 0.0
+    for width, v in segments:
+        if starts is not None:
+            starts.append((psi, dpsi, log_scale))
+        k2 = E - v
+        c, s, t = _piece(k2, width)
+        psi, dpsi = c * psi + s * dpsi, c * dpsi - k2 * s * psi
+        norm = abs(psi) + abs(dpsi)
+        if not 0.0 < norm < math.inf:
+            raise UnsupportedDomainError(f"state left float range in the sweep at E = {E!r}")
+        psi, dpsi = psi / norm, dpsi / norm
+        log_scale += t + math.log(norm)
+    return psi, dpsi, log_scale
+
+
+def _secular(segments, span: float, E: complex) -> complex:
+    if not segments:
+        return 1.0 + 0j
     chi = sqrt_upper(E)
-    x_left, x_right = pot.support_hull
-    psi, dpsi = 1.0 + 0j, -1j * chi
-    m = transfer_matrix(pot, E, x_left, x_right)
-    psi_r, dpsi_r = m.apply(psi, dpsi)
-    b_coeff = (1j * chi * psi_r - dpsi_r) / (2j * chi)
-    return b_coeff * cmath.exp(1j * chi * (x_right - x_left))
+    if chi == 0:
+        raise UnsupportedDomainError("the global secular function has a pole at E = 0")
+    psi, dpsi, log_scale = _sweep(segments, E, chi)
+    b_coeff = (1j * chi * psi - dpsi) / (2j * chi)
+    if b_coeff == 0:
+        return 0j
+    exponent = cmath.log(b_coeff) + (log_scale + 1j * chi * span)
+    if not (exponent.real < _LOG_MAX and math.isfinite(exponent.imag)):
+        raise UnsupportedDomainError(
+            f"|global secular| = e^{exponent.real:.6g} at E = {E!r} exceeds float range"
+        )
+    return cmath.exp(exponent)
 
 
-def _global_secular_mp(pot: PiecewisePotential, E: complex, dps: int) -> complex:
-    with _MP_LOCK:
-        old = mpmath.mp.dps
-        mpmath.mp.dps = dps
-        try:
-            Em = mpmath.mpc(E)
-            chi = mpmath.sqrt(Em)
-            if mpmath.im(chi) < 0:
-                chi = -chi
-            x_left, x_right = pot.support_hull
-            psi, dpsi = mpmath.mpc(1), -1j * chi
-            for left, right, v in _breakpoints(pot, x_left, x_right):
-                m11, m12, m21, m22 = _piece_matrix_mp(Em - mpmath.mpc(v), mpmath.mpf(right - left))
-                psi, dpsi = m11 * psi + m12 * dpsi, m21 * psi + m22 * dpsi
-            b_coeff = (1j * chi * psi - dpsi) / (2j * chi)
-            value = b_coeff * mpmath.exp(1j * chi * mpmath.mpf(x_right - x_left))
-            return complex(value)
-        finally:
-            mpmath.mp.dps = old
-
-
-def global_secular(pot: PiecewisePotential, E: complex, dps: int | None = None) -> complex:
+def global_secular(pot: PiecewisePotential, E: complex) -> complex:
     """Coefficient of the non-decaying right exterior wave, free-normalized to 1.
 
     Analytic in E on the cut plane; zeros (with multiplicity) are the
-    eigenvalues.  ``dps=None`` selects float64 or mpmath automatically from
-    the decay budget of the geometry; pass an integer to force a precision.
+    eigenvalues.  Raises ``UnsupportedDomainError`` at E = 0 and where the
+    value exceeds float range.
     """
-    E = complex(E)
-    if not pot.pieces:
-        return 1.0 + 0j
-    if dps is None:
-        budget = digit_budget(pot, E)
-        if budget <= _FLOAT64_DIGIT_BUDGET:
-            return _global_secular_f64(pot, E)
-        dps = 26 + int(math.ceil(budget))
-    return _global_secular_mp(pot, E, dps)
+    return _secular(*_segments(pot), complex(E))
 
 
 def make_secular_handle(pot: PiecewisePotential):
-    """E -> global_secular(pot, E); a pure, thread-safe function handle."""
+    """E -> global_secular(pot, E) with the segments built once; a pure,
+    thread-safe function handle."""
+    segments, span = _segments(pot)
 
     def handle(E: complex) -> complex:
-        return global_secular(pot, E)
+        return _secular(segments, span, complex(E))
 
     return handle
 
@@ -313,35 +251,27 @@ def reconstruct_eigenfunction(
         raise ValueError("grid must be a strictly increasing 1-D array")
 
     chi = sqrt_upper(E)
-    hull = pot.support_hull
-    if hull is None:
-        psi = np.exp(-1j * chi * grid)
-    else:
-        x_left, x_right = hull
-        # region table: (x0, k2, psi(x0), psi'(x0)) with psi continued left-to-right
-        regions = [(-math.inf, x_left, E, 1.0 + 0j, -1j * chi)]
-        psi0, dpsi0 = 1.0 + 0j, -1j * chi
-        for left, right, v in _breakpoints(pot, x_left, x_right):
-            regions.append((left, right, E - v, psi0, dpsi0))
-            m = _piece_matrix(E - v, right - left)
-            psi0, dpsi0 = m.apply(psi0, dpsi0)
-        regions.append((x_right, math.inf, E, psi0, dpsi0))
+    segments, _ = _segments(pot)
+    starts = [(1.0 + 0j, -1j * chi, 0.0)]  # left exterior, continued back from x0
+    final = _sweep(segments, E, chi, starts)
+    starts.append(final)  # right exterior
+    x0 = pot.pieces[0][0] if pot.pieces else 0.0
+    edges = [x0]
+    for width, _ in segments:
+        edges.append(edges[-1] + width)
+    # stretch r of a grid point: 0 left of x0, len(edges) right of the hull
+    anchors = [x0] + edges
+    k2s = [E] + [E - v for _, v in segments] + [E]
 
-        psi = np.empty(grid.shape, dtype=complex)
-        for left, right, k2, p0, dp0 in regions:
-            if left == -math.inf:
-                sel = grid < right
-                psi[sel] = p0 * np.exp(-1j * chi * (grid[sel] - right))
-                continue
-            sel = (grid >= left) & (grid < right) if right < math.inf else grid >= left
-            if not np.any(sel):
-                continue
-            k = cmath.sqrt(k2)
-            u = grid[sel] - left
-            if abs(k) < 1e-12:
-                psi[sel] = p0 + dp0 * u
-            else:
-                psi[sel] = p0 * np.cos(k * u) + dp0 * np.sin(k * u) / k
+    vals = np.empty(grid.shape, dtype=complex)
+    logs = np.empty(grid.shape)
+    for n, r in enumerate(np.searchsorted(edges, grid, side="right")):
+        p, dp, log_scale = starts[r]
+        c, s, t = _piece(k2s[r], float(grid[n]) - anchors[r])
+        vals[n] = c * p + s * dp
+        logs[n] = log_scale + t
+    top = logs[vals != 0].max(initial=-math.inf)
+    psi = vals * np.exp(logs - top) if top > -math.inf else vals
 
     norm = math.sqrt(float(_trapz(np.abs(psi) ** 2, grid)))
     if norm == 0:

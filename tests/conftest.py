@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.optimize import brentq
+
+# derandomized so tier-1 is reproducible (no example database to replay);
+# bounded so the property tests add a few seconds
+settings.register_profile(
+    "stepspectra", derandomize=True, database=None, deadline=None, max_examples=150
+)
+settings.load_profile("stepspectra")
 
 
 def real_well_bound_states(depth: float, R: float):
@@ -60,6 +69,57 @@ def real_well_parity_states(depth: float, R: float, parity: str):
             k0 = brentq(g, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
             energies.append(k0 * k0 - depth)
     return sorted(energies)
+
+
+def mp_transfer_secular(pieces, E, dps: int = 40):
+    """Global secular by an unscaled mpmath 2x2 transfer product, and its scale.
+
+    ``pieces`` is a sorted list of disjoint (a, b, v); the gaps between them
+    are free.  The left condition is the decaying wave e^{-i chi x}, and F is
+    the coefficient of the right-growing exterior wave, normalized so the free
+    line gives 1.  mpmath's exponent range is unbounded, so the product never
+    overflows however long the gaps, and the propagated solution is the
+    dominant one, so the digits only have to cover cancellation in F.
+
+    Returns (F, scale).  ``scale`` is the forward-error scale of the product:
+    the largest ||Phi(x_{j+1} -> x_R)|| * ||M_j|| * ||state(x_j)|| over the
+    stretches j, carried through the read-out of F.  A float64 sweep is good to
+    about 1e-16 * scale, so |F| far below ``scale`` marks a cancellation
+    (F near a zero), where only agreement relative to ``scale`` is meaningful.
+    """
+    with mpmath.workdps(dps):
+        E = mpmath.mpc(E)
+        chi = mpmath.sqrt(E)
+        if mpmath.im(chi) < 0:
+            chi = -chi
+        x = mpmath.mpf(pieces[0][0])
+        stretches = []
+        for a, b, v in pieces:
+            if mpmath.mpf(a) > x:
+                stretches.append((mpmath.mpf(a) - x, mpmath.mpc(0)))
+            stretches.append((mpmath.mpf(b) - mpmath.mpf(a), mpmath.mpc(v)))
+            x = mpmath.mpf(b)
+        mats = []
+        for width, v in stretches:
+            k2 = E - v
+            kw = mpmath.sqrt(k2) * width
+            c, s = mpmath.cos(kw), width * mpmath.sinc(kw)
+            mats.append(mpmath.matrix([[c, s], [-k2 * s, c]]))
+        states = [mpmath.matrix([[1], [-1j * chi]])]
+        for m in mats:
+            states.append(m * states[-1])
+        psi, dpsi = states[-1][0], states[-1][1]
+        phase = mpmath.exp(1j * chi * (x - mpmath.mpf(pieces[0][0])))
+        F = (1j * chi * psi - dpsi) / (2j * chi) * phase
+
+        scale = 0
+        tail = mpmath.eye(2)  # Phi(x_{j+1} -> x_R)
+        for j in reversed(range(len(mats))):
+            terms = (tail, mats[j], states[j])
+            scale = max(scale, mpmath.fprod(mpmath.mnorm(t, "inf") for t in terms))
+            tail = tail * mats[j]
+        scale *= (1 + 1 / abs(chi)) / 2 * abs(phase)
+        return complex(F), float(scale)
 
 
 @pytest.fixture

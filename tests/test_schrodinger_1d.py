@@ -1,23 +1,33 @@
+import cmath
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from stepspectra.errors import SchemaError
+from stepspectra.errors import SchemaError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import (
     PiecewisePotential,
-    TransferMatrix,
-    digit_budget,
     global_secular,
     make_secular_handle,
     reconstruct_eigenfunction,
-    transfer_matrix,
 )
 from stepspectra.sparse_builder import EnvelopeParams, TargetSequence, assemble_sparse, choose_L
 from stepspectra.step_model import StepBump, construct_bump, eigenfunction
 
-from conftest import real_well_bound_states, real_well_parity_states
+from conftest import mp_transfer_secular, real_well_bound_states, real_well_parity_states
+
+
+def assert_matches_oracle(pot, E, rel=1e-10, near_zero=1e-4):
+    """global_secular agrees with the mpmath product to ``rel`` relative,
+    except where |F| has cancelled below ``near_zero`` times the product's
+    forward-error scale; there, to ``rel`` relative to that floor."""
+    F, scale = mp_transfer_secular(pot.pieces, E)
+    value = global_secular(pot, E)
+    assert cmath.isfinite(value)
+    assert abs(value - F) <= rel * max(abs(F), near_zero * scale), (pot, E, value, F, scale)
 
 
 class TestPotentialSchema:
@@ -50,48 +60,6 @@ class TestPotentialSchema:
     def test_invalid_json_text(self):
         with pytest.raises(SchemaError):
             PiecewisePotential.from_json("{not json")
-
-
-class TestTransferMatrix:
-    def test_free_rotation(self):
-        pot = PiecewisePotential([])
-        m = transfer_matrix(pot, 1.0, 0.0, math.pi)
-        assert m.m11 == pytest.approx(-1.0, abs=1e-14)
-        assert m.m22 == pytest.approx(-1.0, abs=1e-14)
-        assert m.m12 == pytest.approx(0.0, abs=1e-14)
-        assert m.m21 == pytest.approx(0.0, abs=1e-14)
-
-    def test_unit_determinant(self, rng):
-        # Wronskian constancy; the float64 residual scales with the square of
-        # the entry magnitudes, so normalize by that product scale
-        for _ in range(100):
-            pieces = []
-            x = -2.0
-            for _ in range(rng.integers(1, 4)):
-                width = rng.uniform(0.3, 1.5)
-                pieces.append((x, x + width, complex(rng.normal(0, 2), rng.normal(0, 2))))
-                x += width + rng.uniform(0.1, 1.0)
-            pot = PiecewisePotential(pieces)
-            E = complex(rng.normal(0, 2), rng.normal(0, 2))
-            m = transfer_matrix(pot, E, -3.0, x + 1.0)
-            scale = max(1.0, max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22)) ** 2)
-            assert abs(m.det - 1.0) < 1e-10 * scale
-
-    def test_unit_determinant_moderate_entries(self):
-        pot = PiecewisePotential([(-1.0, 0.2, 0.9 - 0.4j), (0.5, 1.3, -1.1 + 0.8j)])
-        m = transfer_matrix(pot, -0.5 + 0.3j, -2.0, 2.0)
-        assert abs(m.det - 1.0) < 1e-12
-
-    def test_composition(self, rng):
-        pot = PiecewisePotential([(-1.0, 0.5, 1.3 - 0.7j), (1.0, 2.0, -2.0)])
-        for _ in range(20):
-            E = complex(rng.normal(0, 2), rng.normal(0, 2))
-            a, b, c = -2.0, 0.7, 3.0
-            m_ac = transfer_matrix(pot, E, a, c)
-            m_comp = transfer_matrix(pot, E, b, c) @ transfer_matrix(pot, E, a, b)
-            for attr in ("m11", "m12", "m21", "m22"):
-                lhs, rhs = getattr(m_ac, attr), getattr(m_comp, attr)
-                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 class TestGlobalSecular:
@@ -138,18 +106,108 @@ class TestGlobalSecular:
             residual = abs(fx - fy / 1j)
             assert residual <= 1e-6 * max(abs(fx), 1e-12)
 
-    def test_mpmath_path_matches_float_path(self):
-        pot = PiecewisePotential([(-1.0, 1.0, -1.0 + 0.2j)])
-        E = -0.7 + 0.11j
-        v64 = global_secular(pot, E)
-        vmp = global_secular(pot, E, dps=40)
-        assert vmp == pytest.approx(v64, rel=1e-10)
 
-    def test_digit_budget_shape(self):
-        single = PiecewisePotential([(-8.0, 8.0, 1j)])
-        assert digit_budget(single, 100 + 1j) == 0.0
+class TestOracleAgreement:
+    """The float64 sweep against the unscaled mpmath transfer product."""
+
+    def test_random_short_potentials(self, rng):
+        for _ in range(100):
+            pieces = []
+            x = -2.0
+            for _ in range(rng.integers(1, 4)):
+                width = rng.uniform(0.3, 1.5)
+                pieces.append((x, x + width, complex(rng.normal(0, 2), rng.normal(0, 2))))
+                x += width + rng.uniform(0.1, 1.0)
+            E = complex(rng.normal(0, 2), rng.normal(0, 2))
+            assert_matches_oracle(PiecewisePotential(pieces), E)
+
+    def test_moderate_entries(self):
+        pot = PiecewisePotential([(-1.0, 0.2, 0.9 - 0.4j), (0.5, 1.3, -1.1 + 0.8j)])
+        assert_matches_oracle(pot, -0.5 + 0.3j)
+
+    def test_single_complex_well(self):
+        assert_matches_oracle(PiecewisePotential([(-1.0, 1.0, -1.0 + 0.2j)]), -0.7 + 0.11j)
+
+    def test_wide_piece_and_far_pair(self):
+        assert_matches_oracle(PiecewisePotential([(-8.0, 8.0, 1j)]), 100 + 1j)
         far_pair = PiecewisePotential([(-1.0, 1.0, 1j), (100.0, 102.0, 1j)])
-        assert digit_budget(far_pair, -1 + 1j) > 10.0
+        for E in (-1 + 1j, -30 + 0.1j, 2 - 5j):
+            assert_matches_oracle(far_pair, E)
+
+    def test_split_piece_is_invisible(self, rng):
+        whole = PiecewisePotential([(-1.0, 0.5, 1.3 - 0.7j), (1.0, 2.0, -2.0)])
+        split = PiecewisePotential(
+            [(-1.0, -0.3, 1.3 - 0.7j), (-0.3, 0.5, 1.3 - 0.7j), (1.0, 1.6, -2.0), (1.6, 2.0, -2.0)]
+        )
+        for _ in range(20):
+            E = complex(rng.normal(0, 2), rng.normal(0, 2))
+            lhs, rhs = global_secular(whole, E), global_secular(split, E)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+    def test_zero_pieces_give_one(self, rng):
+        zero_pieces = [
+            PiecewisePotential([(0.0, math.pi, 0.0)]),
+            PiecewisePotential([(-3.0, -1.0, 0.0), (5.0, 9.0, 0.0), (9.0, 25.0, 0.0)]),
+        ]
+        energies = [1.0, -1000.0, -1 + 0.5j] + [
+            complex(rng.normal(0, 5), rng.normal(0, 5)) for _ in range(20)
+        ]
+        for pot in zero_pieces:
+            for E in energies:
+                assert global_secular(pot, E) == pytest.approx(1.0, rel=1e-12)
+
+    @given(data=st.data())
+    def test_random_potentials_with_long_gaps(self, data):
+        n = data.draw(st.integers(1, 4), label="pieces")
+        x = data.draw(st.floats(-50.0, 50.0), label="x0")
+        pieces = []
+        for idx in range(n):
+            if idx:
+                x += data.draw(st.floats(0.0, 400.0), label="gap")
+            width = data.draw(st.floats(0.05, 4.0), label="width")
+            v = complex(data.draw(st.floats(-20.0, 20.0)), data.draw(st.floats(-20.0, 20.0)))
+            pieces.append((x, x + width, v))
+            x += width
+        # E off [0, inf): modulus 1e-2 .. 1e3, argument strictly inside (0, 2 pi)
+        modulus = 10.0 ** data.draw(st.floats(-2.0, 3.0), label="log10|E|")
+        arg = data.draw(st.floats(1e-3, 2 * math.pi - 1e-3), label="arg E")
+        assert_matches_oracle(PiecewisePotential(pieces), cmath.rect(modulus, arg))
+
+
+def _three_bumps_gap_330():
+    reps = [construct_bump(z) for z in (1 + 0.08j, 1.3 + 0.06j, 0.8 + 0.05j)]
+    bumps = []
+    x = 0.0
+    for i, rep in enumerate(reps):
+        if i > 0:
+            x += reps[i - 1].bump.half_width + 330.0 + rep.bump.half_width
+        bumps.append(rep.bump.shifted(x))
+    return PiecewisePotential.from_bumps(bumps)
+
+
+class TestRange:
+    ENERGIES = (-10.0, -100.0, -1000.0, -1 + 0.5j)
+
+    def test_long_gaps_finite_and_exact(self):
+        pot = _three_bumps_gap_330()
+        for E in self.ENERGIES:
+            assert_matches_oracle(pot, E)
+
+    def test_long_gaps_under_a_millisecond(self):
+        pot = _three_bumps_gap_330()
+        for E in self.ENERGIES:
+            start = time.perf_counter()
+            for _ in range(100):
+                global_secular(pot, E)
+            assert (time.perf_counter() - start) / 100 < 1e-3
+
+    def test_beyond_float_range_is_typed(self):
+        # |F| ~ e^{sqrt(1001) * 30}: no float holds it
+        barrier = PiecewisePotential([(0.0, 30.0, 1000.0)])
+        with pytest.raises(UnsupportedDomainError):
+            global_secular(barrier, -1.0)
+        with pytest.raises(UnsupportedDomainError):
+            make_secular_handle(barrier)(-1.0 + 0.5j)
 
 
 class TestReconstruct:
@@ -220,6 +278,15 @@ class TestReconstruct:
         bound = sum(per_bump)
         assert measured <= bound * (1 + 1e-12)
         assert measured < 0.05  # genuinely a small quasimode defect
+
+    def test_wide_barrier_stays_finite(self):
+        # |Im k| * width ~ 980 inside the barrier: beyond float range unscaled
+        pot = PiecewisePotential([(0.0, 1.0, -5.0), (1.0, 400.0, 5.0)])
+        E = -1 + 0.01j
+        grid = np.linspace(-5.0, 420.0, 2001)
+        psi = reconstruct_eigenfunction(pot, E, grid, tol=2 * abs(global_secular(pot, E)))
+        assert np.all(np.isfinite(psi))
+        assert np.trapezoid(np.abs(psi) ** 2, grid) == pytest.approx(1.0, rel=1e-9)
 
     def test_non_eigenvalue_rejected(self):
         pot = PiecewisePotential.from_bumps([StepBump(-1.0, 1.0)])
