@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -37,7 +38,7 @@ from .sparse_builder import (
 )
 from .spectral_count import Region, imag_step_census, locate_zeros
 from .step_model import construct_bump, eigenfunction
-from .special_functions import sqrt_upper
+from .special_functions import _dist_to_ray, sqrt_upper
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,12 +58,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # let values like "-5,-1,-1,1" or "-1+0.5i" through as arguments
-        try:
-            import re
-
-            self._negative_number_matcher = re.compile(r"^-[\d.,+\-eEij]+$")
-        except Exception:
-            pass
+        self._negative_number_matcher = re.compile(r"^-[\d.,+\-eEij]+$")
 
 
 def _fmt(x: float) -> str:
@@ -82,9 +78,7 @@ def _parse_region(args) -> Region:
         if len(parts) != 3:
             raise _UsageError("--disk wants cx,cy,radius")
         region = Region.disk(complex(parts[0], parts[1]), parts[2])
-        center = region.center
-        dist = abs(center.imag) if center.real >= 0 else abs(center)
-        if dist <= region.radius:
+        if _dist_to_ray(region.center) <= region.radius:
             raise _UsageError("region must stay off the essential spectrum [0, inf)")
         return region
     if args.region:

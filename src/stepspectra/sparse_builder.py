@@ -17,16 +17,11 @@ from dataclasses import dataclass
 
 from .errors import NonSummableError, StepSpectraError
 from .schrodinger_1d import PiecewisePotential
-from .special_functions import sqrt_upper
+from .special_functions import _dist_to_ray, sqrt_upper
 from .step_model import BumpReport, bump_norm_lq, construct_bump
 
 DEFAULT_SECTOR_APERTURE = 0.2
 DESK_DELTA_FLOOR = 1e-3
-
-
-def _dist_to_ray(z: complex) -> float:
-    """Exact distance from z to [0, inf)."""
-    return abs(z.imag) if z.real >= 0.0 else abs(z)
 
 
 def _bracket(x: float) -> float:

@@ -7,6 +7,12 @@ Branch conventions used everywhere in the package:
 * Lambert W branches follow the standard region layout (curved boundaries
   near the real-capable branches, straight strips far away).
 
+Bessel/Hankel functions are float64 throughout.  Orders 0 and 1 use power
+series for |z| <= 14 (J, and Y for H1 = J + iY when Im z <= 3), Steed's
+continued fraction CF2 for K_0, K_1 at -iz when Im z > 3 (where H1 is
+exponentially smaller than J and Y), and the Hankel asymptotic expansion
+beyond |z| = 14.  Order 1/2 is in closed form.
+
 All functions are pure and reentrant.
 """
 
@@ -39,6 +45,11 @@ def sqrt_upper(z: complex) -> complex:
     if w.imag < 0.0:
         w = -w
     return w
+
+
+def _dist_to_ray(z: complex) -> float:
+    """Exact distance from z to [0, inf)."""
+    return abs(z.imag) if z.real >= 0.0 else abs(z)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +340,48 @@ def _h1_upper_left(nu: float, z: complex):
     return h1, dh1
 
 
-def _integer_order_mp(nu: int, z: complex):
-    """Series-region fallback in high precision for the cancellation-prone
-    corner (H1 exponentially small against its J/Y constituents)."""
-    import mpmath
+_CF2_MAX_ITER = 200  # x = -iz with Re x > 3, |x| <= 14 converges in under 60
 
-    old = mpmath.mp.dps
-    mpmath.mp.dps = 30 + int(math.ceil(2.0 * abs(z.imag) / math.log(10.0)))
-    try:
-        zm = mpmath.mpc(z)
-        j = mpmath.besselj(nu, zm)
-        h = mpmath.hankel1(nu, zm)
-        jd = mpmath.besselj(nu, zm, derivative=1)
-        hd = mpmath.hankel1(nu - 1, zm) - nu / zm * h if nu > 0 else -mpmath.hankel1(1, zm)
-        return complex(j), complex(h), complex(jd), complex(hd)
-    finally:
-        mpmath.mp.dps = old
+
+def _hankel01_cf2(z: complex):
+    """(H1_0(z), H1_1(z)) for Im z > 3 from K_0, K_1 at x = -iz.
+
+    Steed's continued fraction CF2 (Temme, J. Comput. Phys. 19, 1975; the
+    ``bessik`` routine of Numerical Recipes) at order 0 gives K_0 and the
+    ratio K_1/K_0; then H1_nu(z) = (2/(pi i)) e^{-i nu pi/2} K_nu(-iz).
+    CF2 converges fast for Re x = Im z > 3; past ``_CF2_MAX_ITER`` terms
+    :class:`ConvergenceError` is raised rather than an unconverged value.
+    """
+    x = -1j * z
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0j, complex(1.0)
+    a = -0.25
+    q = c = 0.25
+    s = 1.0 + q * delh
+    for i in range(2, _CF2_MAX_ITER + 1):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels) < 1e-16 * abs(s):
+            break
+    else:
+        raise ConvergenceError(
+            f"CF2 for K_0, K_1 did not converge in {_CF2_MAX_ITER} terms at z = {z!r}",
+            last_iterate=s,
+            residual=abs(dels / s),
+        )
+    k0 = cmath.sqrt(math.pi / (2.0 * x)) * cmath.exp(-x) / s
+    k1 = k0 * (x + 0.5 - 0.25 * h) / x
+    return (-2j / math.pi) * k0, (-2.0 / math.pi) * k1
 
 
 def _half_order(z: complex):
@@ -359,16 +396,18 @@ def _half_order(z: complex):
 
 
 def _integer_order(nu: int, z: complex):
-    if abs(z) <= _SERIES_RADIUS:
-        if z.imag > 3.0:
-            return _integer_order_mp(nu, z)
-        j0, j1 = _series_j0(z), _series_j1(z)
-        y0, y1 = _series_y0(z), _series_y1(z)
-        h0, h1 = j0 + 1j * y0, j1 + 1j * y1
-        if nu == 0:
-            return j0, h0, -j1, -h1
-        return j1, h1, j0 - j1 / z, h0 - h1 / z
-    return _asymptotic_jh(float(nu), z)
+    if abs(z) > _SERIES_RADIUS:
+        return _asymptotic_jh(float(nu), z)
+    j0, j1 = _series_j0(z), _series_j1(z)
+    # H1 = J + iY cancels by e^{2 Im z}: above Im z = 3 that loses more than
+    # 2.6 digits, so H1 comes from CF2 there and from the Y series below
+    if z.imag > 3.0:
+        h0, h1 = _hankel01_cf2(z)
+    else:
+        h0, h1 = j0 + 1j * _series_y0(z), j1 + 1j * _series_y1(z)
+    if nu == 0:
+        return j0, h0, -j1, -h1
+    return j1, h1, j0 - j1 / z, h0 - h1 / z
 
 
 def _bessel_all(nu: float, z: complex):

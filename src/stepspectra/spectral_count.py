@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContourError, StepSpectraError
-from .special_functions import lambert_w
+from .special_functions import _dist_to_ray, lambert_w
 from .step_model import StepBump, physical_sheet
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -123,10 +123,6 @@ class QuadParams:
     guard_factor: float = 1e-12
     fd_step: float = 1e-6
     cut_aware: bool = True
-
-
-def _dist_to_ray(z: complex) -> float:
-    return abs(z.imag) if z.real >= 0.0 else abs(z)
 
 
 def _fd_step(z: complex, params: QuadParams) -> float:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, PoleProximityError, SheetError
-from .special_functions import sqrt_upper
+from .errors import ConvergenceError, PoleProximityError, SheetError, UnsupportedDomainError
+from .special_functions import _bessel_all, sqrt_upper
 
 PARITIES = ("even", "odd")
 POLE_GUARD = 1e-8
@@ -154,19 +154,29 @@ def secular_entire(bump: StepBump, E: complex, parity: str) -> complex:
 
     odd:  i*chi*sin(w)/kappa - cos(w);  even: i*chi*cos(w) + kappa*sin(w),
     with w = kappa*R.  Analytic in E off [0, inf); suited to winding counts.
+    The value grows like e^{|Im w|}; where it leaves float range,
+    :class:`UnsupportedDomainError` is raised.
     """
     _check_parity(parity)
     E = complex(E)
     kappa = interior_momentum(bump, E)
     w = kappa * bump.half_width
     chi = sqrt_upper(E)
-    if parity == "even":
-        return 1j * chi * cmath.cos(w) + kappa * cmath.sin(w)
-    if abs(w) < 1e-8:
-        sinc = bump.half_width * (1.0 - w * w / 6.0)
-    else:
-        sinc = cmath.sin(w) / kappa
-    return 1j * chi * sinc - cmath.cos(w)
+    try:
+        cos_w, sin_w = cmath.cos(w), cmath.sin(w)
+        if parity == "even":
+            val = 1j * chi * cos_w + kappa * sin_w
+        else:
+            sinc = bump.half_width * (1.0 - w * w / 6.0) if abs(w) < 1e-8 else sin_w / kappa
+            val = 1j * chi * sinc - cos_w
+        # cos/sin can stay finite while the products above overflow to inf
+        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+            raise OverflowError
+    except OverflowError:
+        raise UnsupportedDomainError(
+            f"secular_entire is beyond float range at E = {E!r} (|Im kappa*R| = {abs(w.imag):.4g})"
+        ) from None
+    return val
 
 
 def solve_for_v0(kappa: complex, R: float, parity: str) -> complex:
@@ -397,8 +407,6 @@ def radial_secular(v0: complex, R: float, E: complex, d: int) -> complex:
 
     nu = (d-2)/2 with d in {2, 3}; zeros with Im chi > 0 are eigenvalues.
     """
-    from .special_functions import bessel_j, bessel_j_prime, hankel1, hankel1_prime
-
     if d not in (2, 3):
         raise ValueError(f"radial solver supports d in {{2, 3}}, got {d}")
     if not (R > 0 and math.isfinite(R)):
@@ -407,7 +415,6 @@ def radial_secular(v0: complex, R: float, E: complex, d: int) -> complex:
     E = complex(E)
     chi = sqrt_upper(E)
     kappa = cmath.sqrt(E - complex(v0))
-    return (
-        kappa * bessel_j_prime(nu, kappa * R) * hankel1(nu, chi * R)
-        - chi * bessel_j(nu, kappa * R) * hankel1_prime(nu, chi * R)
-    )
+    j, _, dj, _ = _bessel_all(nu, kappa * R)
+    _, h, _, dh = _bessel_all(nu, chi * R)
+    return kappa * dj * h - chi * j * dh

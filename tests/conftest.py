@@ -122,6 +122,22 @@ def mp_transfer_secular(pieces, E, dps: int = 40):
         return complex(F), float(scale)
 
 
+def mp_bessel_jh(nu: int, z: complex):
+    """(J_nu, H1_nu, J_nu', H1_nu') at z from mpmath, for integer nu.
+
+    mpmath forms H1 = J + iY, which cancels by e^{2 |Im z|}, so the working
+    precision is 30 digits plus that loss.  H1' comes from the recurrence
+    H1_nu' = (H1_{nu-1} - H1_{nu+1}) / 2, not the identities the library uses.
+    """
+    with mpmath.workdps(30 + math.ceil(2.0 * abs(z.imag) / math.log(10.0))):
+        zm = mpmath.mpc(z)
+        j = mpmath.besselj(nu, zm)
+        dj = mpmath.besselj(nu, zm, derivative=1)
+        h = mpmath.hankel1(nu, zm)
+        dh = (mpmath.hankel1(nu - 1, zm) - mpmath.hankel1(nu + 1, zm)) / 2
+        return complex(j), complex(h), complex(dj), complex(dh)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -1,10 +1,15 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 import scipy.special as sp
 
-from stepspectra.errors import UnsupportedDomainError
+import stepspectra
+from stepspectra import special_functions
+from stepspectra.errors import ConvergenceError, UnsupportedDomainError
 from stepspectra.special_functions import (
     bessel_j,
     bessel_j_prime,
@@ -15,6 +20,8 @@ from stepspectra.special_functions import (
     lambert_w_seed,
     sqrt_upper,
 )
+
+from conftest import mp_bessel_jh
 
 
 class TestSqrtUpper:
@@ -152,3 +159,68 @@ class TestBessel:
             bessel_j(1.5, 1.0)  # |z| too small for general order
         with pytest.raises(UnsupportedDomainError):
             hankel1(0.0, 0.0)
+
+
+def _upper_corner_grid(rng, n=40):
+    """Seeded points with Im z > 3 and |z| <= 14 (the CF2 region)."""
+    pts = []
+    while len(pts) < n:
+        z = complex(rng.uniform(-14.0, 14.0), rng.uniform(3.0, 14.0))
+        if abs(z) <= 14.0 and z.imag > 3.0:
+            pts.append(z)
+    return pts
+
+
+def _jh(nu, z):
+    return bessel_j(nu, z), hankel1(nu, z), bessel_j_prime(nu, z), hankel1_prime(nu, z)
+
+
+class TestBesselUpperCorner:
+    """|z| <= 14, Im z > 3: H1 is exponentially smaller than J and Y there."""
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_against_mpmath(self, nu, rng):
+        for z in _upper_corner_grid(rng):
+            for ours, ref in zip(_jh(nu, z), mp_bessel_jh(nu, z)):
+                assert abs(ours - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_seam_at_im_3(self, nu):
+        # below the seam H1 = J + iY from the series, above it CF2; the series
+        # side loses up to ~2.5e-9 near |Re z| = 13.6, hence 1e-8
+        for k in range(69):
+            x = -13.6 + 0.4 * k
+            below = _jh(nu, complex(x, 3.0 - 1e-9))
+            above = _jh(nu, complex(x, 3.0 + 1e-9))
+            for b, a in zip(below, above):
+                assert abs(a - b) <= 1e-8 * abs(a)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_wronskian(self, nu, rng):
+        for z in _upper_corner_grid(rng):
+            j, h, dj, dh = _jh(nu, z)
+            exact = 2j / (math.pi * z)
+            assert abs(j * dh - dj * h - exact) <= 1e-11 * abs(exact)
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(special_functions, "_CF2_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError):
+            hankel1(0.0, 1.0 + 4.0j)
+
+
+def test_library_never_imports_mpmath():
+    # a fresh interpreter: the test process itself has mpmath loaded by conftest
+    code = (
+        "import sys\n"
+        "from stepspectra.special_functions import hankel1\n"
+        "from stepspectra.step_model import radial_secular\n"
+        "radial_secular(-8 + 0.5j, 1.0, -11.5 + 0.7j, 2)\n"
+        "hankel1(0, -2 + 4j)\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepspectra.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

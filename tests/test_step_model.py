@@ -1,11 +1,12 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from stepspectra.errors import PoleProximityError
+from stepspectra.errors import PoleProximityError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import PiecewisePotential, global_secular
 from stepspectra.special_functions import sqrt_upper
 from stepspectra.step_model import (
@@ -23,7 +24,7 @@ from stepspectra.step_model import (
     solve_for_v0,
 )
 
-from conftest import real_well_parity_states
+from conftest import mp_bessel_jh, real_well_parity_states
 
 
 def random_kappa_R_parity(rng, min_trig=0.1):
@@ -339,6 +340,21 @@ class TestRadialSecular:
         root = brentq(lambda E: radial_secular(-5.0, 1.0, E, 2).imag, grid[i], grid[i + 1])
         assert abs(radial_secular(-5.0, 1.0, root, 2)) < 1e-9
 
+    @pytest.mark.parametrize("E", [-11.5 + 0.7j, -10 - 1.2j])
+    def test_d2_against_mpmath_wronskian(self, E):
+        # Im(chi R) > 3: H1 at chi R comes from the continued-fraction branch
+        v0, R = -8 + 0.5j, 1.0
+        kappa, chi = cmath.sqrt(E - v0), sqrt_upper(E)
+        assert (chi * R).imag > 3.0
+        j, _, dj, _ = mp_bessel_jh(0, kappa * R)
+        _, h, _, dh = mp_bessel_jh(0, chi * R)
+        ref = kappa * dj * h - chi * j * dh
+        assert abs(radial_secular(v0, R, E, 2) - ref) <= 1e-10 * abs(ref)
+        start = time.perf_counter()
+        for _ in range(100):
+            radial_secular(v0, R, E, 2)
+        assert (time.perf_counter() - start) / 100 < 1e-3
+
 
 class TestSecularEntire:
     def test_same_zeros_as_secular(self, rng):
@@ -354,3 +370,14 @@ class TestSecularEntire:
         b = StepBump(-1.0, 1.0)
         val = secular_entire(b, energy(math.pi, -1.0), "odd")
         assert np.isfinite(val.real) and abs(val) > 0.1
+
+    def test_beyond_float_range_is_typed(self):
+        # |Im kappa*R| ~ 1262: cmath.cos/sin themselves overflow
+        with pytest.raises(UnsupportedDomainError):
+            secular_entire(StepBump(-5.0, 40.0), -1000, "odd")
+        # |Im kappa*R| ~ 709.2: cos/sin stay finite, chi*cos(w) does not
+        with pytest.raises(UnsupportedDomainError):
+            secular_entire(StepBump(-5.0, 1.0), -709.2**2, "even")
+        # just inside float range the value is still returned
+        val = secular_entire(StepBump(-5.0, 1.0), -709.2**2, "odd")
+        assert np.isfinite(val.real) and abs(val) > 1e307
