@@ -107,13 +107,6 @@ def _parse_L(spec: str, eta0: float) -> SeparationSequence:
     raise _UsageError(f"unknown separation spec {spec!r}")
 
 
-def _workers(args) -> int:
-    env = os.environ.get("STEPSPECTRA_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, getattr(args, "workers", 1) or 1)
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -209,7 +202,7 @@ def cmd_imag_step(args) -> int:
     all_colors = []
     box = None
     for n in n_values:
-        cen = imag_step_census(n, args.c_box, workers=_workers(args))
+        cen = imag_step_census(n, args.c_box)
         row = cen.table_row()
         lines.append(
             ",".join(
@@ -220,10 +213,11 @@ def cmd_imag_step(args) -> int:
         )
         box = (row["box_re_lo"], row["box_re_hi"], row["box_im_lo"], row["box_im_hi"])
         n_failed = sum(1 for r in cen.results if not r.converged)
-        for r in cen.results:
-            if r.converged and abs(r.energy) > 0:
-                all_points.append(r.energy)
-                all_colors.append("#d62728" if r.on_physical_sheet else "#aaaaaa")
+        if args.svg:
+            for r in cen.results:
+                if r.converged and abs(r.energy) > 0:
+                    all_points.append(r.energy)
+                    all_colors.append("#d62728" if r.on_physical_sheet else "#aaaaaa")
         print(f"N={n}: count={cen.count} ratio={_fmt(cen.ratio)}")
         if n_failed:
             print(f"N={n}: {n_failed} branch(es) did not refine; flagged and skipped",
@@ -376,7 +370,6 @@ def build_parser() -> _Parser:
     p.add_argument("--region", help="re_lo,re_hi,im_lo,im_hi")
     p.add_argument("--disk", help="cx,cy,radius")
     p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("imag-step", help="Lambert census of the imaginary step")
@@ -384,7 +377,6 @@ def build_parser() -> _Parser:
     p.add_argument("--c-box", type=float, default=10.0)
     p.add_argument("--out")
     p.add_argument("--svg")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_imag_step)
 
     p = sub.add_parser("sparse", help="assemble a sparse potential for target eigenvalues")
@@ -395,7 +387,6 @@ def build_parser() -> _Parser:
     p.add_argument("--c-l", type=float, default=1.0)
     p.add_argument("--big-o", type=float, default=1.25)
     p.add_argument("--out", default="sparse_out")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sparse)
 
     p = sub.add_parser("envelopes", help="tabulate the scalar envelope functions")
@@ -419,7 +410,6 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--ceiling", type=float, default=None)
     p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_check)
 
     return parser

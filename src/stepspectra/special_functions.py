@@ -21,6 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import ConvergenceError, UnsupportedDomainError
 
 _TWO_PI = 2.0 * math.pi
@@ -56,72 +58,73 @@ def _dist_to_ray(z: complex) -> float:
 # Lambert W
 # ---------------------------------------------------------------------------
 
-def lambert_w_seed(n: int, z: complex) -> complex:
+def lambert_w_seed(n, z):
     """Two-term asymptotic approximation ``log z + 2*pi*i*n - log(log z + 2*pi*i*n)``.
 
     Requires ``|log z + 2*pi*i*n| >= 1``; the approximation error is
-    O(log|L1|/|L1|) with L1 the shifted logarithm.
+    O(log|L1|/|L1|) with L1 the shifted logarithm.  ``n`` and ``z`` may be arrays.
     """
-    z = _require_finite(z)
-    if z == 0:
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"z must be finite, got {z!r}")
+    if np.any(z == 0):
         raise ValueError("seed undefined at z = 0")
-    l1 = cmath.log(z) + 2j * math.pi * n
-    if abs(l1) < 1.0:
+    l1 = np.log(z) + 2j * math.pi * np.asarray(n)
+    if np.any(np.abs(l1) < 1.0):
         raise ValueError(
-            f"asymptotic seed needs |log z + 2*pi*i*n| >= 1, got {abs(l1):.3g}"
+            f"asymptotic seed needs |log z + 2*pi*i*n| >= 1, got {np.min(np.abs(l1)):.3g}"
         )
-    return l1 - cmath.log(l1)
+    w = l1 - np.log(l1)
+    return complex(w) if w.ndim == 0 else w
 
 
-def branch_of_w(w: complex) -> int:
+def branch_of_w(w):
     """Branch index whose region contains ``w`` (standard boundary layout).
 
     The separating curves are {-t*cot(t) + i*t}; between their bands the
     regions are straight strips.  Heights exactly on a band edge use the
-    counterclockwise-closure convention (top edge included).
+    counterclockwise-closure convention (top edge included).  An array of
+    ``w`` gives an int array of the same shape.
     """
-    w = complex(w)
-    if w == 0:
-        return 0
-    t = w.imag
-    if t < 0.0:
-        return -branch_of_w(w.conjugate())
-    if t == 0.0:
-        return 0 if w.real >= -1.0 else -1
-    # k-th curve band covers heights (2*k*pi, (2*k+1)*pi), k >= 0
-    k = int(math.floor(t / _TWO_PI))
+    w = np.asarray(w, dtype=complex)
+    t = np.abs(w.imag)  # the lower half mirrors: branch(w) = -branch(conj w)
+    # k-th curve band covers heights (2*k*pi, (2*k+1)*pi), k >= 0; the pure
+    # strip zone ((2k+1)*pi <= |Im w| <= (2k+2)*pi) belongs to branch k+1
+    k = np.floor(t / _TWO_PI)
     frac = t - _TWO_PI * k
-    if 0.0 < frac < math.pi:
-        curve_re = -t / math.tan(frac)
-        return k + 1 if w.real < curve_re else k
-    # pure strip zone ((2k+1)*pi <= Im w <= (2k+2)*pi) belongs to branch k+1
-    return k + 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        right_of_curve = (0.0 < frac) & (frac < math.pi) & (w.real >= -t / np.tan(frac))
+        upper = np.where(right_of_curve, k, k + 1)
+        b = np.where(w.imag < 0.0, -upper, upper)
+        b = np.where(w.imag == 0.0, np.where(w.real >= -1.0, 0, -1), b).astype(int)
+    return int(b) if b.ndim == 0 else b
 
 
-def _halley(w: complex, z: complex, max_iter: int, tol: float):
-    trace = [w]
-    zscale = max(abs(z), 1e-300)
-    target = tol * zscale
-    for _ in range(max_iter):
-        ew = cmath.exp(w)
-        f = w * ew - z
-        # argument reduction in exp caps the attainable residual at ~|Im w|*eps
-        floor = 64.0 * 2.3e-16 * zscale * (1.0 + abs(w))
-        if abs(f) <= max(target, floor):
-            return w, abs(f), trace
-        fp = ew * (w + 1.0)
-        fpp = ew * (w + 2.0)
-        denom = fp - f * fpp / (2.0 * fp)
-        if denom == 0:
-            break
-        step = f / denom
-        w = w - step
-        trace.append(w)
-        if abs(step) <= 4e-16 * (1.0 + abs(w)):
-            ew = cmath.exp(w)
-            return w, abs(w * ew - z), trace
-    ew = cmath.exp(w)
-    return None, abs(w * ew - z), trace
+def _halley(w, z, max_iter: int, tol: float):
+    """Halley on 1-d arrays, each entry stopping on its own: (w, residual, ok);
+    ``ok`` is False where ``max_iter`` ran out or the step was not finite."""
+    w = np.array(w, dtype=complex)
+    ok = np.zeros(w.shape, dtype=bool)
+    zscale = np.maximum(np.abs(z), 1e-300)
+    # argument reduction in exp caps the attainable residual at ~|Im w|*eps
+    idx, wa, za, target, floor = np.arange(w.size), w, z, tol * zscale, 64.0 * 2.3e-16 * zscale
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            ew = np.exp(wa)
+            f = wa * ew - za
+            hit = np.abs(f) <= np.maximum(target, floor * (1.0 + np.abs(wa)))
+            fp = ew * (wa + 1.0)
+            step = f / (fp - f * ew * (wa + 2.0) / (2.0 * fp))
+            finite = np.isfinite(step)
+            w_new = np.where(hit | ~finite, wa, wa - step)
+            done = hit | (np.abs(step) <= 4e-16 * (1.0 + np.abs(w_new)))
+            w[idx], ok[idx] = w_new, done
+            go = ~done & finite
+            if not go.any():
+                break
+            idx, wa, za, target, floor = idx[go], w_new[go], za[go], target[go], floor[go]
+        res = np.abs(w * np.exp(w) - z)
+    return w, res, ok
 
 
 def _w_seed(n: int, z: complex) -> complex:
@@ -146,53 +149,55 @@ def _w_seed(n: int, z: complex) -> complex:
     return lambert_w_seed(n, z)
 
 
-def _w_continuation(n: int, z: complex, max_iter: int, tol: float):
-    # Homotopy from an anchor deep inside branch n; each step is a local solve.
-    anchor_w = 1.0 + 2j * math.pi * n if n != 0 else complex(1.0, 0.0)
-    anchor_z = anchor_w * cmath.exp(anchor_w)
-    w = anchor_w
+def _w_continuation(n, z, max_iter: int, tol: float):
+    # Homotopy from an anchor deep inside branch n, on 1-d arrays: (w, ok).
+    w = np.where(n != 0, 1.0 + 2j * math.pi * n, 1.0 + 0j)
+    anchor_z = w * np.exp(w)
+    ok = np.ones(n.shape, dtype=bool)
     steps = 48
     for j in range(1, steps + 1):
-        zt = anchor_z + (z - anchor_z) * (j / steps)
-        w, res, _ = _halley(w, zt, max_iter, tol)
-        if w is None:
-            return None
-    return w
+        live = np.flatnonzero(ok)
+        zt = anchor_z[live] + (z[live] - anchor_z[live]) * (j / steps)
+        w[live], _, ok[live] = _halley(w[live], zt, max_iter, tol)
+    return w, ok
 
 
-def lambert_w(n: int, z: complex, tol: float = 1e-13, max_iter: int = 50) -> complex:
+def _on_branch(w, n):
+    # the branch point w = -1 is shared by branches 0 and -1
+    return (branch_of_w(w) == n) | (((n == 0) | (n == -1)) & (np.abs(w + 1.0) < 1e-6))
+
+
+def lambert_w(n, z, tol: float = 1e-13, max_iter: int = 50):
     """Branch ``n`` of the Lambert W function, by Halley iteration.
 
-    The defining residual ``|w*exp(w) - z|`` is driven below ``tol * |z|``;
-    the result is verified to lie in the branch-``n`` region.  Raises
-    :class:`ConvergenceError` (with the last iterate) on failure.
+    ``n`` (int or int array) and ``z`` broadcast.  The residual ``|w*exp(w) - z|``
+    is driven below ``tol * |z|`` and each result is verified to lie in the
+    branch-``n`` region, else redone by continuation from inside the branch.
+    Raises :class:`ConvergenceError` (with the last iterate) on failure.
     """
-    z = _require_finite(z)
-    n = int(n)
-    if z == 0:
-        if n == 0:
-            return 0j
+    n, z = np.broadcast_arrays(np.asarray(n, dtype=np.int64), np.asarray(z, dtype=complex))
+    shape, n, z = n.shape, n.ravel(), z.ravel()
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]!r}")
+    if np.any((z == 0) & (n != 0)):
         raise ValueError("z = 0 is a logarithmic singularity for branches n != 0")
-    w, res, trace = _halley(_w_seed(n, z), z, max_iter, tol)
-
-    def on_branch(val: complex) -> bool:
-        if branch_of_w(val) == n:
-            return True
-        # the branch point w = -1 is shared by branches 0 and -1
-        return n in (0, -1) and abs(val + 1.0) < 1e-6
-
-    if w is not None and not on_branch(w):
-        w = None
-    if w is None:
-        w = _w_continuation(n, z, max_iter, tol)
-        if w is None or not on_branch(w):
+    w = np.empty(z.shape, dtype=complex)
+    low = (n == 0) | (n == -1)  # branches with seeds of their own
+    w[~low] = lambert_w_seed(n[~low], z[~low])
+    for i in np.flatnonzero(low):
+        w[i] = _w_seed(int(n[i]), complex(z[i]))
+    w, res, ok = _halley(w, z, max_iter, tol)
+    redo = np.flatnonzero(~(ok & _on_branch(w, n)))
+    if redo.size:
+        w_c, ok_c = _w_continuation(n[redo], z[redo], max_iter, tol)
+        bad = redo[~(ok_c & _on_branch(w_c, n[redo]))]
+        if bad.size:
+            i = bad[0]
             raise ConvergenceError(
-                f"Lambert W branch {n} did not converge at z = {z!r}",
-                last_iterate=trace[-1],
-                residual=res,
-                trace=trace,
-            )
-    return w
+                f"Lambert W branch {n[i]} did not converge at z = {complex(z[i])!r}",
+                last_iterate=complex(w[i]), residual=float(res[i]))
+        w[redo] = w_c
+    return w.reshape(shape) if shape else complex(w[0])
 
 
 # ---------------------------------------------------------------------------

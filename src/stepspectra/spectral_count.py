@@ -5,20 +5,22 @@ f'/f along the contour (f' by central differences), with per-edge adaptive
 bisection until the total is within a quarter of an integer and stable under
 refinement.  Zero localization recursively subdivides a rectangle until each
 cell holds at most one zero, then polishes by Newton.
+
+The census of V = i*1_[-N,N] refines each resonance ladder as numpy arrays
+over the branch number n, with Lambert-W seeds and a per-branch Newton stop.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContourError, StepSpectraError
 from .special_functions import _dist_to_ray, lambert_w
-from .step_model import StepBump, physical_sheet
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -427,11 +429,9 @@ def rouche_compare(f, g, region: Region, n_init: int = 64, n_max: int = 4096):
 #: exponential approximations of the parity secular functions factor as
 #: 2*kappa*e^{i*kappa*R} = s*sqrt(V0) (odd) and = s*i*sqrt(V0) (even).
 FAMILIES = (("odd", +1), ("odd", -1), ("even", +1), ("even", -1))
-PRIMARY_FAMILY = ("odd", +1)
 
 
-@dataclass(frozen=True)
-class BranchResult:
+class BranchResult(NamedTuple):
     """One Lambert branch of one ladder, refined against the exact secular."""
 
     n: int
@@ -452,87 +452,98 @@ def _family_target(parity: str, sign: int, v0: complex, R: float) -> complex:
     return -sign * root * R / 2.0
 
 
-def imag_step_seed(N: int, n: int, parity: str = "odd", sign: int = +1) -> complex:
-    """Lambert-W branch seed kappa = -i W_n(target)/R for the (parity, sign) ladder."""
+def imag_step_seed(N: int, n, parity: str = "odd", sign: int = +1):
+    """Lambert-W branch seed kappa = -i W_n(target)/R for the (parity, sign) ladder
+    (an array of seeds for an int array ``n``)."""
     v0, R = 1j, float(N)
     w = lambert_w(n, _family_target(parity, sign, v0, R))
     return -1j * w / R
 
 
-def _trig_sq(parity: str, w: complex) -> tuple[complex, complex]:
-    """(csc^2 w, cot w) for odd, (sec^2 w, tan w) for even; overflow-safe."""
-    if w.imag > 350.0:
-        e = cmath.exp(2j * w)
-        if parity == "odd":
-            return -4.0 * e * (1.0 + 2.0 * e), -1j * (1.0 + 2.0 * e)
-        return 4.0 * e * (1.0 - 2.0 * e), 1j * (1.0 - 2.0 * e)
-    if w.imag < -350.0:
-        e = cmath.exp(-2j * w)
-        if parity == "odd":
-            return -4.0 * e * (1.0 + 2.0 * e), 1j * (1.0 + 2.0 * e)
-        return 4.0 * e * (1.0 - 2.0 * e), -1j * (1.0 - 2.0 * e)
-    if parity == "odd":
-        s = cmath.sin(w)
-        return 1.0 / (s * s), cmath.cos(w) / s
-    c = cmath.cos(w)
-    return 1.0 / (c * c), cmath.sin(w) / c
+def _trig_sq(parity: str, w):
+    """(csc^2 w, cot w) for odd, (sec^2 w, tan w) for even, elementwise;
+    beyond |Im w| = 350 both come from e^{+-2iw}, which cannot overflow."""
+    w = np.asarray(w, dtype=complex)
+    odd = parity == "odd"
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den, num = (np.sin(w), np.cos(w)) if odd else (np.cos(w), np.sin(w))
+        sq, t = 1.0 / (den * den), num / den
+    far = np.abs(w.imag) > 350.0
+    if far.any():
+        sgn, up = (1.0 if odd else -1.0), w.imag > 0.0
+        e = np.exp(np.where(up, 2j, -2j) * np.where(far, w, 0.0))
+        u = 1.0 + 2.0 * sgn * e
+        sq = np.where(far, -4.0 * sgn * e * u, sq)
+        t = np.where(far, np.where(up, -1j, 1j) * sgn * u, t)
+    return sq, t
 
 
-def _secular_kappa(parity: str, v0: complex, R: float, kappa: complex) -> complex:
-    sq, _ = _trig_sq(parity, kappa * R)
-    return v0 + kappa * kappa * sq
-
-
-def _secular_kappa_prime(parity: str, v0: complex, R: float, kappa: complex) -> complex:
+def _secular_terms(parity: str, v0: complex, R: float, kappa):
+    """The secular v0 + kappa^2 csc^2(kappa R) (odd) or v0 + kappa^2 sec^2(kappa R)
+    (even), its kappa-derivative and cot/tan, elementwise from one trig call."""
     w = kappa * R
     sq, t = _trig_sq(parity, w)
-    if parity == "odd":
-        return 2.0 * kappa * sq * (1.0 - w * t)
-    return 2.0 * kappa * sq * (1.0 + w * t)
+    wt = -w * t if parity == "odd" else w * t
+    return v0 + kappa * kappa * sq, 2.0 * kappa * sq * (1.0 + wt), t
 
 
-def _refine_branch(N: int, n: int, parity: str, sign: int, tol: float, max_iter: int) -> BranchResult:
+def _secular_kappa(parity: str, v0: complex, R: float, kappa):
+    return _secular_terms(parity, v0, R, kappa)[0]
+
+
+def _refine_ladder(N: int, ns, parity: str, sign: int, tol: float, max_iter: int) -> dict:
+    """Newton over the branch array ``ns`` of one ladder: the record columns.
+    A branch stops unconverged at a zero derivative or as soon as an iterate
+    leaves the hop disk |kappa - seed| <= 0.75*pi/R, keeping the last inside."""
     v0, R = 1j, float(N)
-    seed = imag_step_seed(N, n, parity, sign)
-    kappa = seed
-    converged = False
-    res = math.inf
-    for _ in range(max_iter):
-        fval = _secular_kappa(parity, v0, R, kappa)
-        res = abs(fval)
-        if res <= tol:
-            converged = True
-            break
-        d = _secular_kappa_prime(parity, v0, R, kappa)
-        if d == 0:
-            break
-        kappa = kappa - fval / d
+    seed = imag_step_seed(N, ns, parity, sign)
+    hop = 0.75 * math.pi / R
+    kappa, res = seed.copy(), np.full(seed.shape, math.inf)
+    # chi at convergence: the matched exterior momentum -i*kappa*cot (odd) or
+    # i*kappa*tan (even), which is even in kappa
+    converged, chi = np.zeros(seed.shape, dtype=bool), np.zeros(seed.shape, dtype=complex)
+    idx, ka = np.arange(seed.size), seed
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            fval, d, t = _secular_terms(parity, v0, R, ka)
+            res[idx] = np.abs(fval)
+            hit = res[idx] <= tol
+            converged[idx[hit]] = True
+            chi[idx[hit]] = (-1j if parity == "odd" else 1j) * ka[hit] * t[hit]
+            k_new = ka - fval / d
+            go = ~hit & (d != 0) & (np.abs(k_new - seed[idx]) <= hop)
+            idx, ka = idx[go], k_new[go]
+            kappa[idx] = ka
+            if not idx.size:
+                break
     # the secular is even in kappa: report the upper-half representative
-    seed_can = seed if seed.imag >= 0 else -seed
-    if kappa.imag < 0:
-        kappa = -kappa
-    if converged:
-        # a hop beyond half the ladder spacing, or onto the mirrored ladder
-        # side, means the branch refined into a neighbor's zero
-        if abs(kappa - seed_can) > 0.75 * math.pi / R:
-            converged = False
-        elif kappa.real * seed_can.real < 0 and min(
-            abs(kappa.real), abs(seed_can.real)
-        ) > 0.1 / R:
-            converged = False
-    e_val = kappa * kappa + v0
-    sheet = physical_sheet(StepBump(v0, R), e_val, parity) if converged else False
-    return BranchResult(
-        n=n,
-        parity=parity,
-        sign=sign,
-        kappa_seed=seed,
-        kappa_refined=kappa,
-        energy=e_val,
-        on_physical_sheet=sheet,
-        residual=res,
-        converged=converged,
-    )
+    seed_can = np.where(seed.imag >= 0.0, seed, -seed)
+    kappa = np.where(kappa.imag < 0.0, -kappa, kappa)
+    # a hop beyond half the ladder spacing, or onto the mirrored ladder side,
+    # means the branch refined into a neighbor's zero
+    converged &= np.abs(kappa - seed_can) <= hop
+    converged &= ~((kappa.real * seed_can.real < 0.0)
+                   & (np.minimum(np.abs(kappa.real), np.abs(seed_can.real)) > 0.1 / R))
+    return {"kappa_seed": seed, "kappa_refined": kappa, "energy": kappa * kappa + v0,
+            "on_physical_sheet": converged & (chi.imag > 0.0), "residual": res,
+            "converged": converged}
+
+
+def _ladders(N: int, n_window: tuple[int, int], families, tol: float, max_iter: int):
+    """Per family in (parity, sign) order: the refined columns and their records."""
+    if N < 8:
+        raise ValueError(f"census requires N >= 8, got {N}")
+    lo, hi = n_window
+    if lo > hi:
+        raise ValueError(f"empty n window {n_window}")
+    ns = np.arange(lo, hi + 1)
+    ladders = []
+    for parity, sign in sorted(families):
+        cols = _refine_ladder(N, ns, parity, sign, tol, max_iter)
+        rows = zip(ns.tolist(), [parity] * ns.size, [sign] * ns.size,
+                   *(cols[name].tolist() for name in BranchResult._fields[3:]))
+        ladders.append((cols, list(map(BranchResult._make, rows))))
+    return ladders
 
 
 def enumerate_imag_step(
@@ -541,49 +552,30 @@ def enumerate_imag_step(
     families=FAMILIES,
     tol: float = 1e-9,
     max_iter: int = 60,
-    workers: int = 1,
 ) -> list[BranchResult]:
     """Resonance ladder of V = i*1_[-N,N]: Lambert seeds, Newton refinement,
-    physical-sheet flags.
+    physical-sheet flags, as records sorted by (n, parity, sign).
 
     ``n_window = (lo, hi)`` is inclusive; each window entry is refined once
-    per requested family.  A branch whose Newton run diverges is flagged
-    (``converged=False``) rather than fatal.
+    per requested family.  A branch whose Newton run stalls or leaves its hop
+    disk is flagged (``converged=False``) rather than fatal.
     """
-    if N < 8:
-        raise ValueError(f"census requires N >= 8, got {N}")
-    lo, hi = n_window
-    if lo > hi:
-        raise ValueError(f"empty n window {n_window}")
-    jobs = [(n, parity, sign) for n in range(lo, hi + 1) for parity, sign in families]
-
-    def run(job):
-        n, parity, sign = job
-        try:
-            return _refine_branch(N, n, parity, sign, tol, max_iter)
-        except (StepSpectraError, ValueError) as exc:
-            return BranchResult(
-                n=n, parity=parity, sign=sign,
-                kappa_seed=0j, kappa_refined=0j, energy=0j,
-                on_physical_sheet=False, residual=math.inf, converged=False,
-            )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    results.sort(key=lambda r: (r.n, r.parity, r.sign))
-    return results
+    ladders = _ladders(N, n_window, families, tol, max_iter)
+    return [r for group in zip(*(recs for _, recs in ladders)) for r in group]
 
 
 @dataclass(frozen=True)
 class CensusResult:
+    """``certified``: every unconverged branch's seed and final energies lie outside
+    the box grown by one ladder spacing 2*pi*|kappa|/N; ``uncertified``: those that do not."""
+
     N: int
     count: int
     ratio: float
     box: Region
     results: tuple
+    certified: bool
+    uncertified: tuple
 
     def table_row(self) -> dict:
         return {
@@ -612,12 +604,16 @@ def census_window(N: int, C_box: float = 10.0) -> tuple[int, int]:
     return (-n_max, n_max)
 
 
+def _in_box(box: Region, E, pad=0.0):
+    return ((box.re_lo - pad <= E.real) & (E.real <= box.re_hi + pad)
+            & (box.im_lo - pad <= E.imag) & (E.imag <= box.im_hi + pad))
+
+
 def imag_step_census(
     N: int,
     C_box: float = 10.0,
     n_window: tuple[int, int] | None = None,
     families=FAMILIES,
-    workers: int = 1,
 ) -> CensusResult:
     """Count physical-sheet ladder energies inside the census box.
 
@@ -629,13 +625,20 @@ def imag_step_census(
     box = census_box(N, C_box)
     if n_window is None:
         n_window = census_window(N, C_box)
-    results = enumerate_imag_step(N, n_window, families=families, workers=workers)
-    hits = [r for r in results if r.converged and r.on_physical_sheet and box.contains(r.energy)]
-    distinct = []
-    for r in sorted(hits, key=lambda r: (r.energy.real, r.energy.imag)):
-        if distinct and abs(r.energy - distinct[-1].energy) < 1e-6 * max(1.0, abs(r.energy)):
-            continue
-        distinct.append(r)
-    count = len(distinct)
+    ladders = _ladders(N, n_window, families, 1e-9, 60)
+    results = tuple(r for group in zip(*(recs for _, recs in ladders)) for r in group)
+    hits, uncertified = [], []
+    for cols, recs in ladders:
+        E, conv, seed = cols["energy"], cols["converged"], cols["kappa_seed"]
+        hits.append(E[conv & cols["on_physical_sheet"] & _in_box(box, E)])
+        near = (_in_box(box, seed * seed + 1j, 2.0 * math.pi * np.abs(seed) / N)
+                | _in_box(box, E, 2.0 * math.pi * np.abs(cols["kappa_refined"]) / N))
+        uncertified += [recs[i] for i in np.flatnonzero(~conv & near)]
+    count, last = 0, None
+    for e in sorted(np.concatenate(hits).tolist(), key=lambda e: (e.real, e.imag)):
+        if last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e)):
+            count, last = count + 1, e
     ratio = count * math.log(N) / (N * N)
-    return CensusResult(N=N, count=count, ratio=ratio, box=box, results=tuple(results))
+    return CensusResult(N=N, count=count, ratio=ratio, box=box, results=results,
+                        certified=not uncertified,
+                        uncertified=tuple(sorted(uncertified, key=lambda r: r[:3])))

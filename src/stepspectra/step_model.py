@@ -415,6 +415,8 @@ def radial_secular(v0: complex, R: float, E: complex, d: int) -> complex:
     E = complex(E)
     chi = sqrt_upper(E)
     kappa = cmath.sqrt(E - complex(v0))
-    j, _, dj, _ = _bessel_all(nu, kappa * R)
     _, h, _, dh = _bessel_all(nu, chi * R)
+    if kappa == 0 and d == 2:  # E = v0: kappa*J_0'(kappa R) -> 0 and J_0 -> 1
+        return -chi * dh
+    j, _, dj, _ = _bessel_all(nu, kappa * R)
     return kappa * dj * h - chi * j * dh

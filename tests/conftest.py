@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import settings
 from scipy.optimize import brentq
 
@@ -136,6 +138,54 @@ def mp_bessel_jh(nu: int, z: complex):
         h = mpmath.hankel1(nu, zm)
         dh = (mpmath.hankel1(nu - 1, zm) - mpmath.hankel1(nu + 1, zm)) / 2
         return complex(j), complex(h), complex(dj), complex(dh)
+
+
+def imag_step_branch(N: int, n: int, parity: str, sign: int, tol: float = 1e-9, max_iter: int = 60):
+    """One branch of the imaginary-step census by scalar Newton, as a reference.
+
+    The ladder of V = i*1_[-N,N]: the seed is -i*W_n(target)/N with W from
+    scipy, and Newton runs on v0 + kappa^2 csc^2(kappa N) (odd) or
+    v0 + kappa^2 sec^2(kappa N) (even) in cmath.  A branch converges when the
+    residual falls to ``tol`` with every iterate inside the hop disk
+    |kappa - seed| <= 0.75*pi/N, and its upper-half representative neither
+    hops from the seed's nor crosses to the mirrored side of the ladder.
+    Returns (seed, kappa, converged, on_physical_sheet), kappa in the upper
+    half plane; the sheet flag is Im(chi) > 0 for the matched exterior
+    momentum chi = -i*kappa*cot(kappa N) (odd) or i*kappa*tan(kappa N) (even).
+    """
+    v0, R = 1j, float(N)
+    root = cmath.sqrt(v0)
+    target = 1j * sign * root * R / 2.0 if parity == "odd" else -sign * root * R / 2.0
+    seed = -1j * complex(scipy.special.lambertw(target, n, tol=1e-15)) / R
+    hop = 0.75 * math.pi / R
+
+    def terms(k):
+        w = k * R
+        s, c = cmath.sin(w), cmath.cos(w)
+        if parity == "odd":
+            sq, t, wt = 1.0 / (s * s), c / s, -w * c / s
+        else:
+            sq, t, wt = 1.0 / (c * c), s / c, w * s / c
+        return v0 + k * k * sq, 2.0 * k * sq * (1.0 + wt), t
+
+    kappa, converged, t = seed, False, 0j
+    for _ in range(max_iter):
+        f, d, t = terms(kappa)
+        if abs(f) <= tol:
+            converged = True
+            break
+        if d == 0 or not abs(kappa - f / d - seed) <= hop:
+            break
+        kappa = kappa - f / d
+    chi = (-1j if parity == "odd" else 1j) * kappa * t
+    seed_up = seed if seed.imag >= 0 else -seed
+    if kappa.imag < 0:
+        kappa = -kappa
+    if abs(kappa - seed_up) > hop or (
+        kappa.real * seed_up.real < 0 and min(abs(kappa.real), abs(seed_up.real)) > 0.1 / R
+    ):
+        converged = False
+    return seed, kappa, converged, converged and chi.imag > 0
 
 
 @pytest.fixture

@@ -156,6 +156,7 @@ def test_criterion_4_parity_completeness():
 
 def test_criterion_5_census():
     """Counts increase over N in {16,32,64}; ratio band within factor 3;
+    every census certified (no dropped branch near the box), up to N = 256;
     N = 8 enumeration equals the winding cross-check exactly."""
     with _Stopwatch("criterion 5: desk census", 600.0):
         results = [imag_step_census(N, 10.0) for N in (16, 32, 64)]
@@ -163,8 +164,11 @@ def test_criterion_5_census():
         assert counts[0] < counts[1] < counts[2]
         ratios = [c.ratio for c in results]
         assert max(ratios) / min(ratios) < 3.0
+        assert all(c.certified for c in results)
+        assert imag_step_census(256, 10.0).certified
 
         cen8 = imag_step_census(8, 10.0)
+        assert cen8.certified
         pot = PiecewisePotential([(-8.0, 8.0, 1j)])
         wc = winding_count(make_secular_handle(pot), census_box(8, 10.0))
         assert cen8.count == wc

@@ -138,13 +138,6 @@ class TestImagStepCommand:
             assert run(["imag-step", "--N", "8", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_independence(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(["imag-step", "--N", "8", "--out", str(a), "--workers", "1"]) == 0
-        monkeypatch.setenv("STEPSPECTRA_WORKERS", "4")
-        assert run(["imag-step", "--N", "8", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestSparseCommand:
     @pytest.fixture

@@ -1,13 +1,17 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from stepspectra.errors import ContourError, StepSpectraError
 from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
+from stepspectra.special_functions import branch_of_w, lambert_w
 from stepspectra.spectral_count import (
+    FAMILIES,
     Region,
     census_box,
+    census_window,
     imag_step_census,
     enumerate_imag_step,
     imag_step_seed,
@@ -18,7 +22,7 @@ from stepspectra.spectral_count import (
 )
 from stepspectra.step_model import StepBump, construct_bump, physical_sheet, secular_entire
 
-from conftest import real_well_bound_states
+from conftest import imag_step_branch, real_well_bound_states
 
 
 class TestWindingCount:
@@ -156,6 +160,30 @@ class TestRouche:
             rouche_compare(lambda z: z + 1, lambda z: 0.0, Region.disk(2.0, 1.0))
 
 
+class TestLadderSeeds:
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_array_n_lambert_equals_scalar_calls(self, N):
+        ns = np.arange(-60, 61)
+        root = cmath.sqrt(1j)
+        for parity, sign in FAMILIES:
+            # 2*kappa*e^{i kappa N} = s*sqrt(i) (odd) or s*i*sqrt(i) (even)
+            z = 0.5j * sign * root * N if parity == "odd" else -0.5 * sign * root * N
+            ws = lambert_w(ns, z)
+            assert ws.shape == ns.shape
+            assert branch_of_w(ws).tolist() == ns.tolist()
+            assert ws.tolist() == [lambert_w(int(n), z) for n in ns]
+
+    def test_continuation_entries_in_an_array(self):
+        # the first two Halley runs leave their branch and are redone by
+        # continuation; the third is not
+        z = np.array([-0.8437 - 1.2401j, -0.3641 - 0.0629j, 2.0 + 0.5j])
+        n = np.array([0, -1, 3])
+        ws = lambert_w(n, z)
+        assert branch_of_w(ws).tolist() == [0, -1, 3]
+        assert np.all(np.abs(ws * np.exp(ws) - z) < 1e-12 * np.abs(z))
+        assert ws.tolist() == [lambert_w(int(k), complex(x)) for k, x in zip(n, z)]
+
+
 class TestEnumerate:
     def test_seed_asymptotics_imag(self):
         N = 16
@@ -200,16 +228,36 @@ class TestEnumerate:
         for r in hits:
             assert min(abs(r.energy - z.location) for z in rep.zeros) < 1e-6
 
-    def test_workers_deterministic(self):
-        rows1 = enumerate_imag_step(8, (-20, -10), workers=1)
-        rows4 = enumerate_imag_step(8, (-20, -10), workers=4)
-        assert [(r.n, r.parity, r.sign, r.kappa_refined) for r in rows1] == [
-            (r.n, r.parity, r.sign, r.kappa_refined) for r in rows4
-        ]
-
     def test_small_N_rejected(self):
         with pytest.raises(ValueError):
             enumerate_imag_step(4, (-10, -1))
+
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_agrees_with_scalar_newton(self, N):
+        rows = enumerate_imag_step(N, census_window(N, 10.0))
+        assert [(r.n, r.parity, r.sign) for r in rows] == sorted(
+            (r.n, r.parity, r.sign) for r in rows
+        )
+        for r in rows:
+            seed, kappa, converged, sheet = imag_step_branch(N, r.n, r.parity, r.sign)
+            assert abs(r.kappa_seed - seed) <= 1e-12 * abs(seed)
+            assert r.converged == converged, (r, kappa)
+            if converged:
+                assert abs(r.kappa_refined - kappa) <= 1e-12 * abs(kappa)
+                assert r.on_physical_sheet == sheet
+            else:
+                assert not r.on_physical_sheet
+
+    def test_unconverged_records_stay_in_the_hop_disk(self):
+        rows = enumerate_imag_step(64, census_window(64, 10.0))
+        failed = [r for r in rows if not r.converged]
+        assert failed
+        for r in failed:
+            # kappa_refined is the upper-half representative of the last iterate
+            assert r.kappa_seed != 0
+            dist = min(abs(r.kappa_refined - r.kappa_seed), abs(r.kappa_refined + r.kappa_seed))
+            assert dist <= 0.75 * math.pi / 64 * (1.0 + 1e-12)
+            assert cmath.isfinite(r.energy)
 
 
 class TestCensus:
@@ -239,6 +287,25 @@ class TestCensus:
             im_scale = (n / N**2) * math.log(n / N)
             ratio = abs(r.energy.imag - 1.0) / im_scale
             assert 4.0 * math.pi * 1.2 < ratio < 4.0 * math.pi * 2.5
+
+    def test_pinned_counts_and_certificate(self):
+        # the census CSV of the benchmark ladder; every dropped branch starts
+        # and ends at least one ladder spacing outside the box
+        for N, count in ((32, 60), (64, 198), (128, 663), (192, 1357), (256, 2265)):
+            cen = imag_step_census(N, 10.0)
+            assert cen.count == count
+            assert cen.certified and cen.uncertified == ()
+            assert not any(cmath.isnan(r.energy) for r in cen.results)
+
+    def test_certificate_names_branches_near_the_box(self):
+        # C_box = 100 stretches the box to Re E > 0.33, Im E > 0.01, where the
+        # dropped branches near E = i lie
+        N = 16
+        full = imag_step_census(N, 10.0)
+        lowered = imag_step_census(N, 100.0)
+        assert full.certified
+        assert not lowered.certified
+        assert all(not r.converged for r in lowered.uncertified)
 
     def test_table_row_schema(self):
         row = imag_step_census(8, 10.0).table_row()

@@ -355,6 +355,14 @@ class TestRadialSecular:
             radial_secular(v0, R, E, 2)
         assert (time.perf_counter() - start) / 100 < 1e-3
 
+    def test_d2_at_E_equal_v0_is_the_limit(self):
+        # kappa = 0: the Wronskian tends to -chi*H1_0'(chi R), no Bessel call at 0
+        v0, R = -8 + 0.5j, 1.0
+        at = radial_secular(v0, R, v0, 2)
+        near = radial_secular(v0, R, v0 + 1e-7, 2)
+        assert np.isfinite(at.real) and np.isfinite(at.imag)
+        assert abs(at - near) <= 1e-6 * abs(at)
+
 
 class TestSecularEntire:
     def test_same_zeros_as_secular(self, rng):
