@@ -74,21 +74,9 @@ class PiecewisePotential:
             pieces.append((lo, hi, bump.v0))
         return cls(pieces)
 
-    def value_at(self, x: float) -> complex:
-        for a, b, v in self.pieces:
-            if a <= x <= b:
-                return v
-        return 0j
-
     def truncated(self, n: int) -> "PiecewisePotential":
         """Prefix truncation keeping the first n pieces."""
         return PiecewisePotential(self.pieces[:n])
-
-    @property
-    def support_hull(self):
-        if not self.pieces:
-            return None
-        return (self.pieces[0][0], self.pieces[-1][1])
 
     # -- JSON schema: {"pieces":[{"a":..,"b":..,"re":..,"im":..},...]} --------
 
