@@ -51,6 +51,7 @@ from .spectral_count import (
     CensusResult,
     QuadParams,
     Region,
+    SolverStats,
     ZeroReport,
     imag_step_census,
     enumerate_imag_step,

@@ -37,9 +37,15 @@ class SheetError(StepSpectraError):
 
 
 class ContourError(StepSpectraError):
-    """Contour integration failed: zero suspected on the contour or a
-    non-integral winding after maximal refinement.  The message advises
-    how to nudge the region."""
+    """A zero sits on or hugs a contour.  ``edge`` (0-3, counterclockwise from the
+    first vertex), ``t`` (in [0, 1] along it) and ``modulus`` (|f| there) say where."""
+
+    def __init__(self, message, edge=None, t=None, modulus=None):
+        where = "" if edge is None else f" (edge {edge}, t = {t:.6g}, |f| = {modulus:.3g})"
+        super().__init__(message + where)
+        self.edge = edge
+        self.t = t
+        self.modulus = modulus
 
 
 class SchemaError(StepSpectraError):

@@ -1,10 +1,16 @@
 """Analytic zero counting and localization, plus the imaginary-step census.
 
-Winding numbers are computed by composite Gauss-Legendre quadrature of
-f'/f along the contour (f' by central differences), with per-edge adaptive
-bisection until the total is within a quarter of an integer and stable under
-refinement.  Zero localization recursively subdivides a rectangle until each
-cell holds at most one zero, then polishes by Newton.
+Contours are walked on 16-node Gauss-Legendre panels, one call of f per node,
+halved until the halves give a panel's integrals of u^k log f (k = 0, 1, 2)
+and arg f moves by under pi/3 between nodes; the winding sums those steps.
+Zeros come from the same values (Delves & Lyness 1967; Kravanja & Van Barel
+1999): with u = (z - centre)/half-diameter and u0 the first vertex, s_p =
+sum m_k u_k^p = N*u0^p - (p/2 pi i) oint u^(p-1) log f du.  The rank of H0 =
+[s_(i+j)] counts distinct zeros, the pencil (H1, H0) places them, a Vandermonde
+solve gives multiplicities, and the secant method polishes simple zeros.  A
+cell is split in four only when it winds over four times, a polished zero
+leaves it, or multiplicities do not add up; a cluster that makes H0 rank
+deficient is first solved again on a small disk.
 
 The census of V = i*1_[-N,N] refines each resonance ladder as numpy arrays
 over the branch number n, with Lambert-W seeds and a per-branch Newton stop.
@@ -14,15 +20,25 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContourError, StepSpectraError
-from .special_functions import _dist_to_ray, lambert_w
+from .special_functions import lambert_w
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+#: Gauss-Legendre nodes and weights on [0, 1]
+_GL_T = 0.5 * (1.0 + _GL_X)
+_GL_W = 0.5 * _GL_W
+#: largest step of arg f between consecutive nodes
+_MAX_STEP = math.pi / 3.0
+#: most zeros, with multiplicity, that one cell's moments solve
+_MAX_ZEROS = 4
+#: singular values of H0 below this fraction of the largest count as zero
+_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,23 +89,26 @@ class Region:
             return max(abs(self.re_lo), abs(self.re_hi), abs(self.im_lo), abs(self.im_hi), 1.0)
         return max(abs(self.center) + self.radius, 1.0)
 
-    def edges(self):
-        """Counterclockwise contour as (start, end) straight segments or arcs.
-
-        Rectangles give four segments; disks give four quarter arcs encoded as
-        ("arc", center, radius, theta0, theta1).
-        """
+    def panels(self, edges, t0, t1):
+        """Nodes and dz weights, (len(edges), 16), of panels [t0[i], t1[i]] on edge
+        edges[i] (0-3) from the corner (re_lo, im_lo) or the angle 0, counterclockwise."""
+        edges = np.asarray(edges)[:, None]
+        t0 = np.asarray(t0, dtype=float)[:, None]
+        span = np.asarray(t1, dtype=float)[:, None] - t0
+        t = t0 + span * _GL_T
         if self.kind == "rectangle":
-            a = complex(self.re_lo, self.im_lo)
-            b = complex(self.re_hi, self.im_lo)
-            c = complex(self.re_hi, self.im_hi)
-            d = complex(self.re_lo, self.im_hi)
-            return [("seg", a, b), ("seg", b, c), ("seg", c, d), ("seg", d, a)]
-        quarters = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi]
-        return [
-            ("arc", self.center, self.radius, t0, t1)
-            for t0, t1 in zip(quarters[:-1], quarters[1:])
-        ]
+            corners = np.array([
+                complex(self.re_lo, self.im_lo),
+                complex(self.re_hi, self.im_lo),
+                complex(self.re_hi, self.im_hi),
+                complex(self.re_lo, self.im_hi),
+                complex(self.re_lo, self.im_lo),
+            ])
+            a = corners[edges]
+            b = corners[edges + 1]
+            return a + (b - a) * t, (b - a) * span * _GL_W
+        rot = self.radius * np.exp(0.5j * math.pi * (edges + t))
+        return self.center + rot, 0.5j * math.pi * span * _GL_W * rot
 
 
 @dataclass(frozen=True)
@@ -100,11 +119,28 @@ class LocatedZero:
 
 
 @dataclass
+class SolverStats:
+    """What one ``locate_zeros`` call did (never in CSV or JSON): calls of f, panels
+    accepted, the deepest panel bisection, contours walked, cells split in four,
+    splits redone with shifted midpoints, secant steps, smallest |f| at a node."""
+
+    evaluations: int = 0
+    panels: int = 0
+    max_depth: int = 0
+    cells: int = 0
+    splits: int = 0
+    nudges: int = 0
+    polish_iterations: int = 0
+    min_modulus: float = math.inf
+
+
+@dataclass
 class ZeroReport:
     zeros: list = field(default_factory=list)
     winding_total: int = 0
     contour_min_modulus: float = math.inf
     complete: bool = True
+    stats: SolverStats = field(default_factory=SolverStats)
 
     def locations(self):
         return [z.location for z in self.zeros]
@@ -112,174 +148,204 @@ class ZeroReport:
 
 @dataclass(frozen=True)
 class QuadParams:
-    """Knobs for the contour quadrature.
-
-    ``cut_aware`` caps the finite-difference step by the distance to the
-    spectral cut [0, inf) so that difference stencils never straddle the
-    branch point of the secular functions this package integrates.
-    """
+    """Contour panels: at most ``max_refine`` bisections; a panel's integrals of
+    u^k log f match its halves' to ``moment_tol`` per unit length; a node with |f|
+    below ``guard_factor * region.scale`` raises ContourError."""
 
     max_refine: int = 28
-    integer_tol: float = 0.25
-    stability_tol: float = 0.05
+    moment_tol: float = 1e-9
     guard_factor: float = 1e-12
-    fd_step: float = 1e-6
-    cut_aware: bool = True
 
 
-def _fd_step(z: complex, params: QuadParams) -> float:
-    h = params.fd_step * max(1.0, abs(z))
-    if params.cut_aware:
-        dist = _dist_to_ray(z)
-        if dist > 0.0:
-            h = min(h, 0.45 * dist)
-    return max(h, 1e-12)
+#: 16 nodes on one edge: z, dz, f, |f|, arg f, its largest step and oint u^k log f dz
+_Panel = namedtuple("_Panel", "edge t0 t1 depth z dz v mods args step moments")
 
 
-def _fd_log_derivative(f, z: complex, params: QuadParams):
-    """(f'/f)(z) by central differences; returns (value, |f(z)|)."""
-    h = _fd_step(z, params)
-    f0 = complex(f(z))
-    fp = complex(f(z + h))
-    fm = complex(f(z - h))
-    if f0 == 0:
-        return None, 0.0
-    return (fp - fm) / (2.0 * h * f0), abs(f0)
+class _Contour:
+    """f on the adaptive panels of one region's contour: the winding, the
+    smallest |f| and the power sums of the enclosed zeros."""
 
-
-class _EdgeIntegrator:
-    """Adaptive composite Gauss-Legendre integral of f'/f along one edge."""
-
-    def __init__(self, f, params: QuadParams):
+    def __init__(self, f, region: Region, params: QuadParams, stats: SolverStats):
         self.f = f
+        self.region = region
         self.params = params
-        self.min_modulus = math.inf
-        self.evaluations = 0
-
-    def _points(self, edge, t0: float, t1: float):
-        mid = 0.5 * (t0 + t1)
-        half = 0.5 * (t1 - t0)
-        ts = mid + half * _GL_NODES
-        if edge[0] == "seg":
-            _, a, b = edge
-            zs = a + (b - a) * ts
-            dz = (b - a) * half * _GL_WEIGHTS
+        if region.kind == "rectangle":
+            self.c = complex(0.5 * (region.re_lo + region.re_hi),
+                             0.5 * (region.im_lo + region.im_hi))
         else:
-            _, c, r, th0, th1 = edge
-            theta = th0 + (th1 - th0) * ts
-            zs = c + r * np.exp(1j * theta)
-            dz = 1j * r * np.exp(1j * theta) * (th1 - th0) * half * _GL_WEIGHTS
-        return zs, dz
+            self.c = region.center
+        self.h = 0.5 * region.diameter
+        # halve the unsettled panels of all four edges a level at a time
+        level = self._build([0, 1, 2, 3], [0.0] * 4, [1.0] * 4, [0] * 4)
+        leaves = []
+        while level:
+            halves = self._halves(level)
+            next_level = []
+            for p, left, right in zip(level, halves[::2], halves[1::2]):
+                tol = params.moment_tol * float(np.abs(p.dz).sum())
+                settled = max(left.step, right.step) < _MAX_STEP and np.all(
+                    np.abs(p.moments - left.moments - right.moments) <= tol)
+                (leaves if settled else next_level).extend((left, right))
+            level = next_level
+        leaves.sort(key=lambda p: (p.edge, p.t0))
+        # then the panels on either side of a large step, wrap-around included
+        while True:
+            v = np.concatenate([p.v for p in leaves])
+            steps = np.angle(v / np.roll(v, 1))
+            jumps = np.flatnonzero(np.abs(steps) >= _MAX_STEP)
+            if not jumps.size:
+                break
+            bad = set((jumps // 16).tolist()) | set(((jumps - 1) % v.size // 16).tolist())
+            halves = iter(self._halves([leaves[i] for i in sorted(bad)]))
+            leaves = [q for i, p in enumerate(leaves)
+                      for q in ((next(halves), next(halves)) if i in bad else (p,))]
+        self.leaves = leaves
+        self.v = v
+        self.args = np.angle(v[0]) + np.cumsum(steps) - steps[0]
+        low = int(np.argmin(np.abs(v)))
+        self.min_modulus = float(abs(v[low]))
+        stats.cells += 1
+        stats.panels += len(leaves)
+        stats.max_depth = max(stats.max_depth, int(max(p.depth for p in leaves)))
+        stats.min_modulus = min(stats.min_modulus, self.min_modulus)
+        guard = params.guard_factor * region.scale
+        if self.min_modulus < guard:
+            p = leaves[low // 16]
+            raise ContourError(f"|f| below the guard {guard:.3e}; nudge the region", int(p.edge),
+                               p.t0 + (p.t1 - p.t0) * _GL_T[low % 16], self.min_modulus)
+        self.winding = round(float(steps.sum()) / (2.0 * math.pi))
 
-    def _panel(self, edge, t0: float, t1: float) -> complex:
-        zs, dz = self._points(edge, t0, t1)
-        total = 0j
-        for z, w in zip(zs, dz):
-            val, mod = _fd_log_derivative(self.f, complex(z), self.params)
-            self.evaluations += 1
-            if mod < self.min_modulus:
-                self.min_modulus = mod
-            if val is None:
-                raise ContourError(
-                    f"f vanishes at contour point {z!r}; nudge the region boundary"
-                )
-            total += val * w
-        return total
+    def _build(self, edges, t0, t1, depth, prev=None, a=None) -> list:
+        """Panels [t0[i], t1[i]] of edge ``edges[i]``, evaluated, with arg f
+        continued along each pair of panels j from the value prev[j] of
+        argument a[j], or without ``prev`` along each panel from its first node."""
+        z, dz = self.region.panels(edges, t0, t1)
+        v = np.array([self.f(x) for x in z.ravel().tolist()])
+        mods = np.abs(v)
+        bad = np.flatnonzero(~((mods > 0.0) & (mods < math.inf)))
+        if bad.size:
+            i, j = divmod(int(bad[0]), 16)
+            raise ContourError("f is zero or not finite on the contour; nudge the region",
+                               int(edges[i]), t0[i] + (t1[i] - t0[i]) * _GL_T[j], mods[bad[0]])
+        v = v.reshape(-1, 16 if prev is None else 32)
+        if prev is None:
+            prev = v[:, 0]
+            a = np.angle(prev)
+        steps = np.angle(v / np.column_stack((prev, v[:, :-1])))
+        args = (np.asarray(a)[:, None] + np.cumsum(steps, axis=1)).reshape(-1, 16)
+        u = (z - self.c) / self.h
+        mods = mods.reshape(-1, 16)
+        w = (np.log(mods) + 1j * args) * dz
+        moments = np.stack((w.sum(1), (w * u).sum(1), (w * u * u).sum(1)), axis=1)
+        worst = np.abs(steps).reshape(-1, 16).max(1)
+        return list(map(_Panel, edges, t0, t1, depth, z, dz, v.reshape(-1, 16), mods, args,
+                        worst, moments))
 
-    def integrate(self, edge) -> complex:
-        stack = [(0.0, 1.0, self._panel(edge, 0.0, 1.0), 0)]
-        total = 0j
-        params = self.params
-        # panel acceptance proportional to parameter length keeps the summed
-        # error below stability_tol/4 for the whole edge
-        tol = params.stability_tol / 4.0
-        while stack:
-            t0, t1, coarse, depth = stack.pop()
-            mid = 0.5 * (t0 + t1)
-            left = self._panel(edge, t0, mid)
-            right = self._panel(edge, mid, t1)
-            err = abs(left + right - coarse)
-            if err <= tol * (t1 - t0) or err <= 1e-14:
-                total += left + right
-            elif depth >= params.max_refine:
-                raise ContourError(
-                    "contour integral did not stabilize under refinement; "
-                    "a zero may sit on (or hug) the contour — nudge the region"
-                )
-            else:
-                stack.append((t0, mid, left, depth + 1))
-                stack.append((mid, t1, right, depth + 1))
-        return total
+    def _halves(self, panels: list) -> list:
+        """Both halves of each panel, arg f continued from its first node."""
+        for p in panels:
+            if p.depth >= self.params.max_refine:
+                raise ContourError(f"no settled panel after {p.depth} bisections; nudge the region",
+                                   int(p.edge), 0.5 * (p.t0 + p.t1), float(p.mods.min()))
+        t = np.array([(p.t0, 0.5 * (p.t0 + p.t1), p.t1) for p in panels])
+        return self._build(np.repeat([p.edge for p in panels], 2), t[:, :2].ravel(),
+                           t[:, 1:].ravel(), np.repeat([p.depth + 1 for p in panels], 2),
+                           [p.v[0] for p in panels], [p.args[0] for p in panels])
+
+    def power_sums(self, n: int) -> np.ndarray:
+        """s_0 .. s_(n-1), n >= 2, of the enclosed zeros in u = (z - center)/h."""
+        u = (np.concatenate([p.z for p in self.leaves]) - self.c) / self.h
+        du = np.concatenate([p.dz for p in self.leaves]) / self.h
+        first = self.region.panels([0], [0.0], [0.0])[0][0, 0]  # zero-length: the first vertex
+        p = np.arange(n)
+        s = self.winding * ((first - self.c) / self.h) ** p + 0j
+        logs = np.log(np.abs(self.v)) + 1j * self.args
+        s[1:] -= p[1:] / (2j * math.pi) * (np.vander(u, n - 1, increasing=True).T @ (logs * du))
+        return s
+
+
+def _counted(f, stats: SolverStats):
+    def g(z):
+        stats.evaluations += 1
+        return complex(f(z))
+
+    return g
 
 
 def winding_count(f, region: Region, params: QuadParams | None = None) -> int:
     """Number of zeros of ``f`` enclosed by the region, by the argument principle.
-
-    Raises :class:`ContourError` if the contour modulus guard trips or the
-    integral refuses to settle near an integer.
-    """
-    params = params or QuadParams()
-    integrator = _EdgeIntegrator(f, params)
-    total = 0j
-    moduli_guard = []
-    for edge in region.edges():
-        total += integrator.integrate(edge)
-        moduli_guard.append(integrator.min_modulus)
-    count = total / (2j * math.pi)
-    nearest = round(count.real)
-    if abs(count - nearest) > params.integer_tol:
-        raise ContourError(
-            f"winding integral {count:.4f} is not within {params.integer_tol} of an integer"
-        )
-    guard = params.guard_factor * max(region.scale, 1.0)
-    if integrator.min_modulus < guard:
-        raise ContourError(
-            f"minimum contour modulus {integrator.min_modulus:.3e} below guard {guard:.3e}; "
-            "nudge the region boundary away from the suspected zero"
-        )
-    return int(nearest)
+    A zero on or hugging the contour raises :class:`ContourError`, which says where."""
+    return _Contour(lambda z: complex(f(z)), region, params or QuadParams(), SolverStats()).winding
 
 
-def contour_min_modulus(f, region: Region, n: int = 128) -> float:
-    """Cheap uniform sample of min |f| along the contour (diagnostic)."""
-    lo = math.inf
-    for edge in region.edges():
-        for t in np.linspace(0.0, 1.0, n // 4, endpoint=False):
-            if edge[0] == "seg":
-                _, a, b = edge
-                z = a + (b - a) * t
-            else:
-                _, c, r, th0, th1 = edge
-                z = c + r * cmath.exp(1j * (th0 + (th1 - th0) * t))
-            lo = min(lo, abs(complex(f(z))))
-    return lo
-
-
-def _newton_polish(f, z0: complex, cell: Region, params: QuadParams, fscale: float):
-    box = cell.bounding_rectangle()
-    grown = Region.rectangle(
-        box.re_lo - 0.5 * cell.diameter,
-        box.re_hi + 0.5 * cell.diameter,
-        box.im_lo - 0.5 * cell.diameter,
-        box.im_hi + 0.5 * cell.diameter,
-    )
-    z = z0
-    for _ in range(60):
-        f0 = complex(f(z))
-        if abs(f0) <= 1e-10 * fscale:
-            return z, abs(f0)
-        h = _fd_step(z, params)
-        d = (complex(f(z + h)) - complex(f(z - h))) / (2.0 * h)
-        if d == 0:
+def _secant(f, z0: complex, con: _Contour, stats: SolverStats):
+    """Secant steps from z0 until one is below 1e-10 relative: the simple zero, or
+    None if an iterate leaves |z - center| <= 1.5 h or 16 steps do not settle."""
+    za = z0
+    zb = z0 + 1e-7 * con.h
+    fa = f(za)
+    fb = f(zb)
+    for _ in range(16):
+        if fb == 0:
+            break
+        if fb == fa:
             return None
-        step = f0 / d
-        z = z - step
-        if not grown.contains(z):
+        step = fb * (zb - za) / (fb - fa)
+        za = zb
+        fa = fb
+        zb = zb - step
+        if abs(zb - con.c) > 1.5 * con.h:
             return None
-        if abs(step) <= 1e-14 * max(1.0, abs(z)):
-            return z, abs(complex(f(z)))
-    f0 = abs(complex(f(z)))
-    return (z, f0) if f0 <= 1e-8 * fscale else None
+        fb = f(zb)
+        stats.polish_iterations += 1
+        if abs(step) <= 1e-10 * max(1.0, abs(zb)):
+            break
+    else:
+        return None
+    return LocatedZero(zb, 1, abs(fb)) if abs(fb) <= abs(fa) else LocatedZero(za, 1, abs(fa))
+
+
+def _moment_zeros(f, cell: Region, con: _Contour, params: QuadParams, stats: SolverStats,
+                  multiple: bool):
+    """The zeros of f in ``cell`` from its contour's power sums, or None when the
+    cell has to be split.  A rank-deficient H0 means a multiple zero or zeros
+    closer than the moments resolve: unless ``multiple`` accepts it, each such
+    cluster is solved again on a disk of a thousandth of the cell's size."""
+    n = con.winding
+    s = con.power_sums(2 * n)
+    idx = np.add.outer(np.arange(n), np.arange(n))
+    h0 = s[idx]
+    h1 = s[idx + 1]
+    sv = np.linalg.svd(h0, compute_uv=False)
+    r = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
+    us = np.linalg.eigvals(np.linalg.solve(h0[:r, :r], h1[:r, :r]))
+    m = np.linalg.solve(np.vander(us, r, increasing=True).T, s[:r])
+    mult = np.rint(m.real)
+    if np.any(np.abs(m - mult) > 0.1) or np.any(mult < 1) or mult.sum() != n:
+        return None
+    zeros = []
+    for z, k in zip((con.c + con.h * us).tolist(), mult.astype(int).tolist()):
+        if k == 1:
+            hit = _secant(f, z, con, stats)
+            found = hit and [hit]
+        elif multiple:
+            # the secant is only linear at a multiple zero: keep the pencil value
+            found = [LocatedZero(z, k, abs(f(z)))]
+        else:
+            disk = Region.disk(z, 1e-3 * con.h)
+            try:
+                sub = _Contour(f, disk, params, stats)
+            except ContourError:
+                return None
+            found = _moment_zeros(f, disk, sub, params, stats, True) if sub.winding == k else None
+        if found is None:
+            return None
+        for q in found:
+            if not cell.contains(q.location) or any(
+                    abs(q.location - p.location) <= 1e-8 * con.h for p in zeros):
+                return None
+            zeros.append(q)
+    return zeros
 
 
 def _subdivide(cell: Region, shift_re: float, shift_im: float):
@@ -296,16 +362,6 @@ def _subdivide(cell: Region, shift_re: float, shift_im: float):
 _NUDGES = (0.0, 0.13, -0.13, 0.29, -0.29, 0.41)
 
 
-def _cell_fscale(f, cell: Region) -> float:
-    samples = []
-    for edge in cell.edges():
-        _, a, b = edge
-        for t in (0.25, 0.75):
-            samples.append(abs(complex(f(a + (b - a) * t))))
-    med = float(np.median(samples)) if samples else 1.0
-    return max(med, 1e-300)
-
-
 def locate_zeros(
     f,
     region: Region,
@@ -313,66 +369,63 @@ def locate_zeros(
     min_diameter: float | None = None,
     budget: int = 4000,
 ) -> ZeroReport:
-    """Locate and refine all zeros of ``f`` in the region.
+    """Locate and refine all zeros of ``f`` in the region from contour moments.
 
-    Quadtree subdivision until each cell winds at most once (or hits the
-    minimum diameter, which then sets the reported multiplicity), Newton
-    polish to residual < 1e-10 x local scale.  A budget exhaustion returns a
-    partial report flagged ``complete=False``.
-    """
+    A cell whose moments do not give its zeros is split in four (a disk falls back
+    to its bounding box) down to ``min_diameter``, where the centre is reported
+    with the winding as multiplicity.  Exhausting ``budget`` child contours flags
+    the report ``complete=False``; ``report.stats`` counts the work."""
     params = params or QuadParams()
     if min_diameter is None:
         min_diameter = 1e-8 * region.scale
-
-    report = ZeroReport()
-    report.contour_min_modulus = contour_min_modulus(f, region)
-    total = winding_count(f, region, params)
-    report.winding_total = total
-    if total == 0:
-        return report
-
-    outer = region.bounding_rectangle()
-    if region.kind == "disk":
-        # work on the bounding box; its winding may exceed the disk's
-        total = winding_count(f, outer, params)
+    floor = 1e3 * min_diameter  # a cell this small may report a multiple zero
+    stats = SolverStats()
+    f = _counted(f, stats)
+    top = _Contour(f, region, params, stats)
+    report = ZeroReport(winding_total=top.winding, contour_min_modulus=top.min_modulus,
+                        stats=stats)
 
     used = 0
     found = []
-    stack = [(outer, total)]
+    stack = [(region, top)] if top.winding else []
     while stack:
-        cell, wind = stack.pop()
+        cell, con = stack.pop()
         if used >= budget:
             report.complete = False
             break
-        center = complex(0.5 * (cell.re_lo + cell.re_hi), 0.5 * (cell.im_lo + cell.im_hi))
+        wind = con.winding
         if cell.diameter <= min_diameter:
-            found.append(LocatedZero(center, wind, abs(complex(f(center)))))
+            found.append(LocatedZero(con.c, wind, abs(f(con.c))))
             continue
-        if wind == 1:
-            polished = _newton_polish(f, center, cell, params, _cell_fscale(f, cell))
-            if polished is not None and cell.contains(polished[0]):
-                found.append(LocatedZero(polished[0], 1, polished[1]))
-                continue
+        zeros = (_moment_zeros(f, cell, con, params, stats, cell.diameter <= floor)
+                 if wind <= _MAX_ZEROS else None)
+        if zeros is not None:
+            found += zeros
+            continue
+        if cell.kind == "disk":
+            box = cell.bounding_rectangle()
+            stack.append((box, _Contour(f, box, params, stats)))
+            continue
         # split with a retry ladder of midpoint shifts; children partition the
         # cell exactly, and their windings must sum to the parent's
-        for idx, shift in enumerate(_NUDGES):
+        for shift in _NUDGES:
             try:
-                children = _subdivide(cell, shift * 0.37, shift)
-                child_winds = [winding_count(f, ch, params) for ch in children]
-                used += len(children)
-                if sum(child_winds) == wind:
-                    stack.extend(
-                        (ch, w) for ch, w in zip(children, child_winds) if w > 0
-                    )
-                    break
+                children = [(ch, _Contour(f, ch, params, stats))
+                            for ch in _subdivide(cell, shift * 0.37, shift)]
             except ContourError:
                 used += 1
+                stats.nudges += 1
                 continue
+            used += len(children)
+            if sum(c.winding for _, c in children) == wind:
+                stats.splits += 1
+                stack += [(ch, c) for ch, c in children if c.winding > 0]
+                break
+            stats.nudges += 1
         else:
-            # every split failed: for a cell already near the floor this is a
-            # multiple zero pinching the contour guard; accept it as a leaf
-            if cell.diameter <= 1e3 * min_diameter:
-                found.append(LocatedZero(center, wind, abs(complex(f(center)))))
+            # every split failed: near the floor, a multiple zero pinching the guard
+            if cell.diameter <= floor:
+                found.append(LocatedZero(con.c, wind, abs(f(con.c))))
             else:
                 report.complete = False
 
@@ -388,25 +441,20 @@ def locate_zeros(
 def rouche_compare(f, g, region: Region, n_init: int = 64, n_max: int = 4096):
     """sup |f - g| / |g| over the contour, with the Rouche domination verdict.
 
-    ``g`` must not vanish on the sampled contour.  The sample is doubled
-    until the supremum stabilizes to 0.1% or the cap is reached.
-    """
-    edges = region.edges()
+    ``g`` must not vanish on the sample: the nodes of n/64 Gauss-Legendre panels
+    per edge, n doubled from ``n_init`` until the supremum stabilizes to 0.1%
+    or n reaches ``n_max``."""
 
     def sample(n: int) -> float:
+        k = max(1, n // 64)
+        ts = np.linspace(0.0, 1.0, k + 1)
+        zs, _ = region.panels(np.repeat(np.arange(4), k), np.tile(ts[:-1], 4), np.tile(ts[1:], 4))
         worst = 0.0
-        for edge in edges:
-            for t in np.linspace(0.0, 1.0, n // len(edges), endpoint=False):
-                if edge[0] == "seg":
-                    _, a, b = edge
-                    z = a + (b - a) * t
-                else:
-                    _, c, r, th0, th1 = edge
-                    z = c + r * cmath.exp(1j * (th0 + (th1 - th0) * t))
-                gz = complex(g(z))
-                if abs(gz) < 1e-300:
-                    raise StepSpectraError(f"g vanishes at contour sample {z!r}")
-                worst = max(worst, abs(complex(f(z)) - gz) / abs(gz))
+        for z in zs.ravel().tolist():
+            gz = complex(g(z))
+            if abs(gz) < 1e-300:
+                raise StepSpectraError(f"g vanishes at contour sample {z!r}")
+            worst = max(worst, abs(complex(f(z)) - gz) / abs(gz))
         return worst
 
     n = n_init

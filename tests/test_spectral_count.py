@@ -6,6 +6,7 @@ import pytest
 
 from stepspectra.errors import ContourError, StepSpectraError
 from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
+from stepspectra.sparse_builder import EnvelopeParams, TargetSequence, assemble_sparse, choose_L
 from stepspectra.special_functions import branch_of_w, lambert_w
 from stepspectra.spectral_count import (
     FAMILIES,
@@ -40,6 +41,17 @@ class TestWindingCount:
     def test_zero_on_contour_raises(self):
         with pytest.raises(ContourError):
             winding_count(lambda z: z, Region.rectangle(0.0, 1.0, -0.5, 0.5))
+
+    def test_contour_error_says_where(self):
+        # the zero sits halfway along the left side, which runs from (0, 0.5i)
+        # down to (0, -0.5i) as the fourth edge
+        with pytest.raises(ContourError) as info:
+            winding_count(lambda z: z, Region.rectangle(0.0, 1.0, -0.5, 0.5))
+        err = info.value
+        assert err.edge == 3
+        assert abs(err.t - 0.5) < 1e-3
+        assert err.modulus < 1e-6
+        assert "edge 3" in str(err)
 
     def test_additivity_across_split(self):
         f = lambda z: (z - 0.4 - 0.1j) * (z + 0.3 + 0.2j)
@@ -85,6 +97,73 @@ class TestLocateZeros:
         report = locate_zeros(f, Region.disk(zeta, 0.02))
         assert report.winding_total == 1
         assert abs(report.zeros[0].location - zeta) < 1e-8
+
+    def test_stats_count_every_evaluation(self):
+        bump = StepBump(-5.0 + 1.0j, 1.0)
+        handle = make_secular_handle(PiecewisePotential.from_bumps([bump]))
+        cases = [
+            (handle, Region.rectangle(-8.0, -1e-3, -1.5, 1.5)),
+            # six zeros: more than one cell's moments solve, so the cell splits
+            (lambda z: np.prod([z - 0.3 * k + 0.2j * (k % 2) for k in range(-3, 3)]),
+             Region.rectangle(-1.1, 1.0, -0.5, 0.4)),
+        ]
+        for f, region in cases:
+            calls = []
+            rep = locate_zeros(lambda z: calls.append(z) or f(z), region)
+            assert rep.complete and rep.zeros
+            assert rep.stats.evaluations == len(calls)
+            assert rep.stats.panels >= 8 and rep.stats.max_depth >= 1
+            assert rep.stats.polish_iterations > 0
+            assert rep.stats.min_modulus <= rep.contour_min_modulus
+        assert rep.winding_total == 6
+        assert rep.stats.cells > 1 and rep.stats.splits >= 1
+
+    def test_disk_is_solved_on_its_circle(self):
+        # the desk potential of these targets has a second zero near
+        # 1.00999+0.06992i: inside the first disk's bounding box, outside the disk
+        zetas = (1.0014 + 0.0796j, 1.2940 + 0.0594j, 0.8025 + 0.0504j)
+        targets = TargetSequence(zetas, q=2.0, gamma=1.0, sector_aperture=0.2)
+        params = EnvelopeParams(d=1, q=2.0, p=4.0, alpha=1.0, gamma=1.0, big_o_constant=1.25,
+                                C_L=1.0)
+        handle = make_secular_handle(
+            assemble_sparse(targets, choose_L(targets, params, mode="desk")).potential)
+        disk = Region.disk(zetas[0], 0.01)
+        box = locate_zeros(handle, disk.bounding_rectangle())
+        assert sum(not disk.contains(z.location) for z in box.zeros) == 1
+        calls = []
+        rep = locate_zeros(lambda E: calls.append(E) or handle(E), disk)
+        assert len(calls) <= 1500
+        assert rep.complete and rep.winding_total == 1 and len(rep.zeros) == 1
+        assert disk.contains(rep.zeros[0].location)
+
+    @pytest.mark.parametrize("gap, expected", [
+        (0.0, [(-0.5j, 1), (0.3 + 0.1j, 2)]),
+        (1e-7, [(-0.5j, 1), (0.3 + 0.1j, 1), (0.3000001 + 0.1j, 1)]),
+        (1e-6, [(-0.5j, 1), (0.3 + 0.1j, 1), (0.300001 + 0.1j, 1)]),
+        (1e-3, [(-0.5j, 1), (0.3 + 0.1j, 1), (0.301 + 0.1j, 1)]),
+    ])
+    def test_close_zeros_resolved_on_a_small_disk(self, gap, expected):
+        # on the unit circle the Hankel matrix of a pair 1e-6 apart is rank
+        # deficient, and a disk a thousandth that size around the cluster tells
+        # them apart; a pair 1e-3 apart gives an ill-conditioned pencil whose
+        # values the secant polish separates
+        f = lambda z: (z - 0.3 - 0.1j) * (z - 0.3 - 0.1j - gap) * (z + 0.5j)
+        rep = locate_zeros(f, Region.disk(0, 1))
+        assert rep.complete
+        assert [z.multiplicity for z in rep.zeros] == [m for _, m in expected]
+        for z, (want, m) in zip(rep.zeros, expected):
+            assert abs(z.location - want) < (1e-9 if m == 1 else 1e-6)
+        assert rep.stats.evaluations < 1000
+
+    def test_rectangle_made_without_its_constructor(self):
+        # Region("rectangle", ...) stores no centre: the contour takes it from the bounds
+        f = lambda z: (z - 2.3 - 1.1j) * (z - 2.6 - 0.9j)
+        made = locate_zeros(f, Region.rectangle(2.0, 3.0, 0.5, 1.5))
+        direct = locate_zeros(f, Region("rectangle", re_lo=2.0, re_hi=3.0, im_lo=0.5, im_hi=1.5))
+        assert direct.complete and len(direct.zeros) == 2
+        assert direct.locations() == made.locations()
+        assert direct.stats.evaluations == made.stats.evaluations
+        assert direct.stats.splits == 0
 
     def test_budget_exhaustion_partial_report(self):
         def cluster(z):
