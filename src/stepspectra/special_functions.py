@@ -116,7 +116,8 @@ def _halley(w, z, max_iter: int, tol: float):
             fp = ew * (wa + 1.0)
             step = f / (fp - f * ew * (wa + 2.0) / (2.0 * fp))
             finite = np.isfinite(step)
-            w_new = np.where(hit | ~finite, wa, wa - step)
+            # the stop leaves w off by ~tol/|1 + w|: near w = -1, step anyway
+            w_new = np.where(finite & (~hit | (np.abs(wa + 1.0) < 1.0)), wa - step, wa)
             done = hit | (np.abs(step) <= 4e-16 * (1.0 + np.abs(w_new)))
             w[idx], ok[idx] = w_new, done
             go = ~done & finite
@@ -128,24 +129,19 @@ def _halley(w, z, max_iter: int, tol: float):
 
 
 def _w_seed(n: int, z: complex) -> complex:
+    # branch-point series in p = +-sqrt(2(e z + 1)) (Corless et al. 1996, section 4),
+    # p > 0 for branch 0; branch -1 meets the branch point from Im z >= 0 only
+    p2 = 2.0 * (math.e * z + 1.0)
+    if abs(p2) < 0.4 and (n == 0 or (n == -1 and z.imag >= 0.0)):
+        p = cmath.sqrt(p2) if n == 0 else -cmath.sqrt(p2)
+        return -1.0 + p - p2 / 3.0 + 11.0 / 72.0 * p * p2
     if n == 0:
-        p2 = 2.0 * (math.e * z + 1.0)
-        if abs(p2) < 0.4:
-            p = cmath.sqrt(p2)
-            return -1.0 + p - p2 / 6.0 + 11.0 / 72.0 * p * p2
         if abs(z) <= 1.5:
             return z * (1.0 - z)
         return cmath.log(1.0 + z)
-    if n == -1:
-        p2 = 2.0 * (math.e * z + 1.0)
-        if abs(p2) < 0.4:
-            p = cmath.sqrt(p2)
-            if z.imag > 0.0:
-                p = -p
-            return -1.0 - p - p2 / 6.0 - 11.0 / 72.0 * p * p2
-        if z.imag == 0.0 and -1.0 / math.e < z.real < 0.0:
-            t = -math.log(-z.real)
-            return complex(-t - math.log(t), 0.0) if t > 1.0 else complex(-1.5, 0.0)
+    if n == -1 and z.imag == 0.0 and -1.0 / math.e < z.real < 0.0:
+        t = -math.log(-z.real)
+        return complex(-t - math.log(t), 0.0) if t > 1.0 else complex(-1.5, 0.0)
     return lambert_w_seed(n, z)
 
 

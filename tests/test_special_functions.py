@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import scipy.special as sp
 
@@ -74,6 +75,18 @@ class TestLambertW:
                 ours = lambert_w(n, z)
                 ref = complex(sp.lambertw(z, n))
                 assert abs(ours - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_branch_point_against_scipy(self, rng, n):
+        # |e*z + 1| < 0.2 in both half planes: branch -1 meets the branch point
+        # -1/e only from above, branch 0 from both sides
+        radius = 0.2 * np.sqrt(rng.uniform(size=400))
+        z = (-1.0 + radius * np.exp(2j * math.pi * rng.uniform(size=400))) / math.e
+        z = np.append(z, [-0.4073 + 0.0307j, -0.4073 - 0.0307j])
+        assert (z.imag > 0).sum() > 150 and (z.imag < 0).sum() > 150
+        ours = lambert_w(n, z)
+        ref = sp.lambertw(z, n, tol=1e-14)
+        assert np.all(np.abs(ours - ref) <= 1e-12 * np.abs(ref))
 
     def test_conjugation_symmetry(self, rng):
         for n in range(-4, 5):
