@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 numeric construction failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -200,27 +201,18 @@ def cmd_imag_step(args) -> int:
     lines = ["N,count,ratio,box_re_lo,box_re_hi,box_im_lo,box_im_hi"]
     all_points = []
     all_colors = []
-    box = None
     for n in n_values:
         cen = imag_step_census(n, args.c_box)
         row = cen.table_row()
-        lines.append(
-            ",".join(
-                [str(row["N"]), str(row["count"]), _fmt(row["ratio"]),
-                 _fmt(row["box_re_lo"]), _fmt(row["box_re_hi"]),
-                 _fmt(row["box_im_lo"]), _fmt(row["box_im_hi"])]
-            )
-        )
-        box = (row["box_re_lo"], row["box_re_hi"], row["box_im_lo"], row["box_im_hi"])
-        n_failed = sum(1 for r in cen.results if not r.converged)
+        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row.values()))
         if args.svg:
             for r in cen.results:
                 if r.converged and abs(r.energy) > 0:
                     all_points.append(r.energy)
                     all_colors.append("#d62728" if r.on_physical_sheet else "#aaaaaa")
         print(f"N={n}: count={cen.count} ratio={_fmt(cen.ratio)}")
-        if n_failed:
-            print(f"N={n}: {n_failed} branch(es) did not refine; flagged and skipped",
+        if cen.unconverged:
+            print(f"N={n}: {cen.unconverged} branch(es) did not refine; flagged and skipped",
                   file=sys.stderr)
     csv_text = "\n".join(lines) + "\n"
     if args.out:
@@ -228,10 +220,9 @@ def cmd_imag_step(args) -> int:
     else:
         sys.stdout.write(csv_text)
     if args.svg:
-        svg = _svg.scatter_svg(
-            all_points, title="imag-step census", box=box, colors=all_colors
-        )
-        _write(args.svg, svg)
+        box = (cen.box.re_lo, cen.box.re_hi, cen.box.im_lo, cen.box.im_hi)
+        _write(args.svg, _svg.scatter_svg(all_points, title="imag-step census", box=box,
+                                          colors=all_colors))
     return EXIT_OK
 
 
@@ -415,10 +406,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# parse_args leaves a parser as it was, so one per process serves every main()
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

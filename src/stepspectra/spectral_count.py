@@ -14,6 +14,8 @@ deficient is first solved again on a small disk.
 
 The census of V = i*1_[-N,N] refines each resonance ladder as numpy arrays
 over the branch number n, with Lambert-W seeds and a per-branch Newton stop.
+It counts and certifies from those columns; the BranchResult records are built
+only on demand (CensusResult.results on first read, enumerate_imag_step).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -493,37 +496,32 @@ class BranchResult(NamedTuple):
     converged: bool
 
 
-def _family_target(parity: str, sign: int, v0: complex, R: float) -> complex:
-    root = cmath.sqrt(v0)
-    if parity == "odd":
-        return 1j * sign * root * R / 2.0
-    return -sign * root * R / 2.0
-
-
 def imag_step_seed(N: int, n, parity: str = "odd", sign: int = +1):
     """Lambert-W branch seed kappa = -i W_n(target)/R for the (parity, sign) ladder
     (an array of seeds for an int array ``n``)."""
-    v0, R = 1j, float(N)
-    w = lambert_w(n, _family_target(parity, sign, v0, R))
-    return -1j * w / R
+    root, R = cmath.sqrt(1j), float(N)
+    target = 1j * sign * root * R / 2.0 if parity == "odd" else -sign * root * R / 2.0
+    return -1j * lambert_w(n, target) / R
 
 
 def _trig_sq(parity: str, w):
-    """(csc^2 w, cot w) for odd, (sec^2 w, tan w) for even, elementwise;
-    beyond |Im w| = 350 both come from e^{+-2iw}, which cannot overflow."""
+    """(csc^2 w, cot w) for odd, (sec^2 w, tan w) for even, elementwise, from q =
+    e^{a+ib} = e^{2isw}, s = sign(Im w), so |q| <= 1; near q = +-1, q -+ 1 is taken
+    as +-(expm1(a) - 2e^a (sin|cos)^2(b/2)) + i Im q, free of cancellation."""
     w = np.asarray(w, dtype=complex)
-    odd = parity == "odd"
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        den, num = (np.sin(w), np.cos(w)) if odd else (np.cos(w), np.sin(w))
-        sq, t = 1.0 / (den * den), num / den
-    far = np.abs(w.imag) > 350.0
-    if far.any():
-        sgn, up = (1.0 if odd else -1.0), w.imag > 0.0
-        e = np.exp(np.where(up, 2j, -2j) * np.where(far, w, 0.0))
-        u = 1.0 + 2.0 * sgn * e
-        sq = np.where(far, -4.0 * sgn * e * u, sq)
-        t = np.where(far, np.where(up, -1j, 1j) * sgn * u, t)
-    return sq, t
+    s = np.where(w.imag < 0.0, -1.0, 1.0)
+    z = 2j * s * w
+    q = np.exp(z)
+    qm, qp = q - 1.0, q + 1.0
+    for d, sgn, half in ((qm, 1.0, np.sin), (qp, -1.0, np.cos)):
+        near = np.abs(d) < 0.5
+        if near.any():
+            a, h = z.real[near], half(0.5 * z.imag[near])
+            d[near] = sgn * (np.expm1(a) - 2.0 * np.exp(a) * h * h) + 1j * q.imag[near]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if parity == "odd":
+            return -4.0 * q / (qm * qm), 1j * s * qp / qm
+        return 4.0 * q / (qp * qp), -1j * s * qm / qp
 
 
 def _secular_terms(parity: str, v0: complex, R: float, kappa):
@@ -533,10 +531,6 @@ def _secular_terms(parity: str, v0: complex, R: float, kappa):
     sq, t = _trig_sq(parity, w)
     wt = -w * t if parity == "odd" else w * t
     return v0 + kappa * kappa * sq, 2.0 * kappa * sq * (1.0 + wt), t
-
-
-def _secular_kappa(parity: str, v0: complex, R: float, kappa):
-    return _secular_terms(parity, v0, R, kappa)[0]
 
 
 def _refine_ladder(N: int, ns, parity: str, sign: int, tol: float, max_iter: int) -> dict:
@@ -578,20 +572,27 @@ def _refine_ladder(N: int, ns, parity: str, sign: int, tol: float, max_iter: int
 
 
 def _ladders(N: int, n_window: tuple[int, int], families, tol: float, max_iter: int):
-    """Per family in (parity, sign) order: the refined columns and their records."""
+    """Per family in (parity, sign) order: (parity, sign, ns, refined columns)."""
     if N < 8:
         raise ValueError(f"census requires N >= 8, got {N}")
     lo, hi = n_window
     if lo > hi:
         raise ValueError(f"empty n window {n_window}")
     ns = np.arange(lo, hi + 1)
-    ladders = []
-    for parity, sign in sorted(families):
-        cols = _refine_ladder(N, ns, parity, sign, tol, max_iter)
-        rows = zip(ns.tolist(), [parity] * ns.size, [sign] * ns.size,
-                   *(cols[name].tolist() for name in BranchResult._fields[3:]))
-        ladders.append((cols, list(map(BranchResult._make, rows))))
-    return ladders
+    return [(parity, sign, ns, _refine_ladder(N, ns, parity, sign, tol, max_iter))
+            for parity, sign in sorted(families)]
+
+
+def _records(ladder, idx) -> list[BranchResult]:
+    """The records of one ladder's branches at the indices ``idx``."""
+    parity, sign, ns, cols = ladder
+    rows = zip(ns[idx].tolist(), *(cols[name][idx].tolist() for name in BranchResult._fields[3:]))
+    return [BranchResult(n, parity, sign, *rest) for n, *rest in rows]
+
+
+def _all_records(ladders) -> tuple:
+    """Every branch of every ladder, sorted by (n, parity, sign)."""
+    return tuple(r for group in zip(*(_records(lad, slice(None)) for lad in ladders)) for r in group)
 
 
 def enumerate_imag_step(
@@ -608,22 +609,27 @@ def enumerate_imag_step(
     per requested family.  A branch whose Newton run stalls or leaves its hop
     disk is flagged (``converged=False``) rather than fatal.
     """
-    ladders = _ladders(N, n_window, families, tol, max_iter)
-    return [r for group in zip(*(recs for _, recs in ladders)) for r in group]
+    return list(_all_records(_ladders(N, n_window, families, tol, max_iter)))
 
 
 @dataclass(frozen=True)
 class CensusResult:
     """``certified``: every unconverged branch's seed and final energies lie outside
-    the box grown by one ladder spacing 2*pi*|kappa|/N; ``uncertified``: those that do not."""
+    the box grown by one ladder spacing 2*pi*|kappa|/N; ``uncertified``: those that do
+    not.  ``results``, every branch as a record, is built from ``ladders`` on demand."""
 
     N: int
     count: int
     ratio: float
     box: Region
-    results: tuple
     certified: bool
     uncertified: tuple
+    unconverged: int
+    ladders: list = field(repr=False, compare=False)
+
+    @cached_property
+    def results(self) -> tuple:
+        return _all_records(self.ladders)
 
     def table_row(self) -> dict:
         return {
@@ -674,19 +680,20 @@ def imag_step_census(
     if n_window is None:
         n_window = census_window(N, C_box)
     ladders = _ladders(N, n_window, families, 1e-9, 60)
-    results = tuple(r for group in zip(*(recs for _, recs in ladders)) for r in group)
-    hits, uncertified = [], []
-    for cols, recs in ladders:
+    hits, uncertified, unconverged = [], [], 0
+    for ladder in ladders:
+        cols = ladder[3]
         E, conv, seed = cols["energy"], cols["converged"], cols["kappa_seed"]
         hits.append(E[conv & cols["on_physical_sheet"] & _in_box(box, E)])
         near = (_in_box(box, seed * seed + 1j, 2.0 * math.pi * np.abs(seed) / N)
                 | _in_box(box, E, 2.0 * math.pi * np.abs(cols["kappa_refined"]) / N))
-        uncertified += [recs[i] for i in np.flatnonzero(~conv & near)]
+        uncertified += _records(ladder, np.flatnonzero(~conv & near))
+        unconverged += int(np.count_nonzero(~conv))
     count, last = 0, None
     for e in sorted(np.concatenate(hits).tolist(), key=lambda e: (e.real, e.imag)):
         if last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e)):
             count, last = count + 1, e
     ratio = count * math.log(N) / (N * N)
-    return CensusResult(N=N, count=count, ratio=ratio, box=box, results=results,
-                        certified=not uncertified,
-                        uncertified=tuple(sorted(uncertified, key=lambda r: r[:3])))
+    return CensusResult(N=N, count=count, ratio=ratio, box=box, certified=not uncertified,
+                        uncertified=tuple(sorted(uncertified, key=lambda r: r[:3])),
+                        unconverged=unconverged, ladders=ladders)

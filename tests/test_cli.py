@@ -132,6 +132,12 @@ class TestImagStepCommand:
         assert counts[0] < counts[1]
         assert svg.read_text().startswith("<svg")
 
+    def test_unconverged_counts_on_stderr(self, capsys):
+        assert run(["imag-step", "--N", "32,64,128,192,256"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"N={n}: {k} branch(es) did not refine; flagged and skipped"
+                       for n, k in ((32, 28), (64, 55), (128, 108), (192, 160), (256, 214))]
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

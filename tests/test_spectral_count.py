@@ -19,7 +19,8 @@ from stepspectra.spectral_count import (
     locate_zeros,
     rouche_compare,
     winding_count,
-    _secular_kappa,
+    _secular_terms,
+    _trig_sq,
 )
 from stepspectra.step_model import StepBump, construct_bump, physical_sheet, secular_entire
 
@@ -226,7 +227,7 @@ class TestRouche:
         R, v0 = float(N), 1j
         kap = imag_step_seed(N, n, "odd", 1)
         g1 = lambda k: v0 - 4 * k * k * cmath.exp(2j * k * R)
-        g2 = lambda k: _secular_kappa("odd", v0, R, k)
+        g2 = lambda k: _secular_terms("odd", v0, R, k)[0]
         ratio, dominated = rouche_compare(g2, g1, Region.disk(kap, 10.0 * N / n**2))
         assert dominated
         # domination transfers the zero count (Rouche)
@@ -261,6 +262,34 @@ class TestLadderSeeds:
         assert branch_of_w(ws).tolist() == [0, -1, 3]
         assert np.all(np.abs(ws * np.exp(ws) - z) < 1e-12 * np.abs(z))
         assert ws.tolist() == [lambert_w(int(k), complex(x)) for k, x in zip(n, z)]
+
+
+class TestTrigSq:
+    @staticmethod
+    def reference(parity, w):
+        # cmath, or beyond |Im w| = 300, where sin^2 and cos^2 overflow, the
+        # two-term expansion in e = e^{+-2iw}
+        if abs(w.imag) <= 300.0:
+            den, num = (cmath.sin(w), cmath.cos(w)) if parity == "odd" else (cmath.cos(w), cmath.sin(w))
+            return 1.0 / (den * den), num / den
+        sgn, up = (1.0 if parity == "odd" else -1.0), w.imag > 0.0
+        e = cmath.exp((2j if up else -2j) * w)
+        u = 1.0 + 2.0 * sgn * e
+        return -4.0 * sgn * e * u, (-1j if up else 1j) * sgn * u
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_matches_cmath(self, rng, parity):
+        far = rng.uniform(-60, 60, 300) + 1j * rng.choice([-1, 1], 300) * rng.uniform(0, 700, 300)
+        near_axis = rng.uniform(-60, 60, 300) + 1j * rng.normal(0, 1, 300)
+        # within 1e-6 of the poles and zeros k*pi/2, in every direction
+        k = rng.integers(-40, 41, 300)
+        poles = k * math.pi / 2 + 10.0 ** rng.uniform(-12, -6, 300) * np.exp(2j * math.pi * rng.uniform(size=300))
+        w = np.concatenate([far, near_axis, poles])
+        sq, t = _trig_sq(parity, w)
+        for x, a, b in zip(w, sq, t):
+            ra, rb = self.reference(parity, complex(x))
+            assert abs(a - ra) <= 1e-13 * abs(ra) + 1e-300, (x, a, ra)
+            assert abs(b - rb) <= 1e-13 * abs(rb) + 1e-300, (x, b, rb)
 
 
 class TestEnumerate:
@@ -375,6 +404,19 @@ class TestCensus:
             assert cen.count == count
             assert cen.certified and cen.uncertified == ()
             assert not any(cmath.isnan(r.energy) for r in cen.results)
+
+    def test_census_512_certified(self):
+        cen = imag_step_census(512, 10.0)
+        assert cen.count == 7846
+        assert cen.certified
+
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_results_are_the_enumeration(self, N):
+        cen = imag_step_census(N, 10.0)
+        assert "results" not in vars(cen)  # nobody has read them yet
+        assert list(cen.results) == enumerate_imag_step(N, census_window(N, 10.0))
+        assert cen.results is cen.results
+        assert cen.unconverged == sum(not r.converged for r in cen.results)
 
     def test_certificate_names_branches_near_the_box(self):
         # C_box = 100 stretches the box to Re E > 0.33, Im E > 0.01, where the
