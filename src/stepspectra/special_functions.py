@@ -7,11 +7,12 @@ Branch conventions used everywhere in the package:
 * Lambert W branches follow the standard region layout (curved boundaries
   near the real-capable branches, straight strips far away).
 
-Bessel/Hankel functions are float64 throughout.  Orders 0 and 1 use power
-series for |z| <= 14 (J, and Y for H1 = J + iY when Im z <= 3), Steed's
-continued fraction CF2 for K_0, K_1 at -iz when Im z > 3 (where H1 is
-exponentially smaller than J and Y), and the Hankel asymptotic expansion
-beyond |z| = 14.  Order 1/2 is in closed form.
+Bessel/Hankel functions are float64 throughout.  Orders 0 and 1 come as a J
+half and an H1 half.  For |z| <= 14 one power-series pass gives J_0, J_1 and,
+for H1 = J + iY at Im z <= 3, Y_0, Y_1; at Im z > 3, where H1 is exponentially
+smaller than J and Y, Steed's continued fraction CF2 for K_0, K_1 at -iz gives
+H1.  Beyond |z| = 14 both use the Hankel asymptotic expansion.  Order 1/2 is
+in closed form.
 
 All functions are pure and reentrant.
 """
@@ -82,9 +83,10 @@ def branch_of_w(w):
     """Branch index whose region contains ``w`` (standard boundary layout).
 
     The separating curves are {-t*cot(t) + i*t}; between their bands the
-    regions are straight strips.  Heights exactly on a band edge use the
-    counterclockwise-closure convention (top edge included).  An array of
-    ``w`` gives an int array of the same shape.
+    regions are straight strips.  Points on a boundary follow the
+    counterclockwise closure: an upper curve belongs to the region on its
+    right, a lower one to the region on its left, and a band edge's top edge
+    is included.  An array of ``w`` gives an int array of the same shape.
     """
     w = np.asarray(w, dtype=complex)
     t = np.abs(w.imag)  # the lower half mirrors: branch(w) = -branch(conj w)
@@ -93,8 +95,9 @@ def branch_of_w(w):
     k = np.floor(t / _TWO_PI)
     frac = t - _TWO_PI * k
     with np.errstate(divide="ignore", invalid="ignore"):
-        right_of_curve = (0.0 < frac) & (frac < math.pi) & (w.real >= -t / np.tan(frac))
-        upper = np.where(right_of_curve, k, k + 1)
+        curve = -t / np.tan(frac)
+        on_right = np.where(w.imag > 0.0, w.real >= curve, w.real > curve)
+        upper = np.where((0.0 < frac) & (frac < math.pi) & on_right, k, k + 1)
         b = np.where(w.imag < 0.0, -upper, upper)
         b = np.where(w.imag == 0.0, np.where(w.real >= -1.0, 0, -1), b).astype(int)
     return int(b) if b.ndim == 0 else b
@@ -135,10 +138,8 @@ def _w_seed(n: int, z: complex) -> complex:
     if abs(p2) < 0.4 and (n == 0 or (n == -1 and z.imag >= 0.0)):
         p = cmath.sqrt(p2) if n == 0 else -cmath.sqrt(p2)
         return -1.0 + p - p2 / 3.0 + 11.0 / 72.0 * p * p2
-    if n == 0:
-        if abs(z) <= 1.5:
-            return z * (1.0 - z)
-        return cmath.log(1.0 + z)
+    if n == 0 and not (z.imag == 0.0 and z.real < -1.0 / math.e):  # real on the cut, W_0 is not
+        return z * (1.0 - z) if abs(z) <= 1.5 else cmath.log(1.0 + z)
     if n == -1 and z.imag == 0.0 and -1.0 / math.e < z.real < 0.0:
         t = -math.log(-z.real)
         return complex(-t - math.log(t), 0.0) if t > 1.0 else complex(-1.5, 0.0)
@@ -158,9 +159,14 @@ def _w_continuation(n, z, max_iter: int, tol: float):
     return w, ok
 
 
-def _on_branch(w, n):
+def _on_branch(w, n, z):
+    # on the cut z < 0 a non-real W lies on a boundary curve, and rounding puts
+    # it on either side: there its height alone names the branch
+    k = np.floor(np.abs(w.imag) / _TWO_PI).astype(int)
+    cut = (z.imag == 0.0) & (z.real < 0.0) & (w.imag != 0.0)
+    b = np.where(cut, np.where(w.imag > 0.0, k, -k - 1), branch_of_w(w))
     # the branch point w = -1 is shared by branches 0 and -1
-    return (branch_of_w(w) == n) | (((n == 0) | (n == -1)) & (np.abs(w + 1.0) < 1e-6))
+    return (b == n) | (((n == 0) | (n == -1)) & (np.abs(w + 1.0) < 1e-6))
 
 
 def lambert_w(n, z, tol: float = 1e-13, max_iter: int = 50):
@@ -183,10 +189,10 @@ def lambert_w(n, z, tol: float = 1e-13, max_iter: int = 50):
     for i in np.flatnonzero(low):
         w[i] = _w_seed(int(n[i]), complex(z[i]))
     w, res, ok = _halley(w, z, max_iter, tol)
-    redo = np.flatnonzero(~(ok & _on_branch(w, n)))
+    redo = np.flatnonzero(~(ok & _on_branch(w, n, z)))
     if redo.size:
         w_c, ok_c = _w_continuation(n[redo], z[redo], max_iter, tol)
-        bad = redo[~(ok_c & _on_branch(w_c, n[redo]))]
+        bad = redo[~(ok_c & _on_branch(w_c, n[redo], z[redo]))]
         if bad.size:
             i = bad[0]
             raise ConvergenceError(
@@ -203,60 +209,33 @@ def lambert_w(n, z, tol: float = 1e-13, max_iter: int = 50):
 _SERIES_RADIUS = 14.0  # series/asymptotic seam for integer orders
 
 
-def _series_j0(z: complex) -> complex:
-    q = z * z / 4.0
-    term = complex(1.0)
-    total = term
+def _series_01(z: complex, with_y: bool):
+    """(J_0, J_1), or with ``with_y`` (J_0, J_1, Y_0, Y_1), from one pass of the
+    power series on t_k = (-z^2/4)^k/(k!)^2 (DLMF 10.2.2, 10.8.1).  The pass
+    stops when every sum's last term is below 1e-18 of the sum (of max(sum, 1)
+    for the Y sums)."""
+    q = -0.25 * z * z
+    t = s0 = s1 = y1 = complex(1.0)  # k = 0 terms; y1's is H_0 + H_1 = 1
+    y0, h = 0j, 0.0  # h = H_k, the harmonic number
     for k in range(1, 60):
-        term *= -q / (k * k)
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
+        t *= q / (k * k)
+        u = t / (k + 1)
+        s0 += t  # J_0
+        s1 += u  # J_1/(z/2)
+        if with_y:
+            h += 1.0 / k
+            y0 += t * h
+            y1 += u * (h + h + 1.0 / (k + 1))
+        if (abs(t) <= 1e-18 * abs(s0) and abs(u) <= 1e-18 * abs(s1)
+                and (not with_y or abs(t) <= 1e-18 * max(abs(y0), 1.0)
+                     and abs(u) <= 1e-18 * max(abs(y1), 1.0))):
             break
-    return total
-
-
-def _series_j1(z: complex) -> complex:
-    q = z * z / 4.0
-    term = complex(1.0)
-    total = term
-    for k in range(1, 60):
-        term *= -q / (k * (k + 1))
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-    return total * z / 2.0
-
-
-def _series_y0(z: complex) -> complex:
-    q = z * z / 4.0
-    term = complex(1.0)
-    total = 0j
-    h = 0.0
-    for k in range(1, 60):
-        term *= -q / (k * k)
-        h += 1.0 / k
-        contrib = -term * h
-        total += contrib
-        if abs(term) <= 1e-18 * max(abs(total), 1.0):
-            break
-    return (2.0 / math.pi) * ((cmath.log(z / 2.0) + _EULER_GAMMA) * _series_j0(z) + total)
-
-
-def _series_y1(z: complex) -> complex:
-    q = z * z / 4.0
-    term = complex(1.0)
-    total = term  # k = 0: (H_0 + H_1) = 1
-    hk, hk1 = 0.0, 1.0
-    for k in range(1, 60):
-        term *= -q / (k * (k + 1))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        total += term * (hk + hk1)
-        if abs(term) <= 1e-18 * max(abs(total), 1.0):
-            break
-    return (2.0 / math.pi) * (
-        (cmath.log(z / 2.0) + _EULER_GAMMA) * _series_j1(z) - 1.0 / z - (z / 4.0) * total
-    )
+    j0, j1 = s0, 0.5 * z * s1
+    if not with_y:
+        return j0, j1
+    log_term = cmath.log(0.5 * z) + _EULER_GAMMA
+    return (j0, j1, (2.0 / math.pi) * (log_term * j0 - y0),
+            (2.0 / math.pi) * (log_term * j1 - 1.0 / z - 0.25 * z * y1))
 
 
 def _hankel_pq(nu: float, z: complex):
@@ -287,20 +266,14 @@ def _hankel_pq(nu: float, z: complex):
 
 
 def _asymptotic_direct(nu: float, z: complex):
-    """Hankel-expansion values for Re z >= 0 (J also good in the upper half).
-
-    H1 is assembled in the exponential form amp * e^{i*omega} * (P + iQ);
-    forming J + iY instead would cancel catastrophically for Im z >> 0.
-    """
+    """Hankel-expansion values for Re z >= 0 (J also good in the upper half)."""
     p, q, dp, dq = _hankel_pq(nu, z)
     omega = z - nu * math.pi / 2.0 - math.pi / 4.0
     amp = cmath.sqrt(2.0 / (math.pi * z))
     cw, sw = cmath.cos(omega), cmath.sin(omega)
     jv = amp * (p * cw - q * sw)
     djv = amp * ((dp - q) * cw - (dq + p) * sw) - jv / (2.0 * z)
-    eiw = cmath.exp(1j * omega)
-    h1 = amp * eiw * (p + 1j * q)
-    dh1 = amp * eiw * (1j * (p + 1j * q) + (dp + 1j * dq)) - h1 / (2.0 * z)
+    h1, dh1 = _h1_exponential(nu, z)
     return jv, h1, djv, dh1
 
 
@@ -320,7 +293,7 @@ def _asymptotic_jh(nu: float, z: complex):
         phase = cmath.exp(1j * nu * math.pi)
         jv = phase * jw
         djv = -phase * djw
-        h1, dh1 = _h1_upper_left(nu, z)
+        h1, dh1 = _h1_exponential(nu, z)
         return jv, h1, djv, dh1
     jc, h1c, djc, dh1c = _asymptotic_jh(nu, z.conjugate())
     jv, djv = jc.conjugate(), djc.conjugate()
@@ -330,8 +303,11 @@ def _asymptotic_jh(nu: float, z: complex):
     return jv, h1, djv, dh1
 
 
-def _h1_upper_left(nu: float, z: complex):
-    # the direct exponential H1 form is valid and accurate for arg z in (0, pi]
+def _h1_exponential(nu: float, z: complex):
+    """Large-|z| (H1, H1') as amp * e^{i*omega} * (P + iQ), for arg z in (-pi/2, pi].
+
+    Forming J + iY instead would cancel catastrophically for Im z >> 0.
+    """
     p, q, dp, dq = _hankel_pq(nu, z)
     omega = z - nu * math.pi / 2.0 - math.pi / 4.0
     amp = cmath.sqrt(2.0 / (math.pi * z))
@@ -396,30 +372,46 @@ def _half_order(z: complex):
     return jv, h1, djv, dh1
 
 
-def _integer_order(nu: int, z: complex):
-    if abs(z) > _SERIES_RADIUS:
-        return _asymptotic_jh(float(nu), z)
-    j0, j1 = _series_j0(z), _series_j1(z)
-    # H1 = J + iY cancels by e^{2 Im z}: above Im z = 3 that loses more than
-    # 2.6 digits, so H1 comes from CF2 there and from the Y series below
-    if z.imag > 3.0:
-        h0, h1 = _hankel01_cf2(z)
-    else:
-        h0, h1 = j0 + 1j * _series_y0(z), j1 + 1j * _series_y1(z)
-    if nu == 0:
-        return j0, h0, -j1, -h1
-    return j1, h1, j0 - j1 / z, h0 - h1 / z
-
-
-def _bessel_all(nu: float, z: complex):
+def _nonzero(z: complex) -> complex:
     z = _require_finite(z)
     if z == 0:
         raise UnsupportedDomainError("Bessel evaluation at z = 0 is not supported")
+    return z
+
+
+def _j01(z: complex):
+    """(J_0(z), J_1(z)) for z != 0."""
+    z = _nonzero(z)
+    if abs(z) > _SERIES_RADIUS:
+        j0, _, dj0, _ = _asymptotic_jh(0.0, z)
+        return j0, -dj0
+    return _series_01(z, False)
+
+
+def _h01(z: complex):
+    """(H1_0(z), H1_1(z)) for z != 0."""
+    z = _nonzero(z)
+    if abs(z) > _SERIES_RADIUS:
+        _, h0, _, dh0 = _asymptotic_jh(0.0, z)
+        return h0, -dh0
+    # H1 = J + iY cancels by e^{2 Im z}: above Im z = 3 that loses more than
+    # 2.6 digits, so H1 comes from CF2 there and from the Y series below
+    if z.imag > 3.0:
+        return _hankel01_cf2(z)
+    j0, j1, y0, y1 = _series_01(z, True)
+    return j0 + 1j * y0, j1 + 1j * y1
+
+
+def _bessel_all(nu: float, z: complex):
+    z = _nonzero(z)
     if nu == 0.5:
         return _half_order(z)
-    if nu in (0.0, 1.0):
-        return _integer_order(int(nu), z)
-    if abs(z) > 10.0 * (1.0 + nu * nu):
+    if nu in (0.0, 1.0) and abs(z) <= _SERIES_RADIUS:
+        (j0, j1), (h0, h1) = _j01(z), _h01(z)
+        if nu == 0.0:
+            return j0, h0, -j1, -h1
+        return j1, h1, j0 - j1 / z, h0 - h1 / z
+    if nu in (0.0, 1.0) or abs(z) > 10.0 * (1.0 + nu * nu):
         return _asymptotic_jh(nu, z)
     raise UnsupportedDomainError(
         f"order nu = {nu} is only supported for |z| > 10*(1 + nu^2); got |z| = {abs(z):.3g}"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, PoleProximityError, SheetError, UnsupportedDomainError
-from .special_functions import _bessel_all, sqrt_upper
+from .special_functions import _bessel_all, _h01, _j01, sqrt_upper
 
 PARITIES = ("even", "odd")
 POLE_GUARD = 1e-8
@@ -411,12 +411,16 @@ def radial_secular(v0: complex, R: float, E: complex, d: int) -> complex:
         raise ValueError(f"radial solver supports d in {{2, 3}}, got {d}")
     if not (R > 0 and math.isfinite(R)):
         raise ValueError(f"R must be positive and finite, got {R}")
-    nu = (d - 2) / 2.0
     E = complex(E)
     chi = sqrt_upper(E)
     kappa = cmath.sqrt(E - complex(v0))
-    _, h, _, dh = _bessel_all(nu, chi * R)
-    if kappa == 0 and d == 2:  # E = v0: kappa*J_0'(kappa R) -> 0 and J_0 -> 1
-        return -chi * dh
-    j, _, dj, _ = _bessel_all(nu, kappa * R)
-    return kappa * dj * h - chi * j * dh
+    if d == 3:
+        _, h, _, dh = _bessel_all(0.5, chi * R)
+        j, _, dj, _ = _bessel_all(0.5, kappa * R)
+        return kappa * dj * h - chi * j * dh
+    # d = 2 needs only J at kappa*R and H1 at chi*R: J_0' = -J_1, H1_0' = -H1_1
+    h0, h1 = _h01(chi * R)
+    if kappa == 0:  # E = v0: kappa*J_0'(kappa R) -> 0 and J_0 -> 1
+        return chi * h1
+    j0, j1 = _j01(kappa * R)
+    return chi * j0 * h1 - kappa * j1 * h0

@@ -88,6 +88,25 @@ class TestLambertW:
         ref = sp.lambertw(z, n, tol=1e-14)
         assert np.all(np.abs(ours - ref) <= 1e-12 * np.abs(ref))
 
+    @pytest.mark.parametrize("n", [0, -1, 1])
+    def test_on_the_cut_against_scipy(self, n):
+        # z = x + 0j left of the branch point: W lies on a curve -t*cot(t) + i*t
+        # between two branch regions, and rounding leaves it on either side
+        x = -1.0 / math.e - np.logspace(-14, 1, 300)
+        ours = np.array([lambert_w(n, complex(v, 0.0)) for v in x])
+        ref = sp.lambertw(x, n)
+        assert np.all(np.abs(ours - ref) <= 1e-9 * np.abs(ref))
+
+    def test_boundary_curves_follow_counterclockwise_closure(self):
+        # an upper curve belongs to the region on its right, a lower one to
+        # the region on its left
+        t = np.linspace(0.1, 3.0, 30)
+        curve = -t / np.tan(t)
+        assert np.all(branch_of_w(curve + 1j * t) == 0)
+        assert np.all(branch_of_w(curve - 1j * t) == -1)
+        assert np.all(branch_of_w(curve + 1e-9 - 1j * t) == 0)
+        assert np.all(branch_of_w(curve - 1e-9 + 1j * t) == 1)
+
     def test_conjugation_symmetry(self, rng):
         for n in range(-4, 5):
             for _ in range(40):

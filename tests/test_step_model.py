@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from stepspectra.errors import PoleProximityError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import PiecewisePotential, global_secular
+from stepspectra import special_functions
 from stepspectra.special_functions import sqrt_upper
 from stepspectra.step_model import (
     StepBump,
@@ -354,6 +355,61 @@ class TestRadialSecular:
         for _ in range(100):
             radial_secular(v0, R, E, 2)
         assert (time.perf_counter() - start) / 100 < 1e-3
+
+    #: three complex wells (v0, R) and the rectangle (re_lo, re_hi, im_lo, im_hi)
+    #: the d = 2 zeros are located in by the radial benchmark
+    WELLS = ((-5.0 + 0.3j, 1.0), (-8.0 + 0.5j, 1.0), (-7.0 - 0.4j, 1.0))
+    RECT = (-12.0, -0.5, -1.5, 1.7)
+
+    def _series_side_points(self, rng, v0, R, n=10):
+        """Seeded E in the rectangle with Im(chi R) <= 3, then E putting kappa*R
+        within 1e-6 of the first zeros of J_0 and J_1 (those of J_1 lie right
+        of the rectangle, at Re E > 6, for these wells)."""
+        pts = []
+        while len(pts) < n:
+            E = complex(rng.uniform(*self.RECT[:2]), rng.uniform(*self.RECT[2:]))
+            if (sqrt_upper(E) * R).imag <= 3.0:
+                pts.append(E)
+        for zero in (2.404825557695773, 3.831705970207512):
+            for size in (1e-6, 1e-10):
+                for direction in (1, 1j, -1j):
+                    pts.append(v0 + ((zero + size * direction) / R) ** 2)
+        return pts
+
+    def test_d2_series_side_against_mpmath_wronskian(self, rng):
+        # Im(chi R) <= 3: H1 at chi R comes from the one-pass Y series
+        lower = 0
+        for v0, R in self.WELLS:
+            for E in self._series_side_points(rng, v0, R):
+                kappa, chi = cmath.sqrt(E - v0), sqrt_upper(E)
+                assert (chi * R).imag <= 3.0
+                lower += kappa.imag < 0
+                j, _, dj, _ = mp_bessel_jh(0, kappa * R)
+                _, h, _, dh = mp_bessel_jh(0, chi * R)
+                ref = kappa * dj * h - chi * j * dh
+                assert abs(radial_secular(v0, R, E, 2) - ref) <= 1e-11 * abs(ref)
+        assert lower >= 20
+
+    def test_d2_one_bessel_pass_per_argument(self, monkeypatch, rng):
+        # a machine-independent cost: J alone at kappa*R, H1 alone at chi*R
+        calls = []
+        series, cf2 = special_functions._series_01, special_functions._hankel01_cf2
+        monkeypatch.setattr(special_functions, "_series_01",
+                            lambda z, with_y: calls.append(("series", z, with_y)) or series(z, with_y))
+        monkeypatch.setattr(special_functions, "_hankel01_cf2",
+                            lambda z: calls.append(("cf2", z, True)) or cf2(z))
+        cf2_side = 0
+        for v0, R in self.WELLS:
+            for _ in range(30):
+                E = complex(rng.uniform(*self.RECT[:2]), rng.uniform(*self.RECT[2:]))
+                kappa_R, chi_R = cmath.sqrt(E - v0) * R, sqrt_upper(E) * R
+                calls.clear()
+                radial_secular(v0, R, E, 2)
+                h1_call = ("cf2", chi_R, True) if chi_R.imag > 3.0 else ("series", chi_R, True)
+                cf2_side += chi_R.imag > 3.0
+                assert len(calls) == 2
+                assert ("series", kappa_R, False) in calls and h1_call in calls
+        assert 5 <= cf2_side <= 85
 
     def test_d2_at_E_equal_v0_is_the_limit(self):
         # kappa = 0: the Wronskian tends to -chi*H1_0'(chi R), no Bessel call at 0
