@@ -160,11 +160,13 @@ def _w_continuation(n, z, max_iter: int, tol: float):
 
 
 def _on_branch(w, n, z):
-    # on the cut z < 0 a non-real W lies on a boundary curve, and rounding puts
-    # it on either side: there its height alone names the branch
-    k = np.floor(np.abs(w.imag) / _TWO_PI).astype(int)
-    cut = (z.imag == 0.0) & (z.real < 0.0) & (w.imag != 0.0)
-    b = np.where(cut, np.where(w.imag > 0.0, k, -k - 1), branch_of_w(w))
+    b = branch_of_w(w)
+    cut = (z.imag == 0.0) & (z.real < 0.0)
+    if cut.any():
+        # on the cut z < 0 a non-real W lies on a boundary curve, and rounding
+        # puts it on either side: there its height alone names the branch
+        k = np.floor(np.abs(w.imag) / _TWO_PI).astype(int)
+        b = np.where(cut & (w.imag != 0.0), np.where(w.imag > 0.0, k, -k - 1), b)
     # the branch point w = -1 is shared by branches 0 and -1
     return (b == n) | (((n == 0) | (n == -1)) & (np.abs(w + 1.0) < 1e-6))
 
