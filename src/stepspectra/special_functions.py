@@ -268,14 +268,20 @@ def _hankel_pq(nu: float, z: complex):
 
 
 def _asymptotic_direct(nu: float, z: complex):
-    """Hankel-expansion values for Re z >= 0 (J also good in the upper half)."""
+    """Hankel-expansion values for Re z >= 0; H1 also holds for arg z in (0, pi].
+
+    H1 is assembled in the exponential form amp * e^{i*omega} * (P + iQ);
+    forming J + iY instead would cancel catastrophically for Im z >> 0.
+    """
     p, q, dp, dq = _hankel_pq(nu, z)
     omega = z - nu * math.pi / 2.0 - math.pi / 4.0
     amp = cmath.sqrt(2.0 / (math.pi * z))
     cw, sw = cmath.cos(omega), cmath.sin(omega)
     jv = amp * (p * cw - q * sw)
     djv = amp * ((dp - q) * cw - (dq + p) * sw) - jv / (2.0 * z)
-    h1, dh1 = _h1_exponential(nu, z)
+    eiw = cmath.exp(1j * omega)
+    h1 = amp * eiw * (p + 1j * q)
+    dh1 = amp * eiw * (1j * (p + 1j * q) + (dp + 1j * dq)) - h1 / (2.0 * z)
     return jv, h1, djv, dh1
 
 
@@ -295,7 +301,7 @@ def _asymptotic_jh(nu: float, z: complex):
         phase = cmath.exp(1j * nu * math.pi)
         jv = phase * jw
         djv = -phase * djw
-        h1, dh1 = _h1_exponential(nu, z)
+        _, h1, _, dh1 = _asymptotic_direct(nu, z)
         return jv, h1, djv, dh1
     jc, h1c, djc, dh1c = _asymptotic_jh(nu, z.conjugate())
     jv, djv = jc.conjugate(), djc.conjugate()
@@ -303,20 +309,6 @@ def _asymptotic_jh(nu: float, z: complex):
     h1 = 2.0 * jv - h1c.conjugate()
     dh1 = 2.0 * djv - dh1c.conjugate()
     return jv, h1, djv, dh1
-
-
-def _h1_exponential(nu: float, z: complex):
-    """Large-|z| (H1, H1') as amp * e^{i*omega} * (P + iQ), for arg z in (-pi/2, pi].
-
-    Forming J + iY instead would cancel catastrophically for Im z >> 0.
-    """
-    p, q, dp, dq = _hankel_pq(nu, z)
-    omega = z - nu * math.pi / 2.0 - math.pi / 4.0
-    amp = cmath.sqrt(2.0 / (math.pi * z))
-    eiw = cmath.exp(1j * omega)
-    h1 = amp * eiw * (p + 1j * q)
-    dh1 = amp * eiw * (1j * (p + 1j * q) + (dp + 1j * dq)) - h1 / (2.0 * z)
-    return h1, dh1
 
 
 _CF2_MAX_ITER = 200  # x = -iz with Re x > 3, |x| <= 14 converges in under 60
