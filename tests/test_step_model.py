@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from stepspectra import special_functions
 from stepspectra.errors import PoleProximityError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import PiecewisePotential, global_secular
-from stepspectra import special_functions
 from stepspectra.special_functions import sqrt_upper
 from stepspectra.step_model import (
     StepBump,
