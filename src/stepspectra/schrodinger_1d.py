@@ -181,12 +181,18 @@ def _secular(segments, span: float, E: complex) -> complex:
         raise UnsupportedDomainError("the global secular function has a pole at E = 0")
     psi, dpsi, log_scale = _sweep(segments, E, chi)
     b_coeff = (1j * chi * psi - dpsi) / (2j * chi)
-    if b_coeff == 0:
+    return _rescaled(b_coeff, log_scale + 1j * chi * span, E)
+
+
+def _rescaled(value: complex, log_factor: complex, E: complex) -> complex:
+    """value * e^{log_factor}, formed in log space; ``UnsupportedDomainError``
+    where its modulus leaves float range."""
+    if value == 0:
         return 0j
-    exponent = cmath.log(b_coeff) + (log_scale + 1j * chi * span)
+    exponent = cmath.log(value) + log_factor
     if not (exponent.real < _LOG_MAX and math.isfinite(exponent.imag)):
         raise UnsupportedDomainError(
-            f"|global secular| = e^{exponent.real:.6g} at E = {E!r} exceeds float range"
+            f"|secular| = e^{exponent.real:.6g} at E = {E!r} exceeds float range"
         )
     return cmath.exp(exponent)
 

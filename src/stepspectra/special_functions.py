@@ -11,8 +11,8 @@ Bessel/Hankel functions are float64 throughout.  Orders 0 and 1 come as a J
 half and an H1 half.  For |z| <= 14 one power-series pass gives J_0, J_1 and,
 for H1 = J + iY at Im z <= 3, Y_0, Y_1; at Im z > 3, where H1 is exponentially
 smaller than J and Y, Steed's continued fraction CF2 for K_0, K_1 at -iz gives
-H1.  Beyond |z| = 14 both use the Hankel asymptotic expansion.  Order 1/2 is
-in closed form.
+H1.  Beyond |z| = 14 both use the Hankel asymptotic expansion.  Other orders
+have only that expansion, at |z| > 10*(1 + nu^2).
 
 All functions are pure and reentrant.
 """
@@ -276,10 +276,12 @@ def _asymptotic_direct(nu: float, z: complex):
     p, q, dp, dq = _hankel_pq(nu, z)
     omega = z - nu * math.pi / 2.0 - math.pi / 4.0
     amp = cmath.sqrt(2.0 / (math.pi * z))
-    cw, sw = cmath.cos(omega), cmath.sin(omega)
+    try:
+        cw, sw, eiw = cmath.cos(omega), cmath.sin(omega), cmath.exp(1j * omega)
+    except OverflowError:
+        raise UnsupportedDomainError(f"Bessel asymptotics leave float range at z = {z!r}") from None
     jv = amp * (p * cw - q * sw)
     djv = amp * ((dp - q) * cw - (dq + p) * sw) - jv / (2.0 * z)
-    eiw = cmath.exp(1j * omega)
     h1 = amp * eiw * (p + 1j * q)
     dh1 = amp * eiw * (1j * (p + 1j * q) + (dp + 1j * dq)) - h1 / (2.0 * z)
     return jv, h1, djv, dh1
@@ -355,17 +357,6 @@ def _hankel01_cf2(z: complex):
     return (-2j / math.pi) * k0, (-2.0 / math.pi) * k1
 
 
-def _half_order(z: complex):
-    amp = cmath.sqrt(2.0 / (math.pi * z))
-    sz, cz = cmath.sin(z), cmath.cos(z)
-    eiz = cmath.exp(1j * z)
-    jv = amp * sz
-    h1 = -1j * amp * eiz
-    djv = amp * (cz - sz / (2.0 * z))
-    dh1 = amp * eiz * (1.0 + 0.5j / z)
-    return jv, h1, djv, dh1
-
-
 def _nonzero(z: complex) -> complex:
     z = _require_finite(z)
     if z == 0:
@@ -398,8 +389,6 @@ def _h01(z: complex):
 
 def _bessel_all(nu: float, z: complex):
     z = _nonzero(z)
-    if nu == 0.5:
-        return _half_order(z)
     if nu in (0.0, 1.0) and abs(z) <= _SERIES_RADIUS:
         (j0, j1), (h0, h1) = _j01(z), _h01(z)
         if nu == 0.0:
@@ -413,7 +402,8 @@ def _bessel_all(nu: float, z: complex):
 
 
 def bessel_j(nu: float, z: complex) -> complex:
-    """Bessel J_nu(z); closed form for nu = 1/2, series/asymptotics for nu = 0, 1."""
+    """Bessel J_nu(z): series, CF2 or asymptotics for nu = 0, 1; asymptotics only
+    for other orders, at |z| > 10*(1 + nu^2)."""
     return _bessel_all(nu, z)[0]
 
 

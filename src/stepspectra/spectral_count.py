@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ContourError, StepSpectraError
 from .special_functions import lambert_w
+from .step_model import _secular_terms, _trig_sq  # noqa: F401
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 #: Gauss-Legendre nodes and weights on [0, 1]
@@ -502,35 +503,6 @@ def imag_step_seed(N: int, n, parity: str = "odd", sign: int = +1):
     root, R = cmath.sqrt(1j), float(N)
     target = 1j * sign * root * R / 2.0 if parity == "odd" else -sign * root * R / 2.0
     return -1j * lambert_w(n, target) / R
-
-
-def _trig_sq(parity: str, w):
-    """(csc^2 w, cot w) for odd, (sec^2 w, tan w) for even, elementwise, from q =
-    e^{a+ib} = e^{2isw}, s = sign(Im w), so |q| <= 1; near q = +-1, q -+ 1 is taken
-    as +-(expm1(a) - 2e^a (sin|cos)^2(b/2)) + i Im q, free of cancellation."""
-    w = np.asarray(w, dtype=complex)
-    s = np.where(w.imag < 0.0, -1.0, 1.0)
-    z = 2j * s * w
-    q = np.exp(z)
-    qm, qp = q - 1.0, q + 1.0
-    for d, sgn, half in ((qm, 1.0, np.sin), (qp, -1.0, np.cos)):
-        near = np.abs(d) < 0.5
-        if near.any():
-            a, h = z.real[near], half(0.5 * z.imag[near])
-            d[near] = sgn * (np.expm1(a) - 2.0 * np.exp(a) * h * h) + 1j * q.imag[near]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if parity == "odd":
-            return -4.0 * q / (qm * qm), 1j * s * qp / qm
-        return 4.0 * q / (qp * qp), -1j * s * qm / qp
-
-
-def _secular_terms(parity: str, v0: complex, R: float, kappa):
-    """The secular v0 + kappa^2 csc^2(kappa R) (odd) or v0 + kappa^2 sec^2(kappa R)
-    (even), its kappa-derivative and cot/tan, elementwise from one trig call."""
-    w = kappa * R
-    sq, t = _trig_sq(parity, w)
-    wt = -w * t if parity == "odd" else w * t
-    return v0 + kappa * kappa * sq, 2.0 * kappa * sq * (1.0 + wt), t
 
 
 def _refine_ladder(N: int, ns, parity: str, sign: int, tol: float, max_iter: int) -> dict:

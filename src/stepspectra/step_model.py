@@ -1,14 +1,13 @@
 """Exact spectral theory of a single complex step potential.
 
-The secular functions use the self-consistent trigonometric pairing derived
-from explicit interface matching:
-
-* odd wavefunction:  i*chi - kappa*cot(kappa*R),  inversion V0 = -kappa^2*csc^2(kappa*R)
-* even wavefunction: i*chi + kappa*tan(kappa*R),  inversion V0 = -kappa^2*sec^2(kappa*R)
-
-and the physical-sheet classification is the invariant one: the exterior
-momentum determined by the interior logarithmic derivative must have positive
-imaginary part (decaying exterior wave).
+The parity secular functions use the trigonometric pairing of the interface
+matching, odd: i*chi - kappa*cot(kappa*R), even: i*chi + kappa*tan(kappa*R), with
+the inversions V0 = -kappa^2*csc^2(kappa*R) and V0 = -kappa^2*sec^2(kappa*R).  All
+take csc^2/cot or sec^2/tan from one overflow-safe core, ``_trig_sq``, which the
+imaginary-step census shares; ``secular_entire``, and radial d = 3 as its odd
+parity, is built on the sweep's propagator ``schrodinger_1d._piece``.  The
+physical-sheet classification is the invariant one: the matched exterior
+momentum must have positive imaginary part (decaying exterior wave).
 """
 
 from __future__ import annotations
@@ -19,8 +18,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, PoleProximityError, SheetError, UnsupportedDomainError
-from .special_functions import _bessel_all, _h01, _j01, sqrt_upper
+from .errors import ConvergenceError, PoleProximityError, SheetError
+from .schrodinger_1d import _piece, _rescaled
+from .special_functions import _h01, _j01, sqrt_upper
 
 PARITIES = ("even", "odd")
 POLE_GUARD = 1e-8
@@ -69,34 +69,39 @@ class BumpReport:
     seed: complex = 0j
 
 
-def _cot(w: complex) -> complex:
-    # overflow-safe: cot -> -i*(1 + 2e^{2iw}) high in the upper half plane
-    if w.imag > 350.0:
-        return -1j * (1.0 + 2.0 * cmath.exp(2j * w))
-    if w.imag < -350.0:
-        return 1j * (1.0 + 2.0 * cmath.exp(-2j * w))
-    return cmath.cos(w) / cmath.sin(w)
+def _trig_sq(parity: str, w):
+    """(csc^2 w, cot w) for odd, (sec^2 w, tan w) for even, elementwise, from q =
+    e^{a+ib} = e^{2isw}, s = sign(Im w), so |q| <= 1; near q = +-1, q -+ 1 is taken
+    as +-(expm1(a) - 2e^a (sin|cos)^2(b/2)) + i Im q, free of cancellation."""
+    w = np.asarray(w, dtype=complex)
+    s = np.where(w.imag < 0.0, -1.0, 1.0)
+    z = 2j * s * w
+    q = np.exp(z)
+    qm, qp = np.asarray(q - 1.0), np.asarray(q + 1.0)  # writable at 0-d too
+    for d, sgn, half in ((qm, 1.0, np.sin), (qp, -1.0, np.cos)):
+        near = np.abs(d) < 0.5
+        if near.any():
+            a, h = z.real[near], half(0.5 * z.imag[near])
+            d[near] = sgn * (np.expm1(a) - 2.0 * np.exp(a) * h * h) + 1j * q.imag[near]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if parity == "odd":
+            return -4.0 * q / (qm * qm), 1j * s * qp / qm
+        return 4.0 * q / (qp * qp), -1j * s * qm / qp
 
 
-def _tan(w: complex) -> complex:
-    if w.imag > 350.0:
-        return 1j * (1.0 - 2.0 * cmath.exp(2j * w))
-    if w.imag < -350.0:
-        return -1j * (1.0 - 2.0 * cmath.exp(-2j * w))
-    return cmath.sin(w) / cmath.cos(w)
-
-
-def _pole_distance(w: complex, parity: str) -> float:
-    """Distance of w = kappa*R to the nearest pole of cot (odd) or tan (even)."""
-    if parity == "odd":
-        m = round(w.real / math.pi)
-        return abs(w - m * math.pi)
-    m = round(w.real / math.pi - 0.5)
-    return abs(w - (m + 0.5) * math.pi)
+def _secular_terms(parity: str, v0: complex, R: float, kappa):
+    """The secular v0 + kappa^2 csc^2(kappa R) (odd) or v0 + kappa^2 sec^2(kappa R)
+    (even), its kappa-derivative and cot/tan, elementwise from one trig call."""
+    w = kappa * R
+    sq, t = _trig_sq(parity, w)
+    wt = -w * t if parity == "odd" else w * t
+    return v0 + kappa * kappa * sq, 2.0 * kappa * sq * (1.0 + wt), t
 
 
 def _guard_pole(w: complex, parity: str) -> None:
-    dist = _pole_distance(w, parity)
+    """PoleProximityError if w = kappa*R is within POLE_GUARD of a cot (odd) or tan (even) pole."""
+    m = round(w.real / math.pi) if parity == "odd" else round(w.real / math.pi - 0.5) + 0.5
+    dist = abs(w - m * math.pi)
     if dist < POLE_GUARD:
         raise PoleProximityError(
             f"kappa*R = {w!r} within {dist:.2e} of a {parity}-parity pole",
@@ -115,9 +120,8 @@ def chi_match(bump: StepBump, E: complex, parity: str) -> complex:
     kappa = interior_momentum(bump, E)
     w = kappa * bump.half_width
     _guard_pole(w, parity)
-    if parity == "odd":
-        return -1j * kappa * _cot(w)
-    return 1j * kappa * _tan(w)
+    t = complex(_trig_sq(parity, w)[1])
+    return -1j * kappa * t if parity == "odd" else 1j * kappa * t
 
 
 def physical_sheet(bump: StepBump, E: complex, parity: str) -> bool:
@@ -133,20 +137,14 @@ def secular(bump: StepBump, E: complex, parity: str, sheet: str = "physical") ->
     the matched exterior momentum, so zeros cover resonances on either sheet
     and the inverse formulas round-trip for every kappa.
     """
-    _check_parity(parity)
-    E = complex(E)
-    kappa = interior_momentum(bump, E)
-    w = kappa * bump.half_width
-    _guard_pole(w, parity)
-    t = kappa * _cot(w) if parity == "odd" else kappa * _tan(w)
+    chi_m = chi_match(bump, E, parity)  # secular = i*(chi - chi_m) in both parities
     chi = sqrt_upper(E)
     if sheet == "matched":
-        chi_m = -1j * t if parity == "odd" else 1j * t
         if abs(-chi - chi_m) < abs(chi - chi_m):
             chi = -chi
     elif sheet != "physical":
         raise ValueError(f"sheet must be 'physical' or 'matched', got {sheet!r}")
-    return 1j * chi - t if parity == "odd" else 1j * chi + t
+    return 1j * (chi - chi_m)
 
 
 def secular_entire(bump: StepBump, E: complex, parity: str) -> complex:
@@ -154,29 +152,17 @@ def secular_entire(bump: StepBump, E: complex, parity: str) -> complex:
 
     odd:  i*chi*sin(w)/kappa - cos(w);  even: i*chi*cos(w) + kappa*sin(w),
     with w = kappa*R.  Analytic in E off [0, inf); suited to winding counts.
-    The value grows like e^{|Im w|}; where it leaves float range,
-    :class:`UnsupportedDomainError` is raised.
+    Built on the sweep's factored propagator ``schrodinger_1d._piece`` and
+    its log-space rescaling: where the value, which grows like e^{|Im w|},
+    leaves float range, :class:`UnsupportedDomainError` is raised.
     """
     _check_parity(parity)
     E = complex(E)
-    kappa = interior_momentum(bump, E)
-    w = kappa * bump.half_width
+    k2 = E - bump.v0
+    c, s, t = _piece(k2, bump.half_width)
     chi = sqrt_upper(E)
-    try:
-        cos_w, sin_w = cmath.cos(w), cmath.sin(w)
-        if parity == "even":
-            val = 1j * chi * cos_w + kappa * sin_w
-        else:
-            sinc = bump.half_width * (1.0 - w * w / 6.0) if abs(w) < 1e-8 else sin_w / kappa
-            val = 1j * chi * sinc - cos_w
-        # cos/sin can stay finite while the products above overflow to inf
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise OverflowError
-    except OverflowError:
-        raise UnsupportedDomainError(
-            f"secular_entire is beyond float range at E = {E!r} (|Im kappa*R| = {abs(w.imag):.4g})"
-        ) from None
-    return val
+    val = 1j * chi * s - c if parity == "odd" else 1j * chi * c + k2 * s
+    return _rescaled(val, t, E)
 
 
 def solve_for_v0(kappa: complex, R: float, parity: str) -> complex:
@@ -191,11 +177,7 @@ def solve_for_v0(kappa: complex, R: float, parity: str) -> complex:
     kappa = complex(kappa)
     w = kappa * R
     _guard_pole(w, parity)
-    if parity == "odd":
-        s = cmath.sin(w)
-        return -(kappa * kappa) / (s * s)
-    c = cmath.cos(w)
-    return -(kappa * kappa) / (c * c)
+    return -(kappa * kappa) * complex(_trig_sq(parity, w)[0])
 
 
 def energy(kappa: complex, v0: complex) -> complex:
@@ -238,12 +220,11 @@ def _construct_newton(zh: complex, R: float, kappa0: complex, tol: float, max_it
     trace = [kappa]
     for it in range(max_iter):
         w = kappa * R
-        c = _cot(w)
+        csc2, c = (complex(x) for x in _trig_sq("odd", w))
         g = kappa * c - target
         if abs(g) <= tol:
             return kappa, abs(g), it, trace
-        s = cmath.sin(w)
-        dg = c - w / (s * s) if abs(w.imag) < 350.0 else c - w * (-4.0) * cmath.exp(2j * w)
+        dg = c - w * csc2
         if dg == 0:
             break
         step = g / dg
@@ -252,7 +233,7 @@ def _construct_newton(zh: complex, R: float, kappa0: complex, tol: float, max_it
         if abs(kappa - kappa0) > 0.5:
             break  # left the seeding neighborhood; treat as divergence
     w = kappa * R
-    return None, abs(kappa * _cot(w) - target), max_iter, trace
+    return None, abs(kappa * complex(_trig_sq("odd", w)[1]) - target), max_iter, trace
 
 
 def construct_bump(
@@ -403,22 +384,26 @@ def eigenfunction(bump: StepBump, E: complex, parity: str, x, tol: float = 1e-8)
 
 
 def radial_secular(v0: complex, R: float, E: complex, d: int) -> complex:
-    """s-wave Wronskian kappa*J'_nu(kappa R)*H1_nu(chi R) - chi*J_nu(kappa R)*H1'_nu(chi R).
+    """s-wave secular of the well ``v0`` on ``r < R`` in d in {2, 3} dimensions;
+    zeros with Im chi > 0 are eigenvalues.
 
-    nu = (d-2)/2 with d in {2, 3}; zeros with Im chi > 0 are eigenvalues.
+    d = 2: the Wronskian kappa*J_0'(kappa R)*H1_0(chi R) - chi*J_0(kappa R)*H1_0'(chi R).
+    d = 3: u = r*psi with u(0) = 0 is the odd parity of the step on the line, so
+    the value is ``secular_entire(StepBump(v0, R), E, "odd")``.  The order-1/2
+    Wronskian is (2i/pi)*kappa*e^{i chi R}/(sqrt(kappa R)*sqrt(chi R)) times it,
+    principal roots: that factor is zero-free off E = v0, and its sqrt(kappa)
+    has a cut along v0 + (-inf, 0] that the value here has not.
     """
     if d not in (2, 3):
         raise ValueError(f"radial solver supports d in {{2, 3}}, got {d}")
     if not (R > 0 and math.isfinite(R)):
         raise ValueError(f"R must be positive and finite, got {R}")
+    if d == 3:
+        return secular_entire(StepBump(v0, R), E, "odd")
     E = complex(E)
     chi = sqrt_upper(E)
     kappa = cmath.sqrt(E - complex(v0))
-    if d == 3:
-        _, h, _, dh = _bessel_all(0.5, chi * R)
-        j, _, dj, _ = _bessel_all(0.5, kappa * R)
-        return kappa * dj * h - chi * j * dh
-    # d = 2 needs only J at kappa*R and H1 at chi*R: J_0' = -J_1, H1_0' = -H1_1
+    # J is needed only at kappa*R and H1 only at chi*R: J_0' = -J_1, H1_0' = -H1_1
     h0, h1 = _h01(chi * R)
     if kappa == 0:  # E = v0: kappa*J_0'(kappa R) -> 0 and J_0 -> 1
         return chi * h1

@@ -2,6 +2,7 @@ import cmath
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,6 +11,7 @@ from stepspectra import special_functions
 from stepspectra.errors import PoleProximityError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import PiecewisePotential, global_secular
 from stepspectra.special_functions import sqrt_upper
+from stepspectra.spectral_count import Region, locate_zeros
 from stepspectra.step_model import (
     StepBump,
     bump_norm_lq,
@@ -26,6 +28,28 @@ from stepspectra.step_model import (
 )
 
 from conftest import mp_bessel_jh, real_well_parity_states
+
+
+def mp_d3_wronskian(v0: complex, R: float, E):
+    """The d = 3 s-wave Wronskian kappa*J'(kappa R)*H1(chi R) - chi*J(kappa R)*H1'(chi R)
+    at order 1/2, as an mpmath number, from mpmath's general-order Bessel
+    functions.  H1 = J + iY cancels by e^{2|Im chi R|}, so the precision is 15
+    digits above the working one plus that loss; H1' = (H1_{-1/2} - H1_{3/2})/2."""
+    chi = mpmath.sqrt(E)
+    chi = -chi if chi.imag < 0 else chi
+    with mpmath.extradps(15 + math.ceil(2.0 * abs(float(chi.imag) * R) / math.log(10.0))):
+        kappa = mpmath.sqrt(mpmath.mpc(E) - mpmath.mpc(v0))
+        kr, cr = kappa * R, chi * R
+        j, dj = mpmath.besselj(0.5, kr), mpmath.besselj(0.5, kr, derivative=1)
+        h = mpmath.hankel1(0.5, cr)
+        dh = (mpmath.hankel1(-0.5, cr) - mpmath.hankel1(1.5, cr)) / 2
+        return +(kappa * dj * h - chi * j * dh)
+
+
+def mp_d3_root(v0: complex, R: float, seed: complex) -> complex:
+    """A zero of :func:`mp_d3_wronskian` by mpmath ``findroot`` at 30 digits from ``seed``."""
+    with mpmath.workdps(30):
+        return complex(mpmath.findroot(lambda E: mp_d3_wronskian(v0, R, E), mpmath.mpc(seed)))
 
 
 def random_kappa_R_parity(rng, min_trig=0.1):
@@ -290,31 +314,40 @@ class TestEigenfunction:
 
 
 class TestRadialSecular:
-    def test_d3_reduces_to_odd_1d(self, rng):
-        # nu = 1/2 closed forms collapse the Wronskian to the odd secular
-        for _ in range(50):
-            v0 = complex(rng.normal(0, 2), rng.normal(0, 2))
-            E = complex(rng.normal(0, 3), rng.uniform(0.2, 2))
-            R = rng.uniform(0.5, 2.0)
-            w = radial_secular(v0, R, E, 3)
-            b = StepBump(v0, R)
-            try:
-                s = secular(b, E, "odd")
-            except PoleProximityError:
-                continue
-            kap = cmath.sqrt(E - v0)
-            chi = sqrt_upper(E)
-            # analytic prefactor: w = -(2/pi) (kap chi)^{-1/2} R^{-1} e^{i chi R} sin(kap R) * s
-            pref = w / s if abs(s) > 1e-12 else None
-            if pref is None:
-                continue
-            expected = (
-                -(2 / math.pi)
-                * cmath.exp(1j * chi * R)
-                * cmath.sin(kap * R)
-                / (cmath.sqrt(kap * R) * cmath.sqrt(chi * R))
-            )
-            assert abs(pref) == pytest.approx(abs(expected), rel=1e-8)
+    #: the rectangle on which the order-1/2 Wronskian's kappa cut broke the winding count
+    FOUND_RECT = (-20.0, -0.5, -1.5, 1.7)
+
+    def test_d3_found_rectangle_one_zero_at_the_oracle_root(self):
+        v0, R = -10 + 1j, 1.0
+        rep = locate_zeros(lambda E: radial_secular(v0, R, E, 3), Region.rectangle(*self.FOUND_RECT))
+        root = mp_d3_root(v0, R, -4.6 + 0.8j)
+        assert rep.complete and [z.multiplicity for z in rep.zeros] == [1]
+        assert abs(rep.zeros[0].location - root) <= 1e-10
+
+    def test_d3_zeros_match_the_oracle_on_seeded_wells(self, rng):
+        region = Region.rectangle(*self.RECT)
+        for _ in range(3):
+            v0, R = complex(rng.uniform(-12.0, -5.0), rng.uniform(-0.8, 0.8)), rng.uniform(0.8, 1.4)
+            # the oracle is (2i/pi)*kappa*e^{i chi R}/(sqrt(kappa R)*sqrt(chi R))
+            # times the value, principal roots; that factor is zero-free off
+            # E = v0, so the zero sets agree there
+            for _ in range(5):
+                E = complex(rng.uniform(*self.RECT[:2]), rng.uniform(*self.RECT[2:]))
+                kappa, chi = cmath.sqrt(E - v0), sqrt_upper(E)
+                factor = 2j / math.pi * kappa * cmath.exp(1j * chi * R) / (
+                    cmath.sqrt(kappa * R) * cmath.sqrt(chi * R))
+                ref = complex(mp_d3_wronskian(v0, R, E))
+                assert abs(factor * radial_secular(v0, R, E, 3) - ref) <= 1e-12 * abs(ref)
+            rep = locate_zeros(lambda E: radial_secular(v0, R, E, 3), region)
+            assert rep.complete and rep.zeros
+            for z in rep.zeros:
+                assert z.multiplicity == 1
+                assert abs(z.location - mp_d3_root(v0, R, z.location)) <= 1e-10
+
+    def test_d3_at_E_equal_v0_is_finite(self):
+        # kappa = 0: sin(kappa R)/kappa -> R and cos(kappa R) -> 1
+        v0, R = -10 + 1j, 1.0
+        assert abs(radial_secular(v0, R, v0, 3) - (1j * sqrt_upper(v0) * R - 1.0)) <= 1e-15
 
     def test_d3_zero_matches_textbook_count(self):
         # sqrt(|V0|) R = sqrt(10) > pi/2: exactly one s-wave bound state
@@ -410,6 +443,11 @@ class TestRadialSecular:
                 assert len(calls) == 2
                 assert ("series", kappa_R, False) in calls and h1_call in calls
         assert 5 <= cf2_side <= 85
+
+    def test_d2_beyond_float_range_is_typed(self):
+        # Im(kappa R), Im(chi R) ~ 720: the Hankel asymptotics leave float range
+        with pytest.raises(UnsupportedDomainError):
+            radial_secular(-8 + 0.5j, 1.0, -518400 + 1j, 2)
 
     def test_d2_at_E_equal_v0_is_the_limit(self):
         # kappa = 0: the Wronskian tends to -chi*H1_0'(chi R), no Bessel call at 0
