@@ -49,7 +49,6 @@ from .special_functions import (
 from .spectral_count import (
     BranchResult,
     CensusResult,
-    QuadParams,
     Region,
     SolverStats,
     ZeroReport,

@@ -38,7 +38,7 @@ from .sparse_builder import (
     sep,
 )
 from .spectral_count import Region, imag_step_census, locate_zeros
-from .step_model import construct_bump, eigenfunction
+from .step_model import SECTOR_APERTURE, bump_norm_lq, construct_bump, davies_nath, eigenfunction
 from .special_functions import _dist_to_ray, sqrt_upper
 
 EXIT_OK = 0
@@ -113,18 +113,22 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        _write(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_bump(args) -> int:
     zeta = parse_complex(args.zeta)
-    if zeta.imag <= 0:
-        raise _UsageError(f"Im zeta > 0 required, got {zeta}")
     report = construct_bump(zeta, sigma=args.sigma, sector_aperture=args.eps0)
     qs = [float(q) for q in args.q_list.split(",")] if args.q_list else [1.0, 2.0]
-    from .step_model import bump_norm_lq, davies_nath
-
     bump = report.bump
     out = {
         "zeta": [zeta.real, zeta.imag],
@@ -162,13 +166,11 @@ def cmd_bump(args) -> int:
 
 
 def _spectrum_rows(pot: PiecewisePotential, region: Region):
-    handle = make_secular_handle(pot)
-    report = locate_zeros(handle, region)
+    report = locate_zeros(make_secular_handle(pot), region)  # zeros sorted by (re, im)
     rows = [
         (z.location.real, z.location.imag, z.multiplicity, z.residual)
         for z in report.zeros
     ]
-    rows.sort(key=lambda r: (r[0], r[1]))
     return report, rows
 
 
@@ -184,11 +186,7 @@ def cmd_spectrum(args) -> int:
         pot = PiecewisePotential.from_json(fh.read())
     region = _parse_region(args)
     report, rows = _spectrum_rows(pot, region)
-    csv_text = _rows_to_csv(rows)
-    if args.out:
-        _write(args.out, csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _emit(args.out, _rows_to_csv(rows))
     print(f"winding_total={report.winding_total} complete={report.complete}")
     return EXIT_OK
 
@@ -214,11 +212,7 @@ def cmd_imag_step(args) -> int:
         if cen.unconverged:
             print(f"N={n}: {cen.unconverged} branch(es) did not refine; flagged and skipped",
                   file=sys.stderr)
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(args.out, csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _emit(args.out, "\n".join(lines) + "\n")
     if args.svg:
         box = (cen.box.re_lo, cen.box.re_hi, cen.box.im_lo, cen.box.im_hi)
         _write(args.svg, _svg.scatter_svg(all_points, title="imag-step census", box=box,
@@ -230,14 +224,10 @@ def cmd_sparse(args) -> int:
     with open(args.targets, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     zetas = [complex(z[0], z[1]) for z in spec["zetas"]]
-    q = float(spec.get("q", 2.0))
-    gamma = float(spec.get("gamma", 1.0))
-    targets = TargetSequence(tuple(zetas), q=q, gamma=gamma, sector_aperture=args.eps0)
-    params = EnvelopeParams(
-        d=1, q=q, p=float(spec.get("p", 2.0 * max(q, 1.0))),
-        alpha=float(spec.get("alpha", 1.0)), gamma=gamma,
-        big_o_constant=args.big_o, C_L=args.c_l,
-    )
+    targets = TargetSequence(tuple(zetas), sector_aperture=args.eps0)
+    # exponents the file leaves out take their EnvelopeParams defaults
+    exponents = {k: float(spec[k]) for k in ("q", "p", "alpha", "gamma") if k in spec}
+    params = EnvelopeParams(d=1, big_o_constant=args.big_o, C_L=args.c_l, **exponents)
     chosen = choose_L(targets, params, mode=args.mode)
     if chosen.resorted:
         print("warning: gap sequence was resorted to restore monotonicity", file=sys.stderr)
@@ -250,36 +240,30 @@ def cmd_sparse(args) -> int:
     }
     os.makedirs(args.out, exist_ok=True)
     if not zetas:
-        _write(os.path.join(args.out, "sparse_report.json"),
-               json.dumps(report, sort_keys=True, indent=2) + "\n")
         print("empty target list; report written")
-        return EXIT_OK
-    if args.mode == "faithful":
+    elif args.mode == "faithful":
         report["note"] = (
             "faithful-mode gaps exceed floating point; report only, no potential file"
         )
-        _write(os.path.join(args.out, "sparse_report.json"),
-               json.dumps(report, sort_keys=True, indent=2) + "\n")
         print("faithful mode: gaps reported in log10, no assembly")
-        return EXIT_OK
-    asm = assemble_sparse(targets, chosen)
-    report["assembly"] = asm.to_dict()
-    _write(os.path.join(args.out, "potential.json"), asm.potential.to_json() + "\n")
-    handle = make_secular_handle(asm.potential)
-    verification = []
-    for zeta in zetas:
-        disk = Region.disk(zeta, args.delta)
-        found = locate_zeros(handle, disk)
-        verification.append(
-            {
-                "zeta": [zeta.real, zeta.imag],
-                "delta": args.delta,
-                "found": found.winding_total,
-                "zeros": [[z.location.real, z.location.imag] for z in found.zeros],
-            }
-        )
-        print(f"D({zeta}, {args.delta}): found {found.winding_total} eigenvalue(s)")
-    report["verification"] = verification
+    else:
+        asm = assemble_sparse(targets, params, chosen.lengths)
+        report["assembly"] = asm.to_dict()
+        _write(os.path.join(args.out, "potential.json"), asm.potential.to_json() + "\n")
+        handle = make_secular_handle(asm.potential)
+        verification = []
+        for zeta in zetas:
+            found = locate_zeros(handle, Region.disk(zeta, args.delta))
+            verification.append(
+                {
+                    "zeta": [zeta.real, zeta.imag],
+                    "delta": args.delta,
+                    "found": found.winding_total,
+                    "zeros": [[z.location.real, z.location.imag] for z in found.zeros],
+                }
+            )
+            print(f"D({zeta}, {args.delta}): found {found.winding_total} eigenvalue(s)")
+        report["verification"] = verification
     _write(os.path.join(args.out, "sparse_report.json"),
            json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
@@ -304,11 +288,7 @@ def cmd_envelopes(args) -> int:
     }
     header = ",".join(row.keys())
     values = ",".join(_fmt(v) if not isinstance(v, int) else str(v) for v in row.values())
-    text = header + "\n" + values + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, header + "\n" + values + "\n")
     return EXIT_OK
 
 
@@ -333,11 +313,7 @@ def cmd_check(args) -> int:
                     ]
                 )
             )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -351,7 +327,7 @@ def build_parser() -> _Parser:
     p.add_argument("--zeta", required=True, help="target eigenvalue, e.g. 1+0.1i")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--q-list", default="1,2")
-    p.add_argument("--eps0", type=float, default=0.2, help="sector aperture")
+    p.add_argument("--eps0", type=float, default=SECTOR_APERTURE, help="sector aperture")
     p.add_argument("--out", default="bump_out")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_bump)
@@ -374,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--targets", required=True, help="JSON file with zetas")
     p.add_argument("--mode", choices=("desk", "faithful"), default="desk")
     p.add_argument("--delta", type=float, default=1e-2)
-    p.add_argument("--eps0", type=float, default=0.2)
+    p.add_argument("--eps0", type=float, default=SECTOR_APERTURE)
     p.add_argument("--c-l", type=float, default=1.0)
     p.add_argument("--big-o", type=float, default=1.25)
     p.add_argument("--out", default="sparse_out")
@@ -384,7 +360,7 @@ def build_parser() -> _Parser:
     p.add_argument("--z", required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=float, default=None, help="default 2*max(q, (d+1)/2)")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--L", default="power:1")
@@ -414,10 +390,7 @@ def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SchemaError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (_UsageError, SchemaError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ContourError as exc:

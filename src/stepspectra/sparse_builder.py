@@ -13,14 +13,13 @@ numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import NonSummableError, StepSpectraError
 from .schrodinger_1d import PiecewisePotential
 from .special_functions import _dist_to_ray, sqrt_upper
-from .step_model import BumpReport, bump_norm_lq, construct_bump
+from .step_model import SECTOR_APERTURE, BumpReport, _check_sector, bump_norm_lq, construct_bump
 
-DEFAULT_SECTOR_APERTURE = 0.2
 DESK_DELTA_FLOOR = 1e-3
 
 
@@ -43,36 +42,24 @@ def _q_range_ok(d: int, q: float) -> bool:
 
 @dataclass(frozen=True)
 class TargetSequence:
-    """Prescribed eigenvalues in the sector, with the norm exponent q > d."""
+    """Prescribed eigenvalues in the sector |Im z| <= sector_aperture * Re z, with
+    Im zeta nonincreasing; the exponents of the construction are on EnvelopeParams."""
 
     zetas: tuple
-    q: float = 2.0
-    gamma: float = 1.0
-    d: int = 1
-    sector_aperture: float = DEFAULT_SECTOR_APERTURE
+    sector_aperture: float = SECTOR_APERTURE
 
     def __post_init__(self):
         zetas = tuple(complex(z) for z in self.zetas)
         object.__setattr__(self, "zetas", zetas)
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not self.q > self.d:
-            raise ValueError(f"need q > d, got q = {self.q}, d = {self.d}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        prev_im = math.inf
         for idx, z in enumerate(zetas):
-            if not z.imag > 0:
-                raise ValueError(f"target {idx}: Im zeta must be positive, got {z!r}")
-            if abs(z.imag) > self.sector_aperture * z.real:
-                raise ValueError(
-                    f"target {idx}: {z!r} outside |Im z| <= {self.sector_aperture} * Re z"
-                )
-            if z.imag > prev_im + 1e-15:
+            try:
+                _check_sector(z, self.sector_aperture)
+            except ValueError as exc:
+                raise ValueError(f"target {idx}: {exc}") from None
+            if idx and z.imag > zetas[idx - 1].imag + 1e-15:
                 raise ValueError(
                     f"target {idx}: Im zeta must be nonincreasing along the sequence"
                 )
-            prev_im = z.imag
 
     def __len__(self) -> int:
         return len(self.zetas)
@@ -80,11 +67,12 @@ class TargetSequence:
 
 @dataclass(frozen=True)
 class EnvelopeParams:
-    """Exponents and tunable constants entering the envelope formulas."""
+    """Exponents and tunable constants of the envelope formulas and the gap choice.
+    ``p`` defaults to its least admissible value 2*max(q, q_d)."""
 
     d: int = 1
     q: float = 2.0
-    p: float = 4.0
+    p: float | None = None
     alpha: float = 1.0
     gamma: float = 1.0
     big_o_constant: float = 1.25
@@ -95,10 +83,11 @@ class EnvelopeParams:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if not _q_range_ok(self.d, self.q):
             raise ValueError(f"q = {self.q} outside the admissible range for d = {self.d}")
-        if self.p < 2.0 * max(self.q, self.q_d):
-            raise ValueError(
-                f"need p >= 2*max(q, q_d) = {2.0 * max(self.q, self.q_d)}, got {self.p}"
-            )
+        p_min = 2.0 * max(self.q, self.q_d)
+        if self.p is None:
+            object.__setattr__(self, "p", p_min)
+        elif self.p < p_min:
+            raise ValueError(f"need p >= 2*max(q, q_d) = {p_min}, got {self.p}")
         for name in ("alpha", "gamma", "big_o_constant", "C_L"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -295,17 +284,14 @@ def s_of_L_z(L: SeparationSequence, z: complex, d: int) -> float:
     return sep(L, eta)
 
 
-def sequence_condition_value(t: TargetSequence) -> float:
+def sequence_condition_value(t: TargetSequence, params: EnvelopeParams) -> float:
     """q-th root of  sum |zeta|^(d/2) |Im zeta|^(q-d) |log|Im zeta/zeta||^d."""
+    d, q = params.d, params.q
     total = 0.0
     for z in t.zetas:
         ratio = abs(z.imag / z)
-        total += (
-            abs(z) ** (t.d / 2.0)
-            * abs(z.imag) ** (t.q - t.d)
-            * abs(math.log(ratio)) ** t.d
-        )
-    return total ** (1.0 / t.q)
+        total += abs(z) ** (d / 2.0) * abs(z.imag) ** (q - d) * abs(math.log(ratio)) ** d
+    return total ** (1.0 / q)
 
 
 def _neg_part(x: float) -> float:
@@ -371,10 +357,6 @@ class GapChoice:
     def log10_L(self) -> float:
         return self.log_L / math.log(10.0)
 
-    @property
-    def L_linear(self) -> float | None:
-        return math.exp(self.log_L) if self.log_L < 700.0 else None
-
 
 @dataclass
 class ChosenSeparation:
@@ -383,11 +365,10 @@ class ChosenSeparation:
     kappa_tilde: float
     resorted: bool = False
 
-    def separation_sequence(self) -> SeparationSequence:
-        values = [g.L_linear for g in self.gaps]
-        if any(v is None for v in values):
-            raise OverflowError("faithful-mode gaps exceed floating point range")
-        return SeparationSequence.from_values(values)
+    @property
+    def lengths(self) -> list:
+        """The gap lengths L_n, inf where beyond float range."""
+        return [math.exp(g.log_L) if g.log_L < 700.0 else math.inf for g in self.gaps]
 
 
 def _log_delta(zeta: complex, gamma: float, mode: str) -> float:
@@ -405,12 +386,7 @@ def _a_term_log(zeta: complex) -> float:
     return 0.25 * math.log(abs(zeta))
 
 
-def choose_L(
-    t: TargetSequence,
-    params: EnvelopeParams,
-    mode: str = "desk",
-    sup_vnorm: float | None = None,
-) -> ChosenSeparation:
+def choose_L(t: TargetSequence, params: EnvelopeParams, mode: str = "desk") -> ChosenSeparation:
     """Gap sequence: power law C_L |Im zeta_n|^(-kappa_tilde) (faithful), then
     raised where the quasimode-separation rule demands more.
 
@@ -418,20 +394,17 @@ def choose_L(
     * sup_i |V_i|); faithful mode takes log eps_j^-1 = O(1) M_pq(L, zeta_j)
     log(1/delta_j) evaluated with the pre-adjustment power-law gaps, desk
     mode replaces the M factor by the practical big-O constant.  All lengths
-    live in natural-log space.
+    live in natural-log space.  The power law needs q > d (:func:`kappa_alpha`).
     """
     if mode not in ("desk", "faithful"):
         raise ValueError(f"mode must be 'desk' or 'faithful', got {mode!r}")
-    if t.d != params.d or abs(t.q - params.q) > 1e-12:
-        raise ValueError("target sequence and envelope params disagree on (d, q)")
     kt = kappa_tilde(params)
     n_targets = len(t)
     if n_targets == 0:
         return ChosenSeparation(gaps=[], mode=mode, kappa_tilde=kt)
 
-    # envelope |V0| ~ 3 Im zeta from the bump construction, unless measured
-    if sup_vnorm is None:
-        sup_vnorm = 3.0 * max(z.imag for z in t.zetas)
+    # envelope |V0| ~ 3 Im zeta from the bump construction
+    sup_vnorm = 3.0 * max(z.imag for z in t.zetas)
     log_sup_vnorm = math.log(sup_vnorm)
 
     power_logs = []
@@ -492,13 +465,7 @@ def choose_L(
     for i in range(1, len(gaps)):
         if gaps[i].log_L < gaps[i - 1].log_L:
             resorted = True
-            gaps[i] = GapChoice(
-                index=gaps[i].index,
-                zeta=gaps[i].zeta,
-                log_L=gaps[i - 1].log_L,
-                rule_rhs_log_L=gaps[i].rule_rhs_log_L,
-                log10_delta=gaps[i].log10_delta,
-            )
+            gaps[i] = replace(gaps[i], log_L=gaps[i - 1].log_L)
     return ChosenSeparation(gaps=gaps, mode=mode, kappa_tilde=kt, resorted=resorted)
 
 
@@ -539,23 +506,16 @@ class AssemblyResult:
         }
 
 
-def assemble_sparse(
-    t: TargetSequence,
-    L: SeparationSequence | ChosenSeparation,
-    sigma: float = 1.0,
-    kappa_tilde_value: float | None = None,
-) -> AssemblyResult:
-    """Place the bumps left to right with the prescribed inter-support gaps.
+def assemble_sparse(t: TargetSequence, params: EnvelopeParams, gaps) -> AssemblyResult:
+    """Place the bumps left to right, the gap lengths ``gaps`` apart.
 
     x_1 = 0 and x_{n+1} = x_n + R_n + L_n + R_{n+1}, so consecutive supports
-    are separated by exactly L_n.  Only meaningful in one dimension.
+    are separated by exactly L_n = gaps[n-1]; lengths past the last bump
+    (``ChosenSeparation.lengths`` has one per target) are unused.  Only
+    meaningful in one dimension.
     """
-    if t.d != 1:
-        raise ValueError("assembly is one-dimensional; build targets with d = 1")
-    if isinstance(L, ChosenSeparation):
-        if kappa_tilde_value is None:
-            kappa_tilde_value = L.kappa_tilde
-        L = L.separation_sequence()
+    if params.d != 1:
+        raise ValueError("assembly is one-dimensional; use d = 1")
     n_targets = len(t)
     if n_targets == 0:
         return AssemblyResult(
@@ -564,12 +524,14 @@ def assemble_sparse(
             sparsity_ratios=[], decay_report=[], norms={},
             condition_value=0.0,
         )
-    gaps = [L.L(k) for k in range(1, n_targets)]  # gap k separates bump k and k+1
+    gaps = [float(g) for g in gaps[: n_targets - 1]]  # gap k separates bump k and k+1
+    if len(gaps) < n_targets - 1 or not all(0.0 < g < math.inf for g in gaps):
+        raise ValueError(f"need {n_targets - 1} positive finite gap lengths, got {gaps}")
 
     reports: list[BumpReport] = []
     for idx, z in enumerate(t.zetas, start=1):
         try:
-            reports.append(construct_bump(z, sigma=sigma, sector_aperture=t.sector_aperture))
+            reports.append(construct_bump(z, sector_aperture=t.sector_aperture))
         except StepSpectraError as exc:
             raise type(exc)(f"bump construction failed at target {idx} ({z!r}): {exc}") from exc
 
@@ -584,27 +546,21 @@ def assemble_sparse(
 
     potential = PiecewisePotential.from_bumps(bumps)
 
-    etas = [sqrt_upper(z).imag for z in t.zetas]
-    finite_gaps = SeparationSequence.from_values(sorted(gaps)) if gaps else None
     sep_table = []
-    for z, eta in zip(t.zetas, etas):
+    for z in t.zetas:
+        eta = sqrt_upper(z).imag
         sep_table.append(
             {
                 "zeta_re": z.real,
                 "zeta_im": z.imag,
                 "eta": eta,
-                "sep": sep(finite_gaps, eta) if finite_gaps else 0.0,
+                "sep": sum((math.exp(-eta * g) for g in gaps), 0.0),
             }
         )
     sparsity_ratios = [
         2.0 * bumps[k].half_width / gaps[k] for k in range(len(gaps))
     ]
-    if kappa_tilde_value is not None:
-        kt = kappa_tilde_value
-    else:
-        kt = kappa_tilde(
-            EnvelopeParams(d=1, q=t.q, p=2.0 * max(t.q, 1.0), gamma=t.gamma)
-        )
+    kt = kappa_tilde(params)
     decay_report = []
     for b in bumps:
         envelope = _bracket(b.center) ** (-1.0 / kt)
@@ -617,12 +573,12 @@ def assemble_sparse(
             }
         )
     norms = {}
-    for q in (1.0, 2.0, t.q, math.inf):
+    for q in (1.0, 2.0, params.q, math.inf):
         if q == math.inf:
             norms["Linf"] = max(abs(b.v0) for b in bumps)
         else:
             norms[f"L{q:g}"] = sum(bump_norm_lq(b, q) ** q for b in bumps) ** (1.0 / q)
-    norms[f"l{params_p_label(t)}L{t.q:g}"] = ell_p_lq_norm(bumps, 2.0 * max(t.q, 1.0), t.q)
+    norms[f"l{params.p:g}L{params.q:g}"] = ell_p_lq_norm(bumps, params.p, params.q)
     return AssemblyResult(
         potential=potential,
         bumps=bumps,
@@ -633,12 +589,8 @@ def assemble_sparse(
         sparsity_ratios=sparsity_ratios,
         decay_report=decay_report,
         norms=norms,
-        condition_value=sequence_condition_value(t),
+        condition_value=sequence_condition_value(t, params),
     )
-
-
-def params_p_label(t: TargetSequence) -> str:
-    return f"{2.0 * max(t.q, 1.0):g}"
 
 
 def ell_p_lq_norm(bumps, p: float, q: float) -> float:

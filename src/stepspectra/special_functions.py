@@ -27,6 +27,8 @@ import numpy as np
 from .errors import ConvergenceError, UnsupportedDomainError
 
 _TWO_PI = 2.0 * math.pi
+#: |Im z| <= _CUT_WIDTH * |z| with Re z < 0 counts as the cut of Lambert W
+_CUT_WIDTH = 1e-12
 _EULER_GAMMA = 0.5772156649015328606
 
 
@@ -138,7 +140,8 @@ def _w_seed(n: int, z: complex) -> complex:
     if abs(p2) < 0.4 and (n == 0 or (n == -1 and z.imag >= 0.0)):
         p = cmath.sqrt(p2) if n == 0 else -cmath.sqrt(p2)
         return -1.0 + p - p2 / 3.0 + 11.0 / 72.0 * p * p2
-    if n == 0 and not (z.imag == 0.0 and z.real < -1.0 / math.e):  # real on the cut, W_0 is not
+    # on or just off the cut left of -1/e, W_0 is far from real: no near-real seed there
+    if n == 0 and not (abs(z.imag) <= _CUT_WIDTH * abs(z) and z.real < -1.0 / math.e):
         return z * (1.0 - z) if abs(z) <= 1.5 else cmath.log(1.0 + z)
     if n == -1 and z.imag == 0.0 and -1.0 / math.e < z.real < 0.0:
         t = -math.log(-z.real)
@@ -161,12 +164,16 @@ def _w_continuation(n, z, max_iter: int, tol: float):
 
 def _on_branch(w, n, z):
     b = branch_of_w(w)
-    cut = (z.imag == 0.0) & (z.real < 0.0)
+    cut = (np.abs(z.imag) <= _CUT_WIDTH * np.abs(z)) & (z.real < 0.0)
     if cut.any():
-        # on the cut z < 0 a non-real W lies on a boundary curve, and rounding
-        # puts it on either side: there its height alone names the branch
+        # on or just off the cut z < 0 a non-real W lies within rounding of a
+        # boundary curve: its height and the side of the cut name the branch.
+        # Above (Im z >= 0) an upper curve of band k is branch k and a lower one
+        # branch -k-1; below, by W_n(conj z) = conj W_-n(z), k+1 and -k
         k = np.floor(np.abs(w.imag) / _TWO_PI).astype(int)
-        b = np.where(cut & (w.imag != 0.0), np.where(w.imag > 0.0, k, -k - 1), b)
+        upper = w.imag > 0.0
+        side = np.where(z.imag >= 0.0, np.where(upper, k, -k - 1), np.where(upper, k + 1, -k))
+        b = np.where(cut & (w.imag != 0.0), side, b)
     # the branch point w = -1 is shared by branches 0 and -1
     return (b == n) | (((n == 0) | (n == -1)) & (np.abs(w + 1.0) < 1e-6))
 

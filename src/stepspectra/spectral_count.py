@@ -39,6 +39,15 @@ _GL_T = 0.5 * (1.0 + _GL_X)
 _GL_W = 0.5 * _GL_W
 #: largest step of arg f between consecutive nodes
 _MAX_STEP = math.pi / 3.0
+#: most bisections of one panel
+_MAX_REFINE = 28
+#: a panel's integrals of u^k log f must match its halves' to this, per unit length
+_MOMENT_TOL = 1e-9
+#: a node with |f| below this times the region's scale raises ContourError
+_GUARD_FACTOR = 1e-12
+#: a cell below this times the region's scale reports its centre, the winding as
+#: multiplicity
+_MIN_DIAMETER = 1e-8
 #: most zeros, with multiplicity, that one cell's moments solve
 _MAX_ZEROS = 4
 #: singular values of H0 below this fraction of the largest count as zero
@@ -150,17 +159,6 @@ class ZeroReport:
         return [z.location for z in self.zeros]
 
 
-@dataclass(frozen=True)
-class QuadParams:
-    """Contour panels: at most ``max_refine`` bisections; a panel's integrals of
-    u^k log f match its halves' to ``moment_tol`` per unit length; a node with |f|
-    below ``guard_factor * region.scale`` raises ContourError."""
-
-    max_refine: int = 28
-    moment_tol: float = 1e-9
-    guard_factor: float = 1e-12
-
-
 #: 16 nodes on one edge: z, dz, f, |f|, arg f, its largest step and oint u^k log f dz
 _Panel = namedtuple("_Panel", "edge t0 t1 depth z dz v mods args step moments")
 
@@ -169,10 +167,9 @@ class _Contour:
     """f on the adaptive panels of one region's contour: the winding, the
     smallest |f| and the power sums of the enclosed zeros."""
 
-    def __init__(self, f, region: Region, params: QuadParams, stats: SolverStats):
+    def __init__(self, f, region: Region, stats: SolverStats):
         self.f = f
         self.region = region
-        self.params = params
         if region.kind == "rectangle":
             self.c = complex(0.5 * (region.re_lo + region.re_hi),
                              0.5 * (region.im_lo + region.im_hi))
@@ -186,7 +183,7 @@ class _Contour:
             halves = self._halves(level)
             next_level = []
             for p, left, right in zip(level, halves[::2], halves[1::2]):
-                tol = params.moment_tol * float(np.abs(p.dz).sum())
+                tol = _MOMENT_TOL * float(np.abs(p.dz).sum())
                 settled = max(left.step, right.step) < _MAX_STEP and np.all(
                     np.abs(p.moments - left.moments - right.moments) <= tol)
                 (leaves if settled else next_level).extend((left, right))
@@ -212,7 +209,7 @@ class _Contour:
         stats.panels += len(leaves)
         stats.max_depth = max(stats.max_depth, int(max(p.depth for p in leaves)))
         stats.min_modulus = min(stats.min_modulus, self.min_modulus)
-        guard = params.guard_factor * region.scale
+        guard = _GUARD_FACTOR * region.scale
         if self.min_modulus < guard:
             p = leaves[low // 16]
             raise ContourError(f"|f| below the guard {guard:.3e}; nudge the region", int(p.edge),
@@ -248,7 +245,7 @@ class _Contour:
     def _halves(self, panels: list) -> list:
         """Both halves of each panel, arg f continued from its first node."""
         for p in panels:
-            if p.depth >= self.params.max_refine:
+            if p.depth >= _MAX_REFINE:
                 raise ContourError(f"no settled panel after {p.depth} bisections; nudge the region",
                                    int(p.edge), 0.5 * (p.t0 + p.t1), float(p.mods.min()))
         t = np.array([(p.t0, 0.5 * (p.t0 + p.t1), p.t1) for p in panels])
@@ -276,10 +273,10 @@ def _counted(f, stats: SolverStats):
     return g
 
 
-def winding_count(f, region: Region, params: QuadParams | None = None) -> int:
+def winding_count(f, region: Region) -> int:
     """Number of zeros of ``f`` enclosed by the region, by the argument principle.
     A zero on or hugging the contour raises :class:`ContourError`, which says where."""
-    return _Contour(lambda z: complex(f(z)), region, params or QuadParams(), SolverStats()).winding
+    return _Contour(lambda z: complex(f(z)), region, SolverStats()).winding
 
 
 def _secant(f, z0: complex, con: _Contour, stats: SolverStats):
@@ -309,8 +306,7 @@ def _secant(f, z0: complex, con: _Contour, stats: SolverStats):
     return LocatedZero(zb, 1, abs(fb)) if abs(fb) <= abs(fa) else LocatedZero(za, 1, abs(fa))
 
 
-def _moment_zeros(f, cell: Region, con: _Contour, params: QuadParams, stats: SolverStats,
-                  multiple: bool):
+def _moment_zeros(f, cell: Region, con: _Contour, stats: SolverStats, multiple: bool):
     """The zeros of f in ``cell`` from its contour's power sums, or None when the
     cell has to be split.  A rank-deficient H0 means a multiple zero or zeros
     closer than the moments resolve: unless ``multiple`` accepts it, each such
@@ -338,10 +334,10 @@ def _moment_zeros(f, cell: Region, con: _Contour, params: QuadParams, stats: Sol
         else:
             disk = Region.disk(z, 1e-3 * con.h)
             try:
-                sub = _Contour(f, disk, params, stats)
+                sub = _Contour(f, disk, stats)
             except ContourError:
                 return None
-            found = _moment_zeros(f, disk, sub, params, stats, True) if sub.winding == k else None
+            found = _moment_zeros(f, disk, sub, stats, True) if sub.winding == k else None
         if found is None:
             return None
         for q in found:
@@ -366,26 +362,19 @@ def _subdivide(cell: Region, shift_re: float, shift_im: float):
 _NUDGES = (0.0, 0.13, -0.13, 0.29, -0.29, 0.41)
 
 
-def locate_zeros(
-    f,
-    region: Region,
-    params: QuadParams | None = None,
-    min_diameter: float | None = None,
-    budget: int = 4000,
-) -> ZeroReport:
+def locate_zeros(f, region: Region, budget: int = 4000) -> ZeroReport:
     """Locate and refine all zeros of ``f`` in the region from contour moments.
 
     A cell whose moments do not give its zeros is split in four (a disk falls back
-    to its bounding box) down to ``min_diameter``, where the centre is reported
-    with the winding as multiplicity.  Exhausting ``budget`` child contours flags
-    the report ``complete=False``; ``report.stats`` counts the work."""
-    params = params or QuadParams()
-    if min_diameter is None:
-        min_diameter = 1e-8 * region.scale
+    to its bounding box) down to ``_MIN_DIAMETER`` of the region's scale, where the
+    centre is reported with the winding as multiplicity.  Exhausting ``budget``
+    child contours flags the report ``complete=False``; ``report.stats`` counts
+    the work."""
+    min_diameter = _MIN_DIAMETER * region.scale
     floor = 1e3 * min_diameter  # a cell this small may report a multiple zero
     stats = SolverStats()
     f = _counted(f, stats)
-    top = _Contour(f, region, params, stats)
+    top = _Contour(f, region, stats)
     report = ZeroReport(winding_total=top.winding, contour_min_modulus=top.min_modulus,
                         stats=stats)
 
@@ -401,20 +390,20 @@ def locate_zeros(
         if cell.diameter <= min_diameter:
             found.append(LocatedZero(con.c, wind, abs(f(con.c))))
             continue
-        zeros = (_moment_zeros(f, cell, con, params, stats, cell.diameter <= floor)
+        zeros = (_moment_zeros(f, cell, con, stats, cell.diameter <= floor)
                  if wind <= _MAX_ZEROS else None)
         if zeros is not None:
             found += zeros
             continue
         if cell.kind == "disk":
             box = cell.bounding_rectangle()
-            stack.append((box, _Contour(f, box, params, stats)))
+            stack.append((box, _Contour(f, box, stats)))
             continue
         # split with a retry ladder of midpoint shifts; children partition the
         # cell exactly, and their windings must sum to the parent's
         for shift in _NUDGES:
             try:
-                children = [(ch, _Contour(f, ch, params, stats))
+                children = [(ch, _Contour(f, ch, stats))
                             for ch in _subdivide(cell, shift * 0.37, shift)]
             except ContourError:
                 used += 1
@@ -646,8 +635,6 @@ def imag_step_census(
     Emits (N, count, count*log(N)/N^2) plus the box, for the locality-violation
     scaling check.  Duplicate refined energies across families are counted once.
     """
-    if N < 8:
-        raise ValueError(f"census requires N >= 8, got {N}")
     box = census_box(N, C_box)
     if n_window is None:
         n_window = census_window(N, C_box)

@@ -33,6 +33,17 @@ def _check_parity(parity: str) -> str:
     return parity
 
 
+def _check_sector(zeta: complex, aperture: float = SECTOR_APERTURE) -> complex:
+    """``zeta`` as a complex number, or ValueError unless it lies in the sector
+    0 < Im zeta <= aperture * Re zeta."""
+    zeta = complex(zeta)
+    if not zeta.imag > 0:
+        raise ValueError(f"Im zeta > 0 required, got {zeta!r}")
+    if zeta.imag > aperture * zeta.real:
+        raise ValueError(f"zeta = {zeta!r} outside the sector |Im z| <= {aperture} * Re z")
+    return zeta
+
+
 @dataclass(frozen=True)
 class StepBump:
     """Complex step ``v0 * 1_[center-half_width, center+half_width]``."""
@@ -256,13 +267,7 @@ def construct_bump(
        seed -1 + i*eps*sigma (reseeded at +1 on a sheet failure),
     4. V0 = zeta/|zeta| - kappa^2.
     """
-    zeta = complex(zeta)
-    if not (zeta.imag > 0):
-        raise ValueError(f"Im zeta > 0 required, got {zeta!r}")
-    if abs(zeta.imag) > sector_aperture * zeta.real:
-        raise ValueError(
-            f"zeta = {zeta!r} outside the sector |Im z| <= {sector_aperture} * Re z"
-        )
+    zeta = _check_sector(zeta, sector_aperture)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
 

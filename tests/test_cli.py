@@ -171,6 +171,21 @@ class TestSparseCommand:
         pot = PiecewisePotential.from_json((out / "potential.json").read_text())
         assert len(pot) == 3
 
+    def test_p_from_the_targets_file_sets_gaps_and_norm(self, tmp_path):
+        # p = 6 enters kappa_tilde (69 against 51 at p = 4) and names the mixed norm
+        path = tmp_path / "p6.json"
+        path.write_text(json.dumps({"zetas": [[1.0, 0.08], [1.3, 0.06], [0.8, 0.05]],
+                                    "q": 2.0, "gamma": 1.0, "p": 6}))
+        out = tmp_path / "p6"
+        assert run(["sparse", "--targets", str(path), "--mode", "desk", "--out", str(out)]) == 0
+        report = json.loads((out / "sparse_report.json").read_text())
+        assert report["kappa_tilde"] == pytest.approx(69.0, abs=1e-12)
+        norms = report["assembly"]["norms"]
+        assert "l4L2" not in norms
+        pot = PiecewisePotential.from_json((out / "potential.json").read_text())
+        l2 = [abs(v) * math.sqrt(b - a) for a, b, v in pot.pieces]
+        assert norms["l6L2"] == pytest.approx(sum(n ** 6 for n in l2) ** (1 / 6), rel=1e-12)
+
     def test_empty_targets(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"zetas": [], "q": 2.0}))
@@ -196,9 +211,10 @@ class TestEnvelopesCommand:
         assert int(float(row["h_L"])) == 10
 
     def test_geometric_spec_and_d3(self, tmp_path):
+        # without --p, p takes its EnvelopeParams default 2*max(q, (d+1)/2) = 4
         out = tmp_path / "env2.csv"
         code = run([
-            "envelopes", "--z", "-1+0.5i", "--d", "3", "--q", "1.5", "--p", "4",
+            "envelopes", "--z", "-1+0.5i", "--d", "3", "--q", "1.5",
             "--L", "geometric", "--eta", "0.5", "--s", "0.2", "--out", str(out),
         ])
         assert code == 0

@@ -296,9 +296,9 @@ class TestReconstruct:
 
 class TestTruncationConvergence:
     def test_sparse_prefix_zero_moves(self):
-        targets = TargetSequence((1 + 0.08j, 1.3 + 0.06j, 0.8 + 0.05j), q=2.0, gamma=1.0)
+        targets = TargetSequence((1 + 0.08j, 1.3 + 0.06j, 0.8 + 0.05j))
         params = EnvelopeParams(d=1, q=2.0, p=4.0, alpha=1.0, gamma=1.0)
-        asm = assemble_sparse(targets, choose_L(targets, params, mode="desk"))
+        asm = assemble_sparse(targets, params, choose_L(targets, params, mode="desk").lengths)
         from stepspectra.spectral_count import Region, locate_zeros
 
         full = make_secular_handle(asm.potential)

@@ -30,30 +30,55 @@ GEOMETRIC = SeparationSequence.from_rule(lambda k: 2.0 ** k, convex_increments=T
 LINEAR = SeparationSequence.from_rule(lambda k: float(k), convex_increments=True)
 LOGARITHMIC = SeparationSequence.from_rule(lambda k: math.log(k + 1), convex_increments=False)
 
-ACCEPT_TARGETS = TargetSequence((1 + 0.08j, 1.3 + 0.06j, 0.8 + 0.05j), q=2.0, gamma=1.0)
+ACCEPT_TARGETS = TargetSequence((1 + 0.08j, 1.3 + 0.06j, 0.8 + 0.05j))
 ACCEPT_PARAMS = EnvelopeParams(d=1, q=2.0, p=4.0, alpha=1.0, gamma=1.0)
+
+
+def desk_assembly():
+    return assemble_sparse(ACCEPT_TARGETS, ACCEPT_PARAMS,
+                           choose_L(ACCEPT_TARGETS, ACCEPT_PARAMS, mode="desk").lengths)
 
 
 class TestTargetSequence:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TargetSequence((1 - 0.1j,), q=2.0)  # lower half plane
+            TargetSequence((1 - 0.1j,))  # lower half plane
         with pytest.raises(ValueError):
-            TargetSequence((0.1 + 0.5j,), q=2.0)  # outside sector
+            TargetSequence((0.1 + 0.5j,))  # outside sector
         with pytest.raises(ValueError):
-            TargetSequence((1 + 0.05j, 1 + 0.08j), q=2.0)  # Im increasing
+            TargetSequence((1 + 0.05j, 1 + 0.08j))  # Im increasing
         with pytest.raises(ValueError):
-            TargetSequence((1 + 0.05j,), q=0.5)  # q <= d
+            EnvelopeParams(d=1, q=0.5)  # q outside the admissible range
+        with pytest.raises(ValueError, match="q > d"):
+            choose_L(TargetSequence((1 + 0.05j,)), EnvelopeParams(d=1, q=1.0))  # q <= d
+
+    def test_sector_is_shared_with_the_bump(self):
+        from stepspectra.step_model import SECTOR_APERTURE, construct_bump
+
+        edge = 1 + 0.21j  # just outside the default sector, inside a wider one
+        for build in (lambda a: TargetSequence((edge,), sector_aperture=a),
+                      lambda a: construct_bump(edge, sector_aperture=a)):
+            with pytest.raises(ValueError, match=rf"<= {SECTOR_APERTURE} \* Re z"):
+                build(SECTOR_APERTURE)
+            build(0.25)
 
     def test_condition_value(self):
-        assert sequence_condition_value(TargetSequence((), q=2.0)) == 0.0
-        val = sequence_condition_value(TargetSequence((1 + 0.1j,), q=2.0))
+        assert sequence_condition_value(TargetSequence(()), ACCEPT_PARAMS) == 0.0
+        val = sequence_condition_value(TargetSequence((1 + 0.1j,)), ACCEPT_PARAMS)
         assert val == pytest.approx(0.481, abs=1e-3)
 
     def test_accumulating_sequence_finite(self):
         zetas = tuple(1.0 + 2.0 ** (-n) * 1j for n in range(4, 20))
-        val = sequence_condition_value(TargetSequence(zetas, q=2.0))
+        val = sequence_condition_value(TargetSequence(zetas), ACCEPT_PARAMS)
         assert math.isfinite(val) and val > 0
+
+
+class TestEnvelopeParams:
+    @pytest.mark.parametrize("d, q, p", [(1, 2.0, 4.0), (1, 3.0, 6.0), (3, 1.5, 4.0), (3, 2.5, 5.0)])
+    def test_p_defaults_to_its_least_admissible_value(self, d, q, p):
+        assert EnvelopeParams(d=d, q=q).p == p
+        with pytest.raises(ValueError, match="need p >="):
+            EnvelopeParams(d=d, q=q, p=0.99 * p)
 
 
 class TestOmega:
@@ -169,14 +194,14 @@ class TestEnvelopes:
 
 class TestChooseL:
     def test_faithful_power_law(self):
-        t = TargetSequence((1 + 0.1j,), q=2.0, gamma=1.0)
+        t = TargetSequence((1 + 0.1j,))
         chosen = choose_L(t, ACCEPT_PARAMS, mode="faithful")
         assert chosen.kappa_tilde == 51.0
         assert chosen.gaps[0].log10_L == pytest.approx(51.0, abs=1e-9)
 
     def test_faithful_power_halving(self):
-        t1 = TargetSequence((1 + 0.1j,), q=2.0, gamma=1.0)
-        t2 = TargetSequence((1 + 0.05j,), q=2.0, gamma=1.0)
+        t1 = TargetSequence((1 + 0.1j,))
+        t2 = TargetSequence((1 + 0.05j,))
         l1 = choose_L(t1, ACCEPT_PARAMS, mode="faithful").gaps[0].log_L
         l2 = choose_L(t2, ACCEPT_PARAMS, mode="faithful").gaps[0].log_L
         assert l2 - l1 == pytest.approx(51.0 * math.log(2.0), rel=1e-9)
@@ -196,20 +221,18 @@ class TestChooseL:
 
     def test_desk_assembly_feasible(self):
         chosen = choose_L(ACCEPT_TARGETS, ACCEPT_PARAMS, mode="desk")
-        seq = chosen.separation_sequence()
-        assert all(50.0 < seq.L(k) < 5e3 for k in range(1, 4))
+        assert all(50.0 < L < 5e3 for L in chosen.lengths)
 
 
 class TestAssembly:
     def test_gap_placement_exact(self):
-        t = TargetSequence((1 + 0.1j, 1 + 0.09j), q=2.0, gamma=1.0)
-        L = SeparationSequence.from_values([100.0, 120.0])
-        asm = assemble_sparse(t, L)
+        t = TargetSequence((1 + 0.1j, 1 + 0.09j))
+        asm = assemble_sparse(t, ACCEPT_PARAMS, [100.0, 120.0])
         (a0, b0, _), (a1, b1, _) = asm.potential.pieces
         assert a1 - b0 == pytest.approx(100.0, abs=1e-9)
 
     def test_supports_disjoint_min_gap(self):
-        asm = assemble_sparse(ACCEPT_TARGETS, choose_L(ACCEPT_TARGETS, ACCEPT_PARAMS, mode="desk"))
+        asm = desk_assembly()
         pieces = asm.potential.pieces
         inter = [pieces[i + 1][0] - pieces[i][1] for i in range(len(pieces) - 1)]
         assert min(inter) == pytest.approx(min(asm.gaps))
@@ -229,20 +252,27 @@ class TestAssembly:
         assert all(r < 0 for r in log_ratios)
 
     def test_norm_consistency(self):
-        asm = assemble_sparse(ACCEPT_TARGETS, choose_L(ACCEPT_TARGETS, ACCEPT_PARAMS, mode="desk"))
+        asm = desk_assembly()
         q = 2.0
         explicit = sum(bump_norm_lq(b, q) ** q for b in asm.bumps) ** (1 / q)
         assert asm.norms["L2"] == pytest.approx(explicit, rel=1e-12)
         assert ell_p_lq_norm(asm.bumps, 4.0, 2.0) == pytest.approx(asm.norms["l4L2"], rel=1e-12)
 
     def test_norm_vs_condition_value(self):
-        asm = assemble_sparse(ACCEPT_TARGETS, choose_L(ACCEPT_TARGETS, ACCEPT_PARAMS, mode="desk"))
+        asm = desk_assembly()
         assert asm.norms["L2"] <= 10.0 * asm.condition_value
 
     def test_empty_targets(self):
-        t = TargetSequence((), q=2.0, gamma=1.0)
-        asm = assemble_sparse(t, SeparationSequence.from_values([]))
+        asm = assemble_sparse(TargetSequence(()), ACCEPT_PARAMS, [])
         assert len(asm.potential) == 0
+
+    def test_gap_lengths_checked(self):
+        t = TargetSequence((1 + 0.1j, 1 + 0.09j, 1 + 0.08j))
+        for gaps in ([100.0], [100.0, -1.0], [100.0, math.inf]):
+            with pytest.raises(ValueError, match="positive finite gap lengths"):
+                assemble_sparse(t, ACCEPT_PARAMS, gaps)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            assemble_sparse(t, EnvelopeParams(d=3, q=4.0), [100.0, 120.0])
 
 
 class TestMagnitude:

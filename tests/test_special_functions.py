@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -96,6 +97,20 @@ class TestLambertW:
         ours = np.array([lambert_w(n, complex(v, 0.0)) for v in x])
         ref = sp.lambertw(x, n)
         assert np.all(np.abs(ours - ref) <= 1e-9 * np.abs(ref))
+
+    @pytest.mark.parametrize("y", [1e-20, -1e-20, 1e-300, -1e-300])
+    def test_just_off_the_cut_against_mpmath(self, y):
+        # z = x + iy, |y| <= 1e-12 |z|, left of the branch point: the side of the
+        # cut, not rounding, names the branch, W_n(x - i0) = conj W_-n(x + i0).
+        # Within 1e-12 of -1/e the branch point itself limits the accuracy
+        d = np.logspace(-14, 1, 300)
+        z = -1.0 / math.e - d + 1j * y
+        far = d >= 1e-12
+        for n in (0, -1, 1):
+            ours = lambert_w(n, z)  # raises if any point fails
+            ref = np.array([complex(mpmath.lambertw(mpmath.mpc(v.real, v.imag), n))
+                            for v in z[far]])
+            assert np.all(np.abs(ours[far] - ref) <= 1e-9 * np.abs(ref))
 
     def test_boundary_curves_follow_counterclockwise_closure(self):
         # an upper curve belongs to the region on its right, a lower one to

@@ -123,11 +123,11 @@ class TestLocateZeros:
         # the desk potential of these targets has a second zero near
         # 1.00999+0.06992i: inside the first disk's bounding box, outside the disk
         zetas = (1.0014 + 0.0796j, 1.2940 + 0.0594j, 0.8025 + 0.0504j)
-        targets = TargetSequence(zetas, q=2.0, gamma=1.0, sector_aperture=0.2)
+        targets = TargetSequence(zetas, sector_aperture=0.2)
         params = EnvelopeParams(d=1, q=2.0, p=4.0, alpha=1.0, gamma=1.0, big_o_constant=1.25,
                                 C_L=1.0)
-        handle = make_secular_handle(
-            assemble_sparse(targets, choose_L(targets, params, mode="desk")).potential)
+        handle = make_secular_handle(assemble_sparse(
+            targets, params, choose_L(targets, params, mode="desk").lengths).potential)
         disk = Region.disk(zetas[0], 0.01)
         box = locate_zeros(handle, disk.bounding_rectangle())
         assert sum(not disk.contains(z.location) for z in box.zeros) == 1
