@@ -38,14 +38,17 @@ class SheetError(StepSpectraError):
 
 class ContourError(StepSpectraError):
     """A zero sits on or hugs a contour.  ``edge`` (0-3, counterclockwise from the
-    first vertex), ``t`` (in [0, 1] along it) and ``modulus`` (|f| there) say where."""
+    first vertex), ``t`` (the panel parameter in [0, 1] along it), ``point`` (the
+    node there) and ``modulus`` (|f| there) say where."""
 
-    def __init__(self, message, edge=None, t=None, modulus=None):
-        where = "" if edge is None else f" (edge {edge}, t = {t:.6g}, |f| = {modulus:.3g})"
+    def __init__(self, message, edge=None, t=None, modulus=None, point=None):
+        where = "" if edge is None else (
+            f" (edge {edge}, t = {t:.6g}, at {point:.6g}, |f| = {modulus:.3g})")
         super().__init__(message + where)
         self.edge = edge
         self.t = t
         self.modulus = modulus
+        self.point = point
 
 
 class SchemaError(StepSpectraError):

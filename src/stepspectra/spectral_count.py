@@ -3,6 +3,10 @@
 Contours are walked on 16-node Gauss-Legendre panels, one call of f per node,
 halved until the halves give a panel's integrals of u^k log f (k = 0, 1, 2)
 and arg f moves by under pi/3 between nodes; the winding sums those steps.
+Rectangle edges are sinh-graded toward E = 0 (Region.panels): the threshold
+is the one singularity of the global and radial secular functions and lies
+next to every eigenvalue, so graded nodes settle there without the deep
+bisection that evenly spaced nodes need.
 Zeros come from the same values (Delves & Lyness 1967; Kravanja & Van Barel
 1999): with u = (z - centre)/half-diameter and u0 the first vertex, s_p =
 sum m_k u_k^p = N*u0^p - (p/2 pi i) oint u^(p-1) log f du.  The rank of H0 =
@@ -52,6 +56,8 @@ _MIN_DIAMETER = 1e-8
 _MAX_ZEROS = 4
 #: singular values of H0 below this fraction of the largest count as zero
 _RANK_TOL = 1e-9
+#: least grading scale of a rectangle edge that misses 0, times its length
+_GRADE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,13 @@ class Region:
 
     def panels(self, edges, t0, t1):
         """Nodes and dz weights, (len(edges), 16), of panels [t0[i], t1[i]] on edge
-        edges[i] (0-3) from the corner (re_lo, im_lo) or the angle 0, counterclockwise."""
+        edges[i] (0-3) from the corner (re_lo, im_lo) or the angle 0, counterclockwise.
+
+        A rectangle edge is graded toward E = 0, the one singularity of the secular
+        functions: with s the coordinate along the edge's line from its point
+        nearest 0 and d the edge's distance from 0 (at least _GRADE_FLOOR of its
+        length; its half-length if it reaches 0), s = d*sinh(sigma) for sigma
+        linear in t."""
         edges = np.asarray(edges)[:, None]
         t0 = np.asarray(t0, dtype=float)[:, None]
         span = np.asarray(t1, dtype=float)[:, None] - t0
@@ -117,9 +129,24 @@ class Region:
                 complex(self.re_lo, self.im_hi),
                 complex(self.re_lo, self.im_lo),
             ])
-            a = corners[edges]
-            b = corners[edges + 1]
-            return a + (b - a) * t, (b - a) * span * _GL_W
+            # z = u*(s + i*h): u the edge's direction, s from sa to sb along it, h
+            # its line's offset from 0
+            u = np.array([1.0, 1j, -1.0, -1j])[edges]
+            w = corners[edges] * u.conjugate()
+            sa, h = w.real, w.imag
+            sb = (corners[edges + 1] * u.conjugate()).real
+            length = sb - sa
+            d = np.hypot(h, np.clip(0.0, sa, sb))
+            d = np.where(d > 0.0, np.maximum(d, _GRADE_FLOOR * length), 0.5 * length)
+            x, y = sa / d, sb / d
+            rx, ry = np.hypot(1.0, x), np.hypot(1.0, y)
+            ax, ay = np.abs(x), np.abs(y)
+            # asinh(y) - asinh(x) = asinh(y*rx - x*ry), whose terms cancel when x and
+            # y share a sign: there it is (y^2 - x^2)/(y*rx + x*ry), y - x = length/d
+            dsig = np.arcsinh(np.where(x * y > 0.0, length / d * (ax + ay) / (ay * rx + ax * ry),
+                                       y * rx - x * ry))
+            sig = np.arcsinh(x) + dsig * t
+            return u * (d * np.sinh(sig) + 1j * h), u * d * np.cosh(sig) * dsig * span * _GL_W
         rot = self.radius * np.exp(0.5j * math.pi * (edges + t))
         return self.center + rot, 0.5j * math.pi * span * _GL_W * rot
 
@@ -212,8 +239,8 @@ class _Contour:
         guard = _GUARD_FACTOR * region.scale
         if self.min_modulus < guard:
             p = leaves[low // 16]
-            raise ContourError(f"|f| below the guard {guard:.3e}; nudge the region", int(p.edge),
-                               p.t0 + (p.t1 - p.t0) * _GL_T[low % 16], self.min_modulus)
+            raise self._error(f"|f| below the guard {guard:.3e}; nudge the region", p.edge,
+                              p.t0 + (p.t1 - p.t0) * _GL_T[low % 16], self.min_modulus)
         self.winding = round(float(steps.sum()) / (2.0 * math.pi))
 
     def _build(self, edges, t0, t1, depth, prev=None, a=None) -> list:
@@ -226,8 +253,8 @@ class _Contour:
         bad = np.flatnonzero(~((mods > 0.0) & (mods < math.inf)))
         if bad.size:
             i, j = divmod(int(bad[0]), 16)
-            raise ContourError("f is zero or not finite on the contour; nudge the region",
-                               int(edges[i]), t0[i] + (t1[i] - t0[i]) * _GL_T[j], mods[bad[0]])
+            raise self._error("f is zero or not finite on the contour; nudge the region",
+                              edges[i], t0[i] + (t1[i] - t0[i]) * _GL_T[j], mods[bad[0]])
         v = v.reshape(-1, 16 if prev is None else 32)
         if prev is None:
             prev = v[:, 0]
@@ -242,12 +269,17 @@ class _Contour:
         return list(map(_Panel, edges, t0, t1, depth, z, dz, v.reshape(-1, 16), mods, args,
                         worst, moments))
 
+    def _error(self, message: str, edge, t, modulus) -> ContourError:
+        """ContourError at parameter t of an edge, with the node there."""
+        point = self.region.panels([edge], [t], [t])[0][0, 0]  # a zero-length panel
+        return ContourError(message, int(edge), float(t), float(modulus), complex(point))
+
     def _halves(self, panels: list) -> list:
         """Both halves of each panel, arg f continued from its first node."""
         for p in panels:
             if p.depth >= _MAX_REFINE:
-                raise ContourError(f"no settled panel after {p.depth} bisections; nudge the region",
-                                   int(p.edge), 0.5 * (p.t0 + p.t1), float(p.mods.min()))
+                raise self._error(f"no settled panel after {p.depth} bisections; nudge the region",
+                                  p.edge, 0.5 * (p.t0 + p.t1), float(p.mods.min()))
         t = np.array([(p.t0, 0.5 * (p.t0 + p.t1), p.t1) for p in panels])
         return self._build(np.repeat([p.edge for p in panels], 2), t[:, :2].ravel(),
                            t[:, 1:].ravel(), np.repeat([p.depth + 1 for p in panels], 2),
@@ -532,10 +564,14 @@ def _refine_ladder(N: int, ns, parity: str, sign: int, tol: float, max_iter: int
             "converged": converged}
 
 
-def _ladders(N: int, n_window: tuple[int, int], families, tol: float, max_iter: int):
-    """Per family in (parity, sign) order: (parity, sign, ns, refined columns)."""
+def _require_census_N(N: int) -> None:
     if N < 8:
         raise ValueError(f"census requires N >= 8, got {N}")
+
+
+def _ladders(N: int, n_window: tuple[int, int], families, tol: float, max_iter: int):
+    """Per family in (parity, sign) order: (parity, sign, ns, refined columns)."""
+    _require_census_N(N)
     lo, hi = n_window
     if lo > hi:
         raise ValueError(f"empty n window {n_window}")
@@ -605,6 +641,7 @@ class CensusResult:
 
 
 def census_box(N: int, C_box: float = 10.0) -> Region:
+    _require_census_N(N)
     lnN = math.log(N)
     return Region.rectangle(
         N * N / (C_box * lnN * lnN), C_box * N * N / (lnN * lnN), 1.0 / C_box, C_box

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from stepspectra.errors import ContourError, StepSpectraError
 from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
@@ -24,7 +25,7 @@ from stepspectra.spectral_count import (
 )
 from stepspectra.step_model import StepBump, construct_bump, physical_sheet, secular_entire
 
-from conftest import imag_step_branch, real_well_bound_states
+from conftest import imag_step_branch, mp_transfer_secular, real_well_bound_states
 
 
 class TestWindingCount:
@@ -51,8 +52,20 @@ class TestWindingCount:
         err = info.value
         assert err.edge == 3
         assert abs(err.t - 0.5) < 1e-3
+        assert abs(err.point) < 1e-3
         assert err.modulus < 1e-6
         assert "edge 3" in str(err)
+
+    def test_contour_error_point_off_centre(self):
+        # the left side runs from 0.7i down to -0.3i, so the zero lies 0.7 of its
+        # length along it; graded toward 0, the edge reaches it at another t
+        with pytest.raises(ContourError) as info:
+            winding_count(lambda z: z, Region.rectangle(0.0, 1.0, -0.3, 0.7))
+        err = info.value
+        assert err.edge == 3
+        assert abs(err.point) < 1e-3
+        assert abs(err.t - 0.7) > 0.01
+        assert f"at {err.point:.6g}" in str(err)
 
     def test_additivity_across_split(self):
         f = lambda z: (z - 0.4 - 0.1j) * (z + 0.3 + 0.2j)
@@ -98,6 +111,19 @@ class TestLocateZeros:
         report = locate_zeros(f, Region.disk(zeta, 0.02))
         assert report.winding_total == 1
         assert abs(report.zeros[0].location - zeta) < 1e-8
+
+    def test_threshold_corner_evaluation_count(self):
+        # the rectangle passes 1e-3 from E = 0, the secular function's one
+        # singularity; edges graded toward it settle at shallow depth
+        bump = StepBump(-5.86 + 1.03j, 0.92)
+        pot = PiecewisePotential.from_bumps([bump])
+        rep = locate_zeros(make_secular_handle(pot), Region.rectangle(-8.0, -1e-3, -1.5, 1.5))
+        assert rep.complete and rep.winding_total == len(rep.zeros) == 2
+        assert rep.stats.evaluations <= 700
+        assert rep.stats.max_depth <= 5
+        for z in rep.zeros:
+            F, scale = mp_transfer_secular(pot.pieces, z.location)
+            assert abs(F) <= 1e-12 * scale
 
     def test_stats_count_every_evaluation(self):
         bump = StepBump(-5.0 + 1.0j, 1.0)
@@ -207,6 +233,55 @@ class TestParityCompleteness:
             want = sorted((z.location for z in global_rep.zeros), key=key)
             for a, b in zip(got, want):
                 assert abs(a - b) < 1e-9 * max(1.0, abs(b))
+
+
+@st.composite
+def _edge_rectangles(draw):
+    """Rectangles with coordinates up to 10: anywhere, with a side on Im E = 0
+    ending 1e-9..1 from 0, or with a side through 0; mirrored onto Re E = 0 at will."""
+    width = draw(st.floats(1e-3, 10.0))
+    height = draw(st.floats(1e-3, 10.0))
+    kind = draw(st.sampled_from(["free", "near", "through"]))
+    if kind == "free":
+        re_lo = draw(st.floats(-10.0, 10.0))
+        im_lo = draw(st.floats(-10.0, 10.0))
+    else:
+        if kind == "near":
+            gap = 10.0 ** draw(st.floats(-9.0, 0.0))
+            re_lo = draw(st.sampled_from([gap, -gap - width]))
+        else:
+            re_lo = -width * draw(st.floats(0.0, 1.0))
+        im_lo = draw(st.sampled_from([0.0, -height]))
+    bounds = (re_lo, re_lo + width, im_lo, im_lo + height)
+    if draw(st.booleans()):
+        bounds = bounds[2:] + bounds[:2]
+    return Region.rectangle(*bounds)
+
+
+class TestGradedPanels:
+    @given(_edge_rectangles(), st.lists(st.floats(0.0, 1.0), max_size=20))
+    # a side 1e-211 from 0, and sides short beside their distance from 0
+    @example(Region.rectangle(0.0, 1.0, 6.9e-212, 1.0), [])
+    @example(Region.rectangle(0.0, 1.0, 2.0, 2.001), [])
+    def test_nodes_in_order_and_weights_sum_to_the_edge(self, region, cuts):
+        # the 1/16 grid keeps every panel short enough for 16 Gauss nodes to
+        # integrate d*cosh(sigma) exactly
+        ts = np.array(sorted(set(cuts) | {k / 16 for k in range(17)}))
+        corners = [complex(region.re_lo, region.im_lo), complex(region.re_hi, region.im_lo),
+                   complex(region.re_hi, region.im_hi), complex(region.re_lo, region.im_hi)]
+        for edge in range(4):
+            a, b = corners[edge], corners[(edge + 1) % 4]
+            z, dz = region.panels([edge] * (ts.size - 1), ts[:-1], ts[1:])
+            z = z.ravel()
+            if a.imag == b.imag:
+                assert np.all(z.imag == a.imag)
+            else:
+                assert np.all(z.real == a.real)
+            along = ((z - a) / (b - a)).real
+            slack = 1e-13 * max(abs(a), abs(b)) / abs(b - a)
+            assert np.all((along >= -slack) & (along <= 1.0 + slack))
+            assert np.all(np.diff(along) >= 0.0)
+            assert abs(dz.sum() - (b - a)) <= 1e-13 * abs(b - a)
 
 
 class TestRouche:
@@ -427,6 +502,13 @@ class TestCensus:
         assert full.certified
         assert not lowered.certified
         assert all(not r.converged for r in lowered.uncertified)
+
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_small_N_rejected(self, N):
+        with pytest.raises(ValueError, match="N >= 8"):
+            census_box(N)
+        with pytest.raises(ValueError, match="N >= 8"):
+            imag_step_census(N)
 
     def test_table_row_schema(self):
         row = imag_step_census(8, 10.0).table_row()
