@@ -37,11 +37,7 @@ from .sparse_builder import (
     strong_separation_check,
 )
 from .special_functions import (
-    bessel_j,
-    bessel_j_prime,
     branch_of_w,
-    hankel1,
-    hankel1_prime,
     lambert_w,
     lambert_w_seed,
     sqrt_upper,
@@ -56,7 +52,6 @@ from .spectral_count import (
     enumerate_imag_step,
     imag_step_seed,
     locate_zeros,
-    rouche_compare,
     winding_count,
 )
 from .step_model import (

@@ -299,20 +299,19 @@ def cmd_check(args) -> int:
     _report, rows = _spectrum_rows(pot, region)
     eigs = [complex(r[0], r[1]) for r in rows]
     lines = ["re,im,lhs,rhs,ratio,flagged"]
-    if eigs:
-        for mrow in magnitude_check(eigs, pot, q=args.q, d=1, ceiling=args.ceiling):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(mrow.eigenvalue.real),
-                        _fmt(mrow.eigenvalue.imag),
-                        _fmt(mrow.lhs),
-                        _fmt(mrow.rhs),
-                        _fmt(mrow.ratio),
-                        str(int(mrow.flagged)),
-                    ]
-                )
+    for mrow in magnitude_check(eigs, pot, q=args.q, d=1, ceiling=args.ceiling):
+        lines.append(
+            ",".join(
+                [
+                    _fmt(mrow.eigenvalue.real),
+                    _fmt(mrow.eigenvalue.imag),
+                    _fmt(mrow.lhs),
+                    _fmt(mrow.rhs),
+                    _fmt(mrow.ratio),
+                    str(int(mrow.flagged)),
+                ]
             )
+        )
     _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

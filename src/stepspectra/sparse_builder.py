@@ -21,6 +21,8 @@ from .special_functions import _dist_to_ray, sqrt_upper
 from .step_model import SECTOR_APERTURE, BumpReport, _check_sector, bump_norm_lq, construct_bump
 
 DESK_DELTA_FLOOR = 1e-3
+#: strong_separation_check accepts a ratio only below 1 minus this
+_SEPARATION_MARGIN = 0.05
 
 
 def _bracket(x: float) -> float:
@@ -219,15 +221,10 @@ def h_L(L: SeparationSequence, s: float) -> int:
     return lo
 
 
-def strong_separation_check(
-    L: SeparationSequence,
-    lambda_grid,
-    s_grid,
-    margin: float = 0.05,
-) -> bool:
+def strong_separation_check(L: SeparationSequence, lambda_grid, s_grid) -> bool:
     """Finite-sample verdict on  limsup_{s->0} h_L(lambda*s) / (e*h_L(s)) < 1.
 
-    True iff some lambda in the grid keeps the ratio below 1 - margin on the
+    True iff some lambda in the grid keeps the ratio below 1 - 0.05 on the
     tail (smallest third) of the descending s grid.  Heuristic by nature.
     """
     lambdas = [float(v) for v in lambda_grid]
@@ -252,7 +249,7 @@ def strong_separation_check(
                 # count not even representable: ratio certainly not < 1
                 ok = False
                 break
-            if ratio >= 1.0 - margin:
+            if ratio >= 1.0 - _SEPARATION_MARGIN:
                 ok = False
                 break
         if ok:
@@ -475,7 +472,6 @@ class AssemblyResult:
     bumps: list
     reports: list
     gaps: list
-    centers: list
     sep_table: list
     sparsity_ratios: list
     decay_report: list
@@ -520,7 +516,7 @@ def assemble_sparse(t: TargetSequence, params: EnvelopeParams, gaps) -> Assembly
     if n_targets == 0:
         return AssemblyResult(
             potential=PiecewisePotential([]),
-            bumps=[], reports=[], gaps=[], centers=[], sep_table=[],
+            bumps=[], reports=[], gaps=[], sep_table=[],
             sparsity_ratios=[], decay_report=[], norms={},
             condition_value=0.0,
         )
@@ -536,12 +532,10 @@ def assemble_sparse(t: TargetSequence, params: EnvelopeParams, gaps) -> Assembly
             raise type(exc)(f"bump construction failed at target {idx} ({z!r}): {exc}") from exc
 
     bumps = []
-    centers = []
     x = 0.0
     for idx, rep in enumerate(reports):
         if idx > 0:
             x = x + reports[idx - 1].bump.half_width + gaps[idx - 1] + rep.bump.half_width
-        centers.append(x)
         bumps.append(rep.bump.shifted(x))
 
     potential = PiecewisePotential.from_bumps(bumps)
@@ -584,7 +578,6 @@ def assemble_sparse(t: TargetSequence, params: EnvelopeParams, gaps) -> Assembly
         bumps=bumps,
         reports=reports,
         gaps=gaps,
-        centers=centers,
         sep_table=sep_table,
         sparsity_ratios=sparsity_ratios,
         decay_report=decay_report,
@@ -613,20 +606,18 @@ class MagnitudeRow:
     flagged: bool
 
 
-def magnitude_check(eigs, pot_or_norms, q: float, d: int, ceiling: float | None = None):
+def magnitude_check(eigs, pot: PiecewisePotential, q: float, d: int,
+                    ceiling: float | None = None):
     """Per-eigenvalue magnitude-bound ratios for separating potentials.
 
     For q <= (d+1)/2 the bound is |z|^(q - d/2) <= C sup_j ||V_j||_q^q; above
-    it is |z|^(1/2) d(z, R+)^(q - (d+1)/2) <= C sup_j ||V_j||_q^q.  Rows whose
-    ratio exceeds the ceiling are flagged.
+    it is |z|^(1/2) d(z, R+)^(q - (d+1)/2) <= C sup_j ||V_j||_q^q, with V_j the
+    pieces of ``pot`` and a finite q >= 1.  Rows whose ratio exceeds the
+    ceiling are flagged.
     """
-    if isinstance(pot_or_norms, PiecewisePotential):
-        piece_norms = [
-            abs(v) * (b - a) ** (1.0 / q) if q != math.inf else abs(v)
-            for a, b, v in pot_or_norms.pieces
-        ]
-    else:
-        piece_norms = [float(v) for v in pot_or_norms]
+    if not 1.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
+    piece_norms = [abs(v) * (b - a) ** (1.0 / q) for a, b, v in pot.pieces]
     if not piece_norms:
         raise ValueError("empty potential")
     rhs = max(piece_norms) ** q

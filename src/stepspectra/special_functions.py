@@ -11,8 +11,8 @@ Bessel/Hankel functions are float64 throughout.  Orders 0 and 1 come as a J
 half and an H1 half.  For |z| <= 14 one power-series pass gives J_0, J_1 and,
 for H1 = J + iY at Im z <= 3, Y_0, Y_1; at Im z > 3, where H1 is exponentially
 smaller than J and Y, Steed's continued fraction CF2 for K_0, K_1 at -iz gives
-H1.  Beyond |z| = 14 both use the Hankel asymptotic expansion.  Other orders
-have only that expansion, at |z| > 10*(1 + nu^2).
+H1.  Beyond |z| = 14 both use the Hankel asymptotic expansion.  These are the
+only orders: the radial solver needs no others.
 
 All functions are pure and reentrant.
 """
@@ -29,6 +29,9 @@ from .errors import ConvergenceError, UnsupportedDomainError
 _TWO_PI = 2.0 * math.pi
 #: |Im z| <= _CUT_WIDTH * |z| with Re z < 0 counts as the cut of Lambert W
 _CUT_WIDTH = 1e-12
+#: Halley stops once |w*exp(w) - z| <= _W_TOL * |z|, after at most _W_MAX_ITER steps
+_W_TOL = 1e-13
+_W_MAX_ITER = 50
 _EULER_GAMMA = 0.5772156649015328606
 
 
@@ -105,23 +108,23 @@ def branch_of_w(w):
     return int(b) if b.ndim == 0 else b
 
 
-def _halley(w, z, max_iter: int, tol: float):
+def _halley(w, z):
     """Halley on 1-d arrays, each entry stopping on its own: (w, residual, ok);
-    ``ok`` is False where ``max_iter`` ran out or the step was not finite."""
+    ``ok`` is False where _W_MAX_ITER ran out or the step was not finite."""
     w = np.array(w, dtype=complex)
     ok = np.zeros(w.shape, dtype=bool)
     zscale = np.maximum(np.abs(z), 1e-300)
     # argument reduction in exp caps the attainable residual at ~|Im w|*eps
-    idx, wa, za, target, floor = np.arange(w.size), w, z, tol * zscale, 64.0 * 2.3e-16 * zscale
+    idx, wa, za, target, floor = np.arange(w.size), w, z, _W_TOL * zscale, 64.0 * 2.3e-16 * zscale
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_W_MAX_ITER):
             ew = np.exp(wa)
             f = wa * ew - za
             hit = np.abs(f) <= np.maximum(target, floor * (1.0 + np.abs(wa)))
             fp = ew * (wa + 1.0)
             step = f / (fp - f * ew * (wa + 2.0) / (2.0 * fp))
             finite = np.isfinite(step)
-            # the stop leaves w off by ~tol/|1 + w|: near w = -1, step anyway
+            # the stop leaves w off by ~_W_TOL/|1 + w|: near w = -1, step anyway
             w_new = np.where(finite & (~hit | (np.abs(wa + 1.0) < 1.0)), wa - step, wa)
             done = hit | (np.abs(step) <= 4e-16 * (1.0 + np.abs(w_new)))
             w[idx], ok[idx] = w_new, done
@@ -149,7 +152,7 @@ def _w_seed(n: int, z: complex) -> complex:
     return lambert_w_seed(n, z)
 
 
-def _w_continuation(n, z, max_iter: int, tol: float):
+def _w_continuation(n, z):
     # Homotopy from an anchor deep inside branch n, on 1-d arrays: (w, ok).
     w = np.where(n != 0, 1.0 + 2j * math.pi * n, 1.0 + 0j)
     anchor_z = w * np.exp(w)
@@ -158,7 +161,7 @@ def _w_continuation(n, z, max_iter: int, tol: float):
     for j in range(1, steps + 1):
         live = np.flatnonzero(ok)
         zt = anchor_z[live] + (z[live] - anchor_z[live]) * (j / steps)
-        w[live], _, ok[live] = _halley(w[live], zt, max_iter, tol)
+        w[live], _, ok[live] = _halley(w[live], zt)
     return w, ok
 
 
@@ -178,11 +181,11 @@ def _on_branch(w, n, z):
     return (b == n) | (((n == 0) | (n == -1)) & (np.abs(w + 1.0) < 1e-6))
 
 
-def lambert_w(n, z, tol: float = 1e-13, max_iter: int = 50):
+def lambert_w(n, z):
     """Branch ``n`` of the Lambert W function, by Halley iteration.
 
     ``n`` (int or int array) and ``z`` broadcast.  The residual ``|w*exp(w) - z|``
-    is driven below ``tol * |z|`` and each result is verified to lie in the
+    is driven below 1e-13 * |z| and each result is verified to lie in the
     branch-``n`` region, else redone by continuation from inside the branch.
     Raises :class:`ConvergenceError` (with the last iterate) on failure.
     """
@@ -197,10 +200,10 @@ def lambert_w(n, z, tol: float = 1e-13, max_iter: int = 50):
     w[~low] = lambert_w_seed(n[~low], z[~low])
     for i in np.flatnonzero(low):
         w[i] = _w_seed(int(n[i]), complex(z[i]))
-    w, res, ok = _halley(w, z, max_iter, tol)
+    w, res, ok = _halley(w, z)
     redo = np.flatnonzero(~(ok & _on_branch(w, n, z)))
     if redo.size:
-        w_c, ok_c = _w_continuation(n[redo], z[redo], max_iter, tol)
+        w_c, ok_c = _w_continuation(n[redo], z[redo])
         bad = redo[~(ok_c & _on_branch(w_c, n[redo], z[redo]))]
         if bad.size:
             i = bad[0]
@@ -212,10 +215,10 @@ def lambert_w(n, z, tol: float = 1e-13, max_iter: int = 50):
 
 
 # ---------------------------------------------------------------------------
-# Bessel/Hankel functions (orders needed by the radial s-wave solver)
+# Bessel/Hankel functions of orders 0 and 1 (the radial s-wave solver's)
 # ---------------------------------------------------------------------------
 
-_SERIES_RADIUS = 14.0  # series/asymptotic seam for integer orders
+_SERIES_RADIUS = 14.0  # series/asymptotic seam
 
 
 def _series_01(z: complex, with_y: bool):
@@ -247,9 +250,8 @@ def _series_01(z: complex, with_y: bool):
             (2.0 / math.pi) * (log_term * j1 - 1.0 / z - 0.25 * z * y1))
 
 
-def _hankel_pq(nu: float, z: complex):
-    """Asymptotic P/Q sums and their derivatives, truncated at the smallest term."""
-    mu = 4.0 * nu * nu
+def _hankel_pq(z: complex):
+    """Order-0 asymptotic P/Q sums and their derivatives, truncated at the smallest term."""
     p = complex(1.0)
     q = 0j
     dp = 0j
@@ -257,7 +259,7 @@ def _hankel_pq(nu: float, z: complex):
     a = complex(1.0)
     prev = abs(a)
     for k in range(1, 40):
-        a = a * (mu - (2 * k - 1) ** 2) / (k * 8.0 * z)
+        a = a * -((2 * k - 1) ** 2) / (k * 8.0 * z)
         mag = abs(a)
         if mag >= prev and k > 2:
             break
@@ -274,14 +276,14 @@ def _hankel_pq(nu: float, z: complex):
     return p, q, dp, dq
 
 
-def _asymptotic_direct(nu: float, z: complex):
-    """Hankel-expansion values for Re z >= 0; H1 also holds for arg z in (0, pi].
+def _asymptotic_direct(z: complex):
+    """Order-0 Hankel-expansion values for Re z >= 0; H1 also holds for arg z in (0, pi].
 
     H1 is assembled in the exponential form amp * e^{i*omega} * (P + iQ);
     forming J + iY instead would cancel catastrophically for Im z >> 0.
     """
-    p, q, dp, dq = _hankel_pq(nu, z)
-    omega = z - nu * math.pi / 2.0 - math.pi / 4.0
+    p, q, dp, dq = _hankel_pq(z)
+    omega = z - math.pi / 4.0
     amp = cmath.sqrt(2.0 / (math.pi * z))
     try:
         cw, sw, eiw = cmath.cos(omega), cmath.sin(omega), cmath.exp(1j * omega)
@@ -294,25 +296,22 @@ def _asymptotic_direct(nu: float, z: complex):
     return jv, h1, djv, dh1
 
 
-def _asymptotic_jh(nu: float, z: complex):
-    """Large-|z| (J, H1, J', H1'), stable in every quadrant.
+def _asymptotic_jh(z: complex):
+    """Large-|z| order-0 (J, H1, J', H1'), stable in every quadrant.
 
     Left of the imaginary axis the cos/sin form of J drops its subdominant
     component (Stokes line at arg z = pi), so J is taken through the exact
-    reflection J_nu(w e^{i pi}) = e^{i nu pi} J_nu(w); the lower-left quadrant
-    reflects by conjugation.
+    reflection J_0(-w) = J_0(w); the lower-left quadrant reflects by
+    conjugation.
     """
     if z.real >= 0.0:
-        return _asymptotic_direct(nu, z)
+        return _asymptotic_direct(z)
     if z.imag >= 0.0:
         w = -z  # arg w = arg z - pi, in the solid lower-right quadrant
-        jw, _h1w, djw, _dh1w = _asymptotic_direct(nu, w)
-        phase = cmath.exp(1j * nu * math.pi)
-        jv = phase * jw
-        djv = -phase * djw
-        _, h1, _, dh1 = _asymptotic_direct(nu, z)
-        return jv, h1, djv, dh1
-    jc, h1c, djc, dh1c = _asymptotic_jh(nu, z.conjugate())
+        jv, _h1w, djw, _dh1w = _asymptotic_direct(w)
+        _, h1, _, dh1 = _asymptotic_direct(z)
+        return jv, h1, -djw, dh1
+    jc, h1c, djc, dh1c = _asymptotic_jh(z.conjugate())
     jv, djv = jc.conjugate(), djc.conjugate()
     # H2(z) = conj(H1(conj z)); H1 = 2J - H2 (no cancellation: H1 dominant here)
     h1 = 2.0 * jv - h1c.conjugate()
@@ -375,7 +374,7 @@ def _j01(z: complex):
     """(J_0(z), J_1(z)) for z != 0."""
     z = _nonzero(z)
     if abs(z) > _SERIES_RADIUS:
-        j0, _, dj0, _ = _asymptotic_jh(0.0, z)
+        j0, _, dj0, _ = _asymptotic_jh(z)
         return j0, -dj0
     return _series_01(z, False)
 
@@ -384,7 +383,7 @@ def _h01(z: complex):
     """(H1_0(z), H1_1(z)) for z != 0."""
     z = _nonzero(z)
     if abs(z) > _SERIES_RADIUS:
-        _, h0, _, dh0 = _asymptotic_jh(0.0, z)
+        _, h0, _, dh0 = _asymptotic_jh(z)
         return h0, -dh0
     # H1 = J + iY cancels by e^{2 Im z}: above Im z = 3 that loses more than
     # 2.6 digits, so H1 comes from CF2 there and from the Y series below
@@ -392,38 +391,3 @@ def _h01(z: complex):
         return _hankel01_cf2(z)
     j0, j1, y0, y1 = _series_01(z, True)
     return j0 + 1j * y0, j1 + 1j * y1
-
-
-def _bessel_all(nu: float, z: complex):
-    z = _nonzero(z)
-    if nu in (0.0, 1.0) and abs(z) <= _SERIES_RADIUS:
-        (j0, j1), (h0, h1) = _j01(z), _h01(z)
-        if nu == 0.0:
-            return j0, h0, -j1, -h1
-        return j1, h1, j0 - j1 / z, h0 - h1 / z
-    if nu in (0.0, 1.0) or abs(z) > 10.0 * (1.0 + nu * nu):
-        return _asymptotic_jh(nu, z)
-    raise UnsupportedDomainError(
-        f"order nu = {nu} is only supported for |z| > 10*(1 + nu^2); got |z| = {abs(z):.3g}"
-    )
-
-
-def bessel_j(nu: float, z: complex) -> complex:
-    """Bessel J_nu(z): series, CF2 or asymptotics for nu = 0, 1; asymptotics only
-    for other orders, at |z| > 10*(1 + nu^2)."""
-    return _bessel_all(nu, z)[0]
-
-
-def hankel1(nu: float, z: complex) -> complex:
-    """Hankel function of the first kind H^(1)_nu(z)."""
-    return _bessel_all(nu, z)[1]
-
-
-def bessel_j_prime(nu: float, z: complex) -> complex:
-    """Derivative J'_nu(z)."""
-    return _bessel_all(nu, z)[2]
-
-
-def hankel1_prime(nu: float, z: complex) -> complex:
-    """Derivative H^(1)'_nu(z)."""
-    return _bessel_all(nu, z)[3]

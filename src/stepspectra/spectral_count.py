@@ -33,9 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContourError, StepSpectraError
+from .errors import ContourError
 from .special_functions import lambert_w
-from .step_model import _secular_terms, _trig_sq  # noqa: F401
+from .step_model import _secular_terms
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 #: Gauss-Legendre nodes and weights on [0, 1]
@@ -74,15 +74,20 @@ class Region:
 
     @staticmethod
     def rectangle(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> "Region":
+        if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
+            raise ValueError("rectangle needs finite bounds")
         if not (re_lo < re_hi and im_lo < im_hi):
             raise ValueError("rectangle needs re_lo < re_hi and im_lo < im_hi")
         return Region("rectangle", re_lo=re_lo, re_hi=re_hi, im_lo=im_lo, im_hi=im_hi)
 
     @staticmethod
     def disk(center: complex, radius: float) -> "Region":
+        center = complex(center)
+        if not (cmath.isfinite(center) and math.isfinite(radius)):
+            raise ValueError("disk needs a finite centre and radius")
         if not radius > 0:
             raise ValueError("disk needs a positive radius")
-        return Region("disk", center=complex(center), radius=radius)
+        return Region("disk", center=center, radius=radius)
 
     def contains(self, z: complex) -> bool:
         z = complex(z)
@@ -463,37 +468,6 @@ def locate_zeros(f, region: Region, budget: int = 4000) -> ZeroReport:
     return report
 
 
-def rouche_compare(f, g, region: Region, n_init: int = 64, n_max: int = 4096):
-    """sup |f - g| / |g| over the contour, with the Rouche domination verdict.
-
-    ``g`` must not vanish on the sample: the nodes of n/64 Gauss-Legendre panels
-    per edge, n doubled from ``n_init`` until the supremum stabilizes to 0.1%
-    or n reaches ``n_max``."""
-
-    def sample(n: int) -> float:
-        k = max(1, n // 64)
-        ts = np.linspace(0.0, 1.0, k + 1)
-        zs, _ = region.panels(np.repeat(np.arange(4), k), np.tile(ts[:-1], 4), np.tile(ts[1:], 4))
-        worst = 0.0
-        for z in zs.ravel().tolist():
-            gz = complex(g(z))
-            if abs(gz) < 1e-300:
-                raise StepSpectraError(f"g vanishes at contour sample {z!r}")
-            worst = max(worst, abs(complex(f(z)) - gz) / abs(gz))
-        return worst
-
-    n = n_init
-    ratio = sample(n)
-    while n < n_max:
-        n *= 2
-        new_ratio = sample(n)
-        if abs(new_ratio - ratio) <= 1e-3 * max(new_ratio, 1e-30):
-            ratio = new_ratio
-            break
-        ratio = new_ratio
-    return ratio, ratio < 1.0
-
-
 # ---------------------------------------------------------------------------
 # Lambert-W census of the purely imaginary step potential
 # ---------------------------------------------------------------------------
@@ -502,6 +476,9 @@ def rouche_compare(f, g, region: Region, n_init: int = 64, n_max: int = 4096):
 #: exponential approximations of the parity secular functions factor as
 #: 2*kappa*e^{i*kappa*R} = s*sqrt(V0) (odd) and = s*i*sqrt(V0) (even).
 FAMILIES = (("odd", +1), ("odd", -1), ("even", +1), ("even", -1))
+#: a branch converges once |secular| is below this, within this many Newton steps
+_NEWTON_TOL = 1e-9
+_NEWTON_MAX_ITER = 60
 
 
 class BranchResult(NamedTuple):
@@ -526,7 +503,7 @@ def imag_step_seed(N: int, n, parity: str = "odd", sign: int = +1):
     return -1j * lambert_w(n, target) / R
 
 
-def _refine_ladder(N: int, ns, parity: str, sign: int, tol: float, max_iter: int) -> dict:
+def _refine_ladder(N: int, ns, parity: str, sign: int) -> dict:
     """Newton over the branch array ``ns`` of one ladder: the record columns.
     A branch stops unconverged at a zero derivative or as soon as an iterate
     leaves the hop disk |kappa - seed| <= 0.75*pi/R, keeping the last inside."""
@@ -539,10 +516,10 @@ def _refine_ladder(N: int, ns, parity: str, sign: int, tol: float, max_iter: int
     converged, chi = np.zeros(seed.shape, dtype=bool), np.zeros(seed.shape, dtype=complex)
     idx, ka = np.arange(seed.size), seed
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             fval, d, t = _secular_terms(parity, v0, R, ka)
             res[idx] = np.abs(fval)
-            hit = res[idx] <= tol
+            hit = res[idx] <= _NEWTON_TOL
             converged[idx[hit]] = True
             chi[idx[hit]] = (-1j if parity == "odd" else 1j) * ka[hit] * t[hit]
             k_new = ka - fval / d
@@ -569,14 +546,14 @@ def _require_census_N(N: int) -> None:
         raise ValueError(f"census requires N >= 8, got {N}")
 
 
-def _ladders(N: int, n_window: tuple[int, int], families, tol: float, max_iter: int):
+def _ladders(N: int, n_window: tuple[int, int], families):
     """Per family in (parity, sign) order: (parity, sign, ns, refined columns)."""
     _require_census_N(N)
     lo, hi = n_window
     if lo > hi:
         raise ValueError(f"empty n window {n_window}")
     ns = np.arange(lo, hi + 1)
-    return [(parity, sign, ns, _refine_ladder(N, ns, parity, sign, tol, max_iter))
+    return [(parity, sign, ns, _refine_ladder(N, ns, parity, sign))
             for parity, sign in sorted(families)]
 
 
@@ -592,13 +569,8 @@ def _all_records(ladders) -> tuple:
     return tuple(r for group in zip(*(_records(lad, slice(None)) for lad in ladders)) for r in group)
 
 
-def enumerate_imag_step(
-    N: int,
-    n_window: tuple[int, int],
-    families=FAMILIES,
-    tol: float = 1e-9,
-    max_iter: int = 60,
-) -> list[BranchResult]:
+def enumerate_imag_step(N: int, n_window: tuple[int, int],
+                        families=FAMILIES) -> list[BranchResult]:
     """Resonance ladder of V = i*1_[-N,N]: Lambert seeds, Newton refinement,
     physical-sheet flags, as records sorted by (n, parity, sign).
 
@@ -606,7 +578,7 @@ def enumerate_imag_step(
     per requested family.  A branch whose Newton run stalls or leaves its hop
     disk is flagged (``converged=False``) rather than fatal.
     """
-    return list(_all_records(_ladders(N, n_window, families, tol, max_iter)))
+    return list(_all_records(_ladders(N, n_window, families)))
 
 
 @dataclass(frozen=True)
@@ -641,7 +613,10 @@ class CensusResult:
 
 
 def census_box(N: int, C_box: float = 10.0) -> Region:
+    """[N^2/(C log^2 N), C N^2/log^2 N] x [1/C, C] for C = ``C_box``, a finite C > 1."""
     _require_census_N(N)
+    if not 1.0 < C_box < math.inf:
+        raise ValueError(f"census box needs a finite C_box > 1, got {C_box}")
     lnN = math.log(N)
     return Region.rectangle(
         N * N / (C_box * lnN * lnN), C_box * N * N / (lnN * lnN), 1.0 / C_box, C_box
@@ -661,21 +636,14 @@ def _in_box(box: Region, E, pad=0.0):
             & (box.im_lo - pad <= E.imag) & (E.imag <= box.im_hi + pad))
 
 
-def imag_step_census(
-    N: int,
-    C_box: float = 10.0,
-    n_window: tuple[int, int] | None = None,
-    families=FAMILIES,
-) -> CensusResult:
+def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
     """Count physical-sheet ladder energies inside the census box.
 
     Emits (N, count, count*log(N)/N^2) plus the box, for the locality-violation
     scaling check.  Duplicate refined energies across families are counted once.
     """
     box = census_box(N, C_box)
-    if n_window is None:
-        n_window = census_window(N, C_box)
-    ladders = _ladders(N, n_window, families, 1e-9, 60)
+    ladders = _ladders(N, census_window(N, C_box), FAMILIES)
     hits, uncertified, unconverged = [], [], 0
     for ladder in ladders:
         cols = ladder[3]

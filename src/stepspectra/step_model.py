@@ -25,6 +25,10 @@ from .special_functions import _h01, _j01, sqrt_upper
 PARITIES = ("even", "odd")
 POLE_GUARD = 1e-8
 SECTOR_APERTURE = 0.2  # default half-opening of the eigenvalue sector
+#: Newton steps of the bump construction
+_CONSTRUCT_MAX_ITER = 100
+#: |secular| above this times 1 + |E| is not an eigenvalue of ``eigenfunction``
+_EIGEN_TOL = 1e-8
 
 
 def _check_parity(parity: str) -> str:
@@ -140,22 +144,11 @@ def physical_sheet(bump: StepBump, E: complex, parity: str) -> bool:
     return chi_match(bump, E, parity).imag > 0.0
 
 
-def secular(bump: StepBump, E: complex, parity: str, sheet: str = "physical") -> complex:
-    """Secular function of the step at energy ``E``.
-
-    ``sheet="physical"`` uses chi = sqrt_upper(E) (zeros are the genuine
-    eigenvalues); ``sheet="matched"`` picks the square root of E closest to
-    the matched exterior momentum, so zeros cover resonances on either sheet
-    and the inverse formulas round-trip for every kappa.
-    """
-    chi_m = chi_match(bump, E, parity)  # secular = i*(chi - chi_m) in both parities
-    chi = sqrt_upper(E)
-    if sheet == "matched":
-        if abs(-chi - chi_m) < abs(chi - chi_m):
-            chi = -chi
-    elif sheet != "physical":
-        raise ValueError(f"sheet must be 'physical' or 'matched', got {sheet!r}")
-    return 1j * (chi - chi_m)
+def secular(bump: StepBump, E: complex, parity: str) -> complex:
+    """Physical-sheet secular function of the step at energy ``E``: i*(chi - chi_match)
+    with chi = sqrt_upper(E), so its zeros are the genuine eigenvalues."""
+    chi_m = chi_match(bump, E, parity)
+    return 1j * (sqrt_upper(E) - chi_m)
 
 
 def secular_entire(bump: StepBump, E: complex, parity: str) -> complex:
@@ -200,7 +193,7 @@ def bump_norm_lq(bump: StepBump, q: float) -> float:
     """Exact L^q norm: |v0| * (2R)^(1/q), sup norm for q = inf."""
     if q == math.inf:
         return abs(bump.v0)
-    if q < 1:
+    if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
     return abs(bump.v0) * (2.0 * bump.half_width) ** (1.0 / q)
 
@@ -214,7 +207,7 @@ def davies_nath(bump: StepBump, q: float, s: float) -> float:
         raise ValueError(f"s must be positive, got {s}")
     if q == math.inf:
         return abs(bump.v0)
-    if q < 1:
+    if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
     weight = (2.0 / s) * (1.0 - math.exp(-s * bump.half_width))
     return abs(bump.v0) * weight ** (1.0 / q)
@@ -224,12 +217,12 @@ def davies_nath(bump: StepBump, q: float, s: float) -> float:
 # Inverse construction: given the eigenvalue, build the bump
 # ---------------------------------------------------------------------------
 
-def _construct_newton(zh: complex, R: float, kappa0: complex, tol: float, max_iter: int):
+def _construct_newton(zh: complex, R: float, kappa0: complex, tol: float):
     """Solve kappa*cot(kappa*R) = i*sqrt(zh) by Newton from kappa0."""
     target = 1j * sqrt_upper(zh)
     kappa = kappa0
     trace = [kappa]
-    for it in range(max_iter):
+    for it in range(_CONSTRUCT_MAX_ITER):
         w = kappa * R
         csc2, c = (complex(x) for x in _trig_sq("odd", w))
         g = kappa * c - target
@@ -244,17 +237,11 @@ def _construct_newton(zh: complex, R: float, kappa0: complex, tol: float, max_it
         if abs(kappa - kappa0) > 0.5:
             break  # left the seeding neighborhood; treat as divergence
     w = kappa * R
-    return None, abs(kappa * complex(_trig_sq("odd", w)[1]) - target), max_iter, trace
+    return None, abs(kappa * complex(_trig_sq("odd", w)[1]) - target), _CONSTRUCT_MAX_ITER, trace
 
 
-def construct_bump(
-    zeta: complex,
-    sigma: float = 1.0,
-    center: float = 0.0,
-    tol: float | None = None,
-    max_iter: int = 100,
-    sector_aperture: float = SECTOR_APERTURE,
-) -> BumpReport:
+def construct_bump(zeta: complex, sigma: float = 1.0,
+                   sector_aperture: float = SECTOR_APERTURE) -> BumpReport:
     """Build a step bump whose odd-parity eigenvalue is exactly ``zeta``.
 
     Works at unit modulus internally (the problem is scale covariant) and
@@ -265,7 +252,10 @@ def construct_bump(
        2*Re(kappa)*R = pi/2 (mod 2*pi) for Re(kappa) = -1,
     3. Newton on kappa |-> kappa*cot(kappa*R) - i*sqrt(zeta/|zeta|) from the
        seed -1 + i*eps*sigma (reseeded at +1 on a sheet failure),
-    4. V0 = zeta/|zeta| - kappa^2.
+    4. V0 = zeta/|zeta| - kappa^2,
+
+    to a round-trip residual |secular| of at most 1e-10 * (1 + |zeta|).  The
+    bump is centred at 0.
     """
     zeta = _check_sector(zeta, sector_aperture)
     if not sigma > 0:
@@ -274,8 +264,7 @@ def construct_bump(
     scale = abs(zeta)
     zh = zeta / scale
     lam = math.sqrt(scale)
-    if tol is None:
-        tol = 1e-10 * (1.0 + abs(zeta))
+    tol = 1e-10 * (1.0 + abs(zeta))
     # internal tolerance in the unit-modulus frame (secular scales by lam)
     tol_int = min(tol / lam, 1e-12)
 
@@ -288,7 +277,7 @@ def construct_bump(
     last_exc = None
     for re_seed in (-1.0, 1.0):
         kappa0 = complex(re_seed, eps * sigma)
-        kappa, res, iters, trace = _construct_newton(zh, R_int, kappa0, tol_int, max_iter)
+        kappa, res, iters, trace = _construct_newton(zh, R_int, kappa0, tol_int)
         if kappa is None:
             last_exc = ConvergenceError(
                 f"bump construction did not converge for zeta = {zeta!r} (seed {kappa0!r})",
@@ -304,7 +293,7 @@ def construct_bump(
                 f"converged point for zeta = {zeta!r} is not on the physical sheet"
             )
             continue
-        bump = StepBump(scale * v0_int, R_int / lam, center)
+        bump = StepBump(scale * v0_int, R_int / lam)
         residual = abs(secular(bump, zeta, "odd"))
         if residual > tol:
             last_exc = ConvergenceError(
@@ -341,7 +330,7 @@ def _sinc_real(x: float) -> float:
     return 1.0 - x * x / 6.0 if abs(x) < 1e-6 else math.sin(x) / x
 
 
-def eigenfunction(bump: StepBump, E: complex, parity: str, x, tol: float = 1e-8):
+def eigenfunction(bump: StepBump, E: complex, parity: str, x):
     """L^2-normalized eigenfunction of the bump at eigenvalue ``E`` on ``x``.
 
     Interior trigonometric, exterior proportional to e^{i*chi*|x - center|};
@@ -350,7 +339,7 @@ def eigenfunction(bump: StepBump, E: complex, parity: str, x, tol: float = 1e-8)
     _check_parity(parity)
     E = complex(E)
     res = abs(secular(bump, E, parity))
-    if res > tol * (1.0 + abs(E)):
+    if res > _EIGEN_TOL * (1.0 + abs(E)):
         raise ValueError(
             f"E = {E!r} is not an eigenvalue of the bump (|secular| = {res:.3e})"
         )

@@ -104,6 +104,10 @@ class TestSpectrumCommand:
         ])
         assert code == 3
 
+    def test_infinite_region_bound_exit_1(self, capsys, well_file):
+        assert run(["spectrum", "--potential", str(well_file), "--region=-8,-0.001,-1.5,inf"]) == 1
+        assert "finite bounds" in capsys.readouterr().err
+
     def test_idempotent_localization(self, tmp_path, well_file):
         out = tmp_path / "s.csv"
         run(["spectrum", "--potential", str(well_file), "--region", "-10,-1e-6,-0.5,0.5", "--out", str(out)])
@@ -137,6 +141,11 @@ class TestImagStepCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"N={n}: {k} branch(es) did not refine; flagged and skipped"
                        for n, k in ((32, 28), (64, 55), (128, 108), (192, 160), (256, 214))]
+
+    @pytest.mark.parametrize("c_box", ["0", "1", "-1", "inf", "nan"])
+    def test_c_box_outside_finite_above_1_exit_1(self, capsys, c_box):
+        assert run(["imag-step", "--N", "8", "--c-box", c_box]) == 1
+        assert "finite C_box > 1" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -239,3 +248,13 @@ class TestCheckCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "re,im,lhs,rhs,ratio,flagged"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("q", ["inf", "nan", "0.5"])
+    def test_q_outside_finite_q_at_least_1_exit_1(self, tmp_path, capsys, q):
+        # inf and nan printed unflagged nan ratios, 0.5 a "norm" of no L^q space
+        out_dir = tmp_path / "bump"
+        run(["bump", "--zeta", "1+0.1i", "--out", str(out_dir)])
+        code = run(["check", "--potential", str(out_dir / "potential.json"),
+                    "--disk", "1,0.1,0.05", "--q", q])
+        assert code == 1
+        assert "q must be finite and >= 1" in capsys.readouterr().err

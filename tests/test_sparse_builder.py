@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stepspectra.errors import NonSummableError
+from stepspectra.schrodinger_1d import PiecewisePotential
 from stepspectra.sparse_builder import (
     DESK_DELTA_FLOOR,
     EnvelopeParams,
@@ -279,12 +280,11 @@ class TestMagnitude:
     def test_real_well_reduces_to_classical(self):
         # genuinely real negative eigenvalue: d(z, R+) = |z|, so the bound
         # collapses to |z|^{1/2 + q - q_d} (= 4^{3/2} here)
-        rows = magnitude_check([-4.0 + 0j], [2.0], q=2.0, d=1)
+        rows = magnitude_check([-4.0 + 0j], PiecewisePotential([(0.0, 1.0, 2.0)]), q=2.0, d=1)
         assert rows[0].lhs == pytest.approx(8.0)
+        assert rows[0].rhs == pytest.approx(4.0)  # the one piece's L^2 norm 2, squared
 
     def test_scale_invariance(self, rng):
-        from stepspectra.schrodinger_1d import PiecewisePotential
-
         for lam in (0.5, 2.0):
             pieces = [(-1.0, 1.0, -1 + 0.4j), (4.0, 5.0, 0.3 - 0.2j)]
             pot = PiecewisePotential(pieces)
@@ -307,11 +307,20 @@ class TestMagnitude:
         for eps in (0.1, 0.05, 0.02):
             zeta = 1 + eps * 1j
             rep = construct_bump(zeta)
-            rows = magnitude_check([zeta], [bump_norm_lq(rep.bump, 2.0)], q=2.0, d=1)
+            pot = PiecewisePotential.from_bumps([rep.bump])
+            rows = magnitude_check([zeta], pot, q=2.0, d=1)
+            assert rows[0].rhs == pytest.approx(bump_norm_lq(rep.bump, 2.0) ** 2, rel=1e-14)
             predicted = eps * math.log(1.0 / eps) ** 2
             vals.append(rows[0].ratio / predicted)
         assert max(vals) / min(vals) < 4.0
 
     def test_ceiling_flag(self):
-        rows = magnitude_check([1e6 + 1j], [0.1], q=2.0, d=1, ceiling=1.0)
+        rows = magnitude_check([1e6 + 1j], PiecewisePotential([(0.0, 1.0, 0.1)]), q=2.0, d=1,
+                               ceiling=1.0)
         assert rows[0].flagged
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan, 0.5])
+    def test_rejects_q_outside_finite_q_at_least_1(self, q):
+        # q = inf and nan gave nan ratios that no ceiling flags; q < 1 is no norm
+        with pytest.raises(ValueError, match="q must be finite and >= 1"):
+            magnitude_check([-1.0 + 0j], PiecewisePotential([(0.0, 1.0, 2.0)]), q=q, d=1)

@@ -135,7 +135,9 @@ class TestSolveForV0:
             kap, R, parity = random_kappa_R_parity(rng)
             v0 = solve_for_v0(kap, R, parity)
             E = energy(kap, v0)
-            res = abs(secular(StepBump(v0, R), E, parity, sheet="matched"))
+            # the secular on the sheet of E's square root nearest the matched momentum
+            chi, chi_m = sqrt_upper(E), chi_match(StepBump(v0, R), E, parity)
+            res = min(abs(chi - chi_m), abs(-chi - chi_m))
             assert res < 1e-12 * (1.0 + abs(kap))
 
     def test_physical_round_trips_vanish_on_printed_secular(self, rng):
@@ -193,6 +195,14 @@ class TestNorms:
         assert bump_norm_lq(b, 1.0) == pytest.approx(1.0)
         assert bump_norm_lq(b, 2.0) == pytest.approx(0.1 * math.sqrt(10.0))
         assert bump_norm_lq(b, math.inf) == pytest.approx(0.1)
+
+    def test_q_below_1_or_nan_rejected(self):
+        b = StepBump(0.1, 5.0)
+        for q in (0.5, math.nan):
+            with pytest.raises(ValueError, match="q must be >= 1"):
+                bump_norm_lq(b, q)
+            with pytest.raises(ValueError, match="q must be >= 1"):
+                davies_nath(b, q, 1.0)
 
     def test_davies_nath_value(self):
         val = davies_nath(StepBump(1.0, 1.0), 1.0, 1.0)
