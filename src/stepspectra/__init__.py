@@ -61,7 +61,6 @@ from .step_model import (
     chi_match,
     construct_bump,
     davies_nath,
-    eigenfunction,
     energy,
     physical_sheet,
     radial_secular,

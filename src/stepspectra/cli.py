@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _svg
 from .errors import ContourError, SchemaError, StepSpectraError
-from .schrodinger_1d import PiecewisePotential, make_secular_handle
+from .schrodinger_1d import PiecewisePotential, make_secular_handle, reconstruct_eigenfunction
 from .sparse_builder import (
     EnvelopeParams,
     SeparationSequence,
@@ -38,7 +38,7 @@ from .sparse_builder import (
     sep,
 )
 from .spectral_count import Region, imag_step_census, locate_zeros
-from .step_model import SECTOR_APERTURE, bump_norm_lq, construct_bump, davies_nath, eigenfunction
+from .step_model import SECTOR_APERTURE, bump_norm_lq, construct_bump, davies_nath
 from .special_functions import _dist_to_ray, sqrt_upper
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def _parse_region(args) -> Region:
         if len(parts) != 4:
             raise _UsageError("--region wants re_lo,re_hi,im_lo,im_hi")
         region = Region.rectangle(*parts)
-        if region.re_hi > 0 and region.im_lo <= 0 <= region.im_hi:
+        if region.re_hi >= 0 and region.im_lo <= 0 <= region.im_hi:
             raise _UsageError("region must stay off the essential spectrum [0, inf)")
         return region
     raise _UsageError("provide --region or --disk")
@@ -151,7 +151,7 @@ def cmd_bump(args) -> int:
         lo, hi = bump.support
         width = hi - lo
         xs = np.linspace(lo - 1.5 * width, hi + 1.5 * width, 600)
-        psi = np.abs(eigenfunction(bump, zeta, "odd", xs))
+        psi = np.abs(reconstruct_eigenfunction(pot, zeta, xs))
         chi_im = sqrt_upper(zeta).imag
         dist = np.maximum(np.abs(xs - bump.center) - bump.half_width, 0.0)
         envelope = float(np.max(psi)) * np.exp(-chi_im * dist)
@@ -223,10 +223,14 @@ def cmd_imag_step(args) -> int:
 def cmd_sparse(args) -> int:
     with open(args.targets, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    zetas = [complex(z[0], z[1]) for z in spec["zetas"]]
+    try:
+        zetas = [complex(re_, im_) for re_, im_ in spec["zetas"]]
+        # exponents the file leaves out take their EnvelopeParams defaults
+        exponents = {k: float(spec[k]) for k in ("q", "p", "alpha", "gamma") if k in spec}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _UsageError('targets file wants {"zetas": [[re, im], ...]} and optional numbers '
+                          f'"q", "p", "alpha", "gamma" ({type(exc).__name__}: {exc})')
     targets = TargetSequence(tuple(zetas), sector_aperture=args.eps0)
-    # exponents the file leaves out take their EnvelopeParams defaults
-    exponents = {k: float(spec[k]) for k in ("q", "p", "alpha", "gamma") if k in spec}
     params = EnvelopeParams(d=1, big_o_constant=args.big_o, C_L=args.c_l, **exponents)
     chosen = choose_L(targets, params, mode=args.mode)
     if chosen.resorted:

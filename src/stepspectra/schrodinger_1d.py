@@ -30,7 +30,6 @@ from .errors import SchemaError, UnsupportedDomainError
 from .special_functions import sqrt_upper
 
 _LOG_MAX = math.log(sys.float_info.max)
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 class PiecewisePotential:
@@ -235,7 +234,8 @@ def reconstruct_eigenfunction(
     array has unit discrete L2 norm on the grid.
     """
     E = complex(E)
-    fval = abs(global_secular(pot, E))
+    segments, span = _segments(pot)
+    fval = abs(_secular(segments, span, E))
     if fval >= tol:
         raise ValueError(
             f"E = {E!r} is not an eigenvalue at tolerance {tol:.2e} (|secular| = {fval:.3e})"
@@ -245,7 +245,6 @@ def reconstruct_eigenfunction(
         raise ValueError("grid must be a strictly increasing 1-D array")
 
     chi = sqrt_upper(E)
-    segments, _ = _segments(pot)
     starts = [(1.0 + 0j, -1j * chi, 0.0)]  # left exterior, continued back from x0
     final = _sweep(segments, E, chi, starts)
     starts.append(final)  # right exterior
@@ -267,7 +266,7 @@ def reconstruct_eigenfunction(
     top = logs[vals != 0].max(initial=-math.inf)
     psi = vals * np.exp(logs - top) if top > -math.inf else vals
 
-    norm = math.sqrt(float(_trapz(np.abs(psi) ** 2, grid)))
+    norm = math.sqrt(float(np.trapezoid(np.abs(psi) ** 2, grid)))
     if norm == 0:
         raise ValueError("reconstructed solution vanished on the grid")
     return psi / norm

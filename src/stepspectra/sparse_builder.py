@@ -566,12 +566,7 @@ def assemble_sparse(t: TargetSequence, params: EnvelopeParams, gaps) -> Assembly
                 "ratio": abs(b.v0) / envelope,
             }
         )
-    norms = {}
-    for q in (1.0, 2.0, params.q, math.inf):
-        if q == math.inf:
-            norms["Linf"] = max(abs(b.v0) for b in bumps)
-        else:
-            norms[f"L{q:g}"] = sum(bump_norm_lq(b, q) ** q for b in bumps) ** (1.0 / q)
+    norms = {f"L{q:g}": ell_p_lq_norm(bumps, q, q) for q in (1.0, 2.0, params.q, math.inf)}
     norms[f"l{params.p:g}L{params.q:g}"] = ell_p_lq_norm(bumps, params.p, params.q)
     return AssemblyResult(
         potential=potential,

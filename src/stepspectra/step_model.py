@@ -27,8 +27,6 @@ POLE_GUARD = 1e-8
 SECTOR_APERTURE = 0.2  # default half-opening of the eigenvalue sector
 #: Newton steps of the bump construction
 _CONSTRUCT_MAX_ITER = 100
-#: |secular| above this times 1 + |E| is not an eigenvalue of ``eigenfunction``
-_EIGEN_TOL = 1e-8
 
 
 def _check_parity(parity: str) -> str:
@@ -124,15 +122,10 @@ def _guard_pole(w: complex, parity: str) -> None:
         )
 
 
-def interior_momentum(bump: StepBump, E: complex) -> complex:
-    """kappa = sqrt(E - v0) on either branch (all users are even in kappa)."""
-    return cmath.sqrt(complex(E) - bump.v0)
-
-
 def chi_match(bump: StepBump, E: complex, parity: str) -> complex:
     """Exterior momentum forced by the interior logarithmic derivative at the edge."""
     _check_parity(parity)
-    kappa = interior_momentum(bump, E)
+    kappa = cmath.sqrt(complex(E) - bump.v0)  # either branch: the value is even in kappa
     w = kappa * bump.half_width
     _guard_pole(w, parity)
     t = complex(_trig_sq(parity, w)[1])
@@ -258,8 +251,8 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
     bump is centred at 0.
     """
     zeta = _check_sector(zeta, sector_aperture)
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
     scale = abs(zeta)
     zh = zeta / scale
@@ -316,65 +309,6 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
             seed=kappa0,
         )
     raise last_exc
-
-
-# ---------------------------------------------------------------------------
-# Eigenfunctions
-# ---------------------------------------------------------------------------
-
-def _sinhc(x: float) -> float:
-    return 1.0 + x * x / 6.0 if abs(x) < 1e-6 else math.sinh(x) / x
-
-
-def _sinc_real(x: float) -> float:
-    return 1.0 - x * x / 6.0 if abs(x) < 1e-6 else math.sin(x) / x
-
-
-def eigenfunction(bump: StepBump, E: complex, parity: str, x):
-    """L^2-normalized eigenfunction of the bump at eigenvalue ``E`` on ``x``.
-
-    Interior trigonometric, exterior proportional to e^{i*chi*|x - center|};
-    requires ``E`` to be an actual physical-sheet secular zero.
-    """
-    _check_parity(parity)
-    E = complex(E)
-    res = abs(secular(bump, E, parity))
-    if res > _EIGEN_TOL * (1.0 + abs(E)):
-        raise ValueError(
-            f"E = {E!r} is not an eigenvalue of the bump (|secular| = {res:.3e})"
-        )
-    if not physical_sheet(bump, E, parity):
-        raise ValueError(f"E = {E!r} lies off the physical sheet for parity {parity!r}")
-
-    kappa = interior_momentum(bump, E)
-    chi = sqrt_upper(E)
-    R = bump.half_width
-    a, b = kappa.real, kappa.imag
-    # interior L2 mass: int |cos|^2 = sinh(2bR)/(2b) + sin(2aR)/(2a), odd uses a minus
-    cosh_part = R * _sinhc(2.0 * b * R)
-    cos_part = R * _sinc_real(2.0 * a * R)
-    if parity == "even":
-        edge = cmath.cos(kappa * R)
-        interior_mass = cosh_part + cos_part
-    else:
-        edge = cmath.sin(kappa * R)
-        interior_mass = cosh_part - cos_part
-    exterior_mass = abs(edge) ** 2 / chi.imag
-    norm = math.sqrt(interior_mass + exterior_mass)
-
-    u = np.asarray(x, dtype=float) - bump.center
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    out = np.empty(u.shape, dtype=complex)
-    inside = np.abs(u) <= R
-    if parity == "even":
-        out[inside] = np.cos(kappa * u[inside])
-        out[~inside] = edge * np.exp(1j * chi * (np.abs(u[~inside]) - R))
-    else:
-        out[inside] = np.sin(kappa * u[inside])
-        out[~inside] = np.sign(u[~inside]) * edge * np.exp(1j * chi * (np.abs(u[~inside]) - R))
-    out /= norm
-    return out[0] if scalar else out
 
 
 def radial_secular(v0: complex, R: float, E: complex, d: int) -> complex:

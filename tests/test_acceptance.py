@@ -11,7 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
+from stepspectra.schrodinger_1d import (
+    PiecewisePotential,
+    make_secular_handle,
+    reconstruct_eigenfunction,
+)
 from stepspectra.sparse_builder import (
     EnvelopeParams,
     SeparationSequence,
@@ -39,7 +43,6 @@ from stepspectra.step_model import (
     chi_match,
     construct_bump,
     davies_nath,
-    eigenfunction,
     energy,
     physical_sheet,
     secular_entire,
@@ -128,7 +131,8 @@ def test_criterion_3_bump_construction():
                 env_dn = abs(zeta) ** (0.5 / q) * im ** (1 - 1 / q)
                 assert 0.1 < davies_nath(bump, q, s) / env_dn < 10.0
             xs = np.linspace(bump.support[1] + 1.0, bump.support[1] + 25.0, 120)
-            slope = np.polyfit(xs, np.log(np.abs(eigenfunction(bump, zeta, "odd", xs))), 1)[0]
+            psi = reconstruct_eigenfunction(pot, zeta, xs)
+            slope = np.polyfit(xs, np.log(np.abs(psi)), 1)[0]
             assert -slope == pytest.approx(sqrt_upper(zeta).imag, rel=0.01)
 
 

@@ -42,6 +42,11 @@ class TestBumpCommand:
         assert (a / "bump_report.json").read_bytes() == (b / "bump_report.json").read_bytes()
         assert (a / "potential.json").read_bytes() == (b / "potential.json").read_bytes()
 
+    def test_infinite_sigma_exit_1(self, tmp_path, capsys):
+        # it ran Newton from the seed -1 + inf*i and exited 2, "did not converge"
+        assert run(["bump", "--zeta", "1+0.1i", "--sigma", "inf", "--out", str(tmp_path)]) == 1
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     @pytest.fixture
@@ -107,6 +112,12 @@ class TestSpectrumCommand:
     def test_infinite_region_bound_exit_1(self, capsys, well_file):
         assert run(["spectrum", "--potential", str(well_file), "--region=-8,-0.001,-1.5,inf"]) == 1
         assert "finite bounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "check"])
+    def test_region_through_threshold_exit_1(self, capsys, well_file, command):
+        # re_hi = 0 puts E = 0 on the right side; it ran 28 bisections and exited 3
+        assert run([command, "--potential", str(well_file), "--region=-6,0,-1,1"]) == 1
+        assert "essential spectrum" in capsys.readouterr().err
 
     def test_idempotent_localization(self, tmp_path, well_file):
         out = tmp_path / "s.csv"
@@ -194,6 +205,17 @@ class TestSparseCommand:
         pot = PiecewisePotential.from_json((out / "potential.json").read_text())
         l2 = [abs(v) * math.sqrt(b - a) for a, b, v in pot.pieces]
         assert norms["l6L2"] == pytest.approx(sum(n ** 6 for n in l2) ** (1 / 6), rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        {"q": 2.0},                           # no "zetas": KeyError
+        {"zetas": [[1.0, 0.08], [1.3]]},      # a one-number entry: IndexError
+        [[1.0, 0.08], [1.3, 0.06]],           # a top-level list: TypeError
+    ])
+    def test_malformed_targets_exit_1(self, tmp_path, capsys, spec):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert run(["sparse", "--targets", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "targets file wants" in capsys.readouterr().err
 
     def test_empty_targets(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -5,7 +5,6 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from stepspectra import special_functions
 from stepspectra.errors import PoleProximityError, UnsupportedDomainError
@@ -18,7 +17,6 @@ from stepspectra.step_model import (
     chi_match,
     construct_bump,
     davies_nath,
-    eigenfunction,
     energy,
     physical_sheet,
     radial_secular,
@@ -267,60 +265,11 @@ class TestConstructBump:
         with pytest.raises(ValueError):
             construct_bump(0.1 + 0.5j)  # aperture violated
 
-
-class TestEigenfunction:
-    def test_real_well_bound_state_symmetric_real(self):
-        E0 = real_well_parity_states(1.0, 1.0, "even")[0]
-        b = StepBump(-1.0, 1.0, center=0.7)
-        xs = np.linspace(-4.0, 5.4, 801)
-        psi = eigenfunction(b, E0, "even", xs)
-        # real up to a global phase
-        phase = psi[np.argmax(np.abs(psi))]
-        rotated = psi * np.conj(phase) / abs(phase)
-        assert np.max(np.abs(rotated.imag)) < 1e-10
-        # even symmetry about the center
-        psi_left = eigenfunction(b, E0, "even", 0.7 - 1.3)
-        psi_right = eigenfunction(b, E0, "even", 0.7 + 1.3)
-        assert psi_left == pytest.approx(psi_right, rel=1e-12)
-
-    def test_exterior_decay_rate(self):
-        rep = construct_bump(1 + 0.1j)
-        b = rep.bump
-        chi = sqrt_upper(1 + 0.1j)
-        xs = np.linspace(b.support[1] + 1.0, b.support[1] + 30.0, 120)
-        logs = np.log(np.abs(eigenfunction(b, 1 + 0.1j, "odd", xs)))
-        slope = np.polyfit(xs, logs, 1)[0]
-        assert -slope == pytest.approx(chi.imag, rel=0.01)
-
-    def test_normalization_by_quadrature(self):
-        E0 = real_well_parity_states(1.0, 1.0, "even")[0]
-        b = StepBump(-1.0, 1.0)
-
-        def dens(x):
-            return abs(eigenfunction(b, E0, "even", x)) ** 2
-
-        total, _ = quad(dens, -40.0, 40.0, limit=400)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_matching_at_edges(self):
-        zeta = 1 + 0.08j
-        rep = construct_bump(zeta)
-        b = rep.bump
-        edge = b.support[1]
-        h = 1e-6
-        inner = eigenfunction(b, zeta, "odd", edge - h)
-        outer = eigenfunction(b, zeta, "odd", edge + h)
-        d_in = (eigenfunction(b, zeta, "odd", edge - h)
-                - eigenfunction(b, zeta, "odd", edge - 3 * h)) / (2 * h)
-        d_out = (eigenfunction(b, zeta, "odd", edge + 3 * h)
-                 - eigenfunction(b, zeta, "odd", edge + h)) / (2 * h)
-        assert abs(inner - outer) < 1e-5 * abs(inner)
-        assert abs(d_in - d_out) < 1e-3 * max(abs(d_in), 1.0)
-
-    def test_non_eigenvalue_rejected(self):
-        b = StepBump(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            eigenfunction(b, -0.9, "even", 0.0)
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+    def test_sigma_outside_positive_finite_rejected(self, sigma):
+        # sigma = inf ran Newton from the seed -1 + inf*i and raised ConvergenceError
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            construct_bump(1 + 0.1j, sigma=sigma)
 
 
 class TestRadialSecular:
