@@ -8,7 +8,7 @@ import pytest
 
 from stepspectra import special_functions
 from stepspectra.errors import PoleProximityError, UnsupportedDomainError
-from stepspectra.schrodinger_1d import PiecewisePotential, global_secular
+from stepspectra.schrodinger_1d import PiecewisePotential, global_secular, reconstruct_eigenfunction
 from stepspectra.special_functions import sqrt_upper
 from stepspectra.spectral_count import Region, locate_zeros
 from stepspectra.step_model import (
@@ -270,6 +270,37 @@ class TestConstructBump:
         # sigma = inf ran Newton from the seed -1 + inf*i and raised ConvergenceError
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             construct_bump(1 + 0.1j, sigma=sigma)
+
+
+class TestEigenfunction:
+    # the one-bump eigenstate, through the transfer sweep
+    def test_real_well_bound_state_symmetric_real(self):
+        E0 = real_well_parity_states(1.0, 1.0, "even")[0]
+        pot = PiecewisePotential.from_bumps([StepBump(-1.0, 1.0, center=0.7)])
+        pair = np.array([0.7 - 1.3, 0.7 + 1.3])
+        xs = np.sort(np.concatenate([np.linspace(-4.0, 5.4, 801), pair]))
+        psi = reconstruct_eigenfunction(pot, E0, xs)
+        # real up to a global phase
+        phase = psi[np.argmax(np.abs(psi))]
+        rotated = psi * np.conj(phase) / abs(phase)
+        assert np.max(np.abs(rotated.imag)) < 1e-10
+        # even symmetry about the center
+        psi_left, psi_right = psi[np.searchsorted(xs, pair)]
+        assert psi_left == pytest.approx(psi_right, rel=1e-12)
+
+    def test_matching_at_edges(self):
+        zeta = 1 + 0.08j
+        b = construct_bump(zeta).bump
+        edge = b.support[1]
+        h = 1e-6
+        xs = np.array([edge - 3 * h, edge - h, edge + h, edge + 3 * h])
+        psi_m3, inner, outer, psi_p3 = reconstruct_eigenfunction(
+            PiecewisePotential.from_bumps([b]), zeta, xs)
+        d_in = (inner - psi_m3) / (2 * h)
+        d_out = (psi_p3 - outer) / (2 * h)
+        assert abs(inner - outer) < 1e-5 * abs(inner)
+        # relative to |d_in| alone: the sweep's normalization is on xs
+        assert abs(d_in - d_out) < 1e-3 * abs(d_in)
 
 
 class TestRadialSecular:
