@@ -150,6 +150,20 @@ def _piece(k2: complex, width: float):
     return 0.5 * (ep + em), width * (ep - em) / (2j * w), t
 
 
+def _pieces(k2, width):
+    """``_piece`` over arrays, ``k2`` and ``width`` broadcast against each other."""
+    w = np.sqrt(k2) * width
+    near = np.abs(w.imag) < 1.0
+    t = np.where(near, 0.0, np.abs(w.imag))
+    with np.errstate(all="ignore"):
+        ep = np.exp(1j * w - t)
+        em = np.exp(-1j * w - t)
+        sinc = np.where(np.abs(w) > 1e-8, np.sin(w) / w, 1.0 - w * w / 6.0)
+        c = np.where(near, np.cos(w), 0.5 * (ep + em))
+        s = np.where(near, width * sinc, width * (ep - em) / (2j * w))
+    return c, s, t
+
+
 def _sweep(segments, E: complex, chi: complex, starts=None):
     """Carry (psi, psi') = (1, -i*chi) across ``segments``; return the final
     (psi, psi', log_scale), the true state being e^{log_scale} times it.
@@ -183,6 +197,30 @@ def _secular(segments, span: float, E: complex) -> complex:
     return _rescaled(b_coeff, log_scale + 1j * chi * span, E)
 
 
+def _secular_nodes(segments, span: float, E: np.ndarray) -> np.ndarray:
+    """``_secular`` over a 1-d array of E in one numpy pass.  If any node fails a
+    check of the scalar route (the pole at 0, a state out of float range, a value
+    beyond it), the array goes through that route node by node, which raises its
+    error for the first such node."""
+    chi = np.sqrt(E)
+    chi = np.where(chi.imag < 0.0, -chi, chi)
+    psi, dpsi, log_scale = 1.0 + 0j, -1j * chi, 0.0
+    with np.errstate(all="ignore"):  # a failing node ends as nan or inf, found below
+        for width, v in segments:
+            k2 = E - v
+            c, s, t = _pieces(k2, width)
+            psi, dpsi = c * psi + s * dpsi, c * dpsi - k2 * s * psi
+            norm = np.abs(psi) + np.abs(dpsi)
+            psi, dpsi = psi / norm, dpsi / norm
+            log_scale += t + np.log(norm)
+        b_coeff = (1j * chi * psi - dpsi) / (2j * chi)
+        exponent = np.log(b_coeff) + (log_scale + 1j * chi * span)
+        zero = b_coeff == 0
+        if not np.all(zero | ((exponent.real < _LOG_MAX) & np.isfinite(exponent.imag))):
+            return np.array([_secular(segments, span, x) for x in E.tolist()])
+        return np.where(zero, 0j, np.exp(exponent))
+
+
 def _rescaled(value: complex, log_factor: complex, E: complex) -> complex:
     """value * e^{log_factor}, formed in log space; ``UnsupportedDomainError``
     where its modulus leaves float range."""
@@ -208,12 +246,17 @@ def global_secular(pot: PiecewisePotential, E: complex) -> complex:
 
 def make_secular_handle(pot: PiecewisePotential):
     """E -> global_secular(pot, E) with the segments built once; a pure,
-    thread-safe function handle."""
+    thread-safe function handle.  Given a 1-d array of E it returns the array of
+    values from one numpy pass (``vectorized``, see ``locate_zeros``); a scalar
+    E takes the cmath route, which is cheaper for one point."""
     segments, span = _segments(pot)
 
-    def handle(E: complex) -> complex:
-        return _secular(segments, span, complex(E))
+    def handle(E):
+        if np.ndim(E) == 0:
+            return _secular(segments, span, complex(E))
+        return _secular_nodes(segments, span, np.asarray(E, dtype=complex))
 
+    handle.vectorized = True
     return handle
 
 
@@ -258,11 +301,12 @@ def reconstruct_eigenfunction(
 
     vals = np.empty(grid.shape, dtype=complex)
     logs = np.empty(grid.shape)
-    for n, r in enumerate(np.searchsorted(edges, grid, side="right")):
-        p, dp, log_scale = starts[r]
-        c, s, t = _piece(k2s[r], float(grid[n]) - anchors[r])
-        vals[n] = c * p + s * dp
-        logs[n] = log_scale + t
+    cuts = [0, *np.searchsorted(grid, edges).tolist(), grid.size]
+    for r, (p, dp, log_scale) in enumerate(starts):
+        at = slice(cuts[r], cuts[r + 1])
+        c, s, t = _pieces(k2s[r], grid[at] - anchors[r])
+        vals[at] = c * p + s * dp
+        logs[at] = log_scale + t
     top = logs[vals != 0].max(initial=-math.inf)
     psi = vals * np.exp(logs - top) if top > -math.inf else vals
 

@@ -1,6 +1,7 @@
 """Analytic zero counting and localization, plus the imaginary-step census.
 
-Contours are walked on 16-node Gauss-Legendre panels, one call of f per node,
+Contours are walked on 16-node Gauss-Legendre panels, a level of panels at a
+time (one call of f per level when f is ``vectorized``, else one per node),
 halved until the halves give a panel's integrals of u^k log f (k = 0, 1, 2)
 and arg f moves by under pi/3 between nodes; the winding sums those steps.
 Rectangle edges are sinh-graded toward E = 0 (Region.panels): the threshold
@@ -165,11 +166,12 @@ class LocatedZero:
 
 @dataclass
 class SolverStats:
-    """What one ``locate_zeros`` call did (never in CSV or JSON): calls of f, panels
-    accepted, the deepest panel bisection, contours walked, cells split in four,
-    splits redone with shifted midpoints, secant steps, smallest |f| at a node."""
+    """What one ``locate_zeros`` call did (never in CSV or JSON): points f was evaluated at,
+    calls of f, panels accepted, the deepest panel bisection, contours walked, cells split
+    in four, splits redone with shifted midpoints, secant steps, smallest |f| at a node."""
 
     evaluations: int = 0
+    calls: int = 0
     panels: int = 0
     max_depth: int = 0
     cells: int = 0
@@ -253,7 +255,7 @@ class _Contour:
         continued along each pair of panels j from the value prev[j] of
         argument a[j], or without ``prev`` along each panel from its first node."""
         z, dz = self.region.panels(edges, t0, t1)
-        v = np.array([self.f(x) for x in z.ravel().tolist()])
+        v = self.f(z.ravel())
         mods = np.abs(v)
         bad = np.flatnonzero(~((mods > 0.0) & (mods < math.inf)))
         if bad.size:
@@ -303,9 +305,18 @@ class _Contour:
 
 
 def _counted(f, stats: SolverStats):
+    """f as the engine calls it, at one point or on a 1-d node array, counting
+    points and calls: a node array in one call when f is ``vectorized``, else
+    one call per node."""
+    vectorized = getattr(f, "vectorized", False)
+
     def g(z):
-        stats.evaluations += 1
-        return complex(f(z))
+        n = np.size(z)
+        stats.evaluations += n
+        stats.calls += 1 if vectorized or np.ndim(z) == 0 else n
+        if np.ndim(z) == 0:
+            return complex(f(z))
+        return np.asarray(f(z) if vectorized else [complex(f(x)) for x in z.tolist()], dtype=complex)
 
     return g
 
@@ -313,7 +324,8 @@ def _counted(f, stats: SolverStats):
 def winding_count(f, region: Region) -> int:
     """Number of zeros of ``f`` enclosed by the region, by the argument principle.
     A zero on or hugging the contour raises :class:`ContourError`, which says where."""
-    return _Contour(lambda z: complex(f(z)), region, SolverStats()).winding
+    stats = SolverStats()
+    return _Contour(_counted(f, stats), region, stats).winding
 
 
 def _secant(f, z0: complex, con: _Contour, stats: SolverStats):
@@ -406,7 +418,11 @@ def locate_zeros(f, region: Region, budget: int = 4000) -> ZeroReport:
     to its bounding box) down to ``_MIN_DIAMETER`` of the region's scale, where the
     centre is reported with the winding as multiplicity.  Exhausting ``budget``
     child contours flags the report ``complete=False``; ``report.stats`` counts
-    the work."""
+    the work.
+
+    ``f`` maps a complex number to one.  If it has a true attribute
+    ``vectorized``, it must also map a 1-d complex array to the array of its
+    values; each refinement level of a contour is then one call of ``f``."""
     min_diameter = _MIN_DIAMETER * region.scale
     floor = 1e3 * min_diameter  # a cell this small may report a multiple zero
     stats = SolverStats()

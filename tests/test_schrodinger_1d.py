@@ -10,6 +10,9 @@ from hypothesis import given, strategies as st
 from stepspectra.errors import SchemaError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import (
     PiecewisePotential,
+    _piece,
+    _segments,
+    _sweep,
     global_secular,
     make_secular_handle,
     reconstruct_eigenfunction,
@@ -186,6 +189,61 @@ def _three_bumps_gap_330():
     return PiecewisePotential.from_bumps(bumps)
 
 
+@st.composite
+def _pieces_with_one_long_gap(draw):
+    """1-4 pieces with gaps up to 4, one of them (between two pieces) up to 400."""
+    n = draw(st.integers(1, 4), label="pieces")
+    long_gap = draw(st.integers(1, max(n - 1, 1)), label="long gap")
+    x = draw(st.floats(-50.0, 50.0), label="x0")
+    pieces = []
+    for idx in range(n):
+        if idx:
+            x += draw(st.floats(0.0, 400.0 if idx == long_gap else 4.0), label="gap")
+        width = draw(st.floats(0.05, 4.0), label="width")
+        v = complex(draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)))
+        pieces.append((x, x + width, v))
+        x += width
+    return pieces
+
+
+#: E off [0, inf): modulus 1e-2 .. 1e3, argument strictly inside (0, 2 pi)
+_CUT_PLANE = st.builds(cmath.rect, st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e),
+                       st.floats(1e-3, 2 * math.pi - 1e-3))
+
+
+class TestArrayHandle:
+    @given(pieces=_pieces_with_one_long_gap(), energies=st.lists(_CUT_PLANE, min_size=1, max_size=8),
+           at=st.integers(0, 8))
+    def test_array_equals_scalar_calls(self, pieces, energies, at):
+        # both routes round the phases of the sweep (sum |k|*width) and of the
+        # exterior factor (|chi|*span), so they agree to 1e-14 relative per unit of
+        # phase; behind a long gap it reaches thousands, and 5e-13 relative was seen
+        handle = make_secular_handle(PiecewisePotential(pieces))
+        values = handle(np.array(energies))
+        assert values.shape == (len(energies),)
+        span = pieces[-1][1] - pieces[0][0]
+        for E, value in zip(energies, values):
+            phase = abs(cmath.sqrt(E)) * span + sum(abs(cmath.sqrt(E - v)) * (b - a)
+                                                   for a, b, v in pieces)
+            expected = handle(E)
+            assert abs(value - expected) <= 1e-14 * max(1.0, phase) * abs(expected)
+        # E = 0 anywhere in the array: the scalar route's pole error
+        with pytest.raises(UnsupportedDomainError, match="pole at E = 0"):
+            handle(np.array(energies[:at] + [0j] + energies[at:]))
+
+    @pytest.mark.parametrize("nodes", [[1000 + 1j, -1.0, 0.0, -2.0], [1000 + 1j, 0.0, -1.0]])
+    def test_array_raises_for_the_first_failing_node(self, nodes):
+        # on this barrier |F| ~ e^{sqrt(1001) * 30} at E = -1 and E = -2 exceeds float
+        # range too; 1000 + 1j stays in range, so nodes[1] fails first
+        handle = make_secular_handle(PiecewisePotential([(0.0, 30.0, 1000.0)]))
+        assert cmath.isfinite(handle(nodes[0]))
+        with pytest.raises(UnsupportedDomainError) as scalar:
+            handle(nodes[1])
+        with pytest.raises(UnsupportedDomainError) as array:
+            handle(np.array(nodes, dtype=complex))
+        assert str(array.value) == str(scalar.value)
+
+
 class TestRange:
     ENERGIES = (-10.0, -100.0, -1000.0, -1 + 0.5j)
 
@@ -209,6 +267,27 @@ class TestRange:
             global_secular(barrier, -1.0)
         with pytest.raises(UnsupportedDomainError):
             make_secular_handle(barrier)(-1.0 + 0.5j)
+
+
+def _per_point_reconstruction(pot, E, grid):
+    """reconstruct_eigenfunction as a loop of scalar _piece calls, one per point."""
+    segments, _ = _segments(pot)
+    chi = sqrt_upper(E)
+    starts = [(1.0 + 0j, -1j * chi, 0.0)]
+    starts.append(_sweep(segments, E, chi, starts))
+    x0 = pot.pieces[0][0]
+    edges = (x0 + np.cumsum([0.0] + [width for width, _ in segments])).tolist()
+    anchors = [x0] + edges
+    k2s = [E] + [E - v for _, v in segments] + [E]
+    vals, logs = [], []
+    for x in grid.tolist():
+        r = int(np.searchsorted(edges, x, side="right"))
+        p, dp, log_scale = starts[r]
+        c, s, t = _piece(k2s[r], x - anchors[r])
+        vals.append(c * p + s * dp)
+        logs.append(log_scale + t)
+    psi = np.array(vals) * np.exp(np.array(logs) - max(logs))
+    return psi / math.sqrt(np.trapezoid(np.abs(psi) ** 2, grid))
 
 
 class TestReconstruct:
@@ -301,6 +380,23 @@ class TestReconstruct:
         psi = reconstruct_eigenfunction(pot, E, grid, tol=2 * abs(global_secular(pot, E)))
         assert np.all(np.isfinite(psi))
         assert np.trapezoid(np.abs(psi) ** 2, grid) == pytest.approx(1.0, rel=1e-9)
+
+    def test_equals_the_per_point_loop(self):
+        # the reference is one scalar _piece per grid point, edges included; within
+        # 1.5 widths of the hull the exterior cancels by at most e^{2 Im k d} ~ 1e4
+        zeta = 1 + 0.1j
+        bump = construct_bump(zeta).bump
+        lo, hi = bump.support
+        cases = [
+            (PiecewisePotential.from_bumps([bump]), zeta,
+             np.linspace(lo - 1.5 * (hi - lo), hi + 1.5 * (hi - lo), 600)),
+            (PiecewisePotential([(0.0, 1.0, -5.0), (3.0, 4.0, -5.0 + 0.5j), (4.0, 5.5, 2j)]),
+             -1 + 0.3j, np.unique(np.r_[np.linspace(-5.0, 10.0, 3001), 3.0, 4.0, 5.5])),
+        ]
+        for pot, E, grid in cases:
+            psi = reconstruct_eigenfunction(pot, E, grid, tol=math.inf)  # -1 + 0.3j is no eigenvalue
+            ref = _per_point_reconstruction(pot, E, grid)
+            assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_non_eigenvalue_rejected(self):
         pot = PiecewisePotential.from_bumps([StepBump(-1.0, 1.0)])

@@ -142,12 +142,44 @@ class TestLocateZeros:
             calls = []
             rep = locate_zeros(lambda z: calls.append(z) or f(z), region)
             assert rep.complete and rep.zeros
-            assert rep.stats.evaluations == len(calls)
+            assert rep.stats.evaluations == rep.stats.calls == len(calls)
             assert rep.stats.panels >= 8 and rep.stats.max_depth >= 1
             assert rep.stats.polish_iterations > 0
             assert rep.stats.min_modulus <= rep.contour_min_modulus
         assert rep.winding_total == 6
         assert rep.stats.cells > 1 and rep.stats.splits >= 1
+
+    @pytest.mark.parametrize("pieces", [
+        [(-0.92, 0.92, -5.86 + 1.03j)],
+        [(-1.0, 1.0, -4.0 + 0j)],
+        [(-1.11, -0.42, -2.92 - 0.39j), (-0.42, 0.24, -5.08 - 0.94j), (0.24, 1.11, -5.77 - 0.19j)],
+    ])
+    def test_array_handle_matches_per_node_calls(self, pieces):
+        # the handle takes each contour level's node array in one call; behind a
+        # plain lambda it is called once per node, on the same nodes
+        region = Region.rectangle(-8.0, -1e-3, -1.5, 1.5)
+        handle = make_secular_handle(PiecewisePotential(pieces))
+        levels = locate_zeros(handle, region)
+        nodes = locate_zeros(lambda E: handle(E), region)
+        assert levels.complete and levels.winding_total == nodes.winding_total > 0
+        assert [z.multiplicity for z in levels.zeros] == [z.multiplicity for z in nodes.zeros]
+        for a, b in zip(levels.zeros, nodes.zeros):
+            assert abs(a.location - b.location) <= 1e-12
+        assert levels.stats.evaluations == nodes.stats.evaluations == nodes.stats.calls
+        assert levels.stats.calls < levels.stats.evaluations / 20
+
+    def test_array_handle_zero_on_contour_names_the_same_point(self):
+        # a real well with its ground state at E = -8, on the rectangle's left side
+        R = math.atan(2.0) / math.sqrt(2.0)
+        handle = make_secular_handle(PiecewisePotential([(-R, R, -10.0 + 0j)]))
+        region = Region.rectangle(-8.0, -1e-3, -1.5, 1.5)
+        points = []
+        for f in (handle, lambda E: handle(E)):
+            with pytest.raises(ContourError) as info:
+                locate_zeros(f, region)
+            points.append(info.value.point)
+        assert points[0] == points[1]
+        assert abs(points[0] + 8.0) < 1e-6
 
     def test_disk_is_solved_on_its_circle(self):
         # the desk potential of these targets has a second zero near
