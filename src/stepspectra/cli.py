@@ -212,6 +212,9 @@ def cmd_imag_step(args) -> int:
         if cen.unconverged:
             print(f"N={n}: {cen.unconverged} branch(es) did not refine; flagged and skipped",
                   file=sys.stderr)
+        if not cen.certified:
+            print(f"N={n}: {len(cen.uncertified)} unconverged branch(es) could lie in the box; "
+                  "count not certified", file=sys.stderr)
     _emit(args.out, "\n".join(lines) + "\n")
     if args.svg:
         box = (cen.box.re_lo, cen.box.re_hi, cen.box.im_lo, cen.box.im_hi)

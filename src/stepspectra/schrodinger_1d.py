@@ -186,13 +186,17 @@ def _sweep(segments, E: complex, chi: complex, starts=None):
     return psi, dpsi, log_scale
 
 
-def _secular(segments, span: float, E: complex) -> complex:
+def _secular(segments, span: float, E: complex, starts=None) -> complex:
+    """The global secular at E.  If ``starts`` is a list, it gets each segment's
+    start state, as from ``_sweep``, and then the final state."""
     if not segments:
         return 1.0 + 0j
     chi = sqrt_upper(E)
     if chi == 0:
         raise UnsupportedDomainError("the global secular function has a pole at E = 0")
-    psi, dpsi, log_scale = _sweep(segments, E, chi)
+    psi, dpsi, log_scale = _sweep(segments, E, chi, starts)
+    if starts is not None:
+        starts.append((psi, dpsi, log_scale))
     b_coeff = (1j * chi * psi - dpsi) / (2j * chi)
     return _rescaled(b_coeff, log_scale + 1j * chi * span, E)
 
@@ -277,20 +281,20 @@ def reconstruct_eigenfunction(
     array has unit discrete L2 norm on the grid.
     """
     E = complex(E)
+    grid = np.asarray(grid, dtype=float)
+    if (grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0)
+            or not np.all(np.isfinite(grid))):
+        raise ValueError("grid must be a strictly increasing 1-D array of finite points")
     segments, span = _segments(pot)
-    fval = abs(_secular(segments, span, E))
+    # the left exterior, continued back from x0, then each segment's and the right
+    # exterior's start state from the one sweep (without segments, the left's again)
+    starts = [(1.0 + 0j, -1j * sqrt_upper(E), 0.0)] * (1 if segments else 2)
+    fval = abs(_secular(segments, span, E, starts))
     if fval >= tol:
         raise ValueError(
             f"E = {E!r} is not an eigenvalue at tolerance {tol:.2e} (|secular| = {fval:.3e})"
         )
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be a strictly increasing 1-D array")
 
-    chi = sqrt_upper(E)
-    starts = [(1.0 + 0j, -1j * chi, 0.0)]  # left exterior, continued back from x0
-    final = _sweep(segments, E, chi, starts)
-    starts.append(final)  # right exterior
     x0 = pot.pieces[0][0] if pot.pieces else 0.0
     edges = [x0]
     for width, _ in segments:

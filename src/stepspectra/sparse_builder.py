@@ -148,13 +148,17 @@ class SeparationSequence:
         return len(self.values)
 
     def L(self, k: int) -> float:
+        """L_k, inf where the rule leaves float range."""
         if k < 1:
             raise IndexError("gap index is 1-based")
         if self.finite:
             if k > len(self.values):
                 raise IndexError(f"index {k} beyond the {len(self.values)} stored gaps")
             return self.values[k - 1]
-        return float(self.rule(k))
+        try:
+            return float(self.rule(k))
+        except OverflowError:
+            return math.inf
 
 
 def sep(L: SeparationSequence, eta: float) -> float:
@@ -178,14 +182,20 @@ def sep(L: SeparationSequence, eta: float) -> float:
     cap = 2 * 10**5
     while k <= cap:
         lk = L.L(k)
+        if lk == math.inf:
+            raise NonSummableError(
+                f"gap {k} is beyond float range before the tail is certified "
+                f"(partial sum {total:.6g})"
+            )
         if prev is not None and lk < prev:
             raise ValueError(f"sequence decreases at index {k}")
         total += math.exp(-eta * lk)
         if prev is not None:
             inc = lk - prev
-            if inc > 0:
-                r = math.exp(-eta * inc)
-                tail = math.exp(-eta * lk) * r / (1.0 - r)
+            r = math.exp(-eta * inc)
+            gap = -math.expm1(-eta * inc)  # 1 - r, which stays exact where r rounds to 1
+            if gap > 0:
+                tail = math.exp(-eta * lk) * r / gap
                 if tail <= 1e-15 * max(total, 1e-300):
                     return total
         prev = lk
@@ -344,8 +354,6 @@ def kappa_tilde(params: EnvelopeParams) -> float:
 class GapChoice:
     """Per-target chosen gap, carried in natural-log space."""
 
-    index: int
-    zeta: complex
     log_L: float
     rule_rhs_log_L: float
     log10_delta: float
@@ -358,7 +366,6 @@ class GapChoice:
 @dataclass
 class ChosenSeparation:
     gaps: list
-    mode: str
     kappa_tilde: float
     resorted: bool = False
 
@@ -398,7 +405,7 @@ def choose_L(t: TargetSequence, params: EnvelopeParams, mode: str = "desk") -> C
     kt = kappa_tilde(params)
     n_targets = len(t)
     if n_targets == 0:
-        return ChosenSeparation(gaps=[], mode=mode, kappa_tilde=kt)
+        return ChosenSeparation(gaps=[], kappa_tilde=kt)
 
     # envelope |V0| ~ 3 Im zeta from the bump construction
     sup_vnorm = 3.0 * max(z.imag for z in t.zetas)
@@ -445,25 +452,17 @@ def choose_L(t: TargetSequence, params: EnvelopeParams, mode: str = "desk") -> C
     # gap n sits between bumps n and n+1 and must respect both neighbors'
     # separation demands: d(bump n, rest) = min(gap n-1, gap n) >= rule_n
     gaps = []
-    for idx, z in enumerate(t.zetas, start=1):
-        own, log_delta = per_target[idx - 1]
+    for idx, (own, log_delta) in enumerate(per_target, start=1):
         neighbor = per_target[idx][0] if idx < n_targets else -math.inf
-        gaps.append(
-            GapChoice(
-                index=idx,
-                zeta=z,
-                log_L=max(own, neighbor),
-                rule_rhs_log_L=own,
-                log10_delta=log_delta / math.log(10.0),
-            )
-        )
+        gaps.append(GapChoice(log_L=max(own, neighbor), rule_rhs_log_L=own,
+                              log10_delta=log_delta / math.log(10.0)))
 
     resorted = False
     for i in range(1, len(gaps)):
         if gaps[i].log_L < gaps[i - 1].log_L:
             resorted = True
             gaps[i] = replace(gaps[i], log_L=gaps[i - 1].log_L)
-    return ChosenSeparation(gaps=gaps, mode=mode, kappa_tilde=kt, resorted=resorted)
+    return ChosenSeparation(gaps=gaps, kappa_tilde=kt, resorted=resorted)
 
 
 @dataclass

@@ -114,6 +114,36 @@ class Region:
             return max(abs(self.re_lo), abs(self.re_hi), abs(self.im_lo), abs(self.im_hi), 1.0)
         return max(abs(self.center) + self.radius, 1.0)
 
+    @cached_property
+    def _grading(self):
+        """Per rectangle edge 0-3, as arrays: the direction u, the offset h of the
+        edge's line from 0, the grading scale d, sigma at the edge's start and its
+        growth along the edge (see ``panels``)."""
+        corners = np.array([
+            complex(self.re_lo, self.im_lo),
+            complex(self.re_hi, self.im_lo),
+            complex(self.re_hi, self.im_hi),
+            complex(self.re_lo, self.im_hi),
+            complex(self.re_lo, self.im_lo),
+        ])
+        # z = u*(s + i*h): u the edge's direction, s from sa to sb along it, h
+        # its line's offset from 0
+        u = np.array([1.0, 1j, -1.0, -1j])
+        w = corners[:4] * u.conjugate()
+        sa, h = w.real, w.imag
+        sb = (corners[1:] * u.conjugate()).real
+        length = sb - sa
+        d = np.hypot(h, np.clip(0.0, sa, sb))
+        d = np.where(d > 0.0, np.maximum(d, _GRADE_FLOOR * length), 0.5 * length)
+        x, y = sa / d, sb / d
+        rx, ry = np.hypot(1.0, x), np.hypot(1.0, y)
+        ax, ay = np.abs(x), np.abs(y)
+        # asinh(y) - asinh(x) = asinh(y*rx - x*ry), whose terms cancel when x and
+        # y share a sign: there it is (y^2 - x^2)/(y*rx + x*ry), y - x = length/d
+        dsig = np.arcsinh(np.where(x * y > 0.0, length / d * (ax + ay) / (ay * rx + ax * ry),
+                                   y * rx - x * ry))
+        return u, h, d, np.arcsinh(x), dsig
+
     def panels(self, edges, t0, t1):
         """Nodes and dz weights, (len(edges), 16), of panels [t0[i], t1[i]] on edge
         edges[i] (0-3) from the corner (re_lo, im_lo) or the angle 0, counterclockwise.
@@ -128,30 +158,8 @@ class Region:
         span = np.asarray(t1, dtype=float)[:, None] - t0
         t = t0 + span * _GL_T
         if self.kind == "rectangle":
-            corners = np.array([
-                complex(self.re_lo, self.im_lo),
-                complex(self.re_hi, self.im_lo),
-                complex(self.re_hi, self.im_hi),
-                complex(self.re_lo, self.im_hi),
-                complex(self.re_lo, self.im_lo),
-            ])
-            # z = u*(s + i*h): u the edge's direction, s from sa to sb along it, h
-            # its line's offset from 0
-            u = np.array([1.0, 1j, -1.0, -1j])[edges]
-            w = corners[edges] * u.conjugate()
-            sa, h = w.real, w.imag
-            sb = (corners[edges + 1] * u.conjugate()).real
-            length = sb - sa
-            d = np.hypot(h, np.clip(0.0, sa, sb))
-            d = np.where(d > 0.0, np.maximum(d, _GRADE_FLOOR * length), 0.5 * length)
-            x, y = sa / d, sb / d
-            rx, ry = np.hypot(1.0, x), np.hypot(1.0, y)
-            ax, ay = np.abs(x), np.abs(y)
-            # asinh(y) - asinh(x) = asinh(y*rx - x*ry), whose terms cancel when x and
-            # y share a sign: there it is (y^2 - x^2)/(y*rx + x*ry), y - x = length/d
-            dsig = np.arcsinh(np.where(x * y > 0.0, length / d * (ax + ay) / (ay * rx + ax * ry),
-                                       y * rx - x * ry))
-            sig = np.arcsinh(x) + dsig * t
+            u, h, d, sig0, dsig = (a[edges] for a in self._grading)
+            sig = sig0 + dsig * t
             return u * (d * np.sinh(sig) + 1j * h), u * d * np.cosh(sig) * dsig * span * _GL_W
         rot = self.radius * np.exp(0.5j * math.pi * (edges + t))
         return self.center + rot, 0.5j * math.pi * span * _GL_W * rot

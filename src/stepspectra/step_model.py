@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,12 +74,7 @@ class BumpReport:
     bump: StepBump
     achieved_eigenvalue: complex
     residual: float
-    lq_norms: dict = field(default_factory=dict)
-    davies_nath: float = 0.0
-    parity: str = "odd"
-    iterations: int = 0
-    kappa: complex = 0j
-    seed: complex = 0j
+    iterations: int
 
 
 def _trig_sq(parity: str, w):
@@ -295,19 +290,8 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
                 residual=residual,
             )
             continue
-        s_decay = sqrt_upper(zeta).imag
-        norms = {q: bump_norm_lq(bump, q) for q in (1.0, 2.0, math.inf)}
-        return BumpReport(
-            bump=bump,
-            achieved_eigenvalue=zeta,
-            residual=residual,
-            lq_norms=norms,
-            davies_nath=davies_nath(bump, 1.0, s_decay),
-            parity="odd",
-            iterations=iters,
-            kappa=kappa * lam,
-            seed=kappa0,
-        )
+        return BumpReport(bump=bump, achieved_eigenvalue=zeta, residual=residual,
+                          iterations=iters)
     raise last_exc
 
 

@@ -153,6 +153,17 @@ class TestImagStepCommand:
         assert err == [f"N={n}: {k} branch(es) did not refine; flagged and skipped"
                        for n, k in ((32, 28), (64, 55), (128, 108), (192, 160), (256, 214))]
 
+    def test_uncertified_count_on_stderr(self, capsys, tmp_path):
+        # at C_box = 50 four of N = 8's unconverged branches could lie in the box
+        out = tmp_path / "census.csv"
+        assert run(["imag-step", "--N", "8", "--c-box", "50", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "N=8: count=10 ratio=0.32491274088747435\n"
+        assert captured.err.splitlines() == [
+            "N=8: 8 branch(es) did not refine; flagged and skipped",
+            "N=8: 4 unconverged branch(es) could lie in the box; count not certified",
+        ]
+
     @pytest.mark.parametrize("c_box", ["0", "1", "-1", "inf", "nan"])
     def test_c_box_outside_finite_above_1_exit_1(self, capsys, c_box):
         assert run(["imag-step", "--N", "8", "--c-box", c_box]) == 1
@@ -252,6 +263,18 @@ class TestEnvelopesCommand:
         header, values = out.read_text().strip().splitlines()
         row = dict(zip(header.split(","), values.split(",")))
         assert float(row["omega_q"]) == pytest.approx(1.0)
+
+    def test_scales_at_float_limits(self, tmp_path):
+        # e^{-eta*inc} rounds to 1 at eta = 1e-17, and the count at s = 1e-300
+        # reaches gaps 2^k beyond float range
+        out = tmp_path / "env3.csv"
+        code = run(["envelopes", "--z", "i", "--L", "geometric", "--eta", "1e-17",
+                    "--s", "1e-300", "--out", str(out)])
+        assert code == 0
+        header, values = out.read_text().strip().splitlines()
+        row = dict(zip(header.split(","), values.split(",")))
+        assert float(row["sep"]) == pytest.approx(55.14003279548, rel=1e-12)
+        assert row["h_L"] == "996"
 
     def test_z_on_cut_rejected(self):
         assert run(["envelopes", "--z", "2", "--q", "1"]) == 1

@@ -398,6 +398,13 @@ class TestReconstruct:
             ref = _per_point_reconstruction(pot, E, grid)
             assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_non_finite_grid_rejected(self):
+        zeta = 1 + 0.1j
+        pot = PiecewisePotential.from_bumps([construct_bump(zeta).bump])
+        for grid in ([-1.0, 0.0, math.inf], [-math.inf, 0.0, 1.0], [-1.0, math.nan, 1.0]):
+            with pytest.raises(ValueError, match="grid"):
+                reconstruct_eigenfunction(pot, zeta, grid)
+
     def test_non_eigenvalue_rejected(self):
         pot = PiecewisePotential.from_bumps([StepBump(-1.0, 1.0)])
         with pytest.raises(ValueError):

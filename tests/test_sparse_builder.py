@@ -119,12 +119,29 @@ class TestSep:
     def test_empty_values(self):
         assert sep(SeparationSequence.from_values([]), 1.0) == 0.0
 
+    def test_ratio_rounding_to_one(self):
+        # eta*inc below 1e-16 for the first gaps: e^{-eta*inc} is 1.0 in float64
+        eta = 1e-17
+        terms = [math.exp(-eta * 2.0 ** k) for k in range(1, 80)]
+        assert sep(GEOMETRIC, eta) == pytest.approx(math.fsum(terms), rel=1e-15)
+        assert sep(GEOMETRIC, eta) == pytest.approx(55.14003279548, rel=1e-12)
+
+    def test_gap_beyond_float_range_uncertified(self):
+        # at eta = 1e-310 the terms of gaps past 2^1023 are still near 1
+        with pytest.raises(NonSummableError, match="float range"):
+            sep(GEOMETRIC, 1e-310)
+
 
 class TestDistribution:
     def test_trivial_counts(self):
         assert h_L(GEOMETRIC, 0.1) == 3  # 2, 4, 8 <= 10
         assert h_L(SeparationSequence.from_rule(lambda k: float(k * k), convex_increments=True), 0.01) == 10
         assert h_L(GEOMETRIC, 10.0) == 0
+
+    def test_rule_beyond_float_range(self):
+        # the gallop reaches L(1024) = 2^1024, which is inf
+        assert GEOMETRIC.L(1024) == math.inf
+        assert h_L(GEOMETRIC, 1e-300) == 996  # 2^996 <= 1e300 < 2^997
 
     def test_eta0_scaling(self):
         scaled = SeparationSequence.from_rule(lambda k: 2.0 ** k, eta0=2.0, convex_increments=True)

@@ -332,6 +332,13 @@ class TestGradedPanels:
             assert np.all(np.diff(along) >= 0.0)
             assert abs(dz.sum() - (b - a)) <= 1e-13 * abs(b - a)
 
+    def test_walked_rectangle_keeps_equality_and_hash(self):
+        # the edge grading is cached on the instance, outside the dataclass fields
+        walked = Region.rectangle(-8.0, -1e-3, -1.5, 1.5)
+        walked.panels([0, 1, 2, 3], [0.0] * 4, [1.0] * 4)
+        fresh = Region.rectangle(-8.0, -1e-3, -1.5, 1.5)
+        assert walked == fresh and hash(walked) == hash(fresh) and repr(walked) == repr(fresh)
+
 
 class TestRouche:
     def test_g1_g2_domination(self):
