@@ -286,9 +286,10 @@ def reconstruct_eigenfunction(
             or not np.all(np.isfinite(grid))):
         raise ValueError("grid must be a strictly increasing 1-D array of finite points")
     segments, span = _segments(pot)
-    # the left exterior, continued back from x0, then each segment's and the right
-    # exterior's start state from the one sweep (without segments, the left's again)
-    starts = [(1.0 + 0j, -1j * sqrt_upper(E), 0.0)] * (1 if segments else 2)
+    chi = sqrt_upper(E)
+    # each segment's and the right exterior's start state from the one sweep
+    # (without segments, the right exterior starts as the left one)
+    starts = [] if segments else [(1.0 + 0j, -1j * chi, 0.0)]
     fval = abs(_secular(segments, span, E, starts))
     if fval >= tol:
         raise ValueError(
@@ -299,16 +300,19 @@ def reconstruct_eigenfunction(
     edges = [x0]
     for width, _ in segments:
         edges.append(edges[-1] + width)
-    # stretch r of a grid point: 0 left of x0, len(edges) right of the hull
-    anchors = [x0] + edges
-    k2s = [E] + [E - v for _, v in segments] + [E]
+    k2s = [E - v for _, v in segments] + [E]
 
     vals = np.empty(grid.shape, dtype=complex)
     logs = np.empty(grid.shape)
     cuts = [0, *np.searchsorted(grid, edges).tolist(), grid.size]
+    # left of x0 the sweep's start state (1, -i chi) is the wave e^{-i chi (x - x0)}
+    left = grid[:cuts[1]] - x0
+    vals[:cuts[1]] = np.exp(-1j * chi.real * left)
+    logs[:cuts[1]] = chi.imag * left
+    # stretch r from edges[r]: segment r, or the right exterior
     for r, (p, dp, log_scale) in enumerate(starts):
-        at = slice(cuts[r], cuts[r + 1])
-        c, s, t = _pieces(k2s[r], grid[at] - anchors[r])
+        at = slice(cuts[r + 1], cuts[r + 2])
+        c, s, t = _pieces(k2s[r], grid[at] - edges[r])
         vals[at] = c * p + s * dp
         logs[at] = log_scale + t
     top = logs[vals != 0].max(initial=-math.inf)

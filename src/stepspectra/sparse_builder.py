@@ -210,7 +210,7 @@ def h_L(L: SeparationSequence, s: float) -> int:
     """Count of gaps with eta0 * L_k <= 1/s (distribution function)."""
     if not s > 0:
         raise ValueError("s must be positive")
-    threshold = 1.0 / (s * L.eta0)
+    threshold = (1.0 / s) / L.eta0  # s*eta0 may underflow to 0
     if L.finite:
         return sum(1 for v in L.values if v <= threshold)
     if L.L(1) > threshold:
@@ -306,21 +306,32 @@ def _neg_part(x: float) -> float:
 
 
 def M_pq(z: complex, params: EnvelopeParams, vnorm: float = 1.0) -> float:
-    """Resolvent-envelope exponent (<z>/|Im z|)(<z>/|z|)^(5p(q_d/q-1)_- + 8) <omega>^p."""
+    """Resolvent-envelope exponent (<z>/|Im z|)(<z>/|z|)^(5p(q_d/q-1)_- + 8) <omega>^p,
+    inf where it leaves float range."""
     z = complex(z)
     if z.imag == 0 and z.real >= 0:
         raise ValueError("M_pq is undefined on [0, inf)")
     br_z = _bracket(abs(z))
     expo = 5.0 * params.p * _neg_part(params.q_d / params.q - 1.0) + 8.0
     omega = omega_q(z, params.d, params.q) * vnorm
-    return (br_z / abs(z.imag)) * (br_z / abs(z)) ** expo * _bracket(omega) ** params.p
+    try:
+        return (br_z / abs(z.imag)) * (br_z / abs(z)) ** expo * _bracket(omega) ** params.p
+    except OverflowError:
+        return math.inf
 
 
 def M_pq_L(z: complex, L: SeparationSequence, params: EnvelopeParams, vnorm: float = 1.0) -> float:
-    """M_pq with the separation factor <s(L, (|z|/<z>)^5 z)>^(2p)."""
+    """M_pq with the separation factor <s(L, (|z|/<z>)^5 z)>^(2p), inf where it leaves
+    float range."""
     z = complex(z)
+    m = M_pq(z, params, vnorm)
+    if m == math.inf:
+        return m  # the factor is at least 1, and its argument may underflow to 0
     shrunk = (abs(z) / _bracket(abs(z))) ** 5 * z
-    return M_pq(z, params, vnorm) * _bracket(s_of_L_z(L, shrunk, params.d)) ** (2.0 * params.p)
+    try:
+        return m * _bracket(s_of_L_z(L, shrunk, params.d)) ** (2.0 * params.p)
+    except OverflowError:
+        return math.inf
 
 
 def kappa_alpha(params: EnvelopeParams) -> float:

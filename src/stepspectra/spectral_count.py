@@ -13,9 +13,9 @@ Zeros come from the same values (Delves & Lyness 1967; Kravanja & Van Barel
 sum m_k u_k^p = N*u0^p - (p/2 pi i) oint u^(p-1) log f du.  The rank of H0 =
 [s_(i+j)] counts distinct zeros, the pencil (H1, H0) places them, a Vandermonde
 solve gives multiplicities, and the secant method polishes simple zeros.  A
-cell is split in four only when it winds over four times, a polished zero
-leaves it, or multiplicities do not add up; a cluster that makes H0 rank
-deficient is first solved again on a small disk.
+cell is split in four only when a polished zero leaves it or meets another, or
+multiplicities do not add up; a cluster that makes H0 rank deficient is first
+solved again on a small disk.
 
 The census of V = i*1_[-N,N] refines each resonance ladder as numpy arrays
 over the branch number n, with Lambert-W seeds and a per-branch Newton stop.
@@ -48,13 +48,11 @@ _MAX_STEP = math.pi / 3.0
 _MAX_REFINE = 28
 #: a panel's integrals of u^k log f must match its halves' to this, per unit length
 _MOMENT_TOL = 1e-9
-#: a node with |f| below this times the region's scale raises ContourError
+#: a node with |f| below this times the geometric mean of |f| on its contour raises ContourError
 _GUARD_FACTOR = 1e-12
 #: a cell below this times the region's scale reports its centre, the winding as
 #: multiplicity
 _MIN_DIAMETER = 1e-8
-#: most zeros, with multiplicity, that one cell's moments solve
-_MAX_ZEROS = 4
 #: singular values of H0 below this fraction of the largest count as zero
 _RANK_TOL = 1e-9
 #: least grading scale of a rectangle edge that misses 0, times its length
@@ -243,15 +241,15 @@ class _Contour:
             leaves = [q for i, p in enumerate(leaves)
                       for q in ((next(halves), next(halves)) if i in bad else (p,))]
         self.leaves = leaves
-        self.v = v
-        self.args = np.angle(v[0]) + np.cumsum(steps) - steps[0]
+        self.logs = np.log(np.abs(v)) + 1j * (np.angle(v[0]) + np.cumsum(steps) - steps[0])
+        self.log_mean = float(self.logs.real.mean())
         low = int(np.argmin(np.abs(v)))
         self.min_modulus = float(abs(v[low]))
         stats.cells += 1
         stats.panels += len(leaves)
         stats.max_depth = max(stats.max_depth, int(max(p.depth for p in leaves)))
         stats.min_modulus = min(stats.min_modulus, self.min_modulus)
-        guard = _GUARD_FACTOR * region.scale
+        guard = _GUARD_FACTOR * math.exp(self.log_mean)
         if self.min_modulus < guard:
             p = leaves[low // 16]
             raise self._error(f"|f| below the guard {guard:.3e}; nudge the region", p.edge,
@@ -305,10 +303,11 @@ class _Contour:
         u = (np.concatenate([p.z for p in self.leaves]) - self.c) / self.h
         du = np.concatenate([p.dz for p in self.leaves]) / self.h
         first = self.region.panels([0], [0.0], [0.0])[0][0, 0]  # zero-length: the first vertex
-        p = np.arange(n)
-        s = self.winding * ((first - self.c) / self.h) ** p + 0j
-        logs = np.log(np.abs(self.v)) + 1j * self.args
-        s[1:] -= p[1:] / (2j * math.pi) * (np.vander(u, n - 1, increasing=True).T @ (logs * du))
+        s = self.winding * ((first - self.c) / self.h) ** np.arange(n) + 0j
+        w = (self.logs - self.log_mean) * du  # less a constant, so c*f gives the same sums
+        for p in range(1, n):
+            s[p] -= p / (2j * math.pi) * w.sum()
+            w *= u
         return s
 
 
@@ -451,8 +450,7 @@ def locate_zeros(f, region: Region, budget: int = 4000) -> ZeroReport:
         if cell.diameter <= min_diameter:
             found.append(LocatedZero(con.c, wind, abs(f(con.c))))
             continue
-        zeros = (_moment_zeros(f, cell, con, stats, cell.diameter <= floor)
-                 if wind <= _MAX_ZEROS else None)
+        zeros = _moment_zeros(f, cell, con, stats, cell.diameter <= floor)
         if zeros is not None:
             found += zeros
             continue

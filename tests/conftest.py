@@ -191,3 +191,10 @@ def imag_step_branch(N: int, n: int, parity: str, sign: int, tol: float = 1e-9, 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def line_targets(n: int) -> list:
+    """n targets [re, im], evenly spaced from 0.6+0.08i to 1.6+0.03i.  As n grows, the
+    desk potential's disks of radius 5e-3 around them hold more eigenvalues (Boegli's
+    accumulation): 3 targets give 1 each, 30 give 114 in all, up to 6 in one disk."""
+    return [[float(a), float(b)] for a, b in zip(np.linspace(0.6, 1.6, n), np.linspace(0.08, 0.03, n))]

@@ -8,6 +8,8 @@ from stepspectra.cli import main, parse_complex
 from stepspectra.schrodinger_1d import PiecewisePotential
 from stepspectra.step_model import StepBump
 
+from conftest import line_targets
+
 
 def run(args):
     return main(args)
@@ -217,6 +219,22 @@ class TestSparseCommand:
         l2 = [abs(v) * math.sqrt(b - a) for a, b, v in pot.pieces]
         assert norms["l6L2"] == pytest.approx(sum(n ** 6 for n in l2) ** (1 / 6), rel=1e-12)
 
+    @pytest.mark.parametrize("n, found", [(3, [1, 1, 1]), (30, None)])
+    def test_desk_disks_far_below_unit_modulus(self, tmp_path, n, found):
+        # |F| is about 1e-14 on the 3-target disks, far less on the 30-target
+        # ones, which hold up to 6 eigenvalues each; an absolute guard took that
+        # for a zero on the circle (exit 3)
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps({"zetas": line_targets(n), "q": 2, "p": 4}))
+        out = tmp_path / "desk"
+        assert run(["sparse", "--targets", str(path), "--mode", "desk", "--delta", "5e-3",
+                    "--out", str(out)]) == 0
+        report = json.loads((out / "sparse_report.json").read_text())
+        assert all(v["found"] == len(v["zeros"]) for v in report["verification"])
+        if found is not None:
+            assert [v["found"] for v in report["verification"]] == found
+        assert sum(v["found"] for v in report["verification"]) == (114 if n == 30 else 3)
+
     @pytest.mark.parametrize("spec", [
         {"q": 2.0},                           # no "zetas": KeyError
         {"zetas": [[1.0, 0.08], [1.3]]},      # a one-number entry: IndexError
@@ -275,6 +293,27 @@ class TestEnvelopesCommand:
         row = dict(zip(header.split(","), values.split(",")))
         assert float(row["sep"]) == pytest.approx(55.14003279548, rel=1e-12)
         assert row["h_L"] == "996"
+
+    @pytest.mark.parametrize("args, m_pq", [
+        # (<z>/|z|)^8 overflowed at |z| = 1e-300, and <s>^(2p) at p = 200: an
+        # OverflowError traceback each
+        (["--z", "1e-300i", "--L", "geometric"], math.inf),
+        (["--z", "1e-300i", "--L", "values:1,2,4"], math.inf),
+        (["--z", "i", "--p", "200", "--L", "geometric"], 5.2280801430438435e+99),
+    ])
+    def test_envelope_beyond_float_range_is_inf(self, tmp_path, args, m_pq):
+        out = tmp_path / "env4.csv"
+        assert run(["envelopes", *args, "--out", str(out)]) == 0
+        header, values = out.read_text().strip().splitlines()
+        row = dict(zip(header.split(","), values.split(",")))
+        assert float(row["M_pq"]) == pytest.approx(m_pq, rel=1e-12)
+        assert float(row["M_pq_L"]) == math.inf
+
+    def test_count_threshold_beyond_float_range(self, capsys):
+        # s*eta0 underflowed to 0, and 1/(s*eta0) raised ZeroDivisionError; the
+        # threshold is now inf, and the gallop's count reports that it is unbounded
+        assert run(["envelopes", "--z", "i", "--s", "1e-200", "--eta0", "1e-200"]) == 2
+        assert "h_L count exceeds 1e18" in capsys.readouterr().err
 
     def test_z_on_cut_rejected(self):
         assert run(["envelopes", "--z", "2", "--q", "1"]) == 1

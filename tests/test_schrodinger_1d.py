@@ -326,6 +326,17 @@ class TestReconstruct:
         slope = np.polyfit(xs, np.log(np.abs(reconstruct_eigenfunction(pot, zeta, xs))), 1)[0]
         assert -slope == pytest.approx(sqrt_upper(zeta).imag, rel=0.01)
 
+    def test_left_exterior_is_the_decaying_wave(self):
+        # left of the hull the solution is its value at x0 times e^{-i chi (x - x0)};
+        # formed as two waves growing like e^{Im chi d}, it was off by 1.2x at d = 400
+        zeta = 1 + 0.1j
+        pot = PiecewisePotential.from_bumps([construct_bump(zeta).bump])
+        x0 = pot.pieces[0][0]
+        grid = np.linspace(x0 - 400.0, x0, 4001)
+        psi = reconstruct_eigenfunction(pot, zeta, grid)
+        wave = psi[-1] * np.exp(-1j * sqrt_upper(zeta) * (grid - x0))
+        assert np.max(np.abs(psi - wave) / np.abs(wave)) <= 1e-13
+
     def test_two_well_quasimode_concentration(self):
         # identical wells far apart: reconstructing at the single-well energy
         # gives a quasimode fully concentrated near one well, more so as the

@@ -12,6 +12,9 @@ from stepspectra.special_functions import branch_of_w, lambert_w
 from stepspectra.spectral_count import (
     FAMILIES,
     Region,
+    SolverStats,
+    _Contour,
+    _counted,
     census_box,
     census_window,
     imag_step_census,
@@ -29,7 +32,7 @@ from stepspectra.step_model import (
     secular_entire,
 )
 
-from conftest import imag_step_branch, mp_transfer_secular, real_well_bound_states
+from conftest import imag_step_branch, line_targets, mp_transfer_secular, real_well_bound_states
 
 
 class TestWindingCount:
@@ -134,9 +137,9 @@ class TestLocateZeros:
         handle = make_secular_handle(PiecewisePotential.from_bumps([bump]))
         cases = [
             (handle, Region.rectangle(-8.0, -1e-3, -1.5, 1.5)),
-            # six zeros: more than one cell's moments solve, so the cell splits
-            (lambda z: np.prod([z - 0.3 * k + 0.2j * (k % 2) for k in range(-3, 3)]),
-             Region.rectangle(-1.1, 1.0, -0.5, 0.4)),
+            # six eigenvalues of i*1_[-8,8] whose pencil on the census box fails
+            # its checks, so the cell splits
+            (make_secular_handle(PiecewisePotential([(-8.0, 8.0, 1j)])), census_box(8)),
         ]
         for f, region in cases:
             calls = []
@@ -199,6 +202,20 @@ class TestLocateZeros:
         assert rep.complete and rep.winding_total == 1 and len(rep.zeros) == 1
         assert disk.contains(rep.zeros[0].location)
 
+    def test_thirty_desk_disks_without_a_split(self):
+        # 114 eigenvalues in 30 disks, up to 6 in one, each disk centred on its
+        # target next to an eigenvalue: every disk's pencil solves all of them
+        zetas = tuple(complex(*z) for z in line_targets(30))
+        targets = TargetSequence(zetas)
+        params = EnvelopeParams(d=1, q=2.0, p=4.0)
+        handle = make_secular_handle(assemble_sparse(
+            targets, params, choose_L(targets, params, mode="desk").lengths).potential)
+        reps = [locate_zeros(handle, Region.disk(z, 5e-3)) for z in zetas]
+        assert all(r.complete and r.winding_total == len(r.zeros) for r in reps)
+        assert sum(r.winding_total for r in reps) == 114
+        assert max(r.winding_total for r in reps) == 6
+        assert sum(r.stats.evaluations for r in reps) <= 30000
+
     @pytest.mark.parametrize("gap, expected", [
         (0.0, [(-0.5j, 1), (0.3 + 0.1j, 2)]),
         (1e-7, [(-0.5j, 1), (0.3 + 0.1j, 1), (0.3000001 + 0.1j, 1)]),
@@ -217,6 +234,66 @@ class TestLocateZeros:
         for z, (want, m) in zip(rep.zeros, expected):
             assert abs(z.location - want) < (1e-9 if m == 1 else 1e-6)
         assert rep.stats.evaluations < 1000
+
+    def test_noisy_f(self):
+        # relative noise leaves the zeros where they are, but it can fail the
+        # secant polish on the small disk, and the cell is then split
+        splits = 0
+        for gap in (1e-7, 1e-3):
+            want = [-0.5j, 0.3 + 0.1j, 0.3 + 0.1j + gap]
+            for noise in (1e-13, 1e-11, 1e-9):
+                rng = np.random.default_rng(0)
+                f = lambda z: ((z - 0.3 - 0.1j) * (z - 0.3 - 0.1j - gap) * (z + 0.5j)
+                               * (1.0 + noise * complex(*rng.standard_normal(2))))
+                rep = locate_zeros(f, Region.disk(0, 1))
+                assert rep.complete and len(rep.zeros) == 3
+                for z, w in zip(rep.zeros, sorted(want, key=lambda w: (w.real, w.imag))):
+                    assert abs(z.location - w) < 1e-9
+                assert rep.stats.evaluations <= 12000
+                splits += rep.stats.splits
+        assert splits > 0
+
+    @pytest.mark.parametrize("region", [Region.disk(0.1 + 0.2j, 1.0),
+                                        Region.rectangle(-0.9, 1.1, -0.8, 1.2)])
+    def test_six_zeros_one_at_the_centre(self, region):
+        # one cell's moments solve all six: a split at the centre would cut
+        # through a zero
+        c = 0.1 + 0.2j
+        roots = [c] + [c + 0.6 * cmath.exp(1j * (0.3 + 2 * math.pi * k / 5)) for k in range(5)]
+        rep = locate_zeros(lambda z: np.prod([z - r for r in roots], axis=0), region)
+        assert rep.complete and rep.winding_total == len(rep.zeros) == 6
+        for r in roots:
+            assert min(abs(z.location - r) for z in rep.zeros) < 1e-9
+        assert rep.stats.splits == rep.stats.nudges == 0
+        assert rep.stats.evaluations <= 1000
+
+    @pytest.mark.parametrize("region, centre, h", [
+        (Region.disk(0.1j, 1.0), 0.1j, 1.0),
+        (Region.rectangle(-1.0, 1.2, -0.9, 1.1), 0.1 + 0.1j, 0.5 * math.hypot(2.2, 2.0)),
+    ])
+    def test_power_sums_of_twenty_zeros(self, region, centre, h):
+        # s_0 .. s_39 against the sums of the zeros' own powers, with no cap on
+        # the winding that one cell's moments take
+        k = np.arange(20)
+        roots = (0.3 + 0.03 * k) * np.exp(1j * (0.7 * math.pi * k + 0.1)) + 0.05
+        stats = SolverStats()
+        con = _Contour(_counted(lambda z: np.prod([z - r for r in roots], axis=0), stats),
+                       region, stats)
+        u = (roots - centre) / h
+        exact = [np.sum(u ** p) for p in range(40)]
+        assert con.winding == 20
+        assert np.max(np.abs(con.power_sums(40) - exact)) <= 1e-10
+
+    def test_constant_factor_changes_nothing(self):
+        # the guard and the power sums see |f| relative to its geometric mean
+        # on the contour, so c*f walks the same nodes and finds the same zeros
+        f = lambda z: (z - 0.3 - 0.1j) * (z - 0.301 - 0.1j) * (z + 0.5j)
+        reps = [locate_zeros(lambda z: c * f(z), Region.disk(0, 1)) for c in (1e-200, 1.0, 1e200)]
+        for rep in reps:
+            assert rep.complete and len(rep.zeros) == 3
+            assert rep.stats.evaluations == reps[1].stats.evaluations
+            for a, b in zip(rep.zeros, reps[1].zeros):
+                assert abs(a.location - b.location) < 1e-12
 
     def test_rectangle_made_without_its_constructor(self):
         # Region("rectangle", ...) stores no centre: the contour takes it from the bounds
