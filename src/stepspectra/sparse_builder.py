@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import NonSummableError, StepSpectraError
+from .errors import NonSummableError, StepSpectraError, UnsupportedDomainError
 from .schrodinger_1d import PiecewisePotential
 from .special_functions import _dist_to_ray, sqrt_upper
 from .step_model import SECTOR_APERTURE, BumpReport, _check_sector, bump_norm_lq, construct_bump
@@ -426,7 +426,7 @@ def choose_L(t: TargetSequence, params: EnvelopeParams, mode: str = "desk") -> C
     for z in t.zetas:
         val = math.log(params.C_L) + kt * math.log(1.0 / z.imag)
         if not math.isfinite(val):
-            raise OverflowError(f"log-space gap overflowed for target {z!r}")
+            raise UnsupportedDomainError(f"log-space gap overflowed for target {z!r}")
         power_logs.append(val)
     prelim = None
     if mode == "faithful":
@@ -456,8 +456,13 @@ def choose_L(t: TargetSequence, params: EnvelopeParams, mode: str = "desk") -> C
         log_rule_l = math.log(rule_l) if rule_l > 0 else -math.inf
         if mode == "faithful":
             log_rule_l = max(power_logs[idx - 1], log_rule_l)
+        if log_rule_l == math.inf:
+            raise UnsupportedDomainError(f"gap rule overflowed in log space at target {idx}")
         if not math.isfinite(log_rule_l):
-            raise OverflowError(f"gap rule overflowed in log space at target {idx}")
+            # the log's argument is below 1, as for a tiny target's |V| and eps^-1 a
+            raise UnsupportedDomainError(
+                f"gap rule asks for no positive gap at target {idx}: its "
+                f"log(n log^2<n> eps^-1 a |V|) = {rule_log_arg:.6g} is not positive")
         per_target.append((log_rule_l, log_delta))
 
     # gap n sits between bumps n and n+1 and must respect both neighbors'

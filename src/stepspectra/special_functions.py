@@ -7,12 +7,12 @@ Branch conventions used everywhere in the package:
 * Lambert W branches follow the standard region layout (curved boundaries
   near the real-capable branches, straight strips far away).
 
-Bessel/Hankel functions are float64 throughout.  Orders 0 and 1 come as a J
-half and an H1 half.  For |z| <= 14 one power-series pass gives J_0, J_1 and,
-for H1 = J + iY at Im z <= 3, Y_0, Y_1; at Im z > 3, where H1 is exponentially
-smaller than J and Y, Steed's continued fraction CF2 for K_0, K_1 at -iz gives
-H1.  Beyond |z| = 14 both use the Hankel asymptotic expansion.  These are the
-only orders: the radial solver needs no others.
+Bessel/Hankel functions are float64, orders 0 and 1 only, as a J half and an
+H1 half.  J: the power series for |z| <= 14, beyond it the Hankel expansion at
+Re z >= 0 (J_0 is even, J_1 odd).  H1: Steed's continued fraction CF2 for K_0,
+K_1 at -iz in the upper half plane, but for |z| <= 6, Im z <= 3, where CF2 is
+slowest and the series' J + iY, whose cancellation grows with |z| (4.5e-10 at
+14), is good to 4e-13; below the real axis H1 = 2J - conj(H1(conj z)).
 
 All functions are pure and reentrant.
 """
@@ -218,7 +218,8 @@ def lambert_w(n, z):
 # Bessel/Hankel functions of orders 0 and 1 (the radial s-wave solver's)
 # ---------------------------------------------------------------------------
 
-_SERIES_RADIUS = 14.0  # series/asymptotic seam
+_SERIES_RADIUS = 14.0  # J's series/asymptotic seam
+_H1_SERIES_RADIUS = 6.0  # H1 from the Y series, good to 4e-13, only for |z| <= 6, Im z <= 3
 
 
 def _series_01(z: complex, with_y: bool):
@@ -277,61 +278,35 @@ def _hankel_pq(z: complex):
 
 
 def _asymptotic_direct(z: complex):
-    """Order-0 Hankel-expansion values for Re z >= 0; H1 also holds for arg z in (0, pi].
-
-    H1 is assembled in the exponential form amp * e^{i*omega} * (P + iQ);
-    forming J + iY instead would cancel catastrophically for Im z >> 0.
-    """
+    """Order-0 Hankel-expansion (J_0, J_0') in the cos/sin form, for Re z >= 0."""
     p, q, dp, dq = _hankel_pq(z)
     omega = z - math.pi / 4.0
     amp = cmath.sqrt(2.0 / (math.pi * z))
     try:
-        cw, sw, eiw = cmath.cos(omega), cmath.sin(omega), cmath.exp(1j * omega)
+        cw, sw = cmath.cos(omega), cmath.sin(omega)
     except OverflowError:
         raise UnsupportedDomainError(f"Bessel asymptotics leave float range at z = {z!r}") from None
     jv = amp * (p * cw - q * sw)
     djv = amp * ((dp - q) * cw - (dq + p) * sw) - jv / (2.0 * z)
-    h1 = amp * eiw * (p + 1j * q)
-    dh1 = amp * eiw * (1j * (p + 1j * q) + (dp + 1j * dq)) - h1 / (2.0 * z)
-    return jv, h1, djv, dh1
+    return jv, djv
 
 
-def _asymptotic_jh(z: complex):
-    """Large-|z| order-0 (J, H1, J', H1'), stable in every quadrant.
-
-    Left of the imaginary axis the cos/sin form of J drops its subdominant
-    component (Stokes line at arg z = pi), so J is taken through the exact
-    reflection J_0(-w) = J_0(w); the lower-left quadrant reflects by
-    conjugation.
-    """
-    if z.real >= 0.0:
-        return _asymptotic_direct(z)
-    if z.imag >= 0.0:
-        w = -z  # arg w = arg z - pi, in the solid lower-right quadrant
-        jv, _h1w, djw, _dh1w = _asymptotic_direct(w)
-        _, h1, _, dh1 = _asymptotic_direct(z)
-        return jv, h1, -djw, dh1
-    jc, h1c, djc, dh1c = _asymptotic_jh(z.conjugate())
-    jv, djv = jc.conjugate(), djc.conjugate()
-    # H2(z) = conj(H1(conj z)); H1 = 2J - H2 (no cancellation: H1 dominant here)
-    h1 = 2.0 * jv - h1c.conjugate()
-    dh1 = 2.0 * djv - dh1c.conjugate()
-    return jv, h1, djv, dh1
-
-
-_CF2_MAX_ITER = 200  # x = -iz with Re x > 3, |x| <= 14 converges in under 60
+_CF2_MAX_ITER = 200  # CF2 runs at |x| >= 3 here and converges in at most 60 terms
+_CF2_UNDERFLOW = 708.39  # Re x past which e^{-x}, and H1 with it, is below every normal float
 
 
 def _hankel01_cf2(z: complex):
-    """(H1_0(z), H1_1(z)) for Im z > 3 from K_0, K_1 at x = -iz.
+    """(H1_0(z), H1_1(z)) for Im z >= 0, z != 0, from K_0, K_1 at x = -iz.
 
     Steed's continued fraction CF2 (Temme, J. Comput. Phys. 19, 1975; the
     ``bessik`` routine of Numerical Recipes) at order 0 gives K_0 and the
     ratio K_1/K_0; then H1_nu(z) = (2/(pi i)) e^{-i nu pi/2} K_nu(-iz).
-    CF2 converges fast for Re x = Im z > 3; past ``_CF2_MAX_ITER`` terms
+    CF2 converges the faster the larger |x|; past ``_CF2_MAX_ITER`` terms
     :class:`ConvergenceError` is raised rather than an unconverged value.
     """
     x = -1j * z
+    if x.real > _CF2_UNDERFLOW:
+        raise UnsupportedDomainError(f"CF2's e^{{-x}} leaves the normal float range at z = {z!r}")
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
     h = delh = d
@@ -373,21 +348,23 @@ def _nonzero(z: complex) -> complex:
 def _j01(z: complex):
     """(J_0(z), J_1(z)) for z != 0."""
     z = _nonzero(z)
-    if abs(z) > _SERIES_RADIUS:
-        j0, _, dj0, _ = _asymptotic_jh(z)
-        return j0, -dj0
-    return _series_01(z, False)
+    if abs(z) <= _SERIES_RADIUS:
+        return _series_01(z, False)
+    # left of the imaginary axis the cos/sin form drops its subdominant part
+    # (Stokes line at arg z = pi), so evaluate at -z: J_0 is even, J_1 odd
+    left = z.real < 0.0
+    j0, dj0 = _asymptotic_direct(-z if left else z)
+    return j0, (dj0 if left else -dj0)
 
 
 def _h01(z: complex):
     """(H1_0(z), H1_1(z)) for z != 0."""
     z = _nonzero(z)
-    if abs(z) > _SERIES_RADIUS:
-        _, h0, _, dh0 = _asymptotic_jh(z)
-        return h0, -dh0
-    # H1 = J + iY cancels by e^{2 Im z}: above Im z = 3 that loses more than
-    # 2.6 digits, so H1 comes from CF2 there and from the Y series below
-    if z.imag > 3.0:
-        return _hankel01_cf2(z)
-    j0, j1, y0, y1 = _series_01(z, True)
-    return j0 + 1j * y0, j1 + 1j * y1
+    if abs(z) <= _H1_SERIES_RADIUS and z.imag <= 3.0:
+        j0, j1, y0, y1 = _series_01(z, True)
+        return j0 + 1j * y0, j1 + 1j * y1
+    if z.imag < 0.0:
+        # H2(z) = conj(H1(conj z)) and H1 = 2J - H2
+        (j0, j1), (c0, c1) = _j01(z), _hankel01_cf2(z.conjugate())
+        return 2.0 * j0 - c0.conjugate(), 2.0 * j1 - c1.conjugate()
+    return _hankel01_cf2(z)

@@ -246,6 +246,19 @@ class TestSparseCommand:
         assert run(["sparse", "--targets", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "targets file wants" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, message", [
+        ("faithful", "gap rule overflowed in log space at target 1"),  # M_pq_L = inf
+        ("desk", "gap rule asks for no positive gap at target 1"),  # the rule's log < 0
+    ])
+    def test_tiny_target_is_a_numeric_failure(self, tmp_path, capsys, mode, message):
+        # choose_L raised a bare OverflowError in both modes: a traceback, exit 1
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"zetas": [[1e-60, 1e-61]], "q": 2, "p": 4}))
+        out = tmp_path / "tiny"
+        assert run(["sparse", "--targets", str(path), "--mode", mode, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: {message}") and err.count("\n") == 1
+
     def test_empty_targets(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"zetas": [], "q": 2.0}))

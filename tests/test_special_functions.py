@@ -232,6 +232,47 @@ class TestBesselUpperCorner:
             _h01(1.0 + 4.0j)
 
 
+def _ring(rng, n, r_lo, r_hi, y_max, sign=1.0):
+    """Seeded z with |z| log-uniform in (r_lo, r_hi], 0 <= sign*Im z <= y_max."""
+    pts = []
+    for _ in range(n):
+        r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
+        y = rng.uniform(0.0, min(r, y_max))
+        pts.append(complex(rng.choice((-1.0, 1.0)) * math.sqrt(r * r - y * y), sign * y))
+    return pts
+
+
+class TestHankelRoutes:
+    """H1 from CF2 in the upper half plane but for the series strip |z| <= R_s,
+    Im z <= 3, and by reflection below the real axis."""
+
+    R_S = special_functions._H1_SERIES_RADIUS
+
+    @pytest.mark.parametrize("r_lo, r_hi, y_max, sign, tol", [
+        # the series' J + iY lost up to 4.7e-10 here
+        (R_S, 14.0, 3.0, 1.0, 1e-12),
+        # the Hankel expansion, cut at its smallest term, lost up to 1.4e-13
+        (14.0, 600.0, 40.0, 1.0, 1e-14),
+        # H1 = 2J - conj(H1(conj z)): J's series limits it near |z| = 14 (3.3e-11)
+        (R_S, 14.0, 14.0, -1.0, 1e-10),
+    ], ids=["near-the-real-axis", "beyond-14", "lower-half-plane"])
+    def test_against_mpmath(self, rng, r_lo, r_hi, y_max, sign, tol):
+        for z in _ring(rng, 40, r_lo, r_hi, y_max, sign):
+            for ours, ref in zip(_h01(z), (mp_bessel_jh(0, z)[1], mp_bessel_jh(1, z)[1])):
+                assert abs(ours - ref) <= tol * abs(ref)
+
+    def test_series_meets_cf2_on_the_seams(self):
+        # |z| = R_s with Im z <= 3, and Im z = 3 with |z| <= R_s; measured 3.6e-13
+        top = math.asin(3.0 / self.R_S)
+        arc = [self.R_S * cmath.exp(1j * top * k / 100) for k in range(101)]
+        half = math.sqrt(self.R_S ** 2 - 9.0)
+        line = [complex(half * k / 100, 3.0) for k in range(-100, 101)]
+        for z in arc + [-w.conjugate() for w in arc] + line:
+            j0, j1, y0, y1 = special_functions._series_01(z, True)
+            for ours, ref in zip((j0 + 1j * y0, j1 + 1j * y1), special_functions._hankel01_cf2(z)):
+                assert abs(ours - ref) <= 1e-12 * abs(ref)
+
+
 def test_library_never_imports_mpmath():
     # a fresh interpreter: the test process itself has mpmath loaded by conftest
     code = (
