@@ -13,11 +13,10 @@ class ConvergenceError(StepSpectraError):
     Carries the last iterate and residual so callers can diagnose or reseed.
     """
 
-    def __init__(self, message, last_iterate=None, residual=None, trace=None):
+    def __init__(self, message, last_iterate=None, residual=None):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
-        self.trace = trace or []
 
 
 class PoleProximityError(StepSpectraError):

@@ -205,29 +205,6 @@ def davies_nath(bump: StepBump, q: float, s: float) -> float:
 # Inverse construction: given the eigenvalue, build the bump
 # ---------------------------------------------------------------------------
 
-def _construct_newton(zh: complex, R: float, kappa0: complex, tol: float):
-    """Solve kappa*cot(kappa*R) = i*sqrt(zh) by Newton from kappa0."""
-    target = 1j * sqrt_upper(zh)
-    kappa = kappa0
-    trace = [kappa]
-    for it in range(_CONSTRUCT_MAX_ITER):
-        w = kappa * R
-        csc2, c = (complex(x) for x in _trig_sq("odd", w))
-        g = kappa * c - target
-        if abs(g) <= tol:
-            return kappa, abs(g), it, trace
-        dg = c - w * csc2
-        if dg == 0:
-            break
-        step = g / dg
-        kappa = kappa - step
-        trace.append(kappa)
-        if abs(kappa - kappa0) > 0.5:
-            break  # left the seeding neighborhood; treat as divergence
-    w = kappa * R
-    return None, abs(kappa * complex(_trig_sq("odd", w)[1]) - target), _CONSTRUCT_MAX_ITER, trace
-
-
 def construct_bump(zeta: complex, sigma: float = 1.0,
                    sector_aperture: float = SECTOR_APERTURE) -> BumpReport:
     """Build a step bump whose odd-parity eigenvalue is exactly ``zeta``.
@@ -239,7 +216,7 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
     2. R is log(1/eps)/(2*sigma*eps) snapped to the phase grid
        2*Re(kappa)*R = pi/2 (mod 2*pi) for Re(kappa) = -1,
     3. Newton on kappa |-> kappa*cot(kappa*R) - i*sqrt(zeta/|zeta|) from the
-       seed -1 + i*eps*sigma (reseeded at +1 on a sheet failure),
+       seed -1 + i*eps*sigma,
     4. V0 = zeta/|zeta| - kappa^2,
 
     to a round-trip residual |secular| of at most 1e-10 * (1 + |zeta|).  The
@@ -262,37 +239,34 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
     k_grid = max(1, round((r_target + math.pi / 4.0) / math.pi))
     R_int = math.pi * k_grid - math.pi / 4.0
 
-    last_exc = None
-    for re_seed in (-1.0, 1.0):
-        kappa0 = complex(re_seed, eps * sigma)
-        kappa, res, iters, trace = _construct_newton(zh, R_int, kappa0, tol_int)
-        if kappa is None:
-            last_exc = ConvergenceError(
-                f"bump construction did not converge for zeta = {zeta!r} (seed {kappa0!r})",
-                last_iterate=trace[-1],
-                residual=res,
-                trace=trace,
-            )
-            continue
-        v0_int = zh - kappa * kappa
-        bump_int = StepBump(v0_int, R_int)
-        if not physical_sheet(bump_int, zh, "odd"):
-            last_exc = SheetError(
-                f"converged point for zeta = {zeta!r} is not on the physical sheet"
-            )
-            continue
-        bump = StepBump(scale * v0_int, R_int / lam)
-        residual = abs(secular(bump, zeta, "odd"))
-        if residual > tol:
-            last_exc = ConvergenceError(
-                f"round-trip residual {residual:.3e} above tol {tol:.3e}",
-                last_iterate=kappa,
-                residual=residual,
-            )
-            continue
-        return BumpReport(bump=bump, achieved_eigenvalue=zeta, residual=residual,
-                          iterations=iters)
-    raise last_exc
+    # Newton on g = kappa*cot(w) - i*sqrt(zh), w = kappa*R, g' = cot(w) - w*csc^2(w);
+    # it fails at g' = 0, after the step cap, or once it leaves the seed's neighbourhood
+    target = 1j * sqrt_upper(zh)
+    kappa = kappa0 = complex(-1.0, eps * sigma)
+    for iters in range(_CONSTRUCT_MAX_ITER + 1):
+        w = kappa * R_int
+        csc2, c = (complex(x) for x in _trig_sq("odd", w))
+        g = kappa * c - target
+        dg = c - w * csc2
+        if iters < _CONSTRUCT_MAX_ITER and abs(kappa - kappa0) <= 0.5:
+            if abs(g) <= tol_int:
+                break
+            if dg != 0:
+                kappa = kappa - g / dg
+                continue
+        raise ConvergenceError(
+            f"bump construction did not converge for zeta = {zeta!r} (seed {kappa0!r})",
+            last_iterate=kappa, residual=abs(g))
+
+    bump = StepBump(scale * (zh - kappa * kappa), R_int / lam)
+    chi_m = chi_match(bump, zeta, "odd")
+    if not chi_m.imag > 0.0:
+        raise SheetError(f"converged point for zeta = {zeta!r} is not on the physical sheet")
+    residual = abs(sqrt_upper(zeta) - chi_m)
+    if residual > tol:
+        raise ConvergenceError(f"round-trip residual {residual:.3e} above tol {tol:.3e}",
+                               last_iterate=kappa, residual=residual)
+    return BumpReport(bump=bump, achieved_eigenvalue=zeta, residual=residual, iterations=iters)
 
 
 def radial_secular(v0: complex, R: float, E: complex, d: int) -> complex:
