@@ -5,7 +5,8 @@ and JSON output is deterministic (sorted rows, 17 significant digits); SVG
 plots are static artifacts and never affect exit codes.
 
 Exit codes: 0 success, 1 usage error, 2 numeric construction failure,
-3 contour failure (a zero on or near a contour; the message says where).
+3 contour failure (a zero on or near a contour, or f unsettled after the
+engine's point bound; the message says where).
 """
 
 from __future__ import annotations

@@ -273,14 +273,18 @@ def strong_separation_check(L: SeparationSequence, lambda_grid, s_grid) -> bool:
 
 def omega_q(z: complex, d: int, q: float) -> float:
     """Birman-Schwinger envelope weight: |z|^(d/2q-1) below q_d, distance-
-    weighted |z|^(-1/2q) * d(z, R+)^(q_d/q - 1) at or above."""
+    weighted |z|^(-1/2q) * d(z, R+)^(q_d/q - 1) above, inf where that leaves
+    float range."""
     z = complex(z)
     if z.imag == 0 and z.real >= 0:
         raise ValueError("omega_q is undefined on [0, inf)")
     q_d = (d + 1) / 2.0
     if q <= q_d:
         return abs(z) ** (d / (2.0 * q) - 1.0)
-    return abs(z) ** (-1.0 / (2.0 * q)) * _dist_to_ray(z) ** (q_d / q - 1.0)
+    try:
+        return abs(z) ** (-1.0 / (2.0 * q)) * _dist_to_ray(z) ** (q_d / q - 1.0)
+    except OverflowError:  # d(z, R+) subnormal, q large
+        return math.inf
 
 
 def s_of_L_z(L: SeparationSequence, z: complex, d: int) -> float:
@@ -307,7 +311,7 @@ def _neg_part(x: float) -> float:
 
 def M_pq(z: complex, params: EnvelopeParams, vnorm: float = 1.0) -> float:
     """Resolvent-envelope exponent (<z>/|Im z|)(<z>/|z|)^(5p(q_d/q-1)_- + 8) <omega>^p,
-    inf where it leaves float range."""
+    inf where it leaves float range or Im z = 0."""
     z = complex(z)
     if z.imag == 0 and z.real >= 0:
         raise ValueError("M_pq is undefined on [0, inf)")
@@ -316,7 +320,7 @@ def M_pq(z: complex, params: EnvelopeParams, vnorm: float = 1.0) -> float:
     omega = omega_q(z, params.d, params.q) * vnorm
     try:
         return (br_z / abs(z.imag)) * (br_z / abs(z)) ** expo * _bracket(omega) ** params.p
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -387,9 +391,12 @@ class ChosenSeparation:
 
 
 def _log_delta(zeta: complex, gamma: float, mode: str) -> float:
-    """log delta_n with the printed floor exp(-|Im zeta|^-gamma); desk mode
-    additionally floors at DESK_DELTA_FLOOR."""
-    faithful = -abs(zeta.imag) ** (-gamma)
+    """log delta_n with the printed floor exp(-|Im zeta|^-gamma), -inf where its
+    exponent leaves float range; desk mode additionally floors at DESK_DELTA_FLOOR."""
+    try:
+        faithful = -abs(zeta.imag) ** (-gamma)
+    except OverflowError:
+        faithful = -math.inf
     if mode == "desk":
         return max(faithful, math.log(DESK_DELTA_FLOOR))
     return faithful
@@ -598,9 +605,14 @@ def assemble_sparse(t: TargetSequence, params: EnvelopeParams, gaps) -> Assembly
 
 def ell_p_lq_norm(bumps, p: float, q: float) -> float:
     """Mixed norm (sum_j ||V_j||_q^p)^(1/p)."""
+    norms = [bump_norm_lq(b, q) for b in bumps]
+    top = max(norms)
     if p == math.inf:
-        return max(bump_norm_lq(b, q) for b in bumps)
-    return sum(bump_norm_lq(b, q) ** p for b in bumps) ** (1.0 / p)
+        return top
+    try:
+        return sum(v ** p for v in norms) ** (1.0 / p)
+    except OverflowError:  # a power leaves float range where the norm need not
+        return top * sum((v / top) ** p for v in norms) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

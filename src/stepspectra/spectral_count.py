@@ -46,6 +46,9 @@ _GL_W = 0.5 * _GL_W
 _MAX_STEP = math.pi / 3.0
 #: most bisections of one panel
 _MAX_REFINE = 28
+#: most points f is evaluated at in one locate_zeros or winding_count call; a
+#: contour whose next level of panels would pass it raises ContourError
+_MAX_POINTS = 2**20
 #: a panel's integrals of u^k log f must match its halves' to this, per unit length
 _MOMENT_TOL = 1e-9
 #: a node with |f| below this times the geometric mean of |f| on its contour raises ContourError
@@ -210,6 +213,7 @@ class _Contour:
     def __init__(self, f, region: Region, stats: SolverStats):
         self.f = f
         self.region = region
+        self.stats = stats
         if region.kind == "rectangle":
             self.c = complex(0.5 * (region.re_lo + region.re_hi),
                              0.5 * (region.im_lo + region.im_hi))
@@ -293,6 +297,10 @@ class _Contour:
             if p.depth >= _MAX_REFINE:
                 raise self._error(f"no settled panel after {p.depth} bisections; nudge the region",
                                   p.edge, 0.5 * (p.t0 + p.t1), float(p.mods.min()))
+        if self.stats.evaluations + 32 * len(panels) > _MAX_POINTS:
+            p = panels[0]
+            raise self._error(f"f did not settle within {_MAX_POINTS} points", p.edge,
+                              0.5 * (p.t0 + p.t1), float(p.mods.min()))
         t = np.array([(p.t0, 0.5 * (p.t0 + p.t1), p.t1) for p in panels])
         return self._build(np.repeat([p.edge for p in panels], 2), t[:, :2].ravel(),
                            t[:, 1:].ravel(), np.repeat([p.depth + 1 for p in panels], 2),
@@ -424,8 +432,10 @@ def locate_zeros(f, region: Region, budget: int = 4000) -> ZeroReport:
     A cell whose moments do not give its zeros is split in four (a disk falls back
     to its bounding box) down to ``_MIN_DIAMETER`` of the region's scale, where the
     centre is reported with the winding as multiplicity.  Exhausting ``budget``
-    child contours flags the report ``complete=False``; ``report.stats`` counts
-    the work.
+    child contours flags the report ``complete=False``, and so does a split whose
+    contours do not settle before the call has evaluated f at ``_MAX_POINTS``
+    points (the region's own contour raises ContourError); ``report.stats``
+    counts the work.
 
     ``f`` maps a complex number to one.  If it has a true attribute
     ``vectorized``, it must also map a 1-d complex array to the array of its

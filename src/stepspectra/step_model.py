@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, PoleProximityError, SheetError
+from .errors import ConvergenceError, PoleProximityError, SheetError, UnsupportedDomainError
 from .schrodinger_1d import _piece, _rescaled
 from .special_functions import _h01, _j01, sqrt_upper
 
@@ -220,7 +220,8 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
     4. V0 = zeta/|zeta| - kappa^2,
 
     to a round-trip residual |secular| of at most 1e-10 * (1 + |zeta|).  The
-    bump is centred at 0.
+    bump is centred at 0.  A half-width beyond float range raises
+    :class:`UnsupportedDomainError`.
     """
     zeta = _check_sector(zeta, sector_aperture)
     if not (sigma > 0 and math.isfinite(sigma)):
@@ -234,7 +235,12 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
     tol_int = min(tol / lam, 1e-12)
 
     eps = zh.imag / 2.0
-    r_target = math.log(1.0 / eps) / (2.0 * sigma * eps)
+    denom = 2.0 * sigma * eps
+    r_target = math.log(1.0 / eps) / denom if denom > 0 else math.inf
+    if not math.isfinite(r_target / lam):
+        raise UnsupportedDomainError(
+            f"half-width log(1/eps)/(2*sigma*eps) of the bump for zeta = {zeta!r}, sigma = "
+            f"{sigma!r} is beyond float range")
     # phase grid: -2R = pi/2 (mod 2pi)  =>  R in {pi*k - pi/4}
     k_grid = max(1, round((r_target + math.pi / 4.0) / math.pi))
     R_int = math.pi * k_grid - math.pi / 4.0

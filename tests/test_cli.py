@@ -2,10 +2,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from stepspectra.cli import main, parse_complex
-from stepspectra.schrodinger_1d import PiecewisePotential
+from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
 from stepspectra.step_model import StepBump
 
 from conftest import line_targets
@@ -48,6 +49,19 @@ class TestBumpCommand:
         # it ran Newton from the seed -1 + inf*i and exited 2, "did not converge"
         assert run(["bump", "--zeta", "1+0.1i", "--sigma", "inf", "--out", str(tmp_path)]) == 1
         assert "sigma must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        # R = log(1/eps)/(2*sigma*eps) beyond float range: OverflowError at the
+        # phase-grid round(), or ZeroDivisionError at 2*sigma*eps = 0, a traceback each
+        (["--zeta", "1+0.1i", "--sigma", "1e-320"], "beyond float range"),
+        (["--zeta", "1+1e-320i"], "beyond float range"),
+        (["--zeta", "1+1e-320i", "--sigma", "1e-300", "--eps0", "inf"], "beyond float range"),
+        (["--zeta", "1+0.19i", "--sigma", "20"], "did not converge"),
+    ])
+    def test_construction_failure_exit_2(self, tmp_path, capsys, args, message):
+        assert run(["bump", *args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and message in err and err.count("\n") == 1
 
 
 class TestSpectrumCommand:
@@ -259,6 +273,58 @@ class TestSparseCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"numeric failure: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode, message", [
+        ("faithful", "gap rule overflowed in log space at target 1"),
+        ("desk", "gap rule asks for no positive gap at target 1"),
+    ])
+    def test_delta_floor_beyond_float_range(self, tmp_path, capsys, mode, message):
+        # |Im zeta|^-gamma = 1e500 raised OverflowError in both modes, although
+        # desk mode floors log delta at log 1e-3
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"zetas": [[1e-150, 1e-250]], "gamma": 2}))
+        assert run(["sparse", "--targets", str(path), "--mode", mode,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: {message}") and err.count("\n") == 1
+
+    def test_mixed_norm_of_a_huge_bump(self, tmp_path):
+        # ||V_1||_2^4 (about 1e450) raised OverflowError; the norm itself is 6e112
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"zetas": [[1e150, 2e149]]}))
+        out = tmp_path / "o"
+        assert run(["sparse", "--targets", str(path), "--mode", "desk", "--out", str(out)]) == 0
+        norms = json.loads((out / "sparse_report.json").read_text())["assembly"]["norms"]
+        assert 1e112 < norms["l4L2"] < 1e113
+        assert norms["l4L2"] == pytest.approx(norms["L2"], rel=1e-15)
+
+    def test_unsettled_disk_exits_3_within_the_point_bound(self, tmp_path, capsys, monkeypatch):
+        # |F| is 2.6e-9 on the circle of D(1e5+1e3i, 1e-2) and nearly every panel
+        # fails the moment test at every level: the contour doubled its points a
+        # level at a time into gigabytes; the handle here raises past 3 M points
+        from stepspectra import cli as cli_mod
+
+        seen = [0]
+
+        def guarded(pot):
+            handle = make_secular_handle(pot)
+
+            def g(E):
+                seen[0] += np.size(E)
+                if seen[0] > 3_000_000:
+                    raise RuntimeError("more than 3 M points")
+                return handle(E)
+
+            g.vectorized = True
+            return g
+
+        monkeypatch.setattr(cli_mod, "make_secular_handle", guarded)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"zetas": [[1e5, 1e3]]}))
+        assert run(["sparse", "--targets", str(path), "--mode", "desk",
+                    "--out", str(tmp_path / "o")]) == 3
+        assert "f did not settle within 1048576 points" in capsys.readouterr().err
+        assert seen[0] <= 2**20
+
     def test_empty_targets(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"zetas": [], "q": 2.0}))
@@ -313,6 +379,9 @@ class TestEnvelopesCommand:
         (["--z", "1e-300i", "--L", "geometric"], math.inf),
         (["--z", "1e-300i", "--L", "values:1,2,4"], math.inf),
         (["--z", "i", "--p", "200", "--L", "geometric"], 5.2280801430438435e+99),
+        # <z>/|Im z| raised ZeroDivisionError at Im z = 0, off [0, inf)
+        (["--z", "-1"], math.inf),
+        (["--z", "-1e-3+0i", "--q", "2"], math.inf),
     ])
     def test_envelope_beyond_float_range_is_inf(self, tmp_path, args, m_pq):
         out = tmp_path / "env4.csv"
@@ -321,6 +390,13 @@ class TestEnvelopesCommand:
         row = dict(zip(header.split(","), values.split(",")))
         assert float(row["M_pq"]) == pytest.approx(m_pq, rel=1e-12)
         assert float(row["M_pq_L"]) == math.inf
+
+    def test_omega_beyond_float_range(self, capsys):
+        # d(z, R+)^-1 = 1e320 at q = inf raised OverflowError in omega_q; omega_q
+        # is now inf, and the separation sum at Im sqrt(z) = 5e-321 is not certified
+        assert run(["envelopes", "--z", "1+1e-320i", "--d", "2", "--q", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: no certified convergence") and err.count("\n") == 1
 
     def test_count_threshold_beyond_float_range(self, capsys):
         # s*eta0 underflowed to 0, and 1/(s*eta0) raised ZeroDivisionError; the

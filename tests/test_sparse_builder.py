@@ -95,6 +95,10 @@ class TestOmega:
         z = -2 + 0.7j
         assert omega_q(z, 1, 1.0 - 1e-12) == pytest.approx(omega_q(z, 1, 1.0 + 1e-12), rel=1e-9)
 
+    def test_beyond_float_range_is_inf(self):
+        # d(z, R+)^-1 = 1e320 at q = inf raised OverflowError
+        assert omega_q(1 + 1e-320j, 2, math.inf) == math.inf
+
 
 class TestSep:
     def test_geometric_series(self):

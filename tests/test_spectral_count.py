@@ -1,10 +1,12 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from stepspectra import spectral_count
 from stepspectra.errors import ContourError
 from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
 from stepspectra.sparse_builder import EnvelopeParams, TargetSequence, assemble_sparse, choose_L
@@ -15,6 +17,7 @@ from stepspectra.spectral_count import (
     SolverStats,
     _Contour,
     _counted,
+    _secant,
     census_box,
     census_window,
     imag_step_census,
@@ -317,6 +320,57 @@ class TestLocateZeros:
                                (-1.0, math.inf)):
             with pytest.raises(ValueError, match="finite centre and radius"):
                 Region.disk(center, radius)
+
+    def test_secant_gives_up(self):
+        # a flat f, a zero far outside the cell, and real iterates that cannot
+        # reach the zeros +-i of z^2 + 1 each end the polish without a zero
+        con = SimpleNamespace(c=0j, h=10.0)  # the centre and half-diameter it reads
+        for f in (lambda z: 1.0 + 0j, lambda z: z - 100.0, lambda z: z * z + 1.0):
+            stats = SolverStats()
+            assert _secant(f, 0.3 + 0j, con, stats) is None
+        assert stats.polish_iterations == 16
+
+    def test_cell_below_the_least_diameter_reports_its_centre(self):
+        # 5.7e-9 across, below 1e-8 of the region's scale 1
+        rep = locate_zeros(lambda z: z - 1e-9j, Region.rectangle(-2e-9, 2e-9, -2e-9, 2e-9))
+        assert rep.complete and rep.winding_total == 1
+        assert [(z.location, z.multiplicity) for z in rep.zeros] == [(0j, 1)]
+        assert rep.zeros[0].residual == pytest.approx(1e-9)
+
+    def test_contour_that_cannot_settle_stops_at_the_point_bound(self):
+        # relative noise of 1e-6 in f fails every panel's moment test at every
+        # level, so each level of the circle doubles; an engine without a bound
+        # reaches 3 M points here, at 64 * 2**15 points a level, before its depth cap
+        rng = np.random.default_rng(0)
+        seen = [0]
+
+        def f(z):
+            seen[0] += np.size(z)
+            if seen[0] > 3_000_000:
+                raise RuntimeError("more than 3 M points")
+            return (z - 0.1) * (1.0 + 1e-6 * rng.standard_normal(np.shape(z)))
+
+        f.vectorized = True
+        with pytest.raises(ContourError, match="f did not settle within"):
+            locate_zeros(f, Region.disk(0, 1))
+        assert seen[0] <= spectral_count._MAX_POINTS
+
+    def test_child_contour_past_the_point_bound_is_a_failed_split(self, monkeypatch):
+        # f is noisy only within 0.3 of 0: the outer contour settles, the polish
+        # of the zero at 0.05 does not, and neither do the split's inner edges
+        monkeypatch.setattr(spectral_count, "_MAX_POINTS", 20_000)
+        rng = np.random.default_rng(0)
+
+        def f(z):
+            z = np.asarray(z)
+            noise = 1e-6 * rng.standard_normal(z.shape) * (np.abs(z) < 0.3)
+            return z - 0.05 + noise
+
+        f.vectorized = True
+        rep = locate_zeros(f, Region.rectangle(-1.0, 1.0, -1.0, 1.0))
+        assert rep.winding_total == 1 and not rep.complete
+        assert rep.stats.nudges == len(spectral_count._NUDGES)
+        assert rep.stats.evaluations <= 20_000 + 2_000
 
     def test_budget_exhaustion_partial_report(self):
         def cluster(z):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stepspectra import special_functions
-from stepspectra.errors import PoleProximityError, UnsupportedDomainError
+from stepspectra.errors import ConvergenceError, PoleProximityError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import PiecewisePotential, global_secular, reconstruct_eigenfunction
 from stepspectra.special_functions import sqrt_upper
 from stepspectra.spectral_count import Region, locate_zeros
@@ -270,6 +270,13 @@ class TestConstructBump:
         # sigma = inf ran Newton from the seed -1 + inf*i and raised ConvergenceError
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             construct_bump(1 + 0.1j, sigma=sigma)
+
+    def test_newton_leaving_the_seed_neighbourhood_raises(self):
+        # from the seed -1 + 1.87i the iterates run off to about -0.99 - 0.09i
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            construct_bump(1 + 0.19j, sigma=20)
+        assert abs(info.value.last_iterate - complex(-1.0, 20 * 0.19 / abs(1 + 0.19j) / 2)) > 0.5
+        assert info.value.residual > 1.0
 
 
 class TestEigenfunction:
