@@ -261,15 +261,16 @@ def cmd_sparse(args) -> int:
         handle = make_secular_handle(asm.potential)
         verification = []
         for zeta in zetas:
-            found = locate_zeros(handle, Region.disk(zeta, args.delta))
-            verification.append(
-                {
-                    "zeta": [zeta.real, zeta.imag],
-                    "delta": args.delta,
-                    "found": found.winding_total,
-                    "zeros": [[z.location.real, z.location.imag] for z in found.zeros],
-                }
-            )
+            entry = {"zeta": [zeta.real, zeta.imag], "delta": args.delta, "found": None, "zeros": []}
+            verification.append(entry)
+            try:
+                disk = Region.disk(zeta, args.delta)
+            except ValueError as exc:  # floats cannot resolve the disk: nothing can wind
+                print(f"D({zeta}, {args.delta}): not verified, {exc}", file=sys.stderr)
+                continue
+            found = locate_zeros(handle, disk)
+            entry["found"] = found.winding_total
+            entry["zeros"] = [[z.location.real, z.location.imag] for z in found.zeros]
             print(f"D({zeta}, {args.delta}): found {found.winding_total} eigenvalue(s)")
         report["verification"] = verification
     _write(os.path.join(args.out, "sparse_report.json"),

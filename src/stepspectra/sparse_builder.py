@@ -437,9 +437,9 @@ def choose_L(t: TargetSequence, params: EnvelopeParams, mode: str = "desk") -> C
         power_logs.append(val)
     prelim = None
     if mode == "faithful":
-        # pre-adjustment gaps for the M_pq(L, .) factor, capped at float range
+        # pre-adjustment gaps for the M_pq(L, .) factor, kept inside float range both ways
         prelim = SeparationSequence.from_values(
-            sorted(math.exp(min(700.0, v)) for v in power_logs)
+            sorted(math.exp(min(700.0, max(-700.0, v))) for v in power_logs)
         )
 
     per_target = []  # (log separation needed by target n, log delta_n)

@@ -7,12 +7,12 @@ Branch conventions used everywhere in the package:
 * Lambert W branches follow the standard region layout (curved boundaries
   near the real-capable branches, straight strips far away).
 
-Bessel/Hankel functions are float64, orders 0 and 1 only, as a J half and an
-H1 half.  J: the power series for |z| <= 14, beyond it the Hankel expansion at
-Re z >= 0 (J_0 is even, J_1 odd).  H1: Steed's continued fraction CF2 for K_0,
-K_1 at -iz in the upper half plane, but for |z| <= 6, Im z <= 3, where CF2 is
-slowest and the series' J + iY, whose cancellation grows with |z| (4.5e-10 at
-14), is good to 4e-13; below the real axis H1 = 2J - conj(H1(conj z)).
+Bessel/Hankel functions are float64, orders 0 and 1 only, from two routes:
+the power series and Steed's continued fraction CF2 for K_0, K_1.  J: the
+series where |z| - |Im z| <= 5 and |z| <= 40, elsewhere (H1 + H2)/2 from CF2 at
+-iw and iw, w = |Re z| + i|Im z|.  H1: CF2 at -iz in the upper half plane, but
+the series' J + iY for |z| <= 6, Im z <= 3, where CF2 is slowest; below the
+real axis H1 = 2J - conj(H1(conj z)).
 
 All functions are pure and reentrant.
 """
@@ -147,8 +147,8 @@ def _w_seed(n: int, z: complex) -> complex:
     if n == 0 and not (abs(z.imag) <= _CUT_WIDTH * abs(z) and z.real < -1.0 / math.e):
         return z * (1.0 - z) if abs(z) <= 1.5 else cmath.log(1.0 + z)
     if n == -1 and z.imag == 0.0 and -1.0 / math.e < z.real < 0.0:
-        t = -math.log(-z.real)
-        return complex(-t - math.log(t), 0.0) if t > 1.0 else complex(-1.5, 0.0)
+        t = -math.log(-z.real)  # > 1.2: the branch-point series took -1/e < x < -0.29
+        return complex(-t - math.log(t), 0.0)
     return lambert_w_seed(n, z)
 
 
@@ -218,19 +218,22 @@ def lambert_w(n, z):
 # Bessel/Hankel functions of orders 0 and 1 (the radial s-wave solver's)
 # ---------------------------------------------------------------------------
 
-_SERIES_RADIUS = 14.0  # J's series/asymptotic seam
 _H1_SERIES_RADIUS = 6.0  # H1 from the Y series, good to 4e-13, only for |z| <= 6, Im z <= 3
+#: J from the series where |z| - |Im z| <= _J_SERIES_MARGIN (its terms exceed J by at
+#: most e^5) and |z| <= _J_SERIES_RADIUS; CF2 fails to converge near the cut for |x| <~ 30
+_J_SERIES_MARGIN = 5.0
+_J_SERIES_RADIUS = 40.0
 
 
 def _series_01(z: complex, with_y: bool):
     """(J_0, J_1), or with ``with_y`` (J_0, J_1, Y_0, Y_1), from one pass of the
     power series on t_k = (-z^2/4)^k/(k!)^2 (DLMF 10.2.2, 10.8.1).  The pass
     stops when every sum's last term is below 1e-18 of the sum (of max(sum, 1)
-    for the Y sums)."""
+    for the Y sums), after about 1.4|z| terms."""
     q = -0.25 * z * z
     t = s0 = s1 = y1 = complex(1.0)  # k = 0 terms; y1's is H_0 + H_1 = 1
     y0, h = 0j, 0.0  # h = H_k, the harmonic number
-    for k in range(1, 60):
+    for k in range(1, 60 + int(abs(z))):
         t *= q / (k * k)
         u = t / (k + 1)
         s0 += t  # J_0
@@ -251,62 +254,20 @@ def _series_01(z: complex, with_y: bool):
             (2.0 / math.pi) * (log_term * j1 - 1.0 / z - 0.25 * z * y1))
 
 
-def _hankel_pq(z: complex):
-    """Order-0 asymptotic P/Q sums and their derivatives, truncated at the smallest term."""
-    p = complex(1.0)
-    q = 0j
-    dp = 0j
-    dq = 0j
-    a = complex(1.0)
-    prev = abs(a)
-    for k in range(1, 40):
-        a = a * -((2 * k - 1) ** 2) / (k * 8.0 * z)
-        mag = abs(a)
-        if mag >= prev and k > 2:
-            break
-        prev = mag
-        da = -k * a / z
-        if k % 2 == 1:
-            sgn = -1.0 if k % 4 == 3 else 1.0
-            q += sgn * a
-            dq += sgn * da
-        else:
-            sgn = -1.0 if k % 4 == 2 else 1.0
-            p += sgn * a
-            dp += sgn * da
-    return p, q, dp, dq
-
-
-def _asymptotic_direct(z: complex):
-    """Order-0 Hankel-expansion (J_0, J_0') in the cos/sin form, for Re z >= 0."""
-    p, q, dp, dq = _hankel_pq(z)
-    omega = z - math.pi / 4.0
-    amp = cmath.sqrt(2.0 / (math.pi * z))
-    try:
-        cw, sw = cmath.cos(omega), cmath.sin(omega)
-    except OverflowError:
-        raise UnsupportedDomainError(f"Bessel asymptotics leave float range at z = {z!r}") from None
-    jv = amp * (p * cw - q * sw)
-    djv = amp * ((dp - q) * cw - (dq + p) * sw) - jv / (2.0 * z)
-    return jv, djv
-
-
 _CF2_MAX_ITER = 200  # CF2 runs at |x| >= 3 here and converges in at most 60 terms
-_CF2_UNDERFLOW = 708.39  # Re x past which e^{-x}, and H1 with it, is below every normal float
+_CF2_UNDERFLOW = 708.39  # Re x past which e^{-x}, and K_0 with it, is below every normal float
 
 
-def _hankel01_cf2(z: complex):
-    """(H1_0(z), H1_1(z)) for Im z >= 0, z != 0, from K_0, K_1 at x = -iz.
-
-    Steed's continued fraction CF2 (Temme, J. Comput. Phys. 19, 1975; the
-    ``bessik`` routine of Numerical Recipes) at order 0 gives K_0 and the
-    ratio K_1/K_0; then H1_nu(z) = (2/(pi i)) e^{-i nu pi/2} K_nu(-iz).
-    CF2 converges the faster the larger |x|; past ``_CF2_MAX_ITER`` terms
-    :class:`ConvergenceError` is raised rather than an unconverged value.
-    """
-    x = -1j * z
-    if x.real > _CF2_UNDERFLOW:
-        raise UnsupportedDomainError(f"CF2's e^{{-x}} leaves the normal float range at z = {z!r}")
+def _k01_cf2(x: complex):
+    """(K_0(x), K_1(x)) on the principal branch, x != 0, from Steed's continued
+    fraction CF2 at order 0 (Temme, J. Comput. Phys. 19, 1975; Numerical Recipes'
+    ``bessik``).  CF2 converges the faster the larger |x|, and not at all near
+    the cut for |x| below about 30: past ``_CF2_MAX_ITER`` terms it raises
+    :class:`ConvergenceError`, and where K leaves float range
+    :class:`UnsupportedDomainError`."""
+    # below Re x = -1419 even e^{-x/2} overflows (|K_0| > e^{1064}); past 8e307 so does 2(1 + x)
+    if not (-1419.0 <= x.real <= _CF2_UNDERFLOW and max(abs(x.real), abs(x.imag)) <= 8e307):
+        raise UnsupportedDomainError(f"CF2 for K_0 leaves the normal float range at x = {x!r}")
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
     h = delh = d
@@ -328,13 +289,19 @@ def _hankel01_cf2(z: complex):
         if abs(dels) < 1e-16 * abs(s):
             break
     else:
-        raise ConvergenceError(
-            f"CF2 for K_0, K_1 did not converge in {_CF2_MAX_ITER} terms at z = {z!r}",
-            last_iterate=s,
-            residual=abs(dels / s),
-        )
+        raise ConvergenceError(f"CF2 for K_0, K_1 did not converge in {_CF2_MAX_ITER} terms at x = {x!r}",
+                               last_iterate=s, residual=abs(dels / s))
+    if x.real < 0.0:  # e^{-x} grows: in halves, so that only K itself can overflow
+        e = cmath.exp(-0.5 * x)
+        k0 = cmath.sqrt(math.pi / (2.0 * x)) * e / s
+        return k0 * e, k0 * ((x + 0.5 - 0.25 * h) / x) * e
     k0 = cmath.sqrt(math.pi / (2.0 * x)) * cmath.exp(-x) / s
-    k1 = k0 * (x + 0.5 - 0.25 * h) / x
+    return k0, k0 * (x + 0.5 - 0.25 * h) / x
+
+
+def _hankel01_cf2(z: complex):
+    """(H1_0(z), H1_1(z)) for Im z >= 0, z != 0, by H1_nu(z) = (2/(pi i)) e^{-i nu pi/2} K_nu(-iz)."""
+    k0, k1 = _k01_cf2(-1j * z)
     return (-2j / math.pi) * k0, (-2.0 / math.pi) * k1
 
 
@@ -348,13 +315,20 @@ def _nonzero(z: complex) -> complex:
 def _j01(z: complex):
     """(J_0(z), J_1(z)) for z != 0."""
     z = _nonzero(z)
-    if abs(z) <= _SERIES_RADIUS:
+    if abs(z) <= _J_SERIES_RADIUS and abs(z) - abs(z.imag) <= _J_SERIES_MARGIN:
         return _series_01(z, False)
-    # left of the imaginary axis the cos/sin form drops its subdominant part
-    # (Stokes line at arg z = pi), so evaluate at -z: J_0 is even, J_1 odd
-    left = z.real < 0.0
-    j0, dj0 = _asymptotic_direct(-z if left else z)
-    return j0, (dj0 if left else -dj0)
+    # J = (H1 + H2)/2 at w = |Re z| + i|Im z| (J_0 even, J_1 odd, real on the real axis): H1 =
+    # (-2i/pi) K_0(-iw), H2 = (2i/pi) K_0(iw), -(2/pi) K_1 at order 1; iw is never below K's cut
+    w = complex(abs(z.real), abs(z.imag))
+    # |H1/H2| is about e^{-2 Im w}: past Im w = 20 H1 is below H2's rounding
+    a0, a1 = _k01_cf2(-1j * w) if w.imag <= 20.0 else (0j, 0j)
+    b0, b1 = _k01_cf2(1j * w)
+    j0, j1 = (-1j / math.pi) * (a0 - b0), (-1.0 / math.pi) * (a1 + b1)
+    if not (cmath.isfinite(j0) and cmath.isfinite(j1)):
+        raise UnsupportedDomainError(f"J leaves float range at z = {z!r}")
+    if (z.real < 0.0) != (z.imag < 0.0):
+        j0, j1 = j0.conjugate(), j1.conjugate()
+    return j0, (-j1 if z.real < 0.0 else j1)
 
 
 def _h01(z: complex):

@@ -60,6 +60,8 @@ _MIN_DIAMETER = 1e-8
 _RANK_TOL = 1e-9
 #: least grading scale of a rectangle edge that misses 0, times its length
 _GRADE_FLOOR = 1e-12
+#: least radius or side of a region, in float spacings at its largest coordinate
+_MIN_ULPS = 1000
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,9 @@ class Region:
             raise ValueError("rectangle needs finite bounds")
         if not (re_lo < re_hi and im_lo < im_hi):
             raise ValueError("rectangle needs re_lo < re_hi and im_lo < im_hi")
+        side, largest = min(re_hi - re_lo, im_hi - im_lo), max(map(abs, (re_lo, re_hi, im_lo, im_hi)))
+        if side < _MIN_ULPS * math.ulp(largest):  # the nodes would round onto a few floats
+            raise ValueError(f"rectangle side below {_MIN_ULPS} float spacings at its coordinates")
         return Region("rectangle", re_lo=re_lo, re_hi=re_hi, im_lo=im_lo, im_hi=im_hi)
 
     @staticmethod
@@ -89,6 +94,8 @@ class Region:
             raise ValueError("disk needs a finite centre and radius")
         if not radius > 0:
             raise ValueError("disk needs a positive radius")
+        if radius < _MIN_ULPS * math.ulp(max(abs(center.real), abs(center.imag)) + radius):
+            raise ValueError(f"disk radius below {_MIN_ULPS} float spacings at its centre")
         return Region("disk", center=center, radius=radius)
 
     def contains(self, z: complex) -> bool:
@@ -197,9 +204,6 @@ class ZeroReport:
     contour_min_modulus: float = math.inf
     complete: bool = True
     stats: SolverStats = field(default_factory=SolverStats)
-
-    def locations(self):
-        return [z.location for z in self.zeros]
 
 
 #: 16 nodes on one edge: z, dz, f, |f|, arg f, its largest step and oint u^k log f dz
@@ -426,16 +430,15 @@ def _subdivide(cell: Region, shift_re: float, shift_im: float):
 _NUDGES = (0.0, 0.13, -0.13, 0.29, -0.29, 0.41)
 
 
-def locate_zeros(f, region: Region, budget: int = 4000) -> ZeroReport:
+def locate_zeros(f, region: Region) -> ZeroReport:
     """Locate and refine all zeros of ``f`` in the region from contour moments.
 
     A cell whose moments do not give its zeros is split in four (a disk falls back
     to its bounding box) down to ``_MIN_DIAMETER`` of the region's scale, where the
-    centre is reported with the winding as multiplicity.  Exhausting ``budget``
-    child contours flags the report ``complete=False``, and so does a split whose
-    contours do not settle before the call has evaluated f at ``_MAX_POINTS``
-    points (the region's own contour raises ContourError); ``report.stats``
-    counts the work.
+    centre is reported with the winding as multiplicity.  A split whose contours
+    do not settle before the call has evaluated f at ``_MAX_POINTS`` points flags
+    the report ``complete=False`` (the region's own contour raises ContourError);
+    ``report.stats`` counts the work.
 
     ``f`` maps a complex number to one.  If it has a true attribute
     ``vectorized``, it must also map a 1-d complex array to the array of its
@@ -448,14 +451,10 @@ def locate_zeros(f, region: Region, budget: int = 4000) -> ZeroReport:
     report = ZeroReport(winding_total=top.winding, contour_min_modulus=top.min_modulus,
                         stats=stats)
 
-    used = 0
     found = []
     stack = [(region, top)] if top.winding else []
     while stack:
         cell, con = stack.pop()
-        if used >= budget:
-            report.complete = False
-            break
         wind = con.winding
         if cell.diameter <= min_diameter:
             found.append(LocatedZero(con.c, wind, abs(f(con.c))))
@@ -475,10 +474,8 @@ def locate_zeros(f, region: Region, budget: int = 4000) -> ZeroReport:
                 children = [(ch, _Contour(f, ch, stats))
                             for ch in _subdivide(cell, shift * 0.37, shift)]
             except ContourError:
-                used += 1
                 stats.nudges += 1
                 continue
-            used += len(children)
             if sum(c.winding for _, c in children) == wind:
                 stats.splits += 1
                 stack += [(ch, c) for ch, c in children if c.winding > 0]

@@ -124,6 +124,13 @@ def mp_transfer_secular(pieces, E, dps: int = 40):
         return complex(F), float(scale)
 
 
+def mp_bessel_j01(z: complex):
+    """(J_0(z), J_1(z)) from mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z)
+        return complex(mpmath.besselj(0, zm)), complex(mpmath.besselj(1, zm))
+
+
 def mp_bessel_jh(nu: int, z: complex):
     """(J_nu, H1_nu, J_nu', H1_nu') at z from mpmath, for integer nu.
 

@@ -297,6 +297,41 @@ class TestSparseCommand:
         assert 1e112 < norms["l4L2"] < 1e113
         assert norms["l4L2"] == pytest.approx(norms["L2"], rel=1e-15)
 
+    def test_disk_below_float_resolution_is_not_verified(self, tmp_path, capsys):
+        # floats near 1e150 are 2e134 apart: every node of D(zeta, 0.01) rounded
+        # to zeta, f was constant and the disk reported "found 0 eigenvalue(s)"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"zetas": [[1e150, 2e149]]}))
+        out = tmp_path / "o"
+        assert run(["sparse", "--targets", str(path), "--mode", "desk", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "not verified" in captured.err and "found 0" not in captured.out
+        [entry] = json.loads((out / "sparse_report.json").read_text())["verification"]
+        assert entry["found"] is None and entry["zeros"] == []
+        code = run(["spectrum", "--potential", str(out / "potential.json"),
+                    "--disk", "1e150,2e149,0.01"])
+        assert code == 1
+        assert "below 1000 float spacings" in capsys.readouterr().err
+
+    def test_faithful_gaps_below_one(self, tmp_path):
+        # Im zeta > 1 makes the power law's preliminary gap underflow to 0, which
+        # was reported as "usage error: gap lengths must be positive"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"zetas": [[1e150, 2e149]]}))
+        out = tmp_path / "o"
+        assert run(["sparse", "--targets", str(path), "--mode", "faithful", "--out", str(out)]) == 0
+        [gap] = json.loads((out / "sparse_report.json").read_text())["gaps_log10"]
+        assert -69.0 < gap < -68.0
+
+    def test_resorted_gaps_warn_and_verify(self, tmp_path, capsys):
+        path = tmp_path / "unsorted.json"
+        path.write_text(json.dumps({"zetas": [[100, 0.14], [1, 0.14], [1, 0.12]]}))
+        out = tmp_path / "o"
+        assert run(["sparse", "--targets", str(path), "--out", str(out)]) == 0
+        assert "gap sequence was resorted" in capsys.readouterr().err
+        report = json.loads((out / "sparse_report.json").read_text())
+        assert [v["found"] for v in report["verification"]] == [1, 1, 1]
+
     def test_unsettled_disk_exits_3_within_the_point_bound(self, tmp_path, capsys, monkeypatch):
         # |F| is 2.6e-9 on the circle of D(1e5+1e3i, 1e-2) and nearly every panel
         # fails the moment test at every level: the contour doubled its points a

@@ -268,6 +268,13 @@ class TestRange:
         with pytest.raises(UnsupportedDomainError):
             make_secular_handle(barrier)(-1.0 + 0.5j)
 
+    def test_state_leaving_float_range_in_the_sweep(self):
+        # k^2 = 0 on the piece: psi' = -i*chi = -1e150i carried over a width of
+        # 1e200 gives psi ~ 1e350 before any renormalization
+        pot = PiecewisePotential([(0.0, 1e200, 1e300)])
+        with pytest.raises(UnsupportedDomainError, match="state left float range in the sweep"):
+            global_secular(pot, 1e300)
+
 
 def _per_point_reconstruction(pot, E, grid):
     """reconstruct_eigenfunction as a loop of scalar _piece calls, one per point."""

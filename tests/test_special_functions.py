@@ -14,7 +14,7 @@ from stepspectra import special_functions
 from stepspectra.errors import ConvergenceError, UnsupportedDomainError
 from stepspectra.special_functions import _h01, _j01, branch_of_w, lambert_w, lambert_w_seed, sqrt_upper
 
-from conftest import mp_bessel_jh
+from conftest import mp_bessel_j01, mp_bessel_jh
 
 
 class TestSqrtUpper:
@@ -103,6 +103,15 @@ class TestLambertW:
                             for v in z[far]])
             assert np.all(np.abs(ours[far] - ref) <= 1e-9 * np.abs(ref))
 
+    def test_branch_minus_one_on_the_real_interval(self):
+        # x in (-1/e, 0): the real seed -t - log t, t = -log(-x), away from the
+        # branch point, and the branch-point series next to it
+        x = np.concatenate((-np.exp(-np.linspace(1.0 + 1e-6, 40.0, 200)), [-0.1]))
+        ours = lambert_w(-1, x + 0j)
+        ref = sp.lambertw(x, -1, tol=1e-15)
+        assert np.all(np.abs(ours - ref) <= 1e-12 * np.abs(ref))
+        assert ours[-1] == pytest.approx(-3.577152063957297, rel=1e-15)
+
     def test_boundary_curves_follow_counterclockwise_closure(self):
         # an upper curve belongs to the region on its right, a lower one to
         # the region on its left
@@ -181,12 +190,21 @@ class TestBessel:
         for half in (_j01, _h01):
             with pytest.raises(UnsupportedDomainError):
                 half(0.0)
-        # Im z above ~709: the asymptotic halves' cos/exp of omega leave float
-        # range, directly or through the reflection w = -z
+        # Im z above ~708: H1 is below every normal float
         with pytest.raises(UnsupportedDomainError):
             _h01(-0.5 + 710j)
-        with pytest.raises(UnsupportedDomainError):
-            _j01(-50 + 711j)
+        # |J| ~ e^{|Im z|}/sqrt(2 pi |z|) leaves float range near |Im z| = 714,
+        # and CF2's 2(1 - iz) past |z| = 8.9e307
+        for z in (10 + 720j, -10 - 720j, 720j, 1e300 + 1500j, 1e308):
+            with pytest.raises(UnsupportedDomainError):
+                _j01(z)
+
+    @pytest.mark.parametrize("z", [-50 + 711j, 100 + 709j, 100 + 710.4j, -84 - 710j, 712.5j,
+                                   1e300 + 730j, 8e307])
+    def test_j_at_the_float_edge(self, z):
+        # |J| up to ~1e307: e^{-x} of CF2's K(iw) is taken in halves
+        for ours, ref in zip(_j01(z), mp_bessel_j01(z)):
+            assert abs(ours - ref) <= 1e-14 * abs(ref)
 
 
 def _upper_corner_grid(rng, n=40):
@@ -251,10 +269,10 @@ class TestHankelRoutes:
     @pytest.mark.parametrize("r_lo, r_hi, y_max, sign, tol", [
         # the series' J + iY lost up to 4.7e-10 here
         (R_S, 14.0, 3.0, 1.0, 1e-12),
-        # the Hankel expansion, cut at its smallest term, lost up to 1.4e-13
+        # CF2 alone
         (14.0, 600.0, 40.0, 1.0, 1e-14),
-        # H1 = 2J - conj(H1(conj z)): J's series limits it near |z| = 14 (3.3e-11)
-        (R_S, 14.0, 14.0, -1.0, 1e-10),
+        # H1 = 2J - conj(H1(conj z)), J from the CF2 pair near the real axis
+        (R_S, 14.0, 14.0, -1.0, 1e-13),
     ], ids=["near-the-real-axis", "beyond-14", "lower-half-plane"])
     def test_against_mpmath(self, rng, r_lo, r_hi, y_max, sign, tol):
         for z in _ring(rng, 40, r_lo, r_hi, y_max, sign):
@@ -271,6 +289,46 @@ class TestHankelRoutes:
             j0, j1, y0, y1 = special_functions._series_01(z, True)
             for ours, ref in zip((j0 + 1j * y0, j1 + 1j * y1), special_functions._hankel01_cf2(z)):
                 assert abs(ours - ref) <= 1e-12 * abs(ref)
+
+
+class TestJRoutes:
+    """J from the series where |z| - |Im z| <= 5 and |z| <= 40, elsewhere from
+    the CF2 pair (K_0(-iw) - K_0(iw))/(pi i) at w = |Re z| + i|Im z|."""
+
+    M = special_functions._J_SERIES_MARGIN
+    R = special_functions._J_SERIES_RADIUS
+
+    @staticmethod
+    def _rel(z):
+        return max(abs(ours - ref) / abs(ref) for ours, ref in zip(_j01(z), mp_bessel_j01(z)))
+
+    def test_against_mpmath_at_all_arguments(self, rng):
+        # |z| log-uniform in (0.05, 700], |Im z| <= 705
+        worst = 0.0
+        for _ in range(300):
+            r = math.exp(rng.uniform(math.log(0.05), math.log(700.0)))
+            y = rng.uniform(-min(r, 705.0), min(r, 705.0))
+            z = complex(rng.choice((-1.0, 1.0)) * math.sqrt(r * r - y * y), y)
+            worst = max(worst, self._rel(z))
+        assert worst <= 5e-14
+
+    def test_near_the_real_axis_between_6_and_14(self, rng):
+        # the series alone lost up to 2.4e-11 here: its terms reach I_0(|z|)
+        for z in _ring(rng, 40, 6.0, 14.0, 1.0) + _ring(rng, 40, 6.0, 14.0, 1.0, -1.0):
+            assert self._rel(z) <= 1e-13
+
+    def test_series_meets_cf2_pair_on_the_boundary(self, monkeypatch):
+        # |z| - |Im z| = M for |z| <= R, and the arc |z| = R with |Im z| >= R - M
+        curve = [complex(math.sqrt(2.0 * self.M * y + self.M ** 2), y)
+                 for y in np.linspace(0.0, self.R - self.M, 120)]
+        top = math.asin((self.R - self.M) / self.R)
+        arc = [self.R * cmath.exp(1j * t) for t in np.linspace(top, math.pi / 2, 30)]
+        pts = [p for q in curve + arc for p in (q, -q, q.conjugate(), -q.conjugate())]
+        series = [special_functions._series_01(z, False) for z in pts]
+        monkeypatch.setattr(special_functions, "_J_SERIES_RADIUS", 0.0)
+        for z, pair in zip(pts, series):
+            for ours, ref in zip(_j01(z), pair):
+                assert abs(ours - ref) <= 1e-13 * abs(ref)
 
 
 def test_library_never_imports_mpmath():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stepspectra import special_functions
-from stepspectra.errors import ConvergenceError, PoleProximityError, UnsupportedDomainError
+from stepspectra.errors import ConvergenceError, PoleProximityError, SheetError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import PiecewisePotential, global_secular, reconstruct_eigenfunction
 from stepspectra.special_functions import sqrt_upper
 from stepspectra.spectral_count import Region, locate_zeros
@@ -278,6 +278,12 @@ class TestConstructBump:
         assert abs(info.value.last_iterate - complex(-1.0, 20 * 0.19 / abs(1 + 0.19j) / 2)) > 0.5
         assert info.value.residual > 1.0
 
+    def test_sheet_below_newton_resolution_raises(self):
+        # Im sqrt(zeta) = 5e-301 is far below the Newton tolerance: the converged
+        # point's Im chi_match has the sign rounding gave it
+        with pytest.raises(SheetError, match="not on the physical sheet"):
+            construct_bump(1 + 1e-300j)
+
 
 class TestEigenfunction:
     # the one-bump eigenstate, through the transfer sweep
@@ -442,7 +448,7 @@ class TestRadialSecular:
         assert 5 <= cf2_side <= 85
 
     def test_d2_beyond_float_range_is_typed(self):
-        # Im(kappa R), Im(chi R) ~ 720: the Hankel asymptotics leave float range
+        # Im(kappa R), Im(chi R) ~ 720: H1 is below every normal float
         with pytest.raises(UnsupportedDomainError):
             radial_secular(-8 + 0.5j, 1.0, -518400 + 1j, 2)
 
