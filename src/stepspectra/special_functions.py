@@ -8,11 +8,10 @@ Branch conventions used everywhere in the package:
   near the real-capable branches, straight strips far away).
 
 Bessel/Hankel functions are float64, orders 0 and 1 only, from two routes:
-the power series and Steed's continued fraction CF2 for K_0, K_1.  J: the
-series where |z| - |Im z| <= 5 and |z| <= 40, elsewhere (H1 + H2)/2 from CF2 at
--iw and iw, w = |Re z| + i|Im z|.  H1: CF2 at -iz in the upper half plane, but
-the series' J + iY for |z| <= 6, Im z <= 3, where CF2 is slowest; below the
-real axis H1 = 2J - conj(H1(conj z)).
+the power series and a fixed 24-node Gauss rule for K_0, K_1.  J: the series
+where |z| - |Im z| <= 5 and |z| <= 40, elsewhere (H1 + H2)/2 from the rule at
+-iw and iw, w = |Re z| + i|Im z|.  H1: the series' J + iY for |z| < 3, elsewhere
+the rule at -iz in the upper half plane; below the real axis H1 = 2J - conj(H1(conj z)).
 
 All functions are pure and reentrant.
 """
@@ -218,9 +217,9 @@ def lambert_w(n, z):
 # Bessel/Hankel functions of orders 0 and 1 (the radial s-wave solver's)
 # ---------------------------------------------------------------------------
 
-_H1_SERIES_RADIUS = 6.0  # H1 from the Y series, good to 4e-13, only for |z| <= 6, Im z <= 3
+_H1_SERIES_RADIUS = 3.0  # H1 from the Y series for |z| < 3, from the Gauss rule elsewhere
 #: J from the series where |z| - |Im z| <= _J_SERIES_MARGIN (its terms exceed J by at
-#: most e^5) and |z| <= _J_SERIES_RADIUS; CF2 fails to converge near the cut for |x| <~ 30
+#: most e^5) and |z| <= _J_SERIES_RADIUS; the rule fails near the cut for small |x|
 _J_SERIES_MARGIN = 5.0
 _J_SERIES_RADIUS = 40.0
 
@@ -254,55 +253,47 @@ def _series_01(z: complex, with_y: bool):
             (2.0 / math.pi) * (log_term * j1 - 1.0 / z - 0.25 * z * y1))
 
 
-_CF2_MAX_ITER = 200  # CF2 runs at |x| >= 3 here and converges in at most 60 terms
-_CF2_UNDERFLOW = 708.39  # Re x past which e^{-x}, and K_0 with it, is below every normal float
+#: 24-node Gauss rule for the weight e^{-s} s^{-1/2}/Gamma(1/2) on (0, inf): the squares of
+#: the positive roots of H_48 and twice their Hermite weights over sqrt(pi), made at 50 digits
+_RULE_S = (
+    0.02543799658568936, 0.22910231649262433, 0.6372902787326687, 1.2517406323627465,
+    2.075112909852381, 3.1110524551477132, 4.3642830769353065, 5.840733271323608,
+    7.547704680023454, 9.494095330026488, 11.690695926056073, 14.150586187285759,
+    16.889671928527108, 19.927425875242463, 23.287932824879917, 27.001406056472355,
+    31.106464709046566, 35.653703516328214, 40.71159818554311, 46.37697955754013,
+    52.79543252728363, 60.20666696305722, 69.06860197530438, 80.5562808199504)
+_RULE_W = (
+    0.3509270836237322, 0.28656491398635237, 0.19092680112285854, 0.10361036709912053,
+    0.04567642420018268, 0.016299393710703856, 0.004686164223520803, 0.001079173169254377,
+    0.00019763609835222678, 2.853218464849363e-05, 3.212787391085227e-06,
+    2.7855833791199193e-07, 1.8308111492627642e-08, 8.94857430687275e-10,
+    3.1767219624927134e-11, 7.951611916942981e-13, 1.3513354549314233e-14,
+    1.4839987196129436e-16, 9.850930219397914e-19, 3.597709832474619e-21, 6.278953289598416e-24,
+    4.1581179428373256e-27, 6.752912286270746e-31, 8.95431094775174e-36)
+_RULE = tuple((s, w, 2.0 * w * s) for s, w in zip(_RULE_S, _RULE_W))
+_K_UNDERFLOW = 708.39  # Re x past which e^{-x}, and K_0 with it, is below every normal float
 
 
-def _k01_cf2(x: complex):
-    """(K_0(x), K_1(x)) on the principal branch, x != 0, from Steed's continued
-    fraction CF2 at order 0 (Temme, J. Comput. Phys. 19, 1975; Numerical Recipes'
-    ``bessik``).  CF2 converges the faster the larger |x|, and not at all near
-    the cut for |x| below about 30: past ``_CF2_MAX_ITER`` terms it raises
-    :class:`ConvergenceError`, and where K leaves float range
-    :class:`UnsupportedDomainError`."""
-    # below Re x = -1419 even e^{-x/2} overflows (|K_0| > e^{1064}); past 8e307 so does 2(1 + x)
-    if not (-1419.0 <= x.real <= _CF2_UNDERFLOW and max(abs(x.real), abs(x.imag)) <= 8e307):
-        raise UnsupportedDomainError(f"CF2 for K_0 leaves the normal float range at x = {x!r}")
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0j, complex(1.0)
-    a = -0.25
-    q = c = 0.25
-    s = 1.0 + q * delh
-    for i in range(2, _CF2_MAX_ITER + 1):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        q1, q2 = q2, (q1 - b * q2) / a
-        q += c * q2
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels) < 1e-16 * abs(s):
-            break
-    else:
-        raise ConvergenceError(f"CF2 for K_0, K_1 did not converge in {_CF2_MAX_ITER} terms at x = {x!r}",
-                               last_iterate=s, residual=abs(dels / s))
+def _k01(x: complex):
+    """(K_0(x), K_1(x)) on the principal branch from the Gauss rule on K_nu(x) = sqrt(pi/(2x))
+    e^{-x}/Gamma(nu + 1/2) int_0^inf e^{-s} s^{nu - 1/2} (1 + s/(2x))^{nu - 1/2} ds (DLMF
+    10.32.8): with g = sqrt(1 + s/(2x)), K_0 sums w/g and K_1 2ws*g.  Good to 1e-15 for
+    |x| >= 3 with |arg x| <= pi/2 and for |x| >= 40, but not near the cut at small |x|
+    (4e-3 at x = -3); beyond float range :class:`UnsupportedDomainError`."""
+    # below Re x = -1419 even e^{-x/2} overflows (|K_0| > e^{1064}); past 8e307 so does 2x
+    if not (-1419.0 <= x.real <= _K_UNDERFLOW and max(abs(x.real), abs(x.imag)) <= 8e307):
+        raise UnsupportedDomainError(f"K_0 leaves the normal float range at x = {x!r}")
+    h, s0, s1 = 0.5 / x, 0j, 0j
+    for s, w, ws in _RULE:
+        g = cmath.sqrt(1.0 + s * h) or 1.0  # -2x on a node: its weight, < 1e-35, is below rounding
+        s0 += w / g
+        s1 += ws * g
     if x.real < 0.0:  # e^{-x} grows: in halves, so that only K itself can overflow
         e = cmath.exp(-0.5 * x)
-        k0 = cmath.sqrt(math.pi / (2.0 * x)) * e / s
-        return k0 * e, k0 * ((x + 0.5 - 0.25 * h) / x) * e
-    k0 = cmath.sqrt(math.pi / (2.0 * x)) * cmath.exp(-x) / s
-    return k0, k0 * (x + 0.5 - 0.25 * h) / x
-
-
-def _hankel01_cf2(z: complex):
-    """(H1_0(z), H1_1(z)) for Im z >= 0, z != 0, by H1_nu(z) = (2/(pi i)) e^{-i nu pi/2} K_nu(-iz)."""
-    k0, k1 = _k01_cf2(-1j * z)
-    return (-2j / math.pi) * k0, (-2.0 / math.pi) * k1
+        c = cmath.sqrt(math.pi / (2.0 * x)) * e
+        return c * s0 * e, c * s1 * e
+    c = cmath.sqrt(math.pi / (2.0 * x)) * cmath.exp(-x)
+    return c * s0, c * s1
 
 
 def _nonzero(z: complex) -> complex:
@@ -321,8 +312,8 @@ def _j01(z: complex):
     # (-2i/pi) K_0(-iw), H2 = (2i/pi) K_0(iw), -(2/pi) K_1 at order 1; iw is never below K's cut
     w = complex(abs(z.real), abs(z.imag))
     # |H1/H2| is about e^{-2 Im w}: past Im w = 20 H1 is below H2's rounding
-    a0, a1 = _k01_cf2(-1j * w) if w.imag <= 20.0 else (0j, 0j)
-    b0, b1 = _k01_cf2(1j * w)
+    a0, a1 = _k01(-1j * w) if w.imag <= 20.0 else (0j, 0j)
+    b0, b1 = _k01(1j * w)
     j0, j1 = (-1j / math.pi) * (a0 - b0), (-1.0 / math.pi) * (a1 + b1)
     if not (cmath.isfinite(j0) and cmath.isfinite(j1)):
         raise UnsupportedDomainError(f"J leaves float range at z = {z!r}")
@@ -334,11 +325,12 @@ def _j01(z: complex):
 def _h01(z: complex):
     """(H1_0(z), H1_1(z)) for z != 0."""
     z = _nonzero(z)
-    if abs(z) <= _H1_SERIES_RADIUS and z.imag <= 3.0:
+    if abs(z) < _H1_SERIES_RADIUS:
         j0, j1, y0, y1 = _series_01(z, True)
         return j0 + 1j * y0, j1 + 1j * y1
     if z.imag < 0.0:
         # H2(z) = conj(H1(conj z)) and H1 = 2J - H2
-        (j0, j1), (c0, c1) = _j01(z), _hankel01_cf2(z.conjugate())
+        (j0, j1), (c0, c1) = _j01(z), _h01(z.conjugate())
         return 2.0 * j0 - c0.conjugate(), 2.0 * j1 - c1.conjugate()
-    return _hankel01_cf2(z)
+    k0, k1 = _k01(-1j * z)  # H1_nu(z) = (2/(pi i)) e^{-i nu pi/2} K_nu(-iz)
+    return (-2j / math.pi) * k0, (-2.0 / math.pi) * k1

@@ -220,8 +220,8 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
     4. V0 = zeta/|zeta| - kappa^2,
 
     to a round-trip residual |secular| of at most 1e-10 * (1 + |zeta|).  The
-    bump is centred at 0.  A half-width beyond float range raises
-    :class:`UnsupportedDomainError`.
+    bump is centred at 0.  A half-width beyond float range, or Im sqrt(zeta/|zeta|)
+    below the Newton tolerance, raises :class:`UnsupportedDomainError`.
     """
     zeta = _check_sector(zeta, sector_aperture)
     if not (sigma > 0 and math.isfinite(sigma)):
@@ -245,9 +245,14 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
     k_grid = max(1, round((r_target + math.pi / 4.0) / math.pi))
     R_int = math.pi * k_grid - math.pi / 4.0
 
+    # Newton's residual can reach Im sqrt(zh): below tol_int rounding would pick the sheet
+    root = sqrt_upper(zh)
+    if root.imag < tol_int:
+        raise UnsupportedDomainError(f"Im sqrt(zeta/|zeta|) for zeta = {zeta!r} is below the Newton "
+                                     f"tolerance {tol_int:.3e}: the physical sheet cannot be resolved")
     # Newton on g = kappa*cot(w) - i*sqrt(zh), w = kappa*R, g' = cot(w) - w*csc^2(w);
     # it fails at g' = 0, after the step cap, or once it leaves the seed's neighbourhood
-    target = 1j * sqrt_upper(zh)
+    target = 1j * root
     kappa = kappa0 = complex(-1.0, eps * sigma)
     for iters in range(_CONSTRUCT_MAX_ITER + 1):
         w = kappa * R_int

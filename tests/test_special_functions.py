@@ -11,7 +11,7 @@ import scipy.special as sp
 
 import stepspectra
 from stepspectra import special_functions
-from stepspectra.errors import ConvergenceError, UnsupportedDomainError
+from stepspectra.errors import UnsupportedDomainError
 from stepspectra.special_functions import _h01, _j01, branch_of_w, lambert_w, lambert_w_seed, sqrt_upper
 
 from conftest import mp_bessel_j01, mp_bessel_jh
@@ -194,7 +194,7 @@ class TestBessel:
         with pytest.raises(UnsupportedDomainError):
             _h01(-0.5 + 710j)
         # |J| ~ e^{|Im z|}/sqrt(2 pi |z|) leaves float range near |Im z| = 714,
-        # and CF2's 2(1 - iz) past |z| = 8.9e307
+        # and the rule's 2x past |z| = 8.9e307
         for z in (10 + 720j, -10 - 720j, 720j, 1e300 + 1500j, 1e308):
             with pytest.raises(UnsupportedDomainError):
                 _j01(z)
@@ -202,13 +202,13 @@ class TestBessel:
     @pytest.mark.parametrize("z", [-50 + 711j, 100 + 709j, 100 + 710.4j, -84 - 710j, 712.5j,
                                    1e300 + 730j, 8e307])
     def test_j_at_the_float_edge(self, z):
-        # |J| up to ~1e307: e^{-x} of CF2's K(iw) is taken in halves
+        # |J| up to ~1e307: e^{-x} of the rule's K(iw) is taken in halves
         for ours, ref in zip(_j01(z), mp_bessel_j01(z)):
             assert abs(ours - ref) <= 1e-14 * abs(ref)
 
 
 def _upper_corner_grid(rng, n=40):
-    """Seeded points with Im z > 3 and |z| <= 14 (the CF2 region)."""
+    """Seeded points with Im z > 3 and |z| <= 14 (H1 from the Gauss rule)."""
     pts = []
     while len(pts) < n:
         z = complex(rng.uniform(-14.0, 14.0), rng.uniform(3.0, 14.0))
@@ -227,27 +227,11 @@ class TestBesselUpperCorner:
                 assert abs(ours - ref) <= 1e-11 * abs(ref)
 
     @pytest.mark.parametrize("nu", [0.0, 1.0])
-    def test_seam_at_im_3(self, nu):
-        # below the seam H1 = J + iY from the series, above it CF2; the series
-        # side loses up to ~2.5e-9 near |Re z| = 13.6, hence 1e-8
-        for k in range(69):
-            x = -13.6 + 0.4 * k
-            below = _jh(nu, complex(x, 3.0 - 1e-9))
-            above = _jh(nu, complex(x, 3.0 + 1e-9))
-            for b, a in zip(below, above):
-                assert abs(a - b) <= 1e-8 * abs(a)
-
-    @pytest.mark.parametrize("nu", [0.0, 1.0])
     def test_wronskian(self, nu, rng):
         for z in _upper_corner_grid(rng):
             j, h, dj, dh = _jh(nu, z)
             exact = 2j / (math.pi * z)
             assert abs(j * dh - dj * h - exact) <= 1e-11 * abs(exact)
-
-    def test_unconverged_fraction_raises(self, monkeypatch):
-        monkeypatch.setattr(special_functions, "_CF2_MAX_ITER", 3)
-        with pytest.raises(ConvergenceError):
-            _h01(1.0 + 4.0j)
 
 
 def _ring(rng, n, r_lo, r_hi, y_max, sign=1.0):
@@ -261,17 +245,16 @@ def _ring(rng, n, r_lo, r_hi, y_max, sign=1.0):
 
 
 class TestHankelRoutes:
-    """H1 from CF2 in the upper half plane but for the series strip |z| <= R_s,
-    Im z <= 3, and by reflection below the real axis."""
+    """H1 from the series' J + iY for |z| < R_s = 3, elsewhere from the Gauss rule
+    in the upper half plane and by reflection below the real axis."""
 
     R_S = special_functions._H1_SERIES_RADIUS
 
     @pytest.mark.parametrize("r_lo, r_hi, y_max, sign, tol", [
-        # the series' J + iY lost up to 4.7e-10 here
+        # the rule alone, where the series' J + iY once lost up to 4.7e-10
         (R_S, 14.0, 3.0, 1.0, 1e-12),
-        # CF2 alone
         (14.0, 600.0, 40.0, 1.0, 1e-14),
-        # H1 = 2J - conj(H1(conj z)), J from the CF2 pair near the real axis
+        # H1 = 2J - conj(H1(conj z)), J from the rule pair near the real axis
         (R_S, 14.0, 14.0, -1.0, 1e-13),
     ], ids=["near-the-real-axis", "beyond-14", "lower-half-plane"])
     def test_against_mpmath(self, rng, r_lo, r_hi, y_max, sign, tol):
@@ -279,21 +262,66 @@ class TestHankelRoutes:
             for ours, ref in zip(_h01(z), (mp_bessel_jh(0, z)[1], mp_bessel_jh(1, z)[1])):
                 assert abs(ours - ref) <= tol * abs(ref)
 
-    def test_series_meets_cf2_on_the_seams(self):
-        # |z| = R_s with Im z <= 3, and Im z = 3 with |z| <= R_s; measured 3.6e-13
-        top = math.asin(3.0 / self.R_S)
-        arc = [self.R_S * cmath.exp(1j * top * k / 100) for k in range(101)]
-        half = math.sqrt(self.R_S ** 2 - 9.0)
-        line = [complex(half * k / 100, 3.0) for k in range(-100, 101)]
-        for z in arc + [-w.conjugate() for w in arc] + line:
-            j0, j1, y0, y1 = special_functions._series_01(z, True)
-            for ours, ref in zip((j0 + 1j * y0, j1 + 1j * y1), special_functions._hankel01_cf2(z)):
+    def test_series_meets_rule_on_the_seam(self, monkeypatch):
+        # the whole circle |z| = R_s, both half planes; measured 9.2e-14
+        pts = [self.R_S * cmath.exp(1j * math.pi * k / 360) for k in range(-360, 360)]
+        series = [special_functions._series_01(z, True) for z in pts]
+        monkeypatch.setattr(special_functions, "_H1_SERIES_RADIUS", 0.0)
+        for z, (j0, j1, y0, y1) in zip(pts, series):
+            for ours, ref in zip((j0 + 1j * y0, j1 + 1j * y1), _h01(z)):
                 assert abs(ours - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_seam_at_radius_3(self, nu):
+        # inside the seam H1 = J + iY from the series, outside it the rule; the
+        # points are 2e-12 apart, and the values differ by up to 2.8e-12
+        for k in range(-180, 180):
+            t = cmath.exp(1j * math.pi * k / 180)
+            inside = _jh(nu, (self.R_S - 1e-12) * t)
+            outside = _jh(nu, (self.R_S + 1e-12) * t)
+            for i, o in zip(inside, outside):
+                assert abs(o - i) <= 1e-10 * abs(o)
+
+
+class TestKRule:
+    """The 24-node Gauss rule behind H1 and J beyond the series: K_0 and K_1."""
+
+    @staticmethod
+    def _rel(x):
+        # at 19 digits mpmath's K is within 1e-20 of its 30-digit value on these
+        # points, and 50 times faster than at 20 digits near |x| = 40
+        with mpmath.workdps(19):
+            refs = mpmath.besselk(0, x), mpmath.besselk(1, x)
+            return max(float(abs(ours - ref) / abs(ref))
+                       for ours, ref in zip(special_functions._k01(x), refs))
+
+    def test_weights_sum_to_one(self):
+        assert abs(math.fsum(special_functions._RULE_W) - 1.0) <= 1e-15
+
+    def test_against_mpmath_in_the_right_half_plane(self, rng):
+        # 3 <= |x| <= 700, |arg x| <= pi/2: H1 at -iz, and J's half at -iw
+        pts = [cmath.rect(math.exp(rng.uniform(math.log(3.0), math.log(700.0))),
+                          rng.uniform(-math.pi / 2, math.pi / 2)) for _ in range(80)]
+        pts += [complex(0.0, y) for y in (3.0, -3.0, 40.0, -700.0)] + [3.0, 700.0]
+        assert max(self._rel(x) for x in pts) <= 5e-15
+
+    def test_against_mpmath_on_the_left_arc_40(self):
+        # Re x < 0 on |x| = 40: J's half at iw where the series band ends
+        pts = [cmath.rect(40.0, sign * math.pi * (0.5 + k / 200)) for k in range(1, 100)
+               for sign in (1.0, -1.0)]
+        assert max(self._rel(x) for x in pts + [complex(-40.0, 0.0)]) <= 5e-15
+
+    def test_branch_point_on_a_node(self):
+        # at z = i s/2 for the largest node s, J's K(iw) has 1 + s/(2x) = 0 exactly
+        z = 0.5j * special_functions._RULE_S[-1]
+        for w in (z, -z):
+            for ours, ref in zip(_j01(w), mp_bessel_j01(w)):
+                assert abs(ours - ref) <= 1e-14 * abs(ref)
 
 
 class TestJRoutes:
     """J from the series where |z| - |Im z| <= 5 and |z| <= 40, elsewhere from
-    the CF2 pair (K_0(-iw) - K_0(iw))/(pi i) at w = |Re z| + i|Im z|."""
+    the rule pair (K_0(-iw) - K_0(iw))/(pi i) at w = |Re z| + i|Im z|."""
 
     M = special_functions._J_SERIES_MARGIN
     R = special_functions._J_SERIES_RADIUS
@@ -317,7 +345,7 @@ class TestJRoutes:
         for z in _ring(rng, 40, 6.0, 14.0, 1.0) + _ring(rng, 40, 6.0, 14.0, 1.0, -1.0):
             assert self._rel(z) <= 1e-13
 
-    def test_series_meets_cf2_pair_on_the_boundary(self, monkeypatch):
+    def test_series_meets_rule_pair_on_the_boundary(self, monkeypatch):
         # |z| - |Im z| = M for |z| <= R, and the arc |z| = R with |Im z| >= R - M
         curve = [complex(math.sqrt(2.0 * self.M * y + self.M ** 2), y)
                  for y in np.linspace(0.0, self.R - self.M, 120)]

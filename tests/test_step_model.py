@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stepspectra import special_functions
-from stepspectra.errors import ConvergenceError, PoleProximityError, SheetError, UnsupportedDomainError
+from stepspectra.errors import ConvergenceError, PoleProximityError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import PiecewisePotential, global_secular, reconstruct_eigenfunction
 from stepspectra.special_functions import sqrt_upper
 from stepspectra.spectral_count import Region, locate_zeros
@@ -280,8 +280,8 @@ class TestConstructBump:
 
     def test_sheet_below_newton_resolution_raises(self):
         # Im sqrt(zeta) = 5e-301 is far below the Newton tolerance: the converged
-        # point's Im chi_match has the sign rounding gave it
-        with pytest.raises(SheetError, match="not on the physical sheet"):
+        # point's Im chi_match would have the sign rounding gave it
+        with pytest.raises(UnsupportedDomainError, match="physical sheet cannot be resolved"):
             construct_bump(1 + 1e-300j)
 
 
@@ -379,10 +379,10 @@ class TestRadialSecular:
 
     @pytest.mark.parametrize("E", [-11.5 + 0.7j, -10 - 1.2j])
     def test_d2_against_mpmath_wronskian(self, E):
-        # Im(chi R) > 3: H1 at chi R comes from the continued-fraction branch
+        # |chi R| >= 3: H1 at chi R comes from the Gauss rule for K
         v0, R = -8 + 0.5j, 1.0
         kappa, chi = cmath.sqrt(E - v0), sqrt_upper(E)
-        assert (chi * R).imag > 3.0
+        assert abs(chi * R) >= 3.0
         j, _, dj, _ = mp_bessel_jh(0, kappa * R)
         _, h, _, dh = mp_bessel_jh(0, chi * R)
         ref = kappa * dj * h - chi * j * dh
@@ -397,55 +397,73 @@ class TestRadialSecular:
     WELLS = ((-5.0 + 0.3j, 1.0), (-8.0 + 0.5j, 1.0), (-7.0 - 0.4j, 1.0))
     RECT = (-12.0, -0.5, -1.5, 1.7)
 
-    def _series_side_points(self, rng, v0, R, n=10):
-        """Seeded E in the rectangle with Im(chi R) <= 3, then E putting kappa*R
-        within 1e-6 of the first zeros of J_0 and J_1 (those of J_1 lie right
-        of the rectangle, at Re E > 6, for these wells)."""
+    def _rect_points(self, rng, R, series_side, n=10):
+        """Seeded E in the rectangle with |chi R| < 3 (H1 from the Y series) or,
+        with ``series_side`` false, |chi R| >= 3 (H1 from the Gauss rule)."""
         pts = []
         while len(pts) < n:
             E = complex(rng.uniform(*self.RECT[:2]), rng.uniform(*self.RECT[2:]))
-            if (sqrt_upper(E) * R).imag <= 3.0:
+            if (abs(sqrt_upper(E) * R) < 3.0) == series_side:
                 pts.append(E)
-        for zero in (2.404825557695773, 3.831705970207512):
-            for size in (1e-6, 1e-10):
-                for direction in (1, 1j, -1j):
-                    pts.append(v0 + ((zero + size * direction) / R) ** 2)
         return pts
 
+    @staticmethod
+    def _j_zero_points(v0, R):
+        """E putting kappa*R within 1e-6 of the first zeros of J_0 and J_1 (those
+        of J_1 lie right of the rectangle, at Re E > 6, for these wells)."""
+        return [v0 + ((zero + size * direction) / R) ** 2
+                for zero in (2.404825557695773, 3.831705970207512)
+                for size in (1e-6, 1e-10) for direction in (1, 1j, -1j)]
+
+    @staticmethod
+    def _mp_wronskian(v0, R, E):
+        kappa, chi = cmath.sqrt(E - v0), sqrt_upper(E)
+        j, _, dj, _ = mp_bessel_jh(0, kappa * R)
+        _, h, _, dh = mp_bessel_jh(0, chi * R)
+        return kappa * dj * h - chi * j * dh
+
     def test_d2_series_side_against_mpmath_wronskian(self, rng):
-        # Im(chi R) <= 3: H1 at chi R comes from the one-pass Y series
+        # |chi R| < 3: H1 at chi R comes from the one-pass Y series; by J_1's
+        # zeros |chi R| is about 3.1, so those points meet the rule
         lower = 0
         for v0, R in self.WELLS:
-            for E in self._series_side_points(rng, v0, R):
-                kappa, chi = cmath.sqrt(E - v0), sqrt_upper(E)
-                assert (chi * R).imag <= 3.0
-                lower += kappa.imag < 0
-                j, _, dj, _ = mp_bessel_jh(0, kappa * R)
-                _, h, _, dh = mp_bessel_jh(0, chi * R)
-                ref = kappa * dj * h - chi * j * dh
+            for E in self._rect_points(rng, R, True) + self._j_zero_points(v0, R):
+                lower += cmath.sqrt(E - v0).imag < 0
+                ref = self._mp_wronskian(v0, R, E)
                 assert abs(radial_secular(v0, R, E, 2) - ref) <= 1e-11 * abs(ref)
         assert lower >= 20
+
+    def test_d2_rule_side_against_mpmath_wronskian(self, rng):
+        # |chi R| >= 3: H1 at chi R comes from the Gauss rule for K
+        signs = set()
+        for v0, R in self.WELLS:
+            for E in self._rect_points(rng, R, False):
+                signs.add(cmath.sqrt(E - v0).imag > 0)
+                ref = self._mp_wronskian(v0, R, E)
+                assert abs(radial_secular(v0, R, E, 2) - ref) <= 1e-12 * abs(ref)
+        assert signs == {True, False}
 
     def test_d2_one_bessel_pass_per_argument(self, monkeypatch, rng):
         # a machine-independent cost: J alone at kappa*R, H1 alone at chi*R
         calls = []
-        series, cf2 = special_functions._series_01, special_functions._hankel01_cf2
+        series, rule = special_functions._series_01, special_functions._k01
         monkeypatch.setattr(special_functions, "_series_01",
                             lambda z, with_y: calls.append(("series", z, with_y)) or series(z, with_y))
-        monkeypatch.setattr(special_functions, "_hankel01_cf2",
-                            lambda z: calls.append(("cf2", z, True)) or cf2(z))
-        cf2_side = 0
+        # H1 at z takes the rule at x = -iz
+        monkeypatch.setattr(special_functions, "_k01",
+                            lambda x: calls.append(("rule", 1j * x, True)) or rule(x))
+        rule_side = 0
         for v0, R in self.WELLS:
             for _ in range(30):
                 E = complex(rng.uniform(*self.RECT[:2]), rng.uniform(*self.RECT[2:]))
                 kappa_R, chi_R = cmath.sqrt(E - v0) * R, sqrt_upper(E) * R
                 calls.clear()
                 radial_secular(v0, R, E, 2)
-                h1_call = ("cf2", chi_R, True) if chi_R.imag > 3.0 else ("series", chi_R, True)
-                cf2_side += chi_R.imag > 3.0
+                h1_call = ("rule", chi_R, True) if abs(chi_R) >= 3.0 else ("series", chi_R, True)
+                rule_side += abs(chi_R) >= 3.0
                 assert len(calls) == 2
                 assert ("series", kappa_R, False) in calls and h1_call in calls
-        assert 5 <= cf2_side <= 85
+        assert 5 <= rule_side <= 85
 
     def test_d2_beyond_float_range_is_typed(self):
         # Im(kappa R), Im(chi R) ~ 720: H1 is below every normal float
