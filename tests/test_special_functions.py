@@ -227,6 +227,18 @@ class TestBesselUpperCorner:
                 assert abs(ours - ref) <= 1e-11 * abs(ref)
 
     @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_seam_at_im_3(self, nu):
+        # the lower edge of the corner: both sides come from the rule but at
+        # Re z = 0, where the line crosses the series seam |z| = 3; the points
+        # are 2e-9 apart, and the values differ by up to 2.5e-9
+        for k in range(69):
+            x = -13.6 + 0.4 * k
+            below = _jh(nu, complex(x, 3.0 - 1e-9))
+            above = _jh(nu, complex(x, 3.0 + 1e-9))
+            for b, a in zip(below, above):
+                assert abs(a - b) <= 1e-8 * abs(a)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
     def test_wronskian(self, nu, rng):
         for z in _upper_corner_grid(rng):
             j, h, dj, dh = _jh(nu, z)
@@ -345,7 +357,8 @@ class TestJRoutes:
         for z in _ring(rng, 40, 6.0, 14.0, 1.0) + _ring(rng, 40, 6.0, 14.0, 1.0, -1.0):
             assert self._rel(z) <= 1e-13
 
-    def test_series_meets_rule_pair_on_the_boundary(self, monkeypatch):
+    def test_series_meets_cf2_pair_on_the_boundary(self, monkeypatch):
+        # named for the CF2 pair that the rule replaced; the boundary is
         # |z| - |Im z| = M for |z| <= R, and the arc |z| = R with |Im z| >= R - M
         curve = [complex(math.sqrt(2.0 * self.M * y + self.M ** 2), y)
                  for y in np.linspace(0.0, self.R - self.M, 120)]
