@@ -108,8 +108,8 @@ def branch_of_w(w):
 
 
 def _halley(w, z):
-    """Halley on 1-d arrays, each entry stopping on its own: (w, residual, ok);
-    ``ok`` is False where _W_MAX_ITER ran out or the step was not finite."""
+    """Halley on 1-d arrays (a one-entry z is shared), each entry stopping on its own:
+    (w, ok); ``ok`` is False where _W_MAX_ITER ran out or the step was not finite."""
     w = np.array(w, dtype=complex)
     ok = np.zeros(w.shape, dtype=bool)
     zscale = np.maximum(np.abs(z), 1e-300)
@@ -130,9 +130,9 @@ def _halley(w, z):
             go = ~done & finite
             if not go.any():
                 break
-            idx, wa, za, target, floor = idx[go], w_new[go], za[go], target[go], floor[go]
-        res = np.abs(w * np.exp(w) - z)
-    return w, res, ok
+            idx, wa = idx[go], w_new[go]
+            za, target, floor = (a[go] if a.size > 1 else a for a in (za, target, floor))
+    return w, ok
 
 
 def _w_seed(n: int, z: complex) -> complex:
@@ -160,7 +160,7 @@ def _w_continuation(n, z):
     for j in range(1, steps + 1):
         live = np.flatnonzero(ok)
         zt = anchor_z[live] + (z[live] - anchor_z[live]) * (j / steps)
-        w[live], _, ok[live] = _halley(w[live], zt)
+        w[live], ok[live] = _halley(w[live], zt)
     return w, ok
 
 
@@ -183,32 +183,35 @@ def _on_branch(w, n, z):
 def lambert_w(n, z):
     """Branch ``n`` of the Lambert W function, by Halley iteration.
 
-    ``n`` (int or int array) and ``z`` broadcast.  The residual ``|w*exp(w) - z|``
-    is driven below 1e-13 * |z| and each result is verified to lie in the
-    branch-``n`` region, else redone by continuation from inside the branch.
-    Raises :class:`ConvergenceError` (with the last iterate) on failure.
+    ``n`` (int or int array) and ``z`` broadcast.  Halley drives |w*exp(w) - z|
+    below 1e-13 * |z|, and each result is verified to lie in the branch-``n`` region,
+    else redone by continuation from inside it.  A :class:`ConvergenceError` carries
+    the last iterate and its residual, which is formed on failure only.
     """
-    n, z = np.broadcast_arrays(np.asarray(n, dtype=np.int64), np.asarray(z, dtype=complex))
-    shape, n, z = n.shape, n.ravel(), z.ravel()
+    n, z = np.asarray(n, dtype=np.int64), np.asarray(z, dtype=complex)
+    shape = np.broadcast_shapes(n.shape, z.shape)
+    n = np.broadcast_to(n, shape).ravel()
+    z = (z if z.size == 1 else np.broadcast_to(z, shape)).ravel()
+    zn = np.broadcast_to(z, n.shape)  # a z that every n shares stays one entry
     if not np.all(np.isfinite(z)):
         raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]!r}")
     if np.any((z == 0) & (n != 0)):
         raise ValueError("z = 0 is a logarithmic singularity for branches n != 0")
-    w = np.empty(z.shape, dtype=complex)
+    w = np.empty(n.shape, dtype=complex)
     low = (n == 0) | (n == -1)  # branches with seeds of their own
-    w[~low] = lambert_w_seed(n[~low], z[~low])
+    w[~low] = lambert_w_seed(n[~low], z if z.size == 1 and not low.all() else zn[~low])
     for i in np.flatnonzero(low):
-        w[i] = _w_seed(int(n[i]), complex(z[i]))
-    w, res, ok = _halley(w, z)
+        w[i] = _w_seed(int(n[i]), complex(zn[i]))
+    w, ok = _halley(w, z)
     redo = np.flatnonzero(~(ok & _on_branch(w, n, z)))
     if redo.size:
-        w_c, ok_c = _w_continuation(n[redo], z[redo])
-        bad = redo[~(ok_c & _on_branch(w_c, n[redo], z[redo]))]
+        w_c, ok_c = _w_continuation(n[redo], zn[redo])
+        bad = redo[~(ok_c & _on_branch(w_c, n[redo], zn[redo]))]
         if bad.size:
             i = bad[0]
             raise ConvergenceError(
-                f"Lambert W branch {n[i]} did not converge at z = {complex(z[i])!r}",
-                last_iterate=complex(w[i]), residual=float(res[i]))
+                f"Lambert W branch {n[i]} did not converge at z = {complex(zn[i])!r}",
+                last_iterate=complex(w[i]), residual=float(abs(w[i] * np.exp(w[i]) - zn[i])))
         w[redo] = w_c
     return w.reshape(shape) if shape else complex(w[0])
 

@@ -19,6 +19,7 @@ solved again on a small disk.
 
 The census of V = i*1_[-N,N] refines each resonance ladder as numpy arrays
 over the branch number n, with Lambert-W seeds and a per-branch Newton stop.
+One Lambert pass per factor sign seeds both parities, by W_n(conj z) = conj W_-n(z).
 It counts and certifies from those columns; the BranchResult records are built
 only on demand (CensusResult.results on first read, enumerate_imag_step).
 """
@@ -532,12 +533,11 @@ def imag_step_seed(N: int, n, parity: str = "odd", sign: int = +1):
     return -1j * lambert_w(n, target) / R
 
 
-def _refine_ladder(N: int, ns, parity: str, sign: int) -> dict:
-    """Newton over the branch array ``ns`` of one ladder: the record columns.
+def _refine_ladder(N: int, seed, parity: str) -> dict:
+    """Newton from the seed array of one ladder: the record columns.
     A branch stops unconverged at a zero derivative or as soon as an iterate
     leaves the hop disk |kappa - seed| <= 0.75*pi/R, keeping the last inside."""
     v0, R = 1j, float(N)
-    seed = imag_step_seed(N, ns, parity, sign)
     hop = 0.75 * math.pi / R
     kappa, res = seed.copy(), np.full(seed.shape, math.inf)
     # chi at convergence: the matched exterior momentum -i*kappa*cot (odd) or
@@ -581,9 +581,15 @@ def _ladders(N: int, n_window: tuple[int, int], families):
     lo, hi = n_window
     if lo > hi:
         raise ValueError(f"empty n window {n_window}")
-    ns = np.arange(lo, hi + 1)
-    return [(parity, sign, ns, _refine_ladder(N, ns, parity, sign))
-            for parity, sign in sorted(families)]
+    ns, top = np.arange(lo, hi + 1), max(hi, -lo)
+    window, odd, ladders = slice(lo + top, hi + top + 1), {}, []
+    for parity, sign in sorted(families):
+        # one pass per sign, when first needed; conjugate targets: even(n) = -conj(odd(-n))
+        if sign not in odd:
+            odd[sign] = imag_step_seed(N, np.arange(-top, top + 1), "odd", sign)
+        seed = odd[sign][window] if parity == "odd" else -np.conj(odd[sign][::-1][window])
+        ladders.append((parity, sign, ns, _refine_ladder(N, seed, parity)))
+    return ladders
 
 
 def _records(ladder, idx) -> list[BranchResult]:
@@ -683,7 +689,7 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
         uncertified += _records(ladder, np.flatnonzero(~conv & near))
         unconverged += int(np.count_nonzero(~conv))
     count, last = 0, None
-    for e in sorted(np.concatenate(hits).tolist(), key=lambda e: (e.real, e.imag)):
+    for e in np.sort_complex(np.concatenate(hits)).tolist():
         if last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e)):
             count, last = count + 1, e
     ratio = count * math.log(N) / (N * N)

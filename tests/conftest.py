@@ -147,6 +147,17 @@ def mp_bessel_jh(nu: int, z: complex):
         return complex(j), complex(h), complex(dj), complex(dh)
 
 
+def mp_hankel1_upper(nu: int, z: complex) -> complex:
+    """H1_nu(z) = (2/(pi i)) e^{-i nu pi/2} K_nu(-iz) from mpmath at 30 digits.
+
+    The formula holds for -pi/2 < arg z <= pi, so for z in the upper half
+    plane, where K at -iz does not cancel the way J + iY does.
+    """
+    with mpmath.workdps(30):
+        return complex(2 / (mpmath.pi * 1j) * mpmath.expjpi(-nu / 2.0)
+                       * mpmath.besselk(nu, -1j * mpmath.mpc(z)))
+
+
 def imag_step_branch(N: int, n: int, parity: str, sign: int, tol: float = 1e-9, max_iter: int = 60):
     """One branch of the imaginary-step census by scalar Newton, as a reference.
 

@@ -11,10 +11,10 @@ import scipy.special as sp
 
 import stepspectra
 from stepspectra import special_functions
-from stepspectra.errors import UnsupportedDomainError
+from stepspectra.errors import ConvergenceError, UnsupportedDomainError
 from stepspectra.special_functions import _h01, _j01, branch_of_w, lambert_w, lambert_w_seed, sqrt_upper
 
-from conftest import mp_bessel_j01, mp_bessel_jh
+from conftest import mp_bessel_j01, mp_bessel_jh, mp_hankel1_upper
 
 
 class TestSqrtUpper:
@@ -135,6 +135,18 @@ class TestLambertW:
     def test_zero_rejected_off_principal(self):
         with pytest.raises(ValueError):
             lambert_w(2, 0)
+
+    def test_failure_carries_iterate_and_residual(self, monkeypatch):
+        # one Halley step settles neither the first run nor the continuation;
+        # the residual is formed for the reported entry only
+        monkeypatch.setattr(special_functions, "_W_MAX_ITER", 1)
+        z = np.array([2.0 + 0.5j, -0.3 + 4.0j])
+        with pytest.raises(ConvergenceError) as info:
+            lambert_w(np.array([3, -2]), z)
+        w = info.value.last_iterate
+        assert isinstance(w, complex) and cmath.isfinite(w)
+        assert info.value.residual == pytest.approx(abs(w * cmath.exp(w) - z[0]), rel=1e-12)
+        assert math.isfinite(info.value.residual) and info.value.residual > 0.0
 
 
 class TestLambertSeed:
@@ -262,16 +274,18 @@ class TestHankelRoutes:
 
     R_S = special_functions._H1_SERIES_RADIUS
 
-    @pytest.mark.parametrize("r_lo, r_hi, y_max, sign, tol", [
+    @pytest.mark.parametrize("r_lo, r_hi, y_max, sign, tol, oracle", [
         # the rule alone, where the series' J + iY once lost up to 4.7e-10
-        (R_S, 14.0, 3.0, 1.0, 1e-12),
-        (14.0, 600.0, 40.0, 1.0, 1e-14),
+        (R_S, 14.0, 3.0, 1.0, 1e-12, None),
+        # mpmath's J + iY would need 65 digits at Im z = 40; its K at -iz needs 30
+        (14.0, 600.0, 40.0, 1.0, 1e-14, mp_hankel1_upper),
         # H1 = 2J - conj(H1(conj z)), J from the rule pair near the real axis
-        (R_S, 14.0, 14.0, -1.0, 1e-13),
+        (R_S, 14.0, 14.0, -1.0, 1e-13, None),
     ], ids=["near-the-real-axis", "beyond-14", "lower-half-plane"])
-    def test_against_mpmath(self, rng, r_lo, r_hi, y_max, sign, tol):
+    def test_against_mpmath(self, rng, r_lo, r_hi, y_max, sign, tol, oracle):
+        oracle = oracle or (lambda nu, z: mp_bessel_jh(nu, z)[1])
         for z in _ring(rng, 40, r_lo, r_hi, y_max, sign):
-            for ours, ref in zip(_h01(z), (mp_bessel_jh(0, z)[1], mp_bessel_jh(1, z)[1])):
+            for ours, ref in zip(_h01(z), (oracle(0, z), oracle(1, z))):
                 assert abs(ours - ref) <= tol * abs(ref)
 
     def test_series_meets_rule_on_the_seam(self, monkeypatch):

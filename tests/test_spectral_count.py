@@ -531,6 +531,34 @@ class TestLadderSeeds:
             assert branch_of_w(ws).tolist() == ns.tolist()
             assert ws.tolist() == [lambert_w(int(n), z) for n in ns]
 
+    @pytest.mark.parametrize("N", [8, 16, 256])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_even_seeds_are_mirrored_odd_seeds(self, N, sign):
+        # the even target is the conjugate of the odd one, and
+        # W_n(conj z) = conj W_-n(z); the census seeds the even ladders this way
+        lo, hi = census_window(N)
+        ns = np.arange(lo, hi + 1)
+        even = imag_step_seed(N, ns, "even", sign)
+        mirrored = -np.conj(imag_step_seed(N, -ns, "odd", sign))
+        assert np.all(np.abs(even - mirrored) <= 1e-15 * np.abs(even))
+
+    @pytest.mark.parametrize("window, families", [
+        ((-3, 40), FAMILIES),  # asymmetric: the odd pass covers -40..40
+        ((5, 9), [("even", 1)]),  # one even ladder, seeded from odd n = -9..-5
+    ])
+    def test_shared_pass_matches_a_lambert_call_per_family(self, window, families):
+        N, root = 16, cmath.sqrt(1j)
+        ns = np.arange(window[0], window[1] + 1)
+        rows = {(r.n, r.parity, r.sign): r for r in enumerate_imag_step(N, window, families)}
+        assert len(rows) == ns.size * len(families)
+        for parity, sign in families:
+            z = 0.5j * sign * root * N if parity == "odd" else -0.5 * sign * root * N
+            ref = spectral_count._refine_ladder(N, -1j * lambert_w(ns, z) / N, parity)
+            for i, n in enumerate(ns.tolist()):
+                r = rows[n, parity, sign]
+                assert r.converged == ref["converged"][i]
+                assert abs(r.energy - ref["energy"][i]) <= 1e-12 * abs(r.energy)
+
     def test_continuation_entries_in_an_array(self):
         # the first two Halley runs leave their branch and are redone by
         # continuation; the third is not
@@ -675,11 +703,12 @@ class TestCensus:
             assert 4.0 * math.pi * 1.2 < ratio < 4.0 * math.pi * 2.5
 
     def test_pinned_counts_and_certificate(self):
-        # the census CSV of the benchmark ladder; every dropped branch starts
-        # and ends at least one ladder spacing outside the box
-        for N, count in ((32, 60), (64, 198), (128, 663), (192, 1357), (256, 2265)):
+        # the census CSV of the benchmark ladder and N = 16; every dropped branch
+        # starts and ends at least one ladder spacing outside the box
+        for N, count, unconverged in ((16, 18, 16), (32, 60, 28), (64, 198, 55),
+                                      (128, 663, 108), (192, 1357, 160), (256, 2265, 214)):
             cen = imag_step_census(N, 10.0)
-            assert cen.count == count
+            assert (cen.count, cen.unconverged) == (count, unconverged)
             assert cen.certified and cen.uncertified == ()
             assert not any(cmath.isnan(r.energy) for r in cen.results)
 
