@@ -148,12 +148,14 @@ def mp_bessel_jh(nu: int, z: complex):
 
 
 def mp_hankel1_upper(nu: int, z: complex) -> complex:
-    """H1_nu(z) = (2/(pi i)) e^{-i nu pi/2} K_nu(-iz) from mpmath at 30 digits.
+    """H1_nu(z) = (2/(pi i)) e^{-i nu pi/2} K_nu(-iz) from mpmath at 20 digits.
 
     The formula holds for -pi/2 < arg z <= pi, so for z in the upper half
-    plane, where K at -iz does not cancel the way J + iY does.
+    plane, where K at -iz does not cancel the way J + iY does.  On the points
+    of ``TestHankelRoutes``' beyond-14 ring, 20 digits are within 1e-20 of the
+    30-digit values (19 digits: 1.7e-20), at 0.4 of the cost.
     """
-    with mpmath.workdps(30):
+    with mpmath.workdps(20):
         return complex(2 / (mpmath.pi * 1j) * mpmath.expjpi(-nu / 2.0)
                        * mpmath.besselk(nu, -1j * mpmath.mpc(z)))
 

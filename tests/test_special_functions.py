@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+from bisect import bisect
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -211,6 +213,17 @@ class TestBessel:
             with pytest.raises(UnsupportedDomainError):
                 _j01(z)
 
+    def test_h1_past_its_float_edge_is_typed(self):
+        # H1_1 ~ -2i/(pi z) passes the largest float below |z| = 3.54e-309, and
+        # log(z/2) is -inf below 1e-323: a typed error, never NaN or a ValueError
+        for z in (1e-310, 5e-324, -3.5e-309j, complex(2e-309, -2e-309)):
+            with pytest.raises(UnsupportedDomainError):
+                _h01(z)
+        for z in (3.6e-309, -3.6e-309j):
+            h0, h1 = _h01(z)
+            assert cmath.isfinite(h0) and cmath.isfinite(h1)
+            assert abs(h1 * z * math.pi / -2j - 1.0) <= 1e-15
+
     @pytest.mark.parametrize("z", [-50 + 711j, 100 + 709j, 100 + 710.4j, -84 - 710j, 712.5j,
                                    1e300 + 730j, 8e307])
     def test_j_at_the_float_edge(self, z):
@@ -277,7 +290,7 @@ class TestHankelRoutes:
     @pytest.mark.parametrize("r_lo, r_hi, y_max, sign, tol, oracle", [
         # the rule alone, where the series' J + iY once lost up to 4.7e-10
         (R_S, 14.0, 3.0, 1.0, 1e-12, None),
-        # mpmath's J + iY would need 65 digits at Im z = 40; its K at -iz needs 30
+        # mpmath's J + iY would need 65 digits at Im z = 40; its K at -iz needs 20
         (14.0, 600.0, 40.0, 1.0, 1e-14, mp_hankel1_upper),
         # H1 = 2J - conj(H1(conj z)), J from the rule pair near the real axis
         (R_S, 14.0, 14.0, -1.0, 1e-13, None),
@@ -384,6 +397,66 @@ class TestJRoutes:
         for z, pair in zip(pts, series):
             for ours, ref in zip(_j01(z), pair):
                 assert abs(ours - ref) <= 1e-13 * abs(ref)
+
+
+class TestSeriesPass:
+    """One Horner pass in q = -z^2/4 with a term count fixed by |z|."""
+
+    KMAX = special_functions._KMAX
+    M = special_functions._J_SERIES_MARGIN
+    R = special_functions._J_SERIES_RADIUS
+
+    @staticmethod
+    def _exact_row(k):
+        # degree k of J_0, J_1/(z/2) and the Y_0, Y_1 sums, as fractions
+        a, h = Fraction(1, math.factorial(k) ** 2), sum(Fraction(1, i) for i in range(1, k + 1))
+        return a, a / (k + 1), h * a, (2 * h + Fraction(1, k + 1)) * a / (k + 1)
+
+    def test_table_is_correctly_rounded(self):
+        rows = special_functions._COEF[::-1]
+        assert len(rows) == self.KMAX
+        for k in range(self.KMAX):
+            assert rows[k] == tuple(float(c) for c in self._exact_row(k))
+
+    def test_count_rule_drops_terms_below_1e_18(self):
+        # the first dropped term, the largest exact degree-n coefficient times
+        # (|z|/2)^{2n}, on a fine grid out to the J series' radius
+        top = [float(max(self._exact_row(n))) for n in range(self.KMAX + 1)]
+        radii = np.concatenate([np.geomspace(1e-300, 1.0, 2001),
+                                np.linspace(0.0, self.R, 40001)[1:]])
+        for r in radii:
+            n = bisect(special_functions._TERM_RADII, r)
+            assert 1 <= n < self.KMAX
+            assert top[n] * (0.5 * r) ** (2 * n) < 1e-18
+
+    def test_j_band_against_mpmath(self, rng):
+        # |z| - |Im z| <= 5 out to |z| = 40, where J comes from the series alone
+        worst = 0.0
+        for _ in range(200):
+            r = math.exp(rng.uniform(math.log(0.05), math.log(self.R)))
+            y = rng.choice((-1.0, 1.0)) * rng.uniform(max(r - self.M, 0.0), r)
+            z = complex(rng.choice((-1.0, 1.0)) * math.sqrt(r * r - y * y), y)
+            worst = max(worst, max(abs(o - f) / abs(f) for o, f in zip(_j01(z), mp_bessel_j01(z))))
+        assert worst <= 5e-14
+
+    @pytest.mark.parametrize("zero", [2.404825557695773, 3.8317059702075125])
+    def test_near_the_first_zeros(self, zero):
+        # J_0 and J_1 pass through 0 here, so the error is measured absolutely:
+        # the fixed count does not depend on the size of the sum
+        for k in range(16):
+            for z in (zero + 1e-6 * cmath.exp(2j * math.pi * k / 16), complex(zero)):
+                for ours, ref in zip(_j01(z), mp_bessel_j01(z)):
+                    assert abs(ours - ref) <= 2e-15
+
+    def test_y_sums_down_to_1e_300(self, rng):
+        # H1 = J + iY from the series for |z| < 3, |z| log-uniform from 1e-300
+        for _ in range(100):
+            z = cmath.rect(math.exp(rng.uniform(math.log(1e-300), math.log(3.0))),
+                           rng.uniform(-math.pi, math.pi))
+            with mpmath.workdps(30):  # J + iY cancels by at most e^6 here
+                refs = [complex(mpmath.hankel1(nu, mpmath.mpc(z))) for nu in (0, 1)]
+            for ours, ref in zip(_h01(z), refs):
+                assert abs(ours - ref) <= 2e-15 * abs(ref)
 
 
 def test_library_never_imports_mpmath():

@@ -470,6 +470,12 @@ class TestRadialSecular:
         with pytest.raises(UnsupportedDomainError):
             radial_secular(-8 + 0.5j, 1.0, -518400 + 1j, 2)
 
+    @pytest.mark.parametrize("R", [1e-160, 1e-170])
+    def test_d2_tiny_chi_R_is_typed(self, R):
+        # chi R = 1e-310 and 1e-320: H1_1 ~ -2i/(pi chi R) overflows, once a NaN
+        with pytest.raises(UnsupportedDomainError):
+            radial_secular(-5 + 0.3j, R, 1e-300, 2)
+
     def test_d2_at_E_equal_v0_is_the_limit(self):
         # kappa = 0: the Wronskian tends to -chi*H1_0'(chi R), no Bessel call at 0
         v0, R = -8 + 0.5j, 1.0
