@@ -9,8 +9,8 @@ on the right, normalized so the free potential gives identically 1.  Zeros in
 The sweep runs in float64 with log scaling, the standard remedy for
 exponential dichotomy in shooting methods (Pryce, *Numerical Solution of
 Sturm-Liouville Problems*, OUP 1993).  A piece matrix of phase w = k*width is
-factored by e^{|Im w|} and built from e^{+-iw - |Im w|} (below |Im w| = 1,
-where the factor stays under e, from cos and sin directly); the state is
+factored by e^{|Im w|} and built from e^{+-iw - |Im w|}, with sin(w)/w taken
+directly only below |w| = 1/2, in both the scalar and the array sweep; the state is
 renormalized after every piece and its log-norm accumulated; the log-norm
 meets the exterior factor e^{i*chi*span} in one final exp.  The propagated
 solution is the one that grows to the right, so long gaps cost no accuracy.
@@ -137,31 +137,30 @@ def _segments(pot: PiecewisePotential):
 
 
 def _piece(k2: complex, width: float):
-    """(c, s, log_factor): the propagator over ``width`` at k^2 = ``k2`` is
-    e^{log_factor} * [[c, s], [-k2*s, c]], with c ~ cos(w), s ~ sin(w)/k."""
+    """(c, s, t): the propagator over ``width`` at k^2 = ``k2`` is e^t [[c, s], [-k2*s, c]],
+    t = |Im w|, w = k*width, with c = (e^{iw-t} + e^{-iw-t})/2 and s = width*(e^{iw-t} -
+    e^{-iw-t})/(2iw), or width*e^{-t}*sin(w)/w below |w| = 1/2, where that difference cancels."""
     w = cmath.sqrt(k2) * width
     t = abs(w.imag)
-    if t < 1.0:
-        # the factor would stay below e: cos/sin keep sin(w)/w accurate at small w
+    ep, em = cmath.exp(1j * w - t), cmath.exp(-1j * w - t)
+    if w.real * w.real + t * t < 0.25:  # |w| < 1/2 by the same float steps as _pieces
         sinc = cmath.sin(w) / w if abs(w) > 1e-8 else 1.0 - w * w / 6.0
-        return cmath.cos(w), width * sinc, 0.0
-    ep = cmath.exp(1j * w - t)
-    em = cmath.exp(-1j * w - t)
+        return 0.5 * (ep + em), width * math.exp(-t) * sinc, t
     return 0.5 * (ep + em), width * (ep - em) / (2j * w), t
 
 
 def _pieces(k2, width):
-    """``_piece`` over arrays, ``k2`` and ``width`` broadcast against each other."""
+    """``_piece`` over arrays, same formula and switch, ``k2`` and ``width`` broadcast."""
     w = np.sqrt(k2) * width
-    near = np.abs(w.imag) < 1.0
-    t = np.where(near, 0.0, np.abs(w.imag))
+    t = np.abs(w.imag)
     with np.errstate(all="ignore"):
-        ep = np.exp(1j * w - t)
-        em = np.exp(-1j * w - t)
-        sinc = np.where(np.abs(w) > 1e-8, np.sin(w) / w, 1.0 - w * w / 6.0)
-        c = np.where(near, np.cos(w), 0.5 * (ep + em))
-        s = np.where(near, width * sinc, width * (ep - em) / (2j * w))
-    return c, s, t
+        ep, em = np.exp(1j * w - t), np.exp(-1j * w - t)
+        s = width * (ep - em) / (2j * w)
+        small = w.real * w.real + t * t < 0.25
+        if small.any():
+            ws, f = w[small], np.broadcast_to(width, w.shape)[small] * np.exp(-t[small])
+            s[small] = f * np.where(np.abs(ws) > 1e-8, np.sin(ws) / ws, 1.0 - ws * ws / 6.0)
+    return 0.5 * (ep + em), s, t
 
 
 def _sweep(segments, E: complex, chi: complex, starts=None):

@@ -35,20 +35,16 @@ _W_MAX_ITER = 50
 _EULER_GAMMA = 0.5772156649015328606
 
 
-def _require_finite(z: complex, name: str = "z") -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name} must be finite, got {z!r}")
-    return z
-
-
 def sqrt_upper(z: complex) -> complex:
     """Square root of ``z`` with Im >= 0 (strictly positive off [0, inf)).
 
     On the cut [0, inf) the limit from above is returned, i.e. the
     nonnegative real root.
     """
-    w = cmath.sqrt(_require_finite(z))
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
+    w = cmath.sqrt(z)
     return -w if w.imag < 0.0 else w
 
 
@@ -301,8 +297,9 @@ def _k01(x: complex):
 
 
 def _nonzero(z: complex, edge: float = 0.0) -> complex:
-    z = _require_finite(z)
-    if abs(z) <= edge:  # z = 0, or a |z| below which the result leaves float range
+    z = complex(z)
+    # z beyond float range, z = 0, or a |z| below which the result leaves float range
+    if not cmath.isfinite(z) or abs(z) <= edge:
         raise UnsupportedDomainError(f"Bessel evaluation at z = {z!r} is not supported")
     return z
 

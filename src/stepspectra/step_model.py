@@ -78,23 +78,36 @@ class BumpReport:
 
 
 def _trig_sq(parity: str, w):
-    """(csc^2 w, cot w) for odd, (sec^2 w, tan w) for even, elementwise, from q =
-    e^{a+ib} = e^{2isw}, s = sign(Im w), so |q| <= 1; near q = +-1, q -+ 1 is taken
-    as +-(expm1(a) - 2e^a (sin|cos)^2(b/2)) + i Im q, free of cancellation."""
+    """(csc^2, cot)(w) = (-4q/(q-1)^2, is(q+1)/(q-1)) for odd, (sec^2, tan)(w) = (4q/(q+1)^2,
+    -is(q-1)/(q+1)) for even, q = e^{a+ib} = e^{2isw}, s = sign(Im w), |q| <= 1; near q = +-1,
+    q -+ 1 is +-(expm1(a) - 2e^a (sin|cos)^2(b/2)) + i Im q.  Scalars by cmath, arrays by numpy."""
+    if np.ndim(w) == 0:
+        s = -1.0 if w.imag < 0.0 else 1.0
+        z = 2j * s * w
+        q, a, b = cmath.exp(z), z.real, 0.5 * z.imag
+        qm, qp = q - 1.0, q + 1.0
+        if abs(qm) < 0.5:
+            qm = complex(math.expm1(a) - 2.0 * math.exp(a) * math.sin(b) ** 2, q.imag)
+        elif abs(qp) < 0.5:
+            qp = complex(2.0 * math.exp(a) * math.cos(b) ** 2 - math.expm1(a), q.imag)
+        d, o, sg = (qm, qp, -1.0) if parity == "odd" else (qp, qm, 1.0)
+        try:
+            return sg * 4.0 * q / (d * d), -sg * 1j * s * o / d
+        except ZeroDivisionError:  # an exact pole, or (q - 1)^2 underflows: the array's inf/nan
+            return tuple(complex(x[0]) for x in _trig_sq(parity, np.array([w])))
     w = np.asarray(w, dtype=complex)
     s = np.where(w.imag < 0.0, -1.0, 1.0)
     z = 2j * s * w
     q = np.exp(z)
-    qm, qp = np.asarray(q - 1.0), np.asarray(q + 1.0)  # writable at 0-d too
+    qm, qp = q - 1.0, q + 1.0
     for d, sgn, half in ((qm, 1.0, np.sin), (qp, -1.0, np.cos)):
         near = np.abs(d) < 0.5
         if near.any():
             a, h = z.real[near], half(0.5 * z.imag[near])
             d[near] = sgn * (np.expm1(a) - 2.0 * np.exp(a) * h * h) + 1j * q.imag[near]
+    d, o, sg = (qm, qp, -1.0) if parity == "odd" else (qp, qm, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if parity == "odd":
-            return -4.0 * q / (qm * qm), 1j * s * qp / qm
-        return 4.0 * q / (qp * qp), -1j * s * qm / qp
+        return sg * 4.0 * q / (d * d), -sg * 1j * s * o / d
 
 
 def _secular_terms(parity: str, v0: complex, R: float, kappa):
@@ -123,8 +136,7 @@ def chi_match(bump: StepBump, E: complex, parity: str) -> complex:
     kappa = cmath.sqrt(complex(E) - bump.v0)  # either branch: the value is even in kappa
     w = kappa * bump.half_width
     _guard_pole(w, parity)
-    t = complex(_trig_sq(parity, w)[1])
-    return -1j * kappa * t if parity == "odd" else 1j * kappa * t
+    return (-1j if parity == "odd" else 1j) * kappa * _trig_sq(parity, w)[1]
 
 
 def physical_sheet(bump: StepBump, E: complex, parity: str) -> bool:
@@ -169,7 +181,7 @@ def solve_for_v0(kappa: complex, R: float, parity: str) -> complex:
     kappa = complex(kappa)
     w = kappa * R
     _guard_pole(w, parity)
-    return -(kappa * kappa) * complex(_trig_sq(parity, w)[0])
+    return -(kappa * kappa) * _trig_sq(parity, w)[0]
 
 
 def energy(kappa: complex, v0: complex) -> complex:
@@ -256,7 +268,7 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
     kappa = kappa0 = complex(-1.0, eps * sigma)
     for iters in range(_CONSTRUCT_MAX_ITER + 1):
         w = kappa * R_int
-        csc2, c = (complex(x) for x in _trig_sq("odd", w))
+        csc2, c = _trig_sq("odd", w)
         g = kappa * c - target
         dg = c - w * csc2
         if iters < _CONSTRUCT_MAX_ITER and abs(kappa - kappa0) <= 0.5:
@@ -298,11 +310,13 @@ def radial_secular(v0: complex, R: float, E: complex, d: int) -> complex:
     if d == 3:
         return secular_entire(StepBump(v0, R), E, "odd")
     E = complex(E)
-    chi = sqrt_upper(E)
-    kappa = cmath.sqrt(E - complex(v0))
+    chi, kappa = sqrt_upper(E), cmath.sqrt(E - complex(v0))
     # J is needed only at kappa*R and H1 only at chi*R: J_0' = -J_1, H1_0' = -H1_1
     h0, h1 = _h01(chi * R)
     if kappa == 0:  # E = v0: kappa*J_0'(kappa R) -> 0 and J_0 -> 1
         return chi * h1
     j0, j1 = _j01(kappa * R)
-    return chi * j0 * h1 - kappa * j1 * h0
+    value = chi * j0 * h1 - kappa * j1 * h0
+    if not cmath.isfinite(value):  # a product on the way left float range
+        raise UnsupportedDomainError(f"Wronskian left float range at E = {E!r}, R = {R!r}")
+    return value

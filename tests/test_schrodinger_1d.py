@@ -3,6 +3,7 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from stepspectra.errors import SchemaError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import (
     PiecewisePotential,
     _piece,
+    _pieces,
     _segments,
     _sweep,
     global_secular,
@@ -242,6 +244,78 @@ class TestArrayHandle:
         with pytest.raises(UnsupportedDomainError) as array:
             handle(np.array(nodes, dtype=complex))
         assert str(array.value) == str(scalar.value)
+
+
+class TestPieceFormula:
+    """_piece and _pieces: one formula, factored by e^{|Im w|}, with sin(w)/w only
+    below |w| = 1/2."""
+
+    @staticmethod
+    def phases(rng, n):
+        # |w| from 1e-10 across the |w| = 1/2 switch, and w across the |Im w| = 1
+        # seam of the earlier cos/sin route
+        mod = np.concatenate([10.0 ** rng.uniform(-10, 0.3, n), rng.uniform(0.3, 0.7, n),
+                              rng.uniform(0.5, 40.0, n)])
+        w = mod * np.exp(2j * math.pi * rng.uniform(size=3 * n))
+        seam = rng.uniform(-30, 30, n) + 1j * rng.choice([-1, 1], n) * rng.uniform(0.9, 1.1, n)
+        return np.concatenate([w, seam])
+
+    def test_against_mpmath(self, rng):
+        # e^t c = cos(w) and e^t s = sin(w)/k: c to 1e-15 (1 + |w|), the rounding of
+        # w itself, and s to 1e-15 width, that is relative wherever |w| is small
+        w = self.phases(rng, 150)
+        width = 10.0 ** rng.uniform(-2, 2, w.size)
+        k2 = (w / width) ** 2
+        arrays = _pieces(k2, width)
+        with mpmath.workdps(40):
+            for i, (x, wd) in enumerate(zip(k2.tolist(), width.tolist())):
+                k = mpmath.sqrt(mpmath.mpc(x))
+                for c, s, t in (_piece(x, wd), (a[i] for a in arrays)):
+                    assert abs(c - mpmath.cos(k * wd) * mpmath.exp(-t)) <= 1e-15 * (1 + abs(w[i]))
+                    assert abs(s - mpmath.sin(k * wd) / k * mpmath.exp(-t)) <= 1e-15 * wd
+                    assert t == abs((cmath.sqrt(x) * wd).imag)
+
+    def test_routes_switch_together(self, monkeypatch):
+        # for the same w within a few ulps of |w| = 1/2, in many directions, both
+        # routes take the same branch: sin(w)/w, or the difference of exponentials.
+        # k = (m + ni)/8 has k^2 exact and its square root exact on both routes
+        taken = []
+        for mod in (cmath, np):
+            monkeypatch.setattr(mod, "sin", lambda x, f=mod.sin: taken.append(1) or f(x))
+        sides = set()
+        for m, n in ((8, 0), (0, 8), (0, -8), (3, 4), (4, -3), (5, 12), (12, -5), (7, 7), (1, 9)):
+            k = complex(m, n) / 8
+            k2 = k * k
+            assert cmath.sqrt(k2) == np.sqrt(np.array([k2]))[0] == k
+            w0 = 0.5 / abs(k)
+            for width in (w0, *np.nextafter(w0, [0.0, 1.0]).tolist(), w0 * (1 - 4e-16),
+                          w0 * (1 + 4e-16)):
+                taken.clear()
+                scalar = _piece(k2, width)
+                branch = len(taken)
+                taken.clear()
+                array = _pieces(np.array([k2]), width)
+                assert len(taken) == branch
+                sides.add(branch)
+                for a, b in zip(scalar, array):
+                    assert abs(a - b[0]) <= 4e-16 * max(1.0, abs(a))
+        assert sides == {0, 1}
+
+    def test_broadcast_width(self):
+        # reconstruct_eigenfunction's case: one k2 against an array of widths, zero
+        # and |w| < 1/2 included; and a k2 column against a width row
+        widths = np.array([0.0, 1e-12, 1e-9, 0.05, 0.3, 0.49, 0.51, 2.0, 40.0])
+        for k2 in (-1.0 + 0.3j, 4.0 - 0.01j, 1e-6j):
+            for a, wd in zip(zip(*_pieces(k2, widths)), widths.tolist()):
+                for x, y in zip(a, _piece(k2, wd)):
+                    assert abs(x - y) <= 1e-15 * max(1.0, abs(y))
+        k2s = np.array([-1.0 + 0.3j, 4.0 - 0.01j, 0.25 + 0j])
+        grid = _pieces(k2s[:, None], widths[None, :])
+        assert all(g.shape == (3, widths.size) for g in grid)
+        for i, k2 in enumerate(k2s.tolist()):
+            for j, wd in enumerate(widths.tolist()):
+                for x, y in zip((g[i, j] for g in grid), _piece(k2, wd)):
+                    assert abs(x - y) <= 1e-15 * max(1.0, abs(y))
 
 
 class TestRange:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from stepspectra import spectral_count
+from stepspectra import spectral_count, step_model
 from stepspectra.errors import ContourError
 from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
 from stepspectra.sparse_builder import EnvelopeParams, TargetSequence, assemble_sparse, choose_L
@@ -596,6 +596,47 @@ class TestTrigSq:
             ra, rb = self.reference(parity, complex(x))
             assert abs(a - ra) <= 1e-13 * abs(ra) + 1e-300, (x, a, ra)
             assert abs(b - rb) <= 1e-13 * abs(rb) + 1e-300, (x, b, rb)
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_scalar_equals_the_array_route(self, rng, parity):
+        # 2,000 w: |Im w| up to 400, near the real axis, and within 1e-12 of k*pi
+        # and k*pi + pi/2, where q -+ 1 takes the expm1 form on both routes
+        far = rng.uniform(-60, 60, 500) + 1j * rng.choice([-1, 1], 500) * rng.uniform(0, 400, 500)
+        near_axis = rng.uniform(-60, 60, 500) + 1j * rng.normal(0, 1, 500)
+        k = rng.integers(-40, 41, 1000) + rng.integers(0, 2, 1000) / 2
+        close = k * math.pi + 10.0 ** rng.uniform(-16, -12, 1000) * np.exp(
+            2j * math.pi * rng.uniform(size=1000))
+        w = np.concatenate([far, near_axis, close])
+        arrays = _trig_sq(parity, w)
+        for i, x in enumerate(w.tolist()):
+            values = _trig_sq(parity, x)
+            assert all(type(v) is complex for v in values)
+            for v, a in zip(values, arrays):
+                assert abs(v - a[i]) <= 1e-15 * abs(a[i]), (x, v, a[i])
+
+    @pytest.mark.parametrize("w", [0j, -0.0 + 0j, 1e-170j, 1e-200 + 0j])
+    def test_scalar_at_a_pole_is_the_array_value(self, w):
+        # an exact odd pole, or one whose (q - 1)^2 underflows: no ZeroDivisionError
+        # but the array route's inf and nan, as Python complex
+        for parity in ("odd", "even"):
+            values = _trig_sq(parity, w)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                arrays = _trig_sq(parity, np.array([w]))
+            for v, a in zip(values, arrays):
+                assert type(v) is complex
+                assert np.array([v]).tobytes() == a.tobytes(), (parity, w, v, a)
+        assert repr(_trig_sq("odd", 0j)) == "((-inf+nanj), (nan+infj))"
+
+    def test_construct_bump_takes_the_scalar_route(self, monkeypatch):
+        # the README targets give the same bump as through the array route
+        targets = [1 + 0.1j, 1.0 + 0.08j, 1.3 + 0.06j, 0.8 + 0.05j]
+        scalar = [construct_bump(z).bump for z in targets]
+        monkeypatch.setattr(step_model, "_trig_sq", lambda parity, w, f=_trig_sq: tuple(
+            complex(a[0]) for a in f(parity, np.array([w]))))
+        for z, bump in zip(targets, scalar):
+            ref = construct_bump(z).bump
+            assert bump.half_width == ref.half_width
+            assert abs(bump.v0 - ref.v0) <= 1e-15 * abs(ref.v0)
 
 
 class TestEnumerate:

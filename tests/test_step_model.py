@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from stepspectra import special_functions
-from stepspectra.errors import ConvergenceError, PoleProximityError, UnsupportedDomainError
+from stepspectra.errors import (
+    ConvergenceError,
+    PoleProximityError,
+    StepSpectraError,
+    UnsupportedDomainError,
+)
 from stepspectra.schrodinger_1d import PiecewisePotential, global_secular, reconstruct_eigenfunction
 from stepspectra.special_functions import sqrt_upper
 from stepspectra.spectral_count import Region, locate_zeros
@@ -475,6 +480,27 @@ class TestRadialSecular:
         # chi R = 1e-310 and 1e-320: H1_1 ~ -2i/(pi chi R) overflows, once a NaN
         with pytest.raises(UnsupportedDomainError):
             radial_secular(-5 + 0.3j, R, 1e-300, 2)
+
+    @pytest.mark.parametrize("v0, R, E", [(-5 + 0.3j, 1e300, 1e100), (1e300, 1e200, 1.0)])
+    def test_d2_kappa_R_or_chi_R_beyond_float_range_is_typed(self, v0, R, E):
+        # finite inputs whose kappa*R or chi*R overflows to inf
+        with pytest.raises(UnsupportedDomainError):
+            radial_secular(v0, R, E, 2)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_log_sweep_gives_a_finite_value_or_a_typed_error(self, rng, d):
+        # 400 seeded (v0, R, E) with moduli from 1e-300 to 1e300 and any phase
+        mods = 10.0 ** rng.uniform(-300, 300, (400, 3))
+        phases = np.exp(2j * math.pi * rng.uniform(size=(400, 2)))
+        typed = 0
+        for (mv, R, mE), (pv, pE) in zip(mods.tolist(), phases.tolist()):
+            try:
+                value = radial_secular(mv * pv, R, mE * pE, d)
+            except StepSpectraError:
+                typed += 1
+                continue
+            assert cmath.isfinite(value), (mv * pv, R, mE * pE)
+        assert 0 < typed < 400
 
     def test_d2_at_E_equal_v0_is_the_limit(self):
         # kappa = 0: the Wronskian tends to -chi*H1_0'(chi R), no Bessel call at 0
