@@ -276,8 +276,10 @@ def reconstruct_eigenfunction(
     """Solution decaying to the left, evaluated on ``grid``, normalized on it.
 
     Requires |global_secular(pot, E)| < tol, so E must be an eigenvalue (or a
-    deliberate quasi-eigenvalue with a loosened tolerance).  The returned
-    array has unit discrete L2 norm on the grid.
+    deliberate quasi-eigenvalue with a loosened tolerance).  Right of the hull
+    it is the outgoing wave psi(x1)*e^{i chi (x - x1)}: the incoming part, whose
+    coefficient is the secular value, is dropped.  The returned array has unit
+    discrete L2 norm on the grid.
     """
     E = complex(E)
     grid = np.asarray(grid, dtype=float)
@@ -286,8 +288,8 @@ def reconstruct_eigenfunction(
         raise ValueError("grid must be a strictly increasing 1-D array of finite points")
     segments, span = _segments(pot)
     chi = sqrt_upper(E)
-    # each segment's and the right exterior's start state from the one sweep
-    # (without segments, the right exterior starts as the left one)
+    # each segment's start state and the final state from the one sweep
+    # (without segments, the final state is the start state at x0)
     starts = [] if segments else [(1.0 + 0j, -1j * chi, 0.0)]
     fval = abs(_secular(segments, span, E, starts))
     if fval >= tol:
@@ -299,7 +301,6 @@ def reconstruct_eigenfunction(
     edges = [x0]
     for width, _ in segments:
         edges.append(edges[-1] + width)
-    k2s = [E - v for _, v in segments] + [E]
 
     vals = np.empty(grid.shape, dtype=complex)
     logs = np.empty(grid.shape)
@@ -308,12 +309,17 @@ def reconstruct_eigenfunction(
     left = grid[:cuts[1]] - x0
     vals[:cuts[1]] = np.exp(-1j * chi.real * left)
     logs[:cuts[1]] = chi.imag * left
-    # stretch r from edges[r]: segment r, or the right exterior
-    for r, (p, dp, log_scale) in enumerate(starts):
+    # segment r from edges[r]
+    for r, ((p, dp, log_scale), (_, v)) in enumerate(zip(starts, segments)):
         at = slice(cuts[r + 1], cuts[r + 2])
-        c, s, t = _pieces(k2s[r], grid[at] - edges[r])
+        c, s, t = _pieces(E - v, grid[at] - edges[r])
         vals[at] = c * p + s * dp
         logs[at] = log_scale + t
+    # right of x1 = edges[-1] the outgoing wave from the final state's value
+    p, _, log_scale = starts[-1]
+    right = grid[cuts[-2]:] - edges[-1]
+    vals[cuts[-2]:] = p * np.exp(1j * chi.real * right)
+    logs[cuts[-2]:] = log_scale - chi.imag * right
     top = logs[vals != 0].max(initial=-math.inf)
     psi = vals * np.exp(logs - top) if top > -math.inf else vals
 

@@ -20,8 +20,8 @@ solved again on a small disk.
 The census of V = i*1_[-N,N] refines each resonance ladder as numpy arrays
 over the branch number n, with Lambert-W seeds and a per-branch Newton stop.
 One Lambert pass per factor sign seeds both parities, by W_n(conj z) = conj W_-n(z).
-It counts and certifies from those columns; the BranchResult records are built
-only on demand (CensusResult.results on first read, enumerate_imag_step).
+Each ladder is folded into its counts before the next is refined, so no columns
+outlive the census; CensusResult.results refines them again on first read.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -39,10 +39,16 @@ from .errors import ContourError
 from .special_functions import lambert_w
 from .step_model import _secular_terms
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+#: the positive half of the 16-node Gauss-Legendre rule on [-1, 1], as
+#: numpy.polynomial.legendre.leggauss(16) gives it (nodes and weights are symmetric)
+_GL_HALF_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+              0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499)
+_GL_HALF_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+              0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)
+_GL_X = np.concatenate((np.negative(_GL_HALF_X[::-1]), _GL_HALF_X))
 #: Gauss-Legendre nodes and weights on [0, 1]
 _GL_T = 0.5 * (1.0 + _GL_X)
-_GL_W = 0.5 * _GL_W
+_GL_W = 0.5 * np.concatenate((_GL_HALF_W[::-1], _GL_HALF_W))
 #: largest step of arg f between consecutive nodes
 _MAX_STEP = math.pi / 3.0
 #: most bisections of one panel
@@ -576,20 +582,19 @@ def _require_census_N(N: int) -> None:
 
 
 def _ladders(N: int, n_window: tuple[int, int], families):
-    """Per family in (parity, sign) order: (parity, sign, ns, refined columns)."""
+    """Per family in (parity, sign) order, refined as read: (parity, sign, ns, refined columns)."""
     _require_census_N(N)
     lo, hi = n_window
     if lo > hi:
         raise ValueError(f"empty n window {n_window}")
     ns, top = np.arange(lo, hi + 1), max(hi, -lo)
-    window, odd, ladders = slice(lo + top, hi + top + 1), {}, []
+    window, odd = slice(lo + top, hi + top + 1), {}
     for parity, sign in sorted(families):
         # one pass per sign, when first needed; conjugate targets: even(n) = -conj(odd(-n))
         if sign not in odd:
             odd[sign] = imag_step_seed(N, np.arange(-top, top + 1), "odd", sign)
         seed = odd[sign][window] if parity == "odd" else -np.conj(odd[sign][::-1][window])
-        ladders.append((parity, sign, ns, _refine_ladder(N, seed, parity)))
-    return ladders
+        yield parity, sign, ns, _refine_ladder(N, seed, parity)
 
 
 def _records(ladder, idx) -> list[BranchResult]:
@@ -620,7 +625,8 @@ def enumerate_imag_step(N: int, n_window: tuple[int, int],
 class CensusResult:
     """``certified``: every unconverged branch's seed and final energies lie outside
     the box grown by one ladder spacing 2*pi*|kappa|/N; ``uncertified``: those that do
-    not.  ``results``, every branch as a record, is built from ``ladders`` on demand."""
+    not; ``branches`` and ``unconverged`` count all branches and the unconverged ones.
+    ``results``, every branch as a record, refines the ladders again on first read."""
 
     N: int
     count: int
@@ -629,11 +635,11 @@ class CensusResult:
     certified: bool
     uncertified: tuple
     unconverged: int
-    ladders: list = field(repr=False, compare=False)
+    branches: int
 
     @cached_property
     def results(self) -> tuple:
-        return _all_records(self.ladders)
+        return _all_records(_ladders(self.N, _box_window(self.N, self.box), FAMILIES))
 
     def table_row(self) -> dict:
         return {
@@ -660,7 +666,10 @@ def census_box(N: int, C_box: float = 10.0) -> Region:
 
 def census_window(N: int, C_box: float = 10.0) -> tuple[int, int]:
     """Symmetric branch window wide enough to cover the census box."""
-    box = census_box(N, C_box)
+    return _box_window(N, census_box(N, C_box))
+
+
+def _box_window(N: int, box: Region) -> tuple[int, int]:
     kappa_max = math.sqrt(box.re_hi + box.im_hi + 2.0)
     n_max = int(math.ceil((kappa_max * N + 2.0 * math.pi) / (2.0 * math.pi))) + 2
     return (-n_max, n_max)
@@ -671,6 +680,16 @@ def _in_box(box: Region, E, pad=0.0):
             & (box.im_lo - pad <= E.imag) & (E.imag <= box.im_hi + pad))
 
 
+def _tally(ladder, box: Region, N: int):
+    """A ladder's counted energies, uncertified records, unconverged count and size."""
+    cols = ladder[3]
+    E, conv, seed = cols["energy"], cols["converged"], cols["kappa_seed"]
+    near = (_in_box(box, seed * seed + 1j, 2.0 * math.pi * np.abs(seed) / N)
+            | _in_box(box, E, 2.0 * math.pi * np.abs(cols["kappa_refined"]) / N))
+    return (E[conv & cols["on_physical_sheet"] & _in_box(box, E)],
+            _records(ladder, np.flatnonzero(~conv & near)), int(np.count_nonzero(~conv)), conv.size)
+
+
 def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
     """Count physical-sheet ladder energies inside the census box.
 
@@ -678,16 +697,14 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
     scaling check.  Duplicate refined energies across families are counted once.
     """
     box = census_box(N, C_box)
-    ladders = _ladders(N, census_window(N, C_box), FAMILIES)
-    hits, uncertified, unconverged = [], [], 0
-    for ladder in ladders:
-        cols = ladder[3]
-        E, conv, seed = cols["energy"], cols["converged"], cols["kappa_seed"]
-        hits.append(E[conv & cols["on_physical_sheet"] & _in_box(box, E)])
-        near = (_in_box(box, seed * seed + 1j, 2.0 * math.pi * np.abs(seed) / N)
-                | _in_box(box, E, 2.0 * math.pi * np.abs(cols["kappa_refined"]) / N))
-        uncertified += _records(ladder, np.flatnonzero(~conv & near))
-        unconverged += int(np.count_nonzero(~conv))
+    hits, uncertified, unconverged, branches = [], [], 0, 0
+    # map holds no ladder while it refines the next, as a for-loop variable would
+    for hit, records, bad, size in map(partial(_tally, box=box, N=N),
+                                       _ladders(N, _box_window(N, box), FAMILIES)):
+        hits.append(hit)
+        uncertified += records
+        unconverged += bad
+        branches += size
     count, last = 0, None
     for e in np.sort_complex(np.concatenate(hits)).tolist():
         if last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e)):
@@ -695,4 +712,4 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
     ratio = count * math.log(N) / (N * N)
     return CensusResult(N=N, count=count, ratio=ratio, box=box, certified=not uncertified,
                         uncertified=tuple(sorted(uncertified, key=lambda r: r[:3])),
-                        unconverged=unconverged, ladders=ladders)
+                        unconverged=unconverged, branches=branches)

@@ -316,7 +316,8 @@ def radial_secular(v0: complex, R: float, E: complex, d: int) -> complex:
     if kappa == 0:  # E = v0: kappa*J_0'(kappa R) -> 0 and J_0 -> 1
         return chi * h1
     j0, j1 = _j01(kappa * R)
-    value = chi * j0 * h1 - kappa * j1 * h0
+    # chi*H1 first: H1 ~ e^{-Im chi R} tames chi before J ~ e^{|Im kappa R|} comes in
+    value = j0 * (chi * h1) - j1 * (kappa * h0)
     if not cmath.isfinite(value):  # a product on the way left float range
         raise UnsupportedDomainError(f"Wronskian left float range at E = {E!r}, R = {R!r}")
     return value

@@ -1,11 +1,16 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import stepspectra
 from stepspectra import spectral_count, step_model
 from stepspectra.errors import ContourError
 from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
@@ -36,6 +41,22 @@ from stepspectra.step_model import (
 )
 
 from conftest import imag_step_branch, line_targets, mp_transfer_secular, real_well_bound_states
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert spectral_count._GL_X.tobytes() == x.tobytes()
+    assert (2.0 * spectral_count._GL_W).tobytes() == w.tobytes()
+    assert spectral_count._GL_T.tobytes() == (0.5 * (1.0 + x)).tobytes()
+
+
+def test_cli_import_leaves_numpy_polynomial_out():
+    # a fresh interpreter: the test process has numpy.polynomial loaded above
+    code = "import sys, stepspectra.cli; sys.exit('numpy.polynomial' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepspectra.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "numpy.polynomial was imported"
 
 
 class TestWindingCount:
@@ -765,6 +786,19 @@ class TestCensus:
         assert list(cen.results) == enumerate_imag_step(N, census_window(N, 10.0))
         assert cen.results is cen.results
         assert cen.unconverged == sum(not r.converged for r in cen.results)
+        assert cen.branches == len(cen.results)
+
+    def test_census_keeps_no_ladder(self):
+        # each ladder's columns go once counted; they were 824 KB at N = 128
+        imag_step_census(8, 10.0)  # leave first-call caches outside the trace
+        tracemalloc.start()
+        try:
+            cen = imag_step_census(128, 10.0)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (cen.count, cen.branches) == (663, 4 * (2 * census_window(128)[1] + 1))
+        assert retained < 64 * 1024
 
     def test_certificate_names_branches_near_the_box(self):
         # C_box = 100 stretches the box to Re E > 0.33, Im E > 0.01, where the

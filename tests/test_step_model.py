@@ -487,6 +487,19 @@ class TestRadialSecular:
         with pytest.raises(UnsupportedDomainError):
             radial_secular(v0, R, E, 2)
 
+    def test_d2_large_chi_times_growing_J_is_the_wronskian(self):
+        # kappa = chi to 1e-370, so the value is J_0 H1_1 - J_1 H1_0 = -2i/(pi chi R)
+        # times chi; chi*J_0 alone is about 8e383
+        R = 1.310303515206526e-139
+        value = radial_secular(2.633272026913203e-86 - 7.203443230655259e-87j, R,
+                               1.069788778781222e+284 + 9.593723592856036e+283j, 2)
+        assert abs(value - (-2j / (math.pi * R))) <= 1e-12 * (2.0 / (math.pi * R))
+
+    def test_d2_tiny_chi_times_growing_J_stays_finite(self):
+        # H1_1(chi R) ~ 1e140 and J_0(kappa R) ~ e^{415}: J*H1 first would overflow
+        value = radial_secular(-1e6 - 9e5j, 1.0, 1e-280j, 2)
+        assert cmath.isfinite(value)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_log_sweep_gives_a_finite_value_or_a_typed_error(self, rng, d):
         # 400 seeded (v0, R, E) with moduli from 1e-300 to 1e300 and any phase
@@ -501,6 +514,8 @@ class TestRadialSecular:
                 continue
             assert cmath.isfinite(value), (mv * pv, R, mE * pE)
         assert 0 < typed < 400
+        if d == 2:  # 262 with the Wronskian's products formed left to right
+            assert typed <= 261
 
     def test_d2_at_E_equal_v0_is_the_limit(self):
         # kappa = 0: the Wronskian tends to -chi*H1_0'(chi R), no Bessel call at 0
