@@ -210,9 +210,6 @@ def cmd_imag_step(args) -> int:
                     all_points.append(r.energy)
                     all_colors.append("#d62728" if r.on_physical_sheet else "#aaaaaa")
         print(f"N={n}: count={cen.count} ratio={_fmt(cen.ratio)}")
-        if cen.unconverged:
-            print(f"N={n}: {cen.unconverged} branch(es) did not refine; flagged and skipped",
-                  file=sys.stderr)
         if not cen.certified:
             print(f"N={n}: {len(cen.uncertified)} unconverged branch(es) could lie in the box; "
                   "count not certified", file=sys.stderr)

@@ -20,8 +20,8 @@ solved again on a small disk.
 The census of V = i*1_[-N,N] refines each resonance ladder as numpy arrays
 over the branch number n, with Lambert-W seeds and a per-branch Newton stop.
 One Lambert pass per factor sign seeds both parities, by W_n(conj z) = conj W_-n(z).
-Each ladder is folded into its counts before the next is refined, so no columns
-outlive the census; CensusResult.results refines them again on first read.
+Only branches whose hop disk can reach the box are refined, each ladder folded into
+the counts before the next; CensusResult.results refines the full window on first read.
 """
 
 from __future__ import annotations
@@ -515,6 +515,10 @@ FAMILIES = (("odd", +1), ("odd", -1), ("even", +1), ("even", -1))
 #: a branch converges once |secular| is below this, within this many Newton steps
 _NEWTON_TOL = 1e-9
 _NEWTON_MAX_ITER = 60
+#: a branch converges only within the hop disk |kappa - seed| <= _HOP/N
+_HOP = 0.75 * math.pi
+#: the census pads a hop disk's reach in E by this fraction of the largest |E| there, for rounding
+_HOP_SLACK = 1e-9
 
 
 class BranchResult(NamedTuple):
@@ -542,9 +546,9 @@ def imag_step_seed(N: int, n, parity: str = "odd", sign: int = +1):
 def _refine_ladder(N: int, seed, parity: str) -> dict:
     """Newton from the seed array of one ladder: the record columns.
     A branch stops unconverged at a zero derivative or as soon as an iterate
-    leaves the hop disk |kappa - seed| <= 0.75*pi/R, keeping the last inside."""
+    leaves the hop disk |kappa - seed| <= _HOP/N, keeping the last inside."""
     v0, R = 1j, float(N)
-    hop = 0.75 * math.pi / R
+    hop = _HOP / N
     kappa, res = seed.copy(), np.full(seed.shape, math.inf)
     # chi at convergence: the matched exterior momentum -i*kappa*cot (odd) or
     # i*kappa*tan (even), which is even in kappa
@@ -581,8 +585,17 @@ def _require_census_N(N: int) -> None:
         raise ValueError(f"census requires N >= 8, got {N}")
 
 
-def _ladders(N: int, n_window: tuple[int, int], families):
-    """Per family in (parity, sign) order, refined as read: (parity, sign, ns, refined columns)."""
+def _reachable(box: Region, seed, N: int):
+    """The seeds s whose branch can converge into the box: E = kappa^2 + i with
+    |kappa -+ s| <= hop lies within hop*(2|s| + hop) of E_s = s^2 + i."""
+    hop, E_s = _HOP / N, seed * seed + 1j
+    reach = hop * (2.0 * np.abs(seed) + hop)
+    return _in_box(box, E_s, reach + _HOP_SLACK * (np.abs(E_s) + reach))
+
+
+def _ladders(N: int, n_window: tuple[int, int], families, box: Region | None = None):
+    """Per family in (parity, sign) order, refined as read: (parity, sign, ns, refined columns).
+    Given a ``box``, only the branches ``_reachable`` from it are refined."""
     _require_census_N(N)
     lo, hi = n_window
     if lo > hi:
@@ -594,7 +607,8 @@ def _ladders(N: int, n_window: tuple[int, int], families):
         if sign not in odd:
             odd[sign] = imag_step_seed(N, np.arange(-top, top + 1), "odd", sign)
         seed = odd[sign][window] if parity == "odd" else -np.conj(odd[sign][::-1][window])
-        yield parity, sign, ns, _refine_ladder(N, seed, parity)
+        keep = slice(None) if box is None else _reachable(box, seed, N)
+        yield parity, sign, ns[keep], _refine_ladder(N, seed[keep], parity)
 
 
 def _records(ladder, idx) -> list[BranchResult]:
@@ -623,10 +637,10 @@ def enumerate_imag_step(N: int, n_window: tuple[int, int],
 
 @dataclass(frozen=True)
 class CensusResult:
-    """``certified``: every unconverged branch's seed and final energies lie outside
-    the box grown by one ladder spacing 2*pi*|kappa|/N; ``uncertified``: those that do
-    not; ``branches`` and ``unconverged`` count all branches and the unconverged ones.
-    ``results``, every branch as a record, refines the ladders again on first read."""
+    """``branches`` counts the branches refined, those whose hop disk can reach the
+    box; no other branch could be counted.  ``uncertified`` lists the refined branches
+    that did not converge, each of which could have been; ``certified`` says it is empty.
+    ``results``, every branch of the full window as a record, refines again on first read."""
 
     N: int
     count: int
@@ -634,7 +648,6 @@ class CensusResult:
     box: Region
     certified: bool
     uncertified: tuple
-    unconverged: int
     branches: int
 
     @cached_property
@@ -680,14 +693,12 @@ def _in_box(box: Region, E, pad=0.0):
             & (box.im_lo - pad <= E.imag) & (E.imag <= box.im_hi + pad))
 
 
-def _tally(ladder, box: Region, N: int):
-    """A ladder's counted energies, uncertified records, unconverged count and size."""
+def _tally(ladder, box: Region):
+    """A ladder's counted energies, unconverged records and size."""
     cols = ladder[3]
-    E, conv, seed = cols["energy"], cols["converged"], cols["kappa_seed"]
-    near = (_in_box(box, seed * seed + 1j, 2.0 * math.pi * np.abs(seed) / N)
-            | _in_box(box, E, 2.0 * math.pi * np.abs(cols["kappa_refined"]) / N))
+    E, conv = cols["energy"], cols["converged"]
     return (E[conv & cols["on_physical_sheet"] & _in_box(box, E)],
-            _records(ladder, np.flatnonzero(~conv & near)), int(np.count_nonzero(~conv)), conv.size)
+            _records(ladder, np.flatnonzero(~conv)), conv.size)
 
 
 def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
@@ -697,13 +708,12 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
     scaling check.  Duplicate refined energies across families are counted once.
     """
     box = census_box(N, C_box)
-    hits, uncertified, unconverged, branches = [], [], 0, 0
+    hits, uncertified, branches = [], [], 0
     # map holds no ladder while it refines the next, as a for-loop variable would
-    for hit, records, bad, size in map(partial(_tally, box=box, N=N),
-                                       _ladders(N, _box_window(N, box), FAMILIES)):
+    for hit, records, size in map(partial(_tally, box=box),
+                                  _ladders(N, _box_window(N, box), FAMILIES, box)):
         hits.append(hit)
         uncertified += records
-        unconverged += bad
         branches += size
     count, last = 0, None
     for e in np.sort_complex(np.concatenate(hits)).tolist():
@@ -711,5 +721,4 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
             count, last = count + 1, e
     ratio = count * math.log(N) / (N * N)
     return CensusResult(N=N, count=count, ratio=ratio, box=box, certified=not uncertified,
-                        uncertified=tuple(sorted(uncertified, key=lambda r: r[:3])),
-                        unconverged=unconverged, branches=branches)
+                        uncertified=tuple(sorted(uncertified, key=lambda r: r[:3])), branches=branches)

@@ -765,12 +765,12 @@ class TestCensus:
             assert 4.0 * math.pi * 1.2 < ratio < 4.0 * math.pi * 2.5
 
     def test_pinned_counts_and_certificate(self):
-        # the census CSV of the benchmark ladder and N = 16; every dropped branch
-        # starts and ends at least one ladder spacing outside the box
-        for N, count, unconverged in ((16, 18, 16), (32, 60, 28), (64, 198, 55),
-                                      (128, 663, 108), (192, 1357, 160), (256, 2265, 214)):
+        # the census CSV of the benchmark ladder and N = 16, and the branches whose
+        # hop disk can reach the box; every one of them converges
+        for N, count, branches in ((16, 18, 261), (32, 60, 774), (64, 198, 2443),
+                                   (128, 663, 8049), (192, 1357, 16402), (256, 2265, 27325)):
             cen = imag_step_census(N, 10.0)
-            assert (cen.count, cen.unconverged) == (count, unconverged)
+            assert (cen.count, cen.branches) == (count, branches)
             assert cen.certified and cen.uncertified == ()
             assert not any(cmath.isnan(r.energy) for r in cen.results)
 
@@ -785,8 +785,11 @@ class TestCensus:
         assert "results" not in vars(cen)  # nobody has read them yet
         assert list(cen.results) == enumerate_imag_step(N, census_window(N, 10.0))
         assert cen.results is cen.results
-        assert cen.unconverged == sum(not r.converged for r in cen.results)
-        assert cen.branches == len(cen.results)
+        # the census refines the branches the full window's seeds can take into the box
+        assert len(cen.results) == {16: 412, 64: 4004}[N]
+        seeds = np.array([r.kappa_seed for r in cen.results])
+        assert cen.branches == np.count_nonzero(spectral_count._reachable(cen.box, seeds, N))
+        assert cen.branches == {16: 261, 64: 2443}[N]
 
     def test_census_keeps_no_ladder(self):
         # each ladder's columns go once counted; they were 824 KB at N = 128
@@ -797,8 +800,48 @@ class TestCensus:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert (cen.count, cen.branches) == (663, 4 * (2 * census_window(128)[1] + 1))
+        assert (cen.count, cen.branches) == (663, 8049)  # of 13,636 in the window
         assert retained < 64 * 1024
+
+    @pytest.mark.parametrize("N, C_box", [(8, 10.0), (8, 50.0), (9, 30.0), (16, 200.0),
+                                          (32, 1e3), (64, 1.5), (64, 10.0)])
+    def test_refining_only_reachable_branches_is_sound(self, N, C_box):
+        cen = imag_step_census(N, C_box)
+        full = cen.results
+        reach = spectral_count._reachable(cen.box, np.array([r.kappa_seed for r in full]), N)
+        counted = [r for r in full
+                   if r.converged and r.on_physical_sheet and cen.box.contains(r.energy)]
+        count, last = 0, None
+        for e in sorted((r.energy for r in counted), key=lambda e: (e.real, e.imag)):
+            if last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e)):
+                count, last = count + 1, e
+        assert cen.count == count
+        # a branch that converges stays in its hop disk, so its energy in the box
+        # means its seed passes the predicate
+        assert all(ok for r, ok in zip(full, reach) if r in counted)
+        # the bound itself: a converged energy lies within hop*(2|s| + hop) of
+        # E_s = s^2 + i, and every seed whose disk meets the box passes
+        hop = 0.75 * math.pi / N
+        for r, ok in zip(full, reach):
+            e_s, disk = r.kappa_seed ** 2 + 1j, hop * (2.0 * abs(r.kappa_seed) + hop)
+            if r.converged:
+                assert abs(r.energy - e_s) <= disk + 1e-9 * (abs(e_s) + disk)
+            dx = max(cen.box.re_lo - e_s.real, 0.0, e_s.real - cen.box.re_hi)
+            dy = max(cen.box.im_lo - e_s.imag, 0.0, e_s.imag - cen.box.im_hi)
+            assert ok or math.hypot(dx, dy) > disk
+        # each refined branch refines as it does in the full window, bit for bit
+        # (repr tells every two distinct floats apart)
+        by_key = {r[:3]: repr(r) for r in full}
+        refined = [r for ladder in spectral_count._ladders(N, census_window(N, C_box), FAMILIES,
+                                                          cen.box)
+                   for r in spectral_count._records(ladder, slice(None))]
+        assert sorted(r[:3] for r in refined) == [r[:3] for r, ok in zip(full, reach) if ok]
+        assert all(repr(r) == by_key[r[:3]] for r in refined)
+        assert len(refined) == cen.branches
+        # the uncertified records are exactly the reachable ones that did not converge
+        assert list(map(repr, cen.uncertified)) == [
+            repr(r) for r, ok in zip(full, reach) if ok and not r.converged]
+        assert cen.certified == (not cen.uncertified)
 
     def test_certificate_names_branches_near_the_box(self):
         # C_box = 100 stretches the box to Re E > 0.33, Im E > 0.01, where the
