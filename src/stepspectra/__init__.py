@@ -62,9 +62,7 @@ from .step_model import (
     construct_bump,
     davies_nath,
     energy,
-    physical_sheet,
     radial_secular,
-    secular,
     secular_entire,
     solve_for_v0,
 )

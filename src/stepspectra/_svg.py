@@ -31,25 +31,25 @@ class Canvas:
         py = _HEIGHT - _MARGIN - (y - self.y_lo) / (self.y_hi - self.y_lo) * (_HEIGHT - 2 * _MARGIN)
         return px, py
 
-    def rect(self, x0, x1, y0, y1, stroke="#888888", dash="4,3"):
+    def rect(self, x0, x1, y0, y1):
         px0, py0 = self._map(x0, y1)
         px1, py1 = self._map(x1, y0)
         self.parts.append(
             f'<rect x="{_fmt(px0)}" y="{_fmt(py0)}" width="{_fmt(px1 - px0)}" '
-            f'height="{_fmt(py1 - py0)}" fill="none" stroke="{stroke}" '
-            f'stroke-dasharray="{dash}"/>'
+            f'height="{_fmt(py1 - py0)}" fill="none" stroke="#888888" '
+            'stroke-dasharray="4,3"/>'
         )
 
-    def circle(self, x, y, color="#1f77b4", r=3.0):
+    def circle(self, x, y, color):
         px, py = self._map(x, y)
-        self.parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{r}" fill="{color}"/>')
+        self.parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3.0" fill="{color}"/>')
 
-    def polyline(self, xs, ys, color="#1f77b4", width=1.2):
+    def polyline(self, xs, ys, color):
         pts = " ".join(
             f"{_fmt(px)},{_fmt(py)}" for px, py in (self._map(x, y) for x, y in zip(xs, ys))
         )
         self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )
 
     def _axes(self):
@@ -89,15 +89,10 @@ class Canvas:
         )
 
 
-def scatter_svg(points, title="", box=None, colors=None) -> str:
-    """Scatter of complex points; optional dashed box (re_lo, re_hi, im_lo, im_hi)."""
-    xs = [p.real for p in points]
-    ys = [p.imag for p in points]
-    if box is not None:
-        xs += [box[0], box[1]]
-        ys += [box[2], box[3]]
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
+def scatter_svg(points, colors, box, title="") -> str:
+    """Scatter of complex points in their colours and the dashed box (re_lo, re_hi, im_lo, im_hi)."""
+    xs = [p.real for p in points] + [box[0], box[1]]
+    ys = [p.imag for p in points] + [box[2], box[3]]
     pad_x = 0.05 * (max(xs) - min(xs) or 1.0)
     pad_y = 0.05 * (max(ys) - min(ys) or 1.0)
     canvas = Canvas(
@@ -105,10 +100,8 @@ def scatter_svg(points, title="", box=None, colors=None) -> str:
         (min(ys) - pad_y, max(ys) + pad_y),
         title=title,
     )
-    if box is not None:
-        canvas.rect(box[0], box[1], box[2], box[3])
-    for idx, p in enumerate(points):
-        color = colors[idx] if colors else "#1f77b4"
+    canvas.rect(box[0], box[1], box[2], box[3])
+    for p, color in zip(points, colors):
         canvas.circle(p.real, p.imag, color=color)
     return canvas.render()
 

@@ -216,8 +216,7 @@ def cmd_imag_step(args) -> int:
     _emit(args.out, "\n".join(lines) + "\n")
     if args.svg:
         box = (cen.box.re_lo, cen.box.re_hi, cen.box.im_lo, cen.box.im_hi)
-        _write(args.svg, _svg.scatter_svg(all_points, title="imag-step census", box=box,
-                                          colors=all_colors))
+        _write(args.svg, _svg.scatter_svg(all_points, all_colors, box, title="imag-step census"))
     return EXIT_OK
 
 

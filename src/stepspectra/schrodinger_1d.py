@@ -30,6 +30,7 @@ from .errors import SchemaError, UnsupportedDomainError
 from .special_functions import sqrt_upper
 
 _LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(sys.float_info.min)
 
 
 class PiecewisePotential:
@@ -72,10 +73,6 @@ class PiecewisePotential:
             lo, hi = bump.support
             pieces.append((lo, hi, bump.v0))
         return cls(pieces)
-
-    def truncated(self, n: int) -> "PiecewisePotential":
-        """Prefix truncation keeping the first n pieces."""
-        return PiecewisePotential(self.pieces[:n])
 
     # -- JSON schema: {"pieces":[{"a":..,"b":..,"re":..,"im":..},...]} --------
 
@@ -219,7 +216,8 @@ def _secular_nodes(segments, span: float, E: np.ndarray) -> np.ndarray:
         b_coeff = (1j * chi * psi - dpsi) / (2j * chi)
         exponent = np.log(b_coeff) + (log_scale + 1j * chi * span)
         zero = b_coeff == 0
-        if not np.all(zero | ((exponent.real < _LOG_MAX) & np.isfinite(exponent.imag))):
+        in_range = (_LOG_MIN <= exponent.real) & (exponent.real < _LOG_MAX)
+        if not np.all(zero | (in_range & np.isfinite(exponent.imag))):
             return np.array([_secular(segments, span, x) for x in E.tolist()])
         return np.where(zero, 0j, np.exp(exponent))
 
@@ -230,9 +228,9 @@ def _rescaled(value: complex, log_factor: complex, E: complex) -> complex:
     if value == 0:
         return 0j
     exponent = cmath.log(value) + log_factor
-    if not (exponent.real < _LOG_MAX and math.isfinite(exponent.imag)):
+    if not (_LOG_MIN <= exponent.real < _LOG_MAX and math.isfinite(exponent.imag)):
         raise UnsupportedDomainError(
-            f"|secular| = e^{exponent.real:.6g} at E = {E!r} exceeds float range"
+            f"|secular| = e^{exponent.real:.6g} at E = {E!r} leaves float range"
         )
     return cmath.exp(exponent)
 
@@ -242,7 +240,7 @@ def global_secular(pot: PiecewisePotential, E: complex) -> complex:
 
     Analytic in E on the cut plane; zeros (with multiplicity) are the
     eigenvalues.  Raises ``UnsupportedDomainError`` at E = 0 and where the
-    value exceeds float range.
+    value leaves float range, above or below.
     """
     return _secular(*_segments(pot), complex(E))
 

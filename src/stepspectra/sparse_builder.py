@@ -111,13 +111,15 @@ class SeparationSequence:
     tail bound.
     """
 
-    def __init__(self, values=None, rule=None, eta0: float = 1.0, convex_increments=None):
+    def __init__(self, values=None, rule=None, eta0: float = 1.0, convex_increments: bool = False):
         if (values is None) == (rule is None):
             raise ValueError("provide exactly one of values or rule")
         if not eta0 > 0:
             raise ValueError("eta0 must be positive")
         self.eta0 = float(eta0)
         self.rule = rule
+        self.convex_increments = bool(convex_increments)
+        self.values = None
         if values is not None:
             vals = tuple(float(v) for v in values)
             if any(v <= 0 for v in vals):
@@ -125,10 +127,6 @@ class SeparationSequence:
             if any(b < a for a, b in zip(vals[:-1], vals[1:])):
                 raise ValueError("gap lengths must be nondecreasing")
             self.values = vals
-            self.convex_increments = True if convex_increments is None else convex_increments
-        else:
-            self.values = None
-            self.convex_increments = bool(convex_increments)
 
     @classmethod
     def from_values(cls, values, eta0: float = 1.0) -> "SeparationSequence":
@@ -141,11 +139,6 @@ class SeparationSequence:
     @property
     def finite(self) -> bool:
         return self.values is not None
-
-    def __len__(self) -> int:
-        if not self.finite:
-            raise TypeError("rule-based sequence has no length")
-        return len(self.values)
 
     def L(self, k: int) -> float:
         """L_k, inf where the rule leaves float range."""

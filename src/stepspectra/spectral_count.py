@@ -83,6 +83,11 @@ class Region:
     center: complex = 0j
     radius: float = 0.0
 
+    def __post_init__(self):
+        if self.kind == "rectangle":
+            object.__setattr__(self, "center", complex(0.5 * (self.re_lo + self.re_hi),
+                                                       0.5 * (self.im_lo + self.im_hi)))
+
     @staticmethod
     def rectangle(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> "Region":
         if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
@@ -225,11 +230,7 @@ class _Contour:
         self.f = f
         self.region = region
         self.stats = stats
-        if region.kind == "rectangle":
-            self.c = complex(0.5 * (region.re_lo + region.re_hi),
-                             0.5 * (region.im_lo + region.im_hi))
-        else:
-            self.c = region.center
+        self.c = region.center
         self.h = 0.5 * region.diameter
         # halve the unsettled panels of all four edges a level at a time
         level = self._build([0, 1, 2, 3], [0.0] * 4, [1.0] * 4, [0] * 4)
@@ -618,11 +619,6 @@ def _records(ladder, idx) -> list[BranchResult]:
     return [BranchResult(n, parity, sign, *rest) for n, *rest in rows]
 
 
-def _all_records(ladders) -> tuple:
-    """Every branch of every ladder, sorted by (n, parity, sign)."""
-    return tuple(r for group in zip(*(_records(lad, slice(None)) for lad in ladders)) for r in group)
-
-
 def enumerate_imag_step(N: int, n_window: tuple[int, int],
                         families=FAMILIES) -> list[BranchResult]:
     """Resonance ladder of V = i*1_[-N,N]: Lambert seeds, Newton refinement,
@@ -632,7 +628,8 @@ def enumerate_imag_step(N: int, n_window: tuple[int, int],
     per requested family.  A branch whose Newton run stalls or leaves its hop
     disk is flagged (``converged=False``) rather than fatal.
     """
-    return list(_all_records(_ladders(N, n_window, families)))
+    ladders = _ladders(N, n_window, families)
+    return [r for group in zip(*(_records(lad, slice(None)) for lad in ladders)) for r in group]
 
 
 @dataclass(frozen=True)
@@ -652,7 +649,7 @@ class CensusResult:
 
     @cached_property
     def results(self) -> tuple:
-        return _all_records(_ladders(self.N, _box_window(self.N, self.box), FAMILIES))
+        return tuple(enumerate_imag_step(self.N, _box_window(self.N, self.box)))
 
     def table_row(self) -> dict:
         return {

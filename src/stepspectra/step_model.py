@@ -139,18 +139,6 @@ def chi_match(bump: StepBump, E: complex, parity: str) -> complex:
     return (-1j if parity == "odd" else 1j) * kappa * _trig_sq(parity, w)[1]
 
 
-def physical_sheet(bump: StepBump, E: complex, parity: str) -> bool:
-    """True iff the matched exterior wave decays (Im chi_match > 0, strictly)."""
-    return chi_match(bump, E, parity).imag > 0.0
-
-
-def secular(bump: StepBump, E: complex, parity: str) -> complex:
-    """Physical-sheet secular function of the step at energy ``E``: i*(chi - chi_match)
-    with chi = sqrt_upper(E), so its zeros are the genuine eigenvalues."""
-    chi_m = chi_match(bump, E, parity)
-    return 1j * (sqrt_upper(E) - chi_m)
-
-
 def secular_entire(bump: StepBump, E: complex, parity: str) -> complex:
     """Pole-free rescaling of the physical-sheet secular (same zero set).
 

@@ -44,7 +44,6 @@ from stepspectra.step_model import (
     construct_bump,
     davies_nath,
     energy,
-    physical_sheet,
     secular_entire,
     solve_for_v0,
 )

@@ -342,6 +342,16 @@ class TestRange:
         with pytest.raises(UnsupportedDomainError):
             make_secular_handle(barrier)(-1.0 + 0.5j)
 
+    def test_below_float_range_is_typed(self):
+        # |F| falls like |F_1|^n with n copies of one bump: e^-840 at 128 copies,
+        # below the least normal float, where exp once returned a silent 0j
+        bump = construct_bump(1 + 0.1j).bump
+        pot = PiecewisePotential.from_bumps([bump.shifted(300.0 * k) for k in range(128)])
+        with pytest.raises(UnsupportedDomainError, match="leaves float range"):
+            global_secular(pot, 1.01 + 0.1j)
+        with pytest.raises(UnsupportedDomainError, match="leaves float range"):
+            make_secular_handle(pot)(np.array([1.01 + 0.1j, 1.02 + 0.1j]))
+
     def test_state_leaving_float_range_in_the_sweep(self):
         # k^2 = 0 on the piece: psi' = -i*chi = -1e150i carried over a width of
         # 1e200 gives psi ~ 1e350 before any renormalization
@@ -526,7 +536,7 @@ class TestTruncationConvergence:
         from stepspectra.spectral_count import Region, locate_zeros
 
         full = make_secular_handle(asm.potential)
-        prefix = make_secular_handle(asm.potential.truncated(2))
+        prefix = make_secular_handle(PiecewisePotential(asm.potential.pieces[:2]))
         moves = []
         for zeta in targets.zetas[:2]:
             z_full = locate_zeros(full, Region.disk(zeta, 1e-2)).zeros[0].location

@@ -36,7 +36,6 @@ from stepspectra.step_model import (
     _secular_terms,
     _trig_sq,
     construct_bump,
-    physical_sheet,
     secular_entire,
 )
 
@@ -86,6 +85,19 @@ class TestWindingCount:
         assert abs(err.point) < 1e-3
         assert err.modulus < 1e-6
         assert "edge 3" in str(err)
+
+    def test_argument_jump_across_a_panel_boundary_is_halved(self):
+        # the principal sqrt's cut meets edge 3 at t = 0.5, a panel boundary: the
+        # panels on either side settle, and only the loop over argument steps
+        # between panels halves them, until the bisection bound
+        f = lambda z: np.sqrt(np.asarray(z))
+        f.vectorized = True
+        with pytest.raises(ContourError, match="no settled panel after 28 bisections") as info:
+            winding_count(f, Region.rectangle(-2.0, 1.0, -1.0, 1.0))
+        err = info.value
+        assert err.edge == 3
+        assert abs(err.t - 0.5) < 1e-8
+        assert abs(err.point + 2.0) < 4e-9
 
     def test_contour_error_point_off_centre(self):
         # the left side runs from 0.7i down to -0.3i, so the zero lies 0.7 of its
@@ -359,7 +371,7 @@ class TestLocateZeros:
         assert abs(rep.zeros[0].location - zero) < 1e-15
 
     def test_rectangle_made_without_its_constructor(self):
-        # Region("rectangle", ...) stores no centre: the contour takes it from the bounds
+        # Region("rectangle", ...) takes its centre from the bounds, as Region.rectangle does
         f = lambda z: (z - 2.3 - 1.1j) * (z - 2.6 - 0.9j)
         made = locate_zeros(f, Region.rectangle(2.0, 3.0, 0.5, 1.5))
         direct = locate_zeros(f, Region("rectangle", re_lo=2.0, re_hi=3.0, im_lo=0.5, im_hi=1.5))
@@ -519,6 +531,7 @@ class TestGradedPanels:
         walked.panels([0, 1, 2, 3], [0.0] * 4, [1.0] * 4)
         fresh = Region.rectangle(-8.0, -1e-3, -1.5, 1.5)
         assert walked == fresh and hash(walked) == hash(fresh) and repr(walked) == repr(fresh)
+        assert fresh.center == complex(-4.0005, 0.0)
 
 
 class TestRouche:

@@ -23,9 +23,7 @@ from stepspectra.step_model import (
     construct_bump,
     davies_nath,
     energy,
-    physical_sheet,
     radial_secular,
-    secular,
     secular_entire,
     solve_for_v0,
 )
@@ -73,8 +71,8 @@ class TestSecular:
         # finite solution, so the free secular never vanishes off the cut
         b = StepBump(0.0, 1.0)
         for E in (-1 + 0.3j, -2 - 0.5j, 4j, -0.25, 9 + 1j):
-            assert abs(secular(b, E, "odd")) > 1e-2
-            assert abs(secular(b, E, "even")) > 1e-2
+            assert abs(1j * (sqrt_upper(E) - chi_match(b, E, "odd"))) > 1e-2
+            assert abs(1j * (sqrt_upper(E) - chi_match(b, E, "even"))) > 1e-2
 
     def test_odd_value_at_cot_zero(self):
         # kappa*R = pi/2 kills cot, value reduces to i*chi
@@ -82,7 +80,7 @@ class TestSecular:
         kap = math.pi / 2 / R
         v0 = 0.7 - 0.2j
         E = energy(kap, v0)
-        val = secular(StepBump(v0, R), E, "odd")
+        val = 1j * (sqrt_upper(E) - chi_match(StepBump(v0, R), E, "odd"))
         assert val == pytest.approx(1j * sqrt_upper(E), rel=1e-12)
 
     def test_pole_guard(self):
@@ -90,7 +88,7 @@ class TestSecular:
         kap = math.pi  # sin(kappa R) = 0
         b = StepBump(-1.0, R)
         with pytest.raises(PoleProximityError) as err:
-            secular(b, energy(kap, -1.0), "odd")
+            chi_match(b, energy(kap, -1.0), "odd")
         assert err.value.distance is not None and err.value.distance < 1e-8
 
     def test_scaling_covariance_of_secular(self, rng):
@@ -100,11 +98,11 @@ class TestSecular:
             v0 = solve_for_v0(kap, R, parity)
             E = energy(kap, v0)
             b = StepBump(v0, R)
-            if not physical_sheet(b, E, parity):
+            if not chi_match(b, E, parity).imag > 0:
                 continue
             for lam in (0.5, 2.0):
-                scaled = StepBump(lam * lam * v0, R / lam)
-                res = abs(secular(scaled, lam * lam * E, parity))
+                scaled, E_scaled = StepBump(lam * lam * v0, R / lam), lam * lam * E
+                res = abs(1j * (sqrt_upper(E_scaled) - chi_match(scaled, E_scaled, parity)))
                 assert res < 1e-9 * (1.0 + lam * abs(kap))
 
     def test_branch_independence_in_kappa(self, rng):
@@ -115,7 +113,7 @@ class TestSecular:
             E = complex(rng.normal(0, 2), rng.normal(1, 1))
             b = StepBump(v0, 1.7)
             try:
-                v1 = secular(b, E, "even")
+                v1 = 1j * (sqrt_upper(E) - chi_match(b, E, "even"))
             except PoleProximityError:
                 continue
             kap = cmath.sqrt(E - v0)
@@ -152,9 +150,9 @@ class TestSolveForV0:
             v0 = solve_for_v0(kap, R, parity)
             E = energy(kap, v0)
             b = StepBump(v0, R)
-            if physical_sheet(b, E, parity):
+            if chi_match(b, E, parity).imag > 0:
                 seen += 1
-                assert abs(secular(b, E, parity)) < 1e-12 * (1.0 + abs(kap))
+                assert abs(1j * (sqrt_upper(E) - chi_match(b, E, parity))) < 1e-12 * (1.0 + abs(kap))
         assert seen > 10
 
 
@@ -163,8 +161,8 @@ class TestPhysicalSheet:
         E0 = real_well_parity_states(1.0, 1.0, "even")[0]
         assert E0 == pytest.approx(-0.4538, abs=5e-5)
         b = StepBump(-1.0, 1.0)
-        assert abs(secular(b, E0, "even")) < 1e-10
-        assert physical_sheet(b, E0, "even")
+        assert abs(1j * (sqrt_upper(E0) - chi_match(b, E0, "even"))) < 1e-10
+        assert chi_match(b, E0, "even").imag > 0
 
     def test_growing_exterior(self):
         # odd, kappa = 0.5, R = 1: chi_match = -i*0.5*cot(0.5) is negative
@@ -175,14 +173,14 @@ class TestPhysicalSheet:
         cm = chi_match(b, E, "odd")
         assert cm == pytest.approx(-0.5 / math.tan(0.5) * 1j, rel=1e-12)
         assert cm.imag < 0
-        assert not physical_sheet(b, E, "odd")
+        assert not chi_match(b, E, "odd").imag > 0
 
     def test_threshold_is_not_physical(self):
         R = 1.0
         kap = math.pi / 2  # cot vanishes, chi_match = 0
         v0 = 1.0 - 0.5j
         E = energy(kap, v0)
-        assert not physical_sheet(StepBump(v0, R), E, "odd")
+        assert not chi_match(StepBump(v0, R), E, "odd").imag > 0
 
 
 class TestEnergy:
@@ -533,7 +531,7 @@ class TestSecularEntire:
             v0 = solve_for_v0(kap, R, parity)
             E = energy(kap, v0)
             b = StepBump(v0, R)
-            if physical_sheet(b, E, parity):
+            if chi_match(b, E, parity).imag > 0:
                 assert abs(secular_entire(b, E, parity)) < 1e-9 * (1 + abs(E))
 
     def test_no_pole_at_trig_zeros(self):
