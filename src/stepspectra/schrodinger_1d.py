@@ -54,9 +54,6 @@ class PiecewisePotential:
                 )
         self.pieces = tuple(cleaned)
 
-    def __len__(self) -> int:
-        return len(self.pieces)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PiecewisePotential) and self.pieces == other.pieces
 

@@ -29,7 +29,7 @@ from .errors import ConvergenceError, UnsupportedDomainError
 _TWO_PI = 2.0 * math.pi
 #: |Im z| <= _CUT_WIDTH * |z| with Re z < 0 counts as the cut of Lambert W
 _CUT_WIDTH = 1e-12
-#: Halley stops once |w*exp(w) - z| <= _W_TOL * |z|, after at most _W_MAX_ITER steps
+#: Halley's relative residual target (exp's floor can exceed it: see lambert_w) and step cap
 _W_TOL = 1e-13
 _W_MAX_ITER = 50
 _EULER_GAMMA = 0.5772156649015328606
@@ -113,19 +113,21 @@ def _halley(w, z):
         for _ in range(_W_MAX_ITER):
             ew = np.exp(wa)
             f = wa * ew - za
-            hit = np.abs(f) <= np.maximum(target, floor * (1.0 + np.abs(wa)))
-            fp = ew * (wa + 1.0)
-            step = f / (fp - f * ew * (wa + 2.0) / (2.0 * fp))
+            done = np.abs(f) <= np.maximum(target, floor * (1.0 + np.abs(wa)))
+            # step where the stop fails and near w = -1, where the stop leaves w ~_W_TOL/|1 + w| off
+            act = np.flatnonzero(~done | (np.abs(wa + 1.0) < 1.0))
+            wx, ex, fx = wa[act], ew[act], f[act]
+            fp = ex * (wx + 1.0)
+            step = fx / (fp - fx * ex * (wx + 2.0) / (2.0 * fp))
             finite = np.isfinite(step)
-            # the stop leaves w off by ~_W_TOL/|1 + w|: near w = -1, step anyway
-            w_new = np.where(finite & (~hit | (np.abs(wa + 1.0) < 1.0)), wa - step, wa)
-            done = hit | (np.abs(step) <= 4e-16 * (1.0 + np.abs(w_new)))
-            w[idx], ok[idx] = w_new, done
-            go = ~done & finite
-            if not go.any():
+            wa[act] = np.where(finite, wx - step, wx)
+            done[act] |= np.abs(step) <= 4e-16 * (1.0 + np.abs(wa[act]))
+            w[idx], ok[idx] = wa, done
+            done[act] |= ~finite  # a step that is not finite ends the entry, not ok
+            if done.all():
                 break
-            idx, wa = idx[go], w_new[go]
-            za, target, floor = (a[go] if a.size > 1 else a for a in (za, target, floor))
+            idx, wa = idx[~done], wa[~done]
+            za, target, floor = (a[~done] if a.size > 1 else a for a in (za, target, floor))
     return w, ok
 
 
@@ -176,10 +178,11 @@ def _on_branch(w, n, z):
 def lambert_w(n, z):
     """Branch ``n`` of the Lambert W function, by Halley iteration.
 
-    ``n`` (int or int array) and ``z`` broadcast.  Halley drives |w*exp(w) - z|
-    below 1e-13 * |z|, and each result is verified to lie in the branch-``n`` region,
-    else redone by continuation from inside it.  A :class:`ConvergenceError` carries
-    the last iterate and its residual, which is formed on failure only.
+    ``n`` (int or int array) and ``z`` broadcast.  Halley stops at a step below 4e-16*(1 + |w|)
+    or at |w*exp(w) - z| <= max(1e-13, 1.47e-14*(1 + |w|))*|z|, the second term being the floor
+    of exp's argument reduction (5e-10*|z| at |w| = 3.7e4).  Each result is verified to lie in
+    the branch-``n`` region, else redone by continuation from inside it.  A ConvergenceError
+    carries the last iterate and its residual, which is formed on failure only.
     """
     n, z = np.asarray(n, dtype=np.int64), np.asarray(z, dtype=complex)
     shape = np.broadcast_shapes(n.shape, z.shape)
@@ -192,7 +195,11 @@ def lambert_w(n, z):
         raise ValueError("z = 0 is a logarithmic singularity for branches n != 0")
     w = np.empty(n.shape, dtype=complex)
     low = (n == 0) | (n == -1)  # branches with seeds of their own
-    w[~low] = lambert_w_seed(n[~low], z if z.size == 1 and not low.all() else zn[~low])
+    zh = z if z.size == 1 and not low.all() else zn[~low]
+    l1, seed = np.log(zh) + 2j * math.pi * n[~low], lambert_w_seed(n[~low], zh)
+    # the asymptotic series through L2/L1^3, L2 = log L1 (Corless et al. 1996, eq. 4.19)
+    l2, t = l1 - seed, 1.0 / l1
+    w[~low] = seed + l2 * t * (1.0 + t * (0.5 * l2 - 1.0 + t * (1.0 - 1.5 * l2 + l2 * l2 / 3.0)))
     for i in np.flatnonzero(low):
         w[i] = _w_seed(int(n[i]), complex(zn[i]))
     w, ok = _halley(w, z)

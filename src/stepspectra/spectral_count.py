@@ -674,11 +674,6 @@ def census_box(N: int, C_box: float = 10.0) -> Region:
     )
 
 
-def census_window(N: int, C_box: float = 10.0) -> tuple[int, int]:
-    """Symmetric branch window wide enough to cover the census box."""
-    return _box_window(N, census_box(N, C_box))
-
-
 def _box_window(N: int, box: Region) -> tuple[int, int]:
     kappa_max = math.sqrt(box.re_hi + box.im_hi + 2.0)
     n_max = int(math.ceil((kappa_max * N + 2.0 * math.pi) / (2.0 * math.pi))) + 2
@@ -702,7 +697,7 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
     """Count physical-sheet ladder energies inside the census box.
 
     Emits (N, count, count*log(N)/N^2) plus the box, for the locality-violation
-    scaling check.  Duplicate refined energies across families are counted once.
+    scaling check.  Energies less than 1e-6 relative from the previous sorted one are dropped.
     """
     box = census_box(N, C_box)
     hits, uncertified, branches = [], [], 0
@@ -712,10 +707,9 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
         hits.append(hit)
         uncertified += records
         branches += size
-    count, last = 0, None
-    for e in np.sort_complex(np.concatenate(hits)).tolist():
-        if last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e)):
-            count, last = count + 1, e
+    E = np.sort_complex(np.concatenate(hits))
+    gap = np.abs(np.diff(E, prepend=np.inf))
+    count = int(np.count_nonzero(gap >= 1e-6 * np.maximum(1.0, np.abs(E))))
     ratio = count * math.log(N) / (N * N)
     return CensusResult(N=N, count=count, ratio=ratio, box=box, certified=not uncertified,
                         uncertified=tuple(sorted(uncertified, key=lambda r: r[:3])), branches=branches)

@@ -35,7 +35,7 @@ class TestBumpCommand:
         report = json.loads((out / "bump_report.json").read_text())
         assert report["residual"] < 1e-10
         pot = PiecewisePotential.from_json((out / "potential.json").read_text())
-        assert len(pot) == 1
+        assert len(pot.pieces) == 1
         assert (out / "bump_psi.svg").read_text().startswith("<svg")
 
     def test_determinism(self, tmp_path):
@@ -215,7 +215,7 @@ class TestSparseCommand:
         report = json.loads((out / "sparse_report.json").read_text())
         assert all(v["found"] >= 1 for v in report["verification"])
         pot = PiecewisePotential.from_json((out / "potential.json").read_text())
-        assert len(pot) == 3
+        assert len(pot.pieces) == 3
 
     def test_p_from_the_targets_file_sets_gaps_and_norm(self, tmp_path):
         # p = 6 enters kappa_tilde (69 against 51 at p = 4) and names the mixed norm

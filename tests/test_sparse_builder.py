@@ -286,7 +286,7 @@ class TestAssembly:
 
     def test_empty_targets(self):
         asm = assemble_sparse(TargetSequence(()), ACCEPT_PARAMS, [])
-        assert len(asm.potential) == 0
+        assert len(asm.potential.pieces) == 0
 
     def test_gap_lengths_checked(self):
         t = TargetSequence((1 + 0.1j, 1 + 0.09j, 1 + 0.08j))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import stepspectra
-from stepspectra import spectral_count, step_model
+from stepspectra import special_functions, spectral_count, step_model
 from stepspectra.errors import ContourError
 from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
 from stepspectra.sparse_builder import EnvelopeParams, TargetSequence, assemble_sparse, choose_L
@@ -21,10 +21,10 @@ from stepspectra.spectral_count import (
     Region,
     SolverStats,
     _Contour,
+    _box_window,
     _counted,
     _secant,
     census_box,
-    census_window,
     imag_step_census,
     enumerate_imag_step,
     imag_step_seed,
@@ -570,7 +570,7 @@ class TestLadderSeeds:
     def test_even_seeds_are_mirrored_odd_seeds(self, N, sign):
         # the even target is the conjugate of the odd one, and
         # W_n(conj z) = conj W_-n(z); the census seeds the even ladders this way
-        lo, hi = census_window(N)
+        lo, hi = _box_window(N, census_box(N))
         ns = np.arange(lo, hi + 1)
         even = imag_step_seed(N, ns, "even", sign)
         mirrored = -np.conj(imag_step_seed(N, -ns, "odd", sign))
@@ -592,6 +592,24 @@ class TestLadderSeeds:
                 r = rows[n, parity, sign]
                 assert r.converged == ref["converged"][i]
                 assert abs(r.energy - ref["energy"][i]) <= 1e-12 * abs(r.energy)
+
+    @pytest.mark.parametrize("N, share", [(256, 0.90), (1024, 0.99)])
+    def test_seeds_mostly_meet_the_halley_stop(self, monkeypatch, N, share):
+        # the series through L2/L1^3 already meets Halley's stop on nearly the whole
+        # census window, so nearly every entry costs one exp and no step
+        calls, halley = [], special_functions._halley
+        monkeypatch.setattr(special_functions, "_halley",
+                            lambda w, z: calls.append((np.array(w), z)) or halley(w, z))
+        lo, hi = _box_window(N, census_box(N))
+        passed = total = 0
+        for sign in (1, -1):
+            calls.clear()
+            imag_step_seed(N, np.arange(lo, hi + 1), "odd", sign)
+            w, z = calls[0]
+            stop = np.maximum(1e-13, 64 * 2.3e-16 * (1.0 + np.abs(w))) * np.abs(z)
+            passed += np.count_nonzero(np.abs(w * np.exp(w) - z) <= stop)
+            total += w.size
+        assert passed >= share * total
 
     def test_continuation_entries_in_an_array(self):
         # the first two Halley runs leave their branch and are redone by
@@ -723,7 +741,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("N", [16, 64])
     def test_agrees_with_scalar_newton(self, N):
-        rows = enumerate_imag_step(N, census_window(N, 10.0))
+        rows = enumerate_imag_step(N, _box_window(N, census_box(N, 10.0)))
         assert [(r.n, r.parity, r.sign) for r in rows] == sorted(
             (r.n, r.parity, r.sign) for r in rows
         )
@@ -738,7 +756,7 @@ class TestEnumerate:
                 assert not r.on_physical_sheet
 
     def test_unconverged_records_stay_in_the_hop_disk(self):
-        rows = enumerate_imag_step(64, census_window(64, 10.0))
+        rows = enumerate_imag_step(64, _box_window(64, census_box(64, 10.0)))
         failed = [r for r in rows if not r.converged]
         assert failed
         for r in failed:
@@ -789,14 +807,33 @@ class TestCensus:
 
     def test_census_512_certified(self):
         cen = imag_step_census(512, 10.0)
-        assert cen.count == 7846
+        assert (cen.count, cen.branches) == (7846, 94881)
         assert cen.certified
+        assert cen.ratio == pytest.approx(0.18671377185081472, rel=1e-15)
+
+    def test_census_1024_certified(self):
+        cen = imag_step_census(1024, 10.0)
+        assert (cen.count, cen.branches) == (27524, 335184)
+        assert cen.certified
+        assert cen.ratio == pytest.approx(0.18194373128635344, rel=1e-15)
+
+    def test_near_equal_energies_count_once(self, monkeypatch):
+        # one energy from two ladders, and a chain whose links are 0.6e-6 relative
+        # apart but whose ends are 1.2e-6 apart: each counts once
+        box = census_box(8, 10.0)
+        e, f = complex(box.re_lo + 1.0, 1.0), complex(box.re_lo + 2.0, 1.0)
+        chain = [f, f * (1.0 + 0.6e-6), f * (1.0 + 1.2e-6)]
+        hits = iter([[e, chain[0]], [e, chain[2]], [chain[1]], []])
+        monkeypatch.setattr(spectral_count, "_tally",
+                            lambda ladder, box: (np.array(next(hits), dtype=complex), [], 1))
+        cen = imag_step_census(8, 10.0)
+        assert (cen.count, cen.branches) == (2, 4)
 
     @pytest.mark.parametrize("N", [16, 64])
     def test_results_are_the_enumeration(self, N):
         cen = imag_step_census(N, 10.0)
         assert "results" not in vars(cen)  # nobody has read them yet
-        assert list(cen.results) == enumerate_imag_step(N, census_window(N, 10.0))
+        assert list(cen.results) == enumerate_imag_step(N, _box_window(N, census_box(N, 10.0)))
         assert cen.results is cen.results
         # the census refines the branches the full window's seeds can take into the box
         assert len(cen.results) == {16: 412, 64: 4004}[N]
@@ -824,10 +861,12 @@ class TestCensus:
         reach = spectral_count._reachable(cen.box, np.array([r.kappa_seed for r in full]), N)
         counted = [r for r in full
                    if r.converged and r.on_physical_sheet and cen.box.contains(r.energy)]
+        # the dedupe rule as a loop: an energy counts unless it lies within 1e-6
+        # relative of the previous one in sorted order
         count, last = 0, None
         for e in sorted((r.energy for r in counted), key=lambda e: (e.real, e.imag)):
-            if last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e)):
-                count, last = count + 1, e
+            count += last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e))
+            last = e
         assert cen.count == count
         # a branch that converges stays in its hop disk, so its energy in the box
         # means its seed passes the predicate
@@ -845,8 +884,8 @@ class TestCensus:
         # each refined branch refines as it does in the full window, bit for bit
         # (repr tells every two distinct floats apart)
         by_key = {r[:3]: repr(r) for r in full}
-        refined = [r for ladder in spectral_count._ladders(N, census_window(N, C_box), FAMILIES,
-                                                          cen.box)
+        window = _box_window(N, census_box(N, C_box))
+        refined = [r for ladder in spectral_count._ladders(N, window, FAMILIES, cen.box)
                    for r in spectral_count._records(ladder, slice(None))]
         assert sorted(r[:3] for r in refined) == [r[:3] for r, ok in zip(full, reach) if ok]
         assert all(repr(r) == by_key[r[:3]] for r in refined)
@@ -875,7 +914,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("C_box", [0.0, 1.0, -1.0, math.inf, math.nan])
     def test_C_box_must_be_finite_above_1(self, C_box):
-        # 0 divided by zero, inf overflowed in census_window, 1 gave an empty box
+        # 0 would divide by zero, inf overflow _box_window's branch window, 1 give an empty box
         with pytest.raises(ValueError, match="finite C_box > 1"):
             imag_step_census(8, C_box)
 
