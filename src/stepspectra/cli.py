@@ -20,24 +20,8 @@ import sys
 
 import numpy as np
 
-from . import _svg
 from .errors import ContourError, SchemaError, StepSpectraError
 from .schrodinger_1d import PiecewisePotential, make_secular_handle, reconstruct_eigenfunction
-from .sparse_builder import (
-    EnvelopeParams,
-    SeparationSequence,
-    TargetSequence,
-    M_pq,
-    M_pq_L,
-    assemble_sparse,
-    choose_L,
-    h_L,
-    kappa_tilde,
-    magnitude_check,
-    omega_q,
-    s_of_L_z,
-    sep,
-)
 from .spectral_count import Region, imag_step_census, locate_zeros
 from .step_model import SECTOR_APERTURE, bump_norm_lq, construct_bump, davies_nath
 from .special_functions import _dist_to_ray, sqrt_upper
@@ -94,8 +78,9 @@ def _parse_region(args) -> Region:
     raise _UsageError("provide --region or --disk")
 
 
-def _parse_L(spec: str, eta0: float) -> SeparationSequence:
-    """'values:1,2,4' | 'power:alpha' | 'geometric'."""
+def _parse_L(spec: str, eta0: float):
+    """The SeparationSequence of 'values:1,2,4' | 'power:alpha' | 'geometric'."""
+    from .sparse_builder import SeparationSequence
     if spec.startswith("values:"):
         vals = [float(v) for v in spec[len("values:"):].split(",")]
         return SeparationSequence.from_values(vals, eta0=eta0)
@@ -149,6 +134,7 @@ def cmd_bump(args) -> int:
     pot = PiecewisePotential.from_bumps([bump])
     _write(os.path.join(args.out, "potential.json"), pot.to_json() + "\n")
     if args.svg:
+        from . import _svg
         lo, hi = bump.support
         width = hi - lo
         xs = np.linspace(lo - 1.5 * width, hi + 1.5 * width, 600)
@@ -215,12 +201,14 @@ def cmd_imag_step(args) -> int:
                   "count not certified", file=sys.stderr)
     _emit(args.out, "\n".join(lines) + "\n")
     if args.svg:
+        from . import _svg
         box = (cen.box.re_lo, cen.box.re_hi, cen.box.im_lo, cen.box.im_hi)
         _write(args.svg, _svg.scatter_svg(all_points, all_colors, box, title="imag-step census"))
     return EXIT_OK
 
 
 def cmd_sparse(args) -> int:
+    from .sparse_builder import EnvelopeParams, TargetSequence, assemble_sparse, choose_L
     with open(args.targets, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     try:
@@ -275,6 +263,7 @@ def cmd_sparse(args) -> int:
 
 
 def cmd_envelopes(args) -> int:
+    from .sparse_builder import EnvelopeParams, M_pq, M_pq_L, h_L, kappa_tilde, omega_q, s_of_L_z, sep
     z = parse_complex(args.z)
     if z.imag == 0 and z.real >= 0:
         raise _UsageError("z must avoid [0, inf)")
@@ -298,6 +287,7 @@ def cmd_envelopes(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .sparse_builder import magnitude_check
     with open(args.potential, "r", encoding="utf-8") as fh:
         pot = PiecewisePotential.from_json(fh.read())
     region = _parse_region(args)

@@ -459,9 +459,19 @@ class TestSeriesPass:
                 assert abs(ours - ref) <= 2e-15 * abs(ref)
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter on this checkout; fail on a non-zero exit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepspectra.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_library_never_imports_mpmath():
     # a fresh interpreter: the test process itself has mpmath loaded by conftest
-    code = (
+    _run_fresh(
         "import sys\n"
         "from stepspectra.special_functions import _h01\n"
         "from stepspectra.step_model import radial_secular\n"
@@ -469,9 +479,35 @@ def test_library_never_imports_mpmath():
         "_h01(-2 + 4j)\n"
         "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(stepspectra.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+
+
+SPARSE_NAMES = (
+    "EnvelopeParams", "SeparationSequence", "TargetSequence", "M_pq", "M_pq_L", "assemble_sparse",
+    "choose_L", "h_L", "kappa_alpha", "kappa_tilde", "magnitude_check", "omega_q", "s_of_L_z",
+    "sep", "sequence_condition_value", "strong_separation_check",
+)
+
+
+def test_package_and_cli_load_the_sparse_builder_and_svg_on_first_use():
+    # a fresh interpreter: the test process has sparse_builder loaded by other
+    # test modules, and a package __getattr__ that imports with "from . import"
+    # recurses only on the first access
+    _run_fresh(
+        "import sys, stepspectra, stepspectra.cli\n"
+        "early = [m for m in ('stepspectra.sparse_builder', 'stepspectra._svg') if m in sys.modules]\n"
+        "assert not early, f'loaded at import: {early}'\n"
+        "sb = stepspectra.sparse_builder\n"
+        "assert sb is sys.modules['stepspectra.sparse_builder']\n"
+        "assert stepspectra.assemble_sparse is sb.assemble_sparse\n"
+        "from stepspectra import choose_L\n"
+        "assert choose_L is sb.choose_L\n"
+        f"names = {SPARSE_NAMES!r}\n"
+        "assert all(getattr(stepspectra, n) is getattr(sb, n) for n in names)\n"
+        "assert set(names) | {'sparse_builder', 'Region'} <= set(dir(stepspectra))\n"
+        "try:\n"
+        "    stepspectra.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError for an unknown name')\n"
     )
-    assert proc.returncode == 0, proc.stderr
