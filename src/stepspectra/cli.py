@@ -384,7 +384,7 @@ def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return args.func(args)
-    except (_UsageError, SchemaError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (_UsageError, SchemaError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ContourError as exc:

@@ -157,17 +157,11 @@ def _pieces(k2, width):
     return 0.5 * (ep + em), s, t
 
 
-def _sweep(segments, E: complex, chi: complex, starts=None):
-    """Carry (psi, psi') = (1, -i*chi) across ``segments``; return the final
-    (psi, psi', log_scale), the true state being e^{log_scale} times it.
-
-    If ``starts`` is a list, each segment's start state is appended to it in
-    the same (psi, psi', log_scale) form.
-    """
-    psi, dpsi, log_scale = 1.0 + 0j, -1j * chi, 0.0
+def _sweep(segments, E: complex, psi: complex, dpsi: complex):
+    """Carry the state (psi, psi') across ``segments``; return the final
+    (psi, psi', log_scale), the true state being e^{log_scale} times it."""
+    log_scale = 0.0
     for width, v in segments:
-        if starts is not None:
-            starts.append((psi, dpsi, log_scale))
         k2 = E - v
         c, s, t = _piece(k2, width)
         psi, dpsi = c * psi + s * dpsi, c * dpsi - k2 * s * psi
@@ -179,17 +173,14 @@ def _sweep(segments, E: complex, chi: complex, starts=None):
     return psi, dpsi, log_scale
 
 
-def _secular(segments, span: float, E: complex, starts=None) -> complex:
-    """The global secular at E.  If ``starts`` is a list, it gets each segment's
-    start state, as from ``_sweep``, and then the final state."""
+def _secular(segments, span: float, E: complex) -> complex:
+    """The global secular at E: the sweep from the decaying wave (1, -i*chi)."""
     if not segments:
         return 1.0 + 0j
     chi = sqrt_upper(E)
     if chi == 0:
         raise UnsupportedDomainError("the global secular function has a pole at E = 0")
-    psi, dpsi, log_scale = _sweep(segments, E, chi, starts)
-    if starts is not None:
-        starts.append((psi, dpsi, log_scale))
+    psi, dpsi, log_scale = _sweep(segments, E, 1.0 + 0j, -1j * chi)
     b_coeff = (1j * chi * psi - dpsi) / (2j * chi)
     return _rescaled(b_coeff, log_scale + 1j * chi * span, E)
 
@@ -282,11 +273,7 @@ def reconstruct_eigenfunction(
             or not np.all(np.isfinite(grid))):
         raise ValueError("grid must be a strictly increasing 1-D array of finite points")
     segments, span = _segments(pot)
-    chi = sqrt_upper(E)
-    # each segment's start state and the final state from the one sweep
-    # (without segments, the final state is the start state at x0)
-    starts = [] if segments else [(1.0 + 0j, -1j * chi, 0.0)]
-    fval = abs(_secular(segments, span, E, starts))
+    fval = abs(_secular(segments, span, E))
     if fval >= tol:
         raise ValueError(
             f"E = {E!r} is not an eigenvalue at tolerance {tol:.2e} (|secular| = {fval:.3e})"
@@ -297,23 +284,26 @@ def reconstruct_eigenfunction(
     for width, _ in segments:
         edges.append(edges[-1] + width)
 
+    chi = sqrt_upper(E)
     vals = np.empty(grid.shape, dtype=complex)
     logs = np.empty(grid.shape)
     cuts = [0, *np.searchsorted(grid, edges).tolist(), grid.size]
     # left of x0 the sweep's start state (1, -i chi) is the wave e^{-i chi (x - x0)}
+    psi, dpsi, log_scale = 1.0 + 0j, -1j * chi, 0.0
     left = grid[:cuts[1]] - x0
     vals[:cuts[1]] = np.exp(-1j * chi.real * left)
     logs[:cuts[1]] = chi.imag * left
-    # segment r from edges[r]
-    for r, ((p, dp, log_scale), (_, v)) in enumerate(zip(starts, segments)):
+    # segment r from edges[r], then the sweep across it to the next start state
+    for r, (_, v) in enumerate(segments):
         at = slice(cuts[r + 1], cuts[r + 2])
         c, s, t = _pieces(E - v, grid[at] - edges[r])
-        vals[at] = c * p + s * dp
+        vals[at] = c * psi + s * dpsi
         logs[at] = log_scale + t
+        psi, dpsi, step = _sweep(segments[r:r + 1], E, psi, dpsi)
+        log_scale += step
     # right of x1 = edges[-1] the outgoing wave from the final state's value
-    p, _, log_scale = starts[-1]
     right = grid[cuts[-2]:] - edges[-1]
-    vals[cuts[-2]:] = p * np.exp(1j * chi.real * right)
+    vals[cuts[-2]:] = psi * np.exp(1j * chi.real * right)
     logs[cuts[-2]:] = log_scale - chi.imag * right
     top = logs[vals != 0].max(initial=-math.inf)
     psi = vals * np.exp(logs - top) if top > -math.inf else vals

@@ -625,25 +625,20 @@ def magnitude_check(eigs, pot: PiecewisePotential, q: float, d: int,
                     ceiling: float | None = None):
     """Per-eigenvalue magnitude-bound ratios for separating potentials.
 
-    For q <= (d+1)/2 the bound is |z|^(q - d/2) <= C sup_j ||V_j||_q^q; above
-    it is |z|^(1/2) d(z, R+)^(q - (d+1)/2) <= C sup_j ||V_j||_q^q, with V_j the
-    pieces of ``pot`` and a finite q >= 1.  Rows whose ratio exceeds the
-    ceiling are flagged.
+    The bound is omega_q(z, d, q)^(-q) <= C sup_j ||V_j||_q^q, with V_j the pieces
+    of ``pot`` and a finite q >= 1: the left side is |z|^(q - d/2) for q <= (d+1)/2
+    and |z|^(1/2) d(z, R+)^(q - (d+1)/2) above, the right side the largest
+    |v|^q * (b - a) of a piece.  Rows whose ratio exceeds the ceiling are flagged.
     """
     if not 1.0 <= q < math.inf:
         raise ValueError(f"q must be finite and >= 1, got {q}")
-    piece_norms = [abs(v) * (b - a) ** (1.0 / q) for a, b, v in pot.pieces]
-    if not piece_norms:
+    if not pot.pieces:
         raise ValueError("empty potential")
-    rhs = max(piece_norms) ** q
-    q_d = (d + 1) / 2.0
+    rhs = max(abs(v) ** q * (b - a) for a, b, v in pot.pieces)
     rows = []
     for z in eigs:
         z = complex(z)
-        if q <= q_d:
-            lhs = abs(z) ** (q - d / 2.0)
-        else:
-            lhs = abs(z) ** 0.5 * _dist_to_ray(z) ** (q - q_d)
+        lhs = omega_q(z, d, q) ** -q
         ratio = lhs / rhs
         rows.append(
             MagnitudeRow(

@@ -196,8 +196,9 @@ def lambert_w(n, z):
     w = np.empty(n.shape, dtype=complex)
     low = (n == 0) | (n == -1)  # branches with seeds of their own
     zh = z if z.size == 1 and not low.all() else zn[~low]
-    l1, seed = np.log(zh) + 2j * math.pi * n[~low], lambert_w_seed(n[~low], zh)
     # the asymptotic series through L2/L1^3, L2 = log L1 (Corless et al. 1996, eq. 4.19)
+    l1 = np.log(zh) + 2j * math.pi * n[~low]
+    seed = l1 - np.log(l1)  # the two-term seed; |L1| > pi here, so it needs no check
     l2, t = l1 - seed, 1.0 / l1
     w[~low] = seed + l2 * t * (1.0 + t * (0.5 * l2 - 1.0 + t * (1.0 - 1.5 * l2 + l2 * l2 / 3.0)))
     for i in np.flatnonzero(low):

@@ -536,12 +536,12 @@ class BranchResult(NamedTuple):
     converged: bool
 
 
-def imag_step_seed(N: int, n, parity: str = "odd", sign: int = +1):
-    """Lambert-W branch seed kappa = -i W_n(target)/R for the (parity, sign) ladder
-    (an array of seeds for an int array ``n``)."""
-    root, R = cmath.sqrt(1j), float(N)
-    target = 1j * sign * root * R / 2.0 if parity == "odd" else -sign * root * R / 2.0
-    return -1j * lambert_w(n, target) / R
+def imag_step_seed(N: int, n, sign: int = +1):
+    """Lambert-W branch seed kappa = -i W_n(i*sign*sqrt(i)*N/2)/N for the odd ladder
+    of this sign (an array of seeds for an int array ``n``); the even ladders are
+    its mirror images (``_ladders``)."""
+    R = float(N)
+    return -1j * lambert_w(n, 1j * sign * cmath.sqrt(1j) * R / 2.0) / R
 
 
 def _refine_ladder(N: int, seed, parity: str) -> dict:
@@ -551,17 +551,16 @@ def _refine_ladder(N: int, seed, parity: str) -> dict:
     v0, R = 1j, float(N)
     hop = _HOP / N
     kappa, res = seed.copy(), np.full(seed.shape, math.inf)
-    # chi at convergence: the matched exterior momentum -i*kappa*cot (odd) or
-    # i*kappa*tan (even), which is even in kappa
+    # chi at convergence: the matched exterior momentum i*kappa*r, even in kappa
     converged, chi = np.zeros(seed.shape, dtype=bool), np.zeros(seed.shape, dtype=complex)
     idx, ka = np.arange(seed.size), seed
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
-            fval, d, t = _secular_terms(parity, v0, R, ka)
+            fval, d, r = _secular_terms(parity, v0, R, ka)
             res[idx] = np.abs(fval)
             hit = res[idx] <= _NEWTON_TOL
             converged[idx[hit]] = True
-            chi[idx[hit]] = (-1j if parity == "odd" else 1j) * ka[hit] * t[hit]
+            chi[idx[hit]] = 1j * ka[hit] * r[hit]
             k_new = ka - fval / d
             go = ~hit & (d != 0) & (np.abs(k_new - seed[idx]) <= hop)
             idx, ka = idx[go], k_new[go]
@@ -606,7 +605,7 @@ def _ladders(N: int, n_window: tuple[int, int], families, box: Region | None = N
     for parity, sign in sorted(families):
         # one pass per sign, when first needed; conjugate targets: even(n) = -conj(odd(-n))
         if sign not in odd:
-            odd[sign] = imag_step_seed(N, np.arange(-top, top + 1), "odd", sign)
+            odd[sign] = imag_step_seed(N, np.arange(-top, top + 1), sign)
         seed = odd[sign][window] if parity == "odd" else -np.conj(odd[sign][::-1][window])
         keep = slice(None) if box is None else _reachable(box, seed, N)
         yield parity, sign, ns[keep], _refine_ladder(N, seed[keep], parity)

@@ -3,11 +3,11 @@
 The parity secular functions use the trigonometric pairing of the interface
 matching, odd: i*chi - kappa*cot(kappa*R), even: i*chi + kappa*tan(kappa*R), with
 the inversions V0 = -kappa^2*csc^2(kappa*R) and V0 = -kappa^2*sec^2(kappa*R).  All
-take csc^2/cot or sec^2/tan from one overflow-safe core, ``_trig_sq``, which the
-imaginary-step census shares; ``secular_entire``, and radial d = 3 as its odd
-parity, is built on the sweep's propagator ``schrodinger_1d._piece``.  The
-physical-sheet classification is the invariant one: the matched exterior
-momentum must have positive imaginary part (decaying exterior wave).
+take csc^2 or sec^2 and r = -cot or tan, so chi = i*kappa*r, from one overflow-safe
+core, ``_trig_sq``, which the census shares; ``secular_entire``, and radial d = 3 as
+its odd parity, is ``schrodinger_1d._sweep`` over one segment from a parity start
+state.  The physical-sheet classification is the invariant one: the matched
+exterior momentum must have positive imaginary part (decaying exterior wave).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, PoleProximityError, SheetError, UnsupportedDomainError
-from .schrodinger_1d import _piece, _rescaled
+from .schrodinger_1d import _rescaled, _sweep
 from .special_functions import _h01, _j01, sqrt_upper
 
 PARITIES = ("even", "odd")
@@ -78,7 +78,7 @@ class BumpReport:
 
 
 def _trig_sq(parity: str, w):
-    """(csc^2, cot)(w) = (-4q/(q-1)^2, is(q+1)/(q-1)) for odd, (sec^2, tan)(w) = (4q/(q+1)^2,
+    """(csc^2, -cot)(w) = (-4q/(q-1)^2, -is(q+1)/(q-1)) for odd, (sec^2, tan)(w) = (4q/(q+1)^2,
     -is(q-1)/(q+1)) for even, q = e^{a+ib} = e^{2isw}, s = sign(Im w), |q| <= 1; near q = +-1,
     q -+ 1 is +-(expm1(a) - 2e^a (sin|cos)^2(b/2)) + i Im q.  Scalars by cmath, arrays by numpy."""
     if np.ndim(w) == 0:
@@ -92,7 +92,7 @@ def _trig_sq(parity: str, w):
             qp = complex(2.0 * math.exp(a) * math.cos(b) ** 2 - math.expm1(a), q.imag)
         d, o, sg = (qm, qp, -1.0) if parity == "odd" else (qp, qm, 1.0)
         try:
-            return sg * 4.0 * q / (d * d), -sg * 1j * s * o / d
+            return sg * 4.0 * q / (d * d), -1j * s * o / d
         except ZeroDivisionError:  # an exact pole, or (q - 1)^2 underflows: the array's inf/nan
             return tuple(complex(x[0]) for x in _trig_sq(parity, np.array([w])))
     w = np.asarray(w, dtype=complex)
@@ -107,16 +107,15 @@ def _trig_sq(parity: str, w):
             d[near] = sgn * (np.expm1(a) - 2.0 * np.exp(a) * h * h) + 1j * q.imag[near]
     d, o, sg = (qm, qp, -1.0) if parity == "odd" else (qp, qm, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return sg * 4.0 * q / (d * d), -sg * 1j * s * o / d
+        return sg * 4.0 * q / (d * d), -1j * s * o / d
 
 
 def _secular_terms(parity: str, v0: complex, R: float, kappa):
     """The secular v0 + kappa^2 csc^2(kappa R) (odd) or v0 + kappa^2 sec^2(kappa R)
-    (even), its kappa-derivative and cot/tan, elementwise from one trig call."""
+    (even), its kappa-derivative and r = -cot/tan, elementwise from one trig call."""
     w = kappa * R
-    sq, t = _trig_sq(parity, w)
-    wt = -w * t if parity == "odd" else w * t
-    return v0 + kappa * kappa * sq, 2.0 * kappa * sq * (1.0 + wt), t
+    sq, r = _trig_sq(parity, w)
+    return v0 + kappa * kappa * sq, 2.0 * kappa * sq * (1.0 + w * r), r
 
 
 def _guard_pole(w: complex, parity: str) -> None:
@@ -136,7 +135,7 @@ def chi_match(bump: StepBump, E: complex, parity: str) -> complex:
     kappa = cmath.sqrt(complex(E) - bump.v0)  # either branch: the value is even in kappa
     w = kappa * bump.half_width
     _guard_pole(w, parity)
-    return (-1j if parity == "odd" else 1j) * kappa * _trig_sq(parity, w)[1]
+    return 1j * kappa * _trig_sq(parity, w)[1]
 
 
 def secular_entire(bump: StepBump, E: complex, parity: str) -> complex:
@@ -144,17 +143,16 @@ def secular_entire(bump: StepBump, E: complex, parity: str) -> complex:
 
     odd:  i*chi*sin(w)/kappa - cos(w);  even: i*chi*cos(w) + kappa*sin(w),
     with w = kappa*R.  Analytic in E off [0, inf); suited to winding counts.
-    Built on the sweep's factored propagator ``schrodinger_1d._piece`` and
-    its log-space rescaling: where the value, which grows like e^{|Im w|},
-    leaves float range, :class:`UnsupportedDomainError` is raised.
+    It is i*chi*psi - psi' at R of the sweep over the segment (R, v0) from
+    (psi, psi') = (0, 1) (odd) or (1, 0) (even), rescaled in log space: where
+    the value, which grows like e^{|Im w|}, leaves float range,
+    :class:`UnsupportedDomainError` is raised.
     """
     _check_parity(parity)
     E = complex(E)
-    k2 = E - bump.v0
-    c, s, t = _piece(k2, bump.half_width)
-    chi = sqrt_upper(E)
-    val = 1j * chi * s - c if parity == "odd" else 1j * chi * c + k2 * s
-    return _rescaled(val, t, E)
+    start = (0j, 1.0 + 0j) if parity == "odd" else (1.0 + 0j, 0j)
+    psi, dpsi, log_scale = _sweep(((bump.half_width, bump.v0),), E, *start)
+    return _rescaled(1j * sqrt_upper(E) * psi - dpsi, log_scale, E)
 
 
 def solve_for_v0(kappa: complex, R: float, parity: str) -> complex:
@@ -250,15 +248,15 @@ def construct_bump(zeta: complex, sigma: float = 1.0,
     if root.imag < tol_int:
         raise UnsupportedDomainError(f"Im sqrt(zeta/|zeta|) for zeta = {zeta!r} is below the Newton "
                                      f"tolerance {tol_int:.3e}: the physical sheet cannot be resolved")
-    # Newton on g = kappa*cot(w) - i*sqrt(zh), w = kappa*R, g' = cot(w) - w*csc^2(w);
+    # Newton on g = kappa*cot(w) - i*sqrt(zh), w = kappa*R, g' = cot(w) - w*csc^2(w), cot = -r;
     # it fails at g' = 0, after the step cap, or once it leaves the seed's neighbourhood
     target = 1j * root
     kappa = kappa0 = complex(-1.0, eps * sigma)
     for iters in range(_CONSTRUCT_MAX_ITER + 1):
         w = kappa * R_int
-        csc2, c = _trig_sq("odd", w)
-        g = kappa * c - target
-        dg = c - w * csc2
+        csc2, r = _trig_sq("odd", w)
+        g = -kappa * r - target
+        dg = -r - w * csc2
         if iters < _CONSTRUCT_MAX_ITER and abs(kappa - kappa0) <= 0.5:
             if abs(g) <= tol_int:
                 break

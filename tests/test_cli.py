@@ -27,6 +27,22 @@ class TestParsing:
         assert run(["bump", "--zeta", "1-0.1i", "--out", str(tmp_path)]) == 1
         assert run(["imag-step", "--N", "4"]) == 1
 
+    @pytest.mark.parametrize("case", ["out_is_directory", "potential_is_directory",
+                                      "bump_out_is_file"])
+    def test_os_errors_exit_1(self, capsys, tmp_path, case):
+        # IsADirectoryError and FileExistsError escaped main as a traceback
+        pot = tmp_path / "well.json"
+        pot.write_text(PiecewisePotential.from_bumps([StepBump(-10.0, 1.0)]).to_json())
+        region = "--region=-10,-1e-6,-0.5,0.5"
+        args = {
+            "out_is_directory": ["spectrum", "--potential", str(pot), region, "--out", str(tmp_path)],
+            "potential_is_directory": ["spectrum", "--potential", str(tmp_path), region],
+            "bump_out_is_file": ["bump", "--zeta", "1+0.1i", "--out", str(pot)],
+        }[case]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
 
 class TestBumpCommand:
     def test_report_and_potential(self, tmp_path):

@@ -362,12 +362,14 @@ class TestRange:
 
 def _per_point_reconstruction(pot, E, grid):
     """reconstruct_eigenfunction as a loop of scalar _piece calls, one per point.
-    The right exterior starts from the outgoing part (psi, i chi psi) of the final state."""
+    Segment r starts from the sweep over the first r segments; the right exterior
+    starts from the outgoing part (psi, i chi psi) of the final state."""
     segments, _ = _segments(pot)
     chi = sqrt_upper(E)
-    starts = [(1.0 + 0j, -1j * chi, 0.0)]
-    psi, _, log_scale = _sweep(segments, E, chi, starts)
-    starts.append((psi, 1j * chi * psi, log_scale))
+    sweeps = [_sweep(segments[:r], E, 1.0 + 0j, -1j * chi) for r in range(len(segments) + 1)]
+    psi, _, log_scale = sweeps[-1]
+    # the left exterior and segment 0 both start from the decaying wave
+    starts = [sweeps[0], *sweeps[:-1], (psi, 1j * chi * psi, log_scale)]
     x0 = pot.pieces[0][0]
     edges = (x0 + np.cumsum([0.0] + [width for width, _ in segments])).tolist()
     anchors = [x0] + edges

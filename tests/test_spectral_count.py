@@ -541,7 +541,7 @@ class TestRouche:
         # 64 Gauss-Legendre panels per quarter arc
         N, n = 8, -40
         R, v0 = float(N), 1j
-        kap = imag_step_seed(N, n, "odd", 1)
+        kap = imag_step_seed(N, n, 1)
         g1 = lambda k: v0 - 4 * k * k * cmath.exp(2j * k * R)
         g2 = lambda k: _secular_terms("odd", v0, R, k)[0]
         disk = Region.disk(kap, 10.0 * N / n**2)
@@ -572,8 +572,8 @@ class TestLadderSeeds:
         # W_n(conj z) = conj W_-n(z); the census seeds the even ladders this way
         lo, hi = _box_window(N, census_box(N))
         ns = np.arange(lo, hi + 1)
-        even = imag_step_seed(N, ns, "even", sign)
-        mirrored = -np.conj(imag_step_seed(N, -ns, "odd", sign))
+        even = -1j * lambert_w(ns, -sign * cmath.sqrt(1j) * N / 2.0) / N
+        mirrored = -np.conj(imag_step_seed(N, -ns, sign))
         assert np.all(np.abs(even - mirrored) <= 1e-15 * np.abs(even))
 
     @pytest.mark.parametrize("window, families", [
@@ -604,7 +604,7 @@ class TestLadderSeeds:
         passed = total = 0
         for sign in (1, -1):
             calls.clear()
-            imag_step_seed(N, np.arange(lo, hi + 1), "odd", sign)
+            imag_step_seed(N, np.arange(lo, hi + 1), sign)
             w, z = calls[0]
             stop = np.maximum(1e-13, 64 * 2.3e-16 * (1.0 + np.abs(w))) * np.abs(z)
             passed += np.count_nonzero(np.abs(w * np.exp(w) - z) <= stop)
@@ -625,15 +625,15 @@ class TestLadderSeeds:
 class TestTrigSq:
     @staticmethod
     def reference(parity, w):
-        # cmath, or beyond |Im w| = 300, where sin^2 and cos^2 overflow, the
-        # two-term expansion in e = e^{+-2iw}
+        # (csc^2, -cot) or (sec^2, tan) by cmath, or beyond |Im w| = 300, where
+        # sin^2 and cos^2 overflow, the two-term expansion in e = e^{+-2iw}
         if abs(w.imag) <= 300.0:
-            den, num = (cmath.sin(w), cmath.cos(w)) if parity == "odd" else (cmath.cos(w), cmath.sin(w))
+            den, num = (cmath.sin(w), -cmath.cos(w)) if parity == "odd" else (cmath.cos(w), cmath.sin(w))
             return 1.0 / (den * den), num / den
         sgn, up = (1.0 if parity == "odd" else -1.0), w.imag > 0.0
         e = cmath.exp((2j if up else -2j) * w)
         u = 1.0 + 2.0 * sgn * e
-        return -4.0 * sgn * e * u, (-1j if up else 1j) * sgn * u
+        return -4.0 * sgn * e * u, (1j if up else -1j) * u
 
     @pytest.mark.parametrize("parity", ["odd", "even"])
     def test_matches_cmath(self, rng, parity):
@@ -677,7 +677,7 @@ class TestTrigSq:
             for v, a in zip(values, arrays):
                 assert type(v) is complex
                 assert np.array([v]).tobytes() == a.tobytes(), (parity, w, v, a)
-        assert repr(_trig_sq("odd", 0j)) == "((-inf+nanj), (nan+infj))"
+        assert repr(_trig_sq("odd", 0j)) == "((-inf+nanj), (nan-infj))"
 
     def test_construct_bump_takes_the_scalar_route(self, monkeypatch):
         # the README targets give the same bump as through the array route
