@@ -107,6 +107,26 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _csv(header, rows) -> str:
+    """The CSV text of every command: the header line, then one line per row,
+    Python ints as they are and every other number through ``_fmt``."""
+    lines = [",".join(header)]
+    lines += [",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(obj) -> str:
+    """The JSON text of every command's report and potential files."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _located(args):
+    """(potential, ``locate_zeros`` report) for ``--potential`` in ``--region``/``--disk``."""
+    with open(args.potential, "r", encoding="utf-8") as fh:
+        pot = PiecewisePotential.from_json(fh.read())
+    return pot, locate_zeros(make_secular_handle(pot), _parse_region(args))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -130,9 +150,9 @@ def cmd_bump(args) -> int:
         },
     }
     os.makedirs(args.out, exist_ok=True)
-    _write(os.path.join(args.out, "bump_report.json"), json.dumps(out, sort_keys=True, indent=2) + "\n")
+    _write(os.path.join(args.out, "bump_report.json"), _json(out))
     pot = PiecewisePotential.from_bumps([bump])
-    _write(os.path.join(args.out, "potential.json"), pot.to_json() + "\n")
+    _write(os.path.join(args.out, "potential.json"), _json(pot.to_dict()))
     if args.svg:
         from . import _svg
         lo, hi = bump.support
@@ -152,28 +172,10 @@ def cmd_bump(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_rows(pot: PiecewisePotential, region: Region):
-    report = locate_zeros(make_secular_handle(pot), region)  # zeros sorted by (re, im)
-    rows = [
-        (z.location.real, z.location.imag, z.multiplicity, z.residual)
-        for z in report.zeros
-    ]
-    return report, rows
-
-
-def _rows_to_csv(rows) -> str:
-    lines = ["re,im,multiplicity,residual"]
-    for re_, im_, mult, res in rows:
-        lines.append(f"{_fmt(re_)},{_fmt(im_)},{mult},{_fmt(res)}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_spectrum(args) -> int:
-    with open(args.potential, "r", encoding="utf-8") as fh:
-        pot = PiecewisePotential.from_json(fh.read())
-    region = _parse_region(args)
-    report, rows = _spectrum_rows(pot, region)
-    _emit(args.out, _rows_to_csv(rows))
+    _pot, report = _located(args)  # zeros sorted by (re, im)
+    rows = [(z.location.real, z.location.imag, z.multiplicity, z.residual) for z in report.zeros]
+    _emit(args.out, _csv(("re", "im", "multiplicity", "residual"), rows))
     print(f"winding_total={report.winding_total} complete={report.complete}")
     return EXIT_OK
 
@@ -183,13 +185,12 @@ def cmd_imag_step(args) -> int:
     for n in n_values:
         if n < 8:
             raise _UsageError(f"imag-step requires N >= 8, got {n}")
-    lines = ["N,count,ratio,box_re_lo,box_re_hi,box_im_lo,box_im_hi"]
+    rows = []
     all_points = []
     all_colors = []
     for n in n_values:
         cen = imag_step_census(n, args.c_box)
-        row = cen.table_row()
-        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row.values()))
+        rows.append(cen.table_row())
         if args.svg:
             for r in cen.results:
                 if r.converged and abs(r.energy) > 0:
@@ -199,7 +200,7 @@ def cmd_imag_step(args) -> int:
         if not cen.certified:
             print(f"N={n}: {len(cen.uncertified)} unconverged branch(es) could lie in the box; "
                   "count not certified", file=sys.stderr)
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(args.out, _csv(rows[0], (row.values() for row in rows)))
     if args.svg:
         from . import _svg
         box = (cen.box.re_lo, cen.box.re_hi, cen.box.im_lo, cen.box.im_hi)
@@ -241,7 +242,7 @@ def cmd_sparse(args) -> int:
     else:
         asm = assemble_sparse(targets, params, chosen.lengths)
         report["assembly"] = asm.to_dict()
-        _write(os.path.join(args.out, "potential.json"), asm.potential.to_json() + "\n")
+        _write(os.path.join(args.out, "potential.json"), _json(asm.potential.to_dict()))
         handle = make_secular_handle(asm.potential)
         verification = []
         for zeta in zetas:
@@ -257,8 +258,7 @@ def cmd_sparse(args) -> int:
             entry["zeros"] = [[z.location.real, z.location.imag] for z in found.zeros]
             print(f"D({zeta}, {args.delta}): found {found.winding_total} eigenvalue(s)")
         report["verification"] = verification
-    _write(os.path.join(args.out, "sparse_report.json"),
-           json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write(os.path.join(args.out, "sparse_report.json"), _json(report))
     return EXIT_OK
 
 
@@ -280,34 +280,17 @@ def cmd_envelopes(args) -> int:
         "h_L": h_L(L, args.s),
         "kappa_tilde": kappa_tilde(params) if args.q > args.d else float("nan"),
     }
-    header = ",".join(row.keys())
-    values = ",".join(_fmt(v) if not isinstance(v, int) else str(v) for v in row.values())
-    _emit(args.out, header + "\n" + values + "\n")
+    _emit(args.out, _csv(row, [row.values()]))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     from .sparse_builder import magnitude_check
-    with open(args.potential, "r", encoding="utf-8") as fh:
-        pot = PiecewisePotential.from_json(fh.read())
-    region = _parse_region(args)
-    _report, rows = _spectrum_rows(pot, region)
-    eigs = [complex(r[0], r[1]) for r in rows]
-    lines = ["re,im,lhs,rhs,ratio,flagged"]
-    for mrow in magnitude_check(eigs, pot, q=args.q, d=1, ceiling=args.ceiling):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(mrow.eigenvalue.real),
-                    _fmt(mrow.eigenvalue.imag),
-                    _fmt(mrow.lhs),
-                    _fmt(mrow.rhs),
-                    _fmt(mrow.ratio),
-                    str(int(mrow.flagged)),
-                ]
-            )
-        )
-    _emit(args.out, "\n".join(lines) + "\n")
+    pot, report = _located(args)
+    eigs = [z.location for z in report.zeros]
+    rows = [(r.eigenvalue.real, r.eigenvalue.imag, r.lhs, r.rhs, r.ratio, int(r.flagged))
+            for r in magnitude_check(eigs, pot, q=args.q, d=1, ceiling=args.ceiling)]
+    _emit(args.out, _csv(("re", "im", "lhs", "rhs", "ratio", "flagged"), rows))
     return EXIT_OK
 
 

@@ -157,19 +157,23 @@ def _pieces(k2, width):
     return 0.5 * (ep + em), s, t
 
 
-def _sweep(segments, E: complex, psi: complex, dpsi: complex):
+def _sweep(segments, E, psi, dpsi):
     """Carry the state (psi, psi') across ``segments``; return the final
-    (psi, psi', log_scale), the true state being e^{log_scale} times it."""
+    (psi, psi', log_scale), the true state being e^{log_scale} times it.  ``E`` is a
+    complex, whose state is checked after every segment, or a 1-d array of them,
+    whose failing nodes end as nan or inf for the caller to find."""
+    scalar = isinstance(E, complex)
+    piece, log = (_piece, math.log) if scalar else (_pieces, np.log)
     log_scale = 0.0
     for width, v in segments:
         k2 = E - v
-        c, s, t = _piece(k2, width)
+        c, s, t = piece(k2, width)
         psi, dpsi = c * psi + s * dpsi, c * dpsi - k2 * s * psi
         norm = abs(psi) + abs(dpsi)
-        if not 0.0 < norm < math.inf:
+        if scalar and not 0.0 < norm < math.inf:
             raise UnsupportedDomainError(f"state left float range in the sweep at E = {E!r}")
         psi, dpsi = psi / norm, dpsi / norm
-        log_scale += t + math.log(norm)
+        log_scale += t + log(norm)
     return psi, dpsi, log_scale
 
 
@@ -192,15 +196,8 @@ def _secular_nodes(segments, span: float, E: np.ndarray) -> np.ndarray:
     error for the first such node."""
     chi = np.sqrt(E)
     chi = np.where(chi.imag < 0.0, -chi, chi)
-    psi, dpsi, log_scale = 1.0 + 0j, -1j * chi, 0.0
     with np.errstate(all="ignore"):  # a failing node ends as nan or inf, found below
-        for width, v in segments:
-            k2 = E - v
-            c, s, t = _pieces(k2, width)
-            psi, dpsi = c * psi + s * dpsi, c * dpsi - k2 * s * psi
-            norm = np.abs(psi) + np.abs(dpsi)
-            psi, dpsi = psi / norm, dpsi / norm
-            log_scale += t + np.log(norm)
+        psi, dpsi, log_scale = _sweep(segments, E, 1.0 + 0j, -1j * chi)
         b_coeff = (1j * chi * psi - dpsi) / (2j * chi)
         exponent = np.log(b_coeff) + (log_scale + 1j * chi * span)
         zero = b_coeff == 0

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import NonSummableError, StepSpectraError, UnsupportedDomainError
-from .schrodinger_1d import PiecewisePotential
+from .schrodinger_1d import _LOG_MAX, PiecewisePotential
 from .special_functions import _dist_to_ray, sqrt_upper
 from .step_model import SECTOR_APERTURE, BumpReport, _check_sector, bump_norm_lq, construct_bump
 
@@ -632,21 +632,20 @@ def magnitude_check(eigs, pot: PiecewisePotential, q: float, d: int,
     """
     if not 1.0 <= q < math.inf:
         raise ValueError(f"q must be finite and >= 1, got {q}")
-    if not pot.pieces:
-        raise ValueError("empty potential")
-    rhs = max(abs(v) ** q * (b - a) for a, b, v in pot.pieces)
+    # both sides and the ratio in log space: beyond float range they read inf or 0
+    log_rhs = max((q * math.log(abs(v)) + math.log(b - a) for a, b, v in pot.pieces if v),
+                  default=None)
+    if log_rhs is None:
+        raise ValueError("the potential has no nonzero piece")
+
+    def exp(x):
+        return math.exp(x) if x < _LOG_MAX else math.inf
+
+    rhs = exp(log_rhs)
     rows = []
-    for z in eigs:
-        z = complex(z)
-        lhs = omega_q(z, d, q) ** -q
-        ratio = lhs / rhs
-        rows.append(
-            MagnitudeRow(
-                eigenvalue=z,
-                lhs=lhs,
-                rhs=rhs,
-                ratio=ratio,
-                flagged=(ceiling is not None and ratio > ceiling),
-            )
-        )
+    for z in map(complex, eigs):
+        log_lhs = -q * math.log(omega_q(z, d, q))
+        ratio = exp(log_lhs - log_rhs)
+        rows.append(MagnitudeRow(eigenvalue=z, lhs=exp(log_lhs), rhs=rhs, ratio=ratio,
+                                 flagged=(ceiling is not None and ratio > ceiling)))
     return rows

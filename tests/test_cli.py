@@ -43,6 +43,22 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (["spectrum"], "the following arguments are required: --potential"),
+        (["spectrum", "--potential", "{pot}", "--disk", "1,0.1"], "--disk wants cx,cy,radius"),
+        (["spectrum", "--potential", "{pot}", "--region=-1,0,1"], "--region wants re_lo,"),
+        (["spectrum", "--potential", "{pot}"], "provide --region or --disk"),
+        (["spectrum", "--potential", "{bad}", "--disk", "-1,0.1,0.05"], "must be an object"),
+        (["envelopes", "--z", "i", "--L", "bogus"], "unknown separation spec 'bogus'"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, tmp_path, args, message):
+        pot, bad = tmp_path / "well.json", tmp_path / "list.json"
+        pot.write_text(PiecewisePotential.from_bumps([StepBump(-10.0, 1.0)]).to_json())
+        bad.write_text("[1, 2]")
+        assert run([a.format(pot=pot, bad=bad) for a in args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err and err.count("\n") == 1
+
 
 class TestBumpCommand:
     def test_report_and_potential(self, tmp_path):
@@ -471,6 +487,18 @@ class TestCheckCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "re,im,lhs,rhs,ratio,flagged"
         assert len(lines) == 2
+
+    def test_large_q_is_one_row(self, tmp_path):
+        # |v0|^q of the bump (|v0| about 0.2) underflowed to 0 from about q = 460,
+        # and lhs / rhs ended in a ZeroDivisionError traceback
+        out_dir = tmp_path / "bump"
+        run(["bump", "--zeta", "1+0.1i", "--out", str(out_dir)])
+        out = tmp_path / "check.csv"
+        assert run(["check", "--potential", str(out_dir / "potential.json"),
+                    "--disk", "1,0.1,0.05", "--q", "1e6", "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert header == "re,im,lhs,rhs,ratio,flagged"
+        assert row.split(",")[2:] == ["0", "0", "0", "0"]
 
     @pytest.mark.parametrize("q", ["inf", "nan", "0.5"])
     def test_q_outside_finite_q_at_least_1_exit_1(self, tmp_path, capsys, q):

@@ -67,6 +67,20 @@ class TestPotentialSchema:
         with pytest.raises(SchemaError):
             PiecewisePotential.from_json("{not json")
 
+    @pytest.mark.parametrize("text, index", [
+        ("[1, 2]", None),
+        ('{"pieces": {"a": 0, "b": 1, "re": 0, "im": 0}}', None),
+        ('{"pieces": [{"a": 0, "b": 1, "re": 0, "im": 0}, [2, 3, 0]]}', 1),
+        ('{"pieces": [{"a": 0, "b": "one", "re": 0, "im": 0}]}', 0),
+        ('{"pieces": [{"a": 0, "b": [1], "re": 0, "im": 0}]}', 0),
+        ('{"pieces": [{"a": 0, "b": 1, "re": NaN, "im": 0}]}', 0),
+        ('{"pieces": [{"a": 0, "b": Infinity, "re": 1, "im": 0}]}', 0),
+    ])
+    def test_malformed_json_rejected(self, text, index):
+        with pytest.raises(SchemaError) as err:
+            PiecewisePotential.from_json(text)
+        assert err.value.index == index
+
 
 class TestGlobalSecular:
     def test_free_is_one(self):

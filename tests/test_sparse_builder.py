@@ -345,3 +345,21 @@ class TestMagnitude:
         # q = inf and nan gave nan ratios that no ceiling flags; q < 1 is no norm
         with pytest.raises(ValueError, match="q must be finite and >= 1"):
             magnitude_check([-1.0 + 0j], PiecewisePotential([(0.0, 1.0, 2.0)]), q=q, d=1)
+
+    @pytest.mark.parametrize("v, q, lhs, rhs, ratio", [
+        # 4^2999.5 and 2^2000 raised OverflowError, and a right side that
+        # underflowed to 0 a ZeroDivisionError where the left side stayed finite
+        (0.5, 3000.0, math.inf, 0.0, math.inf),
+        (2.0, 2000.0, math.inf, math.inf, math.inf),
+        # both sides beyond float range, their ratio 4^1999.5 / 4^2000 = 1/2
+        (4.0, 2000.0, math.inf, math.inf, 0.5),
+    ])
+    def test_sides_beyond_float_range(self, v, q, lhs, rhs, ratio):
+        row, = magnitude_check([-4.0 + 0j], PiecewisePotential([(0.0, 1.0, v)]), q=q, d=1)
+        assert (row.lhs, row.rhs) == (lhs, rhs)
+        assert row.ratio == pytest.approx(ratio, rel=1e-9)
+
+    def test_zero_potential_rejected(self):
+        # the right side 0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match="no nonzero piece"):
+            magnitude_check([-4.0 + 0j], PiecewisePotential([(0.0, 1.0, 0.0)]), q=2.0, d=1)
