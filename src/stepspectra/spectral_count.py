@@ -1,9 +1,10 @@
 """Analytic zero counting and localization, plus the imaginary-step census.
 
 Contours are walked on 16-node Gauss-Legendre panels, a level of panels at a
-time (one call of f per level when f is ``vectorized``, else one per node),
-halved until the halves give a panel's integrals of u^k log f (k = 0, 1, 2)
-and arg f moves by under pi/3 between nodes; the winding sums those steps.
+time (when f is ``vectorized``, one call of f for the four edges and their
+eight halves, then one per level; else one per node), halved until the halves
+give a panel's integrals of u^k log f (k = 0, 1, 2) and arg f moves by under
+pi/3 between nodes; the winding sums those steps.
 Rectangle edges are sinh-graded toward E = 0 (Region.panels): the threshold
 is the one singularity of the global and radial secular functions and lies
 next to every eigenvalue, so graded nodes settle there without the deep
@@ -195,8 +196,9 @@ class LocatedZero:
 @dataclass
 class SolverStats:
     """What one ``locate_zeros`` call did (never in CSV or JSON): points f was evaluated at,
-    calls of f, panels accepted, the deepest panel bisection, contours walked, cells split
-    in four, splits redone with shifted midpoints, secant steps, smallest |f| at a node."""
+    calls of f (an array f takes a contour's edges with their halves in one, then one per
+    level), panels accepted, the deepest panel bisection, contours walked, cells split in
+    four, splits redone with shifted midpoints, secant steps, smallest |f| at a node."""
 
     evaluations: int = 0
     calls: int = 0
@@ -220,6 +222,15 @@ class ZeroReport:
 
 #: 16 nodes on one edge: z, dz, f, |f|, arg f, its largest step and oint u^k log f dz
 _Panel = namedtuple("_Panel", "edge t0 t1 depth z dz v mods args step moments")
+#: a contour's four edges, then their eight halves: edge, t0, t1 and depth per panel
+_ROOTS = ([0, 1, 2, 3, 0, 0, 1, 1, 2, 2, 3, 3], [0.0] * 4 + [0.0, 0.5] * 4,
+          [1.0] * 4 + [0.5, 1.0] * 4, [0] * 4 + [1] * 8)
+
+
+def _walk(v, prev, a):
+    """Steps and values of arg f along each row of v from the value prev of argument a."""
+    steps = np.angle(v / np.column_stack((prev, v[:, :-1])))
+    return steps.reshape(-1, 16), (np.asarray(a)[:, None] + np.cumsum(steps, axis=1)).reshape(-1, 16)
 
 
 class _Contour:
@@ -232,18 +243,22 @@ class _Contour:
         self.stats = stats
         self.c = region.center
         self.h = 0.5 * region.diameter
-        # halve the unsettled panels of all four edges a level at a time
-        level = self._build([0, 1, 2, 3], [0.0] * 4, [1.0] * 4, [0] * 4)
+        # the four edges and their eight halves in one call of f (the edges alone if
+        # the halves would pass the point bound), then the unsettled panels halved a
+        # level at a time
+        built = self._build(*(x[:12 if stats.evaluations + 192 <= _MAX_POINTS else 4]
+                              for x in _ROOTS))
+        level, halves = built[:4], built[4:]
         leaves = []
         while level:
-            halves = self._halves(level)
+            halves = halves or self._halves(level)
             next_level = []
             for p, left, right in zip(level, halves[::2], halves[1::2]):
                 tol = _MOMENT_TOL * float(np.abs(p.dz).sum())
                 settled = max(left.step, right.step) < _MAX_STEP and np.all(
                     np.abs(p.moments - left.moments - right.moments) <= tol)
                 (leaves if settled else next_level).extend((left, right))
-            level = next_level
+            level, halves = next_level, []
         leaves.sort(key=lambda p: (p.edge, p.t0))
         # then the panels on either side of a large step, wrap-around included
         while True:
@@ -273,9 +288,10 @@ class _Contour:
         self.winding = round(float(steps.sum()) / (2.0 * math.pi))
 
     def _build(self, edges, t0, t1, depth, prev=None, a=None) -> list:
-        """Panels [t0[i], t1[i]] of edge ``edges[i]``, evaluated, with arg f
-        continued along each pair of panels j from the value prev[j] of
-        argument a[j], or without ``prev`` along each panel from its first node."""
+        """Panels [t0[i], t1[i]] of edge ``edges[i]``, f at all their nodes in one
+        call, with arg f continued along each pair of panels j from the value
+        prev[j] of argument a[j].  Without ``prev`` they are ``_ROOTS``: each edge
+        is walked from its first node, and any halves from their edge's."""
         z, dz = self.region.panels(edges, t0, t1)
         v = self.f(z.ravel())
         mods = np.abs(v)
@@ -284,19 +300,20 @@ class _Contour:
             i, j = divmod(int(bad[0]), 16)
             raise self._error("f is zero or not finite on the contour; nudge the region",
                               edges[i], t0[i] + (t1[i] - t0[i]) * _GL_T[j], mods[bad[0]])
-        v = v.reshape(-1, 16 if prev is None else 32)
-        if prev is None:
-            prev = v[:, 0]
-            a = np.angle(prev)
-        steps = np.angle(v / np.column_stack((prev, v[:, :-1])))
-        args = (np.asarray(a)[:, None] + np.cumsum(steps, axis=1)).reshape(-1, 16)
+        v = v.reshape(-1, 16)
+        if prev is None:  # each edge from its first node, then any halves from the edge's
+            steps, args = _walk(v[:4], v[:4, 0], np.angle(v[:4, 0]))
+            if len(v) > 4:
+                steps, args = map(np.vstack, zip(
+                    (steps, args), _walk(v[4:].reshape(4, 32), v[:4, 0], args[:, 0])))
+        else:
+            steps, args = _walk(v.reshape(-1, 32), prev, a)
         u = (z - self.c) / self.h
         mods = mods.reshape(-1, 16)
         w = (np.log(mods) + 1j * args) * dz
         moments = np.stack((w.sum(1), (w * u).sum(1), (w * u * u).sum(1)), axis=1)
-        worst = np.abs(steps).reshape(-1, 16).max(1)
-        return list(map(_Panel, edges, t0, t1, depth, z, dz, v.reshape(-1, 16), mods, args,
-                        worst, moments))
+        worst = np.abs(steps).max(1)
+        return list(map(_Panel, edges, t0, t1, depth, z, dz, v, mods, args, worst, moments))
 
     def _error(self, message: str, edge, t, modulus) -> ContourError:
         """ContourError at parameter t of an edge, with the node there."""
@@ -332,9 +349,9 @@ class _Contour:
 
 
 def _counted(f, stats: SolverStats):
-    """f as the engine calls it, at one point or on a 1-d node array, counting
-    points and calls: a node array in one call when f is ``vectorized``, else
-    one call per node."""
+    """f as the engine calls it, at one point or on a 1-d node array (a contour's
+    edges with their halves, or one level), counting points and calls: a node
+    array in one call when f is ``vectorized``, else one call per node."""
     vectorized = getattr(f, "vectorized", False)
 
     def g(z):
@@ -424,9 +441,13 @@ def _moment_zeros(f, cell: Region, con: _Contour, stats: SolverStats, multiple: 
     return zeros
 
 
-def _subdivide(cell: Region, shift_re: float, shift_im: float):
-    mid_re = cell.re_lo + (cell.re_hi - cell.re_lo) * (0.5 + shift_re)
-    mid_im = cell.im_lo + (cell.im_hi - cell.im_lo) * (0.5 + shift_im)
+def _subdivide(cell: Region, shift: float):
+    """A cell's replacements at one step of the nudge ladder: a disk's bounding box
+    grown by the step, or a rectangle's quarters about a midpoint shifted by it."""
+    if cell.kind == "disk":
+        return [Region.disk(cell.center, (1.0 + shift) * cell.radius).bounding_rectangle()]
+    mid_re = cell.re_lo + (cell.re_hi - cell.re_lo) * (0.5 + shift * 0.37)
+    mid_im = cell.im_lo + (cell.im_hi - cell.im_lo) * (0.5 + shift)
     return [
         Region.rectangle(cell.re_lo, mid_re, cell.im_lo, mid_im),
         Region.rectangle(mid_re, cell.re_hi, cell.im_lo, mid_im),
@@ -443,14 +464,16 @@ def locate_zeros(f, region: Region) -> ZeroReport:
 
     A cell whose moments do not give its zeros is split in four (a disk falls back
     to its bounding box) down to ``_MIN_DIAMETER`` of the region's scale, where the
-    centre is reported with the winding as multiplicity.  A split whose contours
-    do not settle before the call has evaluated f at ``_MAX_POINTS`` points flags
-    the report ``complete=False`` (the region's own contour raises ContourError);
+    centre is reported with the winding as multiplicity.  A split or box whose
+    contours do not settle, by ``_MAX_POINTS`` points in the call, is retried along
+    ``_NUDGES`` (shifted midpoints, grown boxes); only when every retry fails is
+    the report ``complete=False`` (the region's own contour raises ContourError).
     ``report.stats`` counts the work.
 
     ``f`` maps a complex number to one.  If it has a true attribute
     ``vectorized``, it must also map a 1-d complex array to the array of its
-    values; each refinement level of a contour is then one call of ``f``."""
+    values, each the value at that node alone; a contour's four edges with
+    their eight halves are then one call of ``f``, and each further level one."""
     min_diameter = _MIN_DIAMETER * region.scale
     floor = 1e3 * min_diameter  # a cell this small may report a multiple zero
     stats = SolverStats()
@@ -471,26 +494,22 @@ def locate_zeros(f, region: Region) -> ZeroReport:
         if zeros is not None:
             found += zeros
             continue
-        if cell.kind == "disk":
-            box = cell.bounding_rectangle()
-            stack.append((box, _Contour(f, box, stats)))
-            continue
-        # split with a retry ladder of midpoint shifts; children partition the
-        # cell exactly, and their windings must sum to the parent's
-        for shift in _NUDGES:
+        # a disk falls back to its bounding box, grown while the box's contour fails;
+        # a rectangle's children partition it, and their windings must sum to its own
+        disk = cell.kind == "disk"
+        for shift in [s for s in _NUDGES if s >= 0] if disk else _NUDGES:
             try:
-                children = [(ch, _Contour(f, ch, stats))
-                            for ch in _subdivide(cell, shift * 0.37, shift)]
+                children = [(ch, _Contour(f, ch, stats)) for ch in _subdivide(cell, shift)]
             except ContourError:
                 stats.nudges += 1
                 continue
-            if sum(c.winding for _, c in children) == wind:
-                stats.splits += 1
+            if disk or sum(c.winding for _, c in children) == wind:
+                stats.splits += not disk
                 stack += [(ch, c) for ch, c in children if c.winding > 0]
                 break
             stats.nudges += 1
         else:
-            # every split failed: near the floor, a multiple zero pinching the guard
+            # every box or split failed: near the floor, a multiple zero pinching the guard
             if cell.diameter <= floor:
                 found.append(LocatedZero(con.c, wind, abs(f(con.c))))
             else:

@@ -206,9 +206,9 @@ def _three_bumps_gap_330():
 
 
 @st.composite
-def _pieces_with_one_long_gap(draw):
-    """1-4 pieces with gaps up to 4, one of them (between two pieces) up to 400."""
-    n = draw(st.integers(1, 4), label="pieces")
+def _pieces_with_one_long_gap(draw, most=4):
+    """1 to ``most`` pieces with gaps up to 4, one of them (between two pieces) up to 400."""
+    n = draw(st.integers(1, most), label="pieces")
     long_gap = draw(st.integers(1, max(n - 1, 1)), label="long gap")
     x = draw(st.floats(-50.0, 50.0), label="x0")
     pieces = []
@@ -246,6 +246,28 @@ class TestArrayHandle:
         # E = 0 anywhere in the array: the scalar route's pole error
         with pytest.raises(UnsupportedDomainError, match="pole at E = 0"):
             handle(np.array(energies[:at] + [0j] + energies[at:]))
+
+    @given(pieces=_pieces_with_one_long_gap(most=8),
+           energies=st.lists(_CUT_PLANE, min_size=1, max_size=24),
+           cuts=st.lists(st.integers(0, 24), max_size=4))
+    def test_array_values_do_not_depend_on_the_batch(self, pieces, energies, cuts):
+        # the contour engine evaluates an edge's nodes together with its halves' in
+        # one call, and a level's in another: each node must get the same bits in
+        # any batch, alone or split anywhere, wherever no node fails a range check
+        handle = make_secular_handle(PiecewisePotential(pieces))
+        alone = []
+        for E in energies:
+            try:
+                alone.append((E, handle(np.array([E]))))
+            except UnsupportedDomainError:
+                pass
+        if not alone:
+            return
+        E = np.array([x for x, _ in alone])
+        whole = handle(E)
+        assert whole.tobytes() == np.concatenate([v for _, v in alone]).tobytes()
+        parts = [handle(part) for part in np.split(E, sorted(c % (E.size + 1) for c in cuts))]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("nodes", [[1000 + 1j, -1.0, 0.0, -2.0], [1000 + 1j, 0.0, -1.0]])
     def test_array_raises_for_the_first_failing_node(self, nodes):

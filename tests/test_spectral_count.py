@@ -223,6 +223,29 @@ class TestLocateZeros:
         assert levels.stats.evaluations == nodes.stats.evaluations == nodes.stats.calls
         assert levels.stats.calls < levels.stats.evaluations / 20
 
+    def test_edges_and_their_halves_in_one_call(self):
+        # a contour's four edges and their eight halves, 192 nodes, go through one
+        # call of the array handle: a one-zero desk disk that settles there walks
+        # its contour in that call, and the secant polish adds 2 scalar calls and
+        # one per step
+        zeta = 1 + 0.1j
+        handle = make_secular_handle(PiecewisePotential.from_bumps([construct_bump(zeta).bump]))
+        rep = locate_zeros(handle, Region.disk(zeta, 0.02))
+        assert rep.complete and len(rep.zeros) == 1 and rep.stats.max_depth == 1
+        assert rep.stats.calls == 1 + 2 + rep.stats.polish_iterations
+        assert rep.stats.evaluations == 192 + 2 + rep.stats.polish_iterations
+        # contours that go deeper: the points of one call per level (520 on the
+        # rectangle, 19,672 over the census box's split), one call fewer per contour
+        cases = [(pieces, Region.rectangle(-8.0, -1e-3, -1.5, 1.5), 520, 12) for pieces in (
+            [(-0.92, 0.92, -5.86 + 1.03j)], [(-1.0, 1.0, -4.0 + 0j)],
+            [(-1.11, -0.42, -2.92 - 0.39j), (-0.42, 0.24, -5.08 - 0.94j),
+             (0.24, 1.11, -5.77 - 0.19j)])]
+        cases.append(([(-8.0, 8.0, 1j)], census_box(8), 19672, 142))
+        for pieces, region, points, calls_per_level in cases:
+            rep = locate_zeros(make_secular_handle(PiecewisePotential(pieces)), region)
+            assert rep.complete and rep.stats.evaluations == points
+            assert rep.stats.calls == calls_per_level - rep.stats.cells
+
     def test_array_handle_zero_on_contour_names_the_same_point(self):
         # a real well with its ground state at E = -8, on the rectangle's left side
         R = math.atan(2.0) / math.sqrt(2.0)
@@ -304,6 +327,26 @@ class TestLocateZeros:
                 assert rep.stats.evaluations <= 12000
                 splits += rep.stats.splits
         assert splits > 0
+
+    @pytest.mark.parametrize("gap, noise", [(1e-7, 1e-11), (1e-3, 1e-9)])
+    @pytest.mark.parametrize("e", [1 + 0.9j, 0.9 + 1j, -1 - 0.7j])
+    def test_disk_box_grows_off_a_zero_on_its_edge(self, gap, noise, e):
+        # e lies outside the disk, on its bounding box's edge, where the box's
+        # contour cannot settle: a box grown by the nudge ladder takes its place,
+        # and e, inside that box, is dropped as outside the disk. The pair 1e-7
+        # apart may come back as one double zero between them
+        rng = np.random.default_rng(0)
+        f = lambda z: ((z - 0.3 - 0.1j) * (z - 0.3 - 0.1j - gap) * (z + 0.5j) * (z - e)
+                       * (1.0 + noise * complex(*rng.standard_normal(2))))
+        disk = Region.disk(0, 1)
+        rep = locate_zeros(f, disk)
+        assert rep.complete and rep.stats.nudges >= 1
+        assert sum(z.multiplicity for z in rep.zeros) == rep.winding_total == 3
+        want = [-0.5j, 0.3 + 0.1j, 0.3 + 0.1j + gap]
+        for z in rep.zeros:
+            assert disk.contains(z.location)
+            near = sorted(abs(z.location - w) for w in want)[:z.multiplicity]
+            assert max(near) < (1e-9 if z.multiplicity == 1 else gap)
 
     @pytest.mark.parametrize("region", [Region.disk(0.1 + 0.2j, 1.0),
                                         Region.rectangle(-0.9, 1.1, -0.8, 1.2)])
