@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_CONTOUR = 3
+_MIN_REGION = 1e-7  # least radius or half side of a region, times its scale, a contour resolves
 
 
 class _UsageError(Exception):
@@ -59,23 +60,27 @@ def parse_complex(text: str) -> complex:
 
 
 def _parse_region(args) -> Region:
+    spec = args.disk or args.region
+    if not spec:
+        raise _UsageError("provide --region or --disk")
+    parts = [float(v) for v in spec.split(",")]
     if args.disk:
-        parts = [float(v) for v in args.disk.split(",")]
         if len(parts) != 3:
             raise _UsageError("--disk wants cx,cy,radius")
         region = Region.disk(complex(parts[0], parts[1]), parts[2])
-        if _dist_to_ray(region.center) <= region.radius:
-            raise _UsageError("region must stay off the essential spectrum [0, inf)")
-        return region
-    if args.region:
-        parts = [float(v) for v in args.region.split(",")]
+        size, on_ray = region.radius, _dist_to_ray(region.center) <= region.radius
+    else:
         if len(parts) != 4:
             raise _UsageError("--region wants re_lo,re_hi,im_lo,im_hi")
         region = Region.rectangle(*parts)
-        if region.re_hi >= 0 and region.im_lo <= 0 <= region.im_hi:
-            raise _UsageError("region must stay off the essential spectrum [0, inf)")
-        return region
-    raise _UsageError("provide --region or --disk")
+        size = 0.5 * min(region.re_hi - region.re_lo, region.im_hi - region.im_lo)
+        on_ray = region.re_hi >= 0 and region.im_lo <= 0 <= region.im_hi
+    if on_ray:
+        raise _UsageError("region must stay off the essential spectrum [0, inf)")
+    if size < _MIN_REGION * region.scale:
+        raise _UsageError(f"region radius or half side {size:.3g} is below {_MIN_REGION:g} "
+                          f"of its scale {region.scale:.3g}, where no contour settles")
+    return region
 
 
 def _parse_L(spec: str, eta0: float):

@@ -144,16 +144,16 @@ def _piece(k2: complex, width: float):
 
 
 def _pieces(k2, width):
-    """``_piece`` over arrays, same formula and switch, ``k2`` and ``width`` broadcast."""
+    """``_piece`` over arrays, same formula and switch, ``k2`` and ``width`` broadcast.
+    Call it under ``np.errstate(all="ignore")``: w = 0 and overflow give nan or inf."""
     w = np.sqrt(k2) * width
     t = np.abs(w.imag)
-    with np.errstate(all="ignore"):
-        ep, em = np.exp(1j * w - t), np.exp(-1j * w - t)
-        s = width * (ep - em) / (2j * w)
-        small = w.real * w.real + t * t < 0.25
-        if small.any():
-            ws, f = w[small], np.broadcast_to(width, w.shape)[small] * np.exp(-t[small])
-            s[small] = f * np.where(np.abs(ws) > 1e-8, np.sin(ws) / ws, 1.0 - ws * ws / 6.0)
+    ep, em = np.exp(1j * w - t), np.exp(-1j * w - t)
+    s = width * (ep - em) / (2j * w)
+    small = w.real * w.real + t * t < 0.25
+    if np.logical_or.reduce(small, axis=None):
+        ws, f = w[small], np.broadcast_to(width, w.shape)[small] * np.exp(-t[small])
+        s[small] = f * np.where(np.abs(ws) > 1e-8, np.sin(ws) / ws, 1.0 - ws * ws / 6.0)
     return 0.5 * (ep + em), s, t
 
 
@@ -195,14 +195,14 @@ def _secular_nodes(segments, span: float, E: np.ndarray) -> np.ndarray:
     beyond it), the array goes through that route node by node, which raises its
     error for the first such node."""
     chi = np.sqrt(E)
-    chi = np.where(chi.imag < 0.0, -chi, chi)
+    np.negative(chi, out=chi, where=chi.imag < 0.0)
     with np.errstate(all="ignore"):  # a failing node ends as nan or inf, found below
         psi, dpsi, log_scale = _sweep(segments, E, 1.0 + 0j, -1j * chi)
         b_coeff = (1j * chi * psi - dpsi) / (2j * chi)
         exponent = np.log(b_coeff) + (log_scale + 1j * chi * span)
         zero = b_coeff == 0
         in_range = (_LOG_MIN <= exponent.real) & (exponent.real < _LOG_MAX)
-        if not np.all(zero | (in_range & np.isfinite(exponent.imag))):
+        if not np.logical_and.reduce(zero | (in_range & np.isfinite(exponent.imag))):
             return np.array([_secular(segments, span, x) for x in E.tolist()])
         return np.where(zero, 0j, np.exp(exponent))
 
@@ -238,9 +238,8 @@ def make_secular_handle(pot: PiecewisePotential):
     segments, span = _segments(pot)
 
     def handle(E):
-        if np.ndim(E) == 0:
-            return _secular(segments, span, complex(E))
-        return _secular_nodes(segments, span, np.asarray(E, dtype=complex))
+        E = np.asarray(E, dtype=complex)
+        return _secular_nodes(segments, span, E) if E.ndim else _secular(segments, span, complex(E))
 
     handle.vectorized = True
     return handle
@@ -293,7 +292,8 @@ def reconstruct_eigenfunction(
     # segment r from edges[r], then the sweep across it to the next start state
     for r, (_, v) in enumerate(segments):
         at = slice(cuts[r + 1], cuts[r + 2])
-        c, s, t = _pieces(E - v, grid[at] - edges[r])
+        with np.errstate(all="ignore"):
+            c, s, t = _pieces(E - v, grid[at] - edges[r])
         vals[at] = c * psi + s * dpsi
         logs[at] = log_scale + t
         psi, dpsi, step = _sweep(segments[r:r + 1], E, psi, dpsi)

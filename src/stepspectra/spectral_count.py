@@ -70,6 +70,8 @@ _RANK_TOL = 1e-9
 _GRADE_FLOOR = 1e-12
 #: least radius or side of a region, in float spacings at its largest coordinate
 _MIN_ULPS = 1000
+#: the direction of rectangle edge 0-3
+_U = np.array([1.0, 1j, -1.0, -1j])
 
 
 @dataclass(frozen=True)
@@ -137,22 +139,16 @@ class Region:
 
     @cached_property
     def _grading(self):
-        """Per rectangle edge 0-3, as arrays: the direction u, the offset h of the
-        edge's line from 0, the grading scale d, sigma at the edge's start and its
-        growth along the edge (see ``panels``)."""
-        corners = np.array([
-            complex(self.re_lo, self.im_lo),
-            complex(self.re_hi, self.im_lo),
-            complex(self.re_hi, self.im_hi),
-            complex(self.re_lo, self.im_hi),
-            complex(self.re_lo, self.im_lo),
-        ])
+        """Rows per rectangle edge 0-3: the offset h of the edge's line from 0, the
+        grading scale d, sigma at the edge's start and its growth along the edge
+        (see ``panels``)."""
+        lo, hi = complex(self.re_lo, self.im_lo), complex(self.re_hi, self.im_hi)
+        corners = np.array([lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag), lo])
         # z = u*(s + i*h): u the edge's direction, s from sa to sb along it, h
         # its line's offset from 0
-        u = np.array([1.0, 1j, -1.0, -1j])
-        w = corners[:4] * u.conjugate()
+        w = corners[:4] * _U.conjugate()
         sa, h = w.real, w.imag
-        sb = (corners[1:] * u.conjugate()).real
+        sb = (corners[1:] * _U.conjugate()).real
         length = sb - sa
         d = np.hypot(h, np.clip(0.0, sa, sb))
         d = np.where(d > 0.0, np.maximum(d, _GRADE_FLOOR * length), 0.5 * length)
@@ -163,7 +159,7 @@ class Region:
         # y share a sign: there it is (y^2 - x^2)/(y*rx + x*ry), y - x = length/d
         dsig = np.arcsinh(np.where(x * y > 0.0, length / d * (ax + ay) / (ay * rx + ax * ry),
                                    y * rx - x * ry))
-        return u, h, d, np.arcsinh(x), dsig
+        return np.array((h, d, np.arcsinh(x), dsig))
 
     def panels(self, edges, t0, t1):
         """Nodes and dz weights, (len(edges), 16), of panels [t0[i], t1[i]] on edge
@@ -179,7 +175,7 @@ class Region:
         span = np.asarray(t1, dtype=float)[:, None] - t0
         t = t0 + span * _GL_T
         if self.kind == "rectangle":
-            u, h, d, sig0, dsig = (a[edges] for a in self._grading)
+            u, (h, d, sig0, dsig) = _U[edges], self._grading[:, edges]
             sig = sig0 + dsig * t
             return u * (d * np.sinh(sig) + 1j * h), u * d * np.cosh(sig) * dsig * span * _GL_W
         rot = self.radius * np.exp(0.5j * math.pi * (edges + t))
@@ -220,8 +216,8 @@ class ZeroReport:
     stats: SolverStats = field(default_factory=SolverStats)
 
 
-#: 16 nodes on one edge: z, dz, f, |f|, arg f, its largest step and oint u^k log f dz
-_Panel = namedtuple("_Panel", "edge t0 t1 depth z dz v mods args step moments")
+#: 16 nodes on one edge: z, dz, f, arg f; Python numbers: largest step, oint u^k log f dz, sum |dz|
+_Panel = namedtuple("_Panel", "edge t0 t1 depth z dz v args step moments length")
 #: a contour's four edges, then their eight halves: edge, t0, t1 and depth per panel
 _ROOTS = ([0, 1, 2, 3, 0, 0, 1, 1, 2, 2, 3, 3], [0.0] * 4 + [0.0, 0.5] * 4,
           [1.0] * 4 + [0.5, 1.0] * 4, [0] * 4 + [1] * 8)
@@ -229,8 +225,9 @@ _ROOTS = ([0, 1, 2, 3, 0, 0, 1, 1, 2, 2, 3, 3], [0.0] * 4 + [0.0, 0.5] * 4,
 
 def _walk(v, prev, a):
     """Steps and values of arg f along each row of v from the value prev of argument a."""
-    steps = np.angle(v / np.column_stack((prev, v[:, :-1])))
-    return steps.reshape(-1, 16), (np.asarray(a)[:, None] + np.cumsum(steps, axis=1)).reshape(-1, 16)
+    q = v / np.concatenate((np.asarray(prev)[:, None], v[:, :-1]), axis=1)
+    steps = np.arctan2(q.imag, q.real)
+    return steps.reshape(-1, 16), (np.asarray(a)[:, None] + steps.cumsum(axis=1)).reshape(-1, 16)
 
 
 class _Contour:
@@ -254,17 +251,18 @@ class _Contour:
             halves = halves or self._halves(level)
             next_level = []
             for p, left, right in zip(level, halves[::2], halves[1::2]):
-                tol = _MOMENT_TOL * float(np.abs(p.dz).sum())
-                settled = max(left.step, right.step) < _MAX_STEP and np.all(
-                    np.abs(p.moments - left.moments - right.moments) <= tol)
+                tol = _MOMENT_TOL * p.length
+                settled = max(left.step, right.step) < _MAX_STEP and all(
+                    [abs(m - a - b) <= tol for m, a, b in zip(p.moments, left.moments, right.moments)])
                 (leaves if settled else next_level).extend((left, right))
             level, halves = next_level, []
         leaves.sort(key=lambda p: (p.edge, p.t0))
         # then the panels on either side of a large step, wrap-around included
         while True:
             v = np.concatenate([p.v for p in leaves])
-            steps = np.angle(v / np.roll(v, 1))
-            jumps = np.flatnonzero(np.abs(steps) >= _MAX_STEP)
+            q = v / np.concatenate((v[-1:], v[:-1]))
+            steps = np.arctan2(q.imag, q.real)
+            jumps = (np.abs(steps) >= _MAX_STEP).nonzero()[0]
             if not jumps.size:
                 break
             bad = set((jumps // 16).tolist()) | set(((jumps - 1) % v.size // 16).tolist())
@@ -272,20 +270,21 @@ class _Contour:
             leaves = [q for i, p in enumerate(leaves)
                       for q in ((next(halves), next(halves)) if i in bad else (p,))]
         self.leaves = leaves
-        self.logs = np.log(np.abs(v)) + 1j * (np.angle(v[0]) + np.cumsum(steps) - steps[0])
-        self.log_mean = float(self.logs.real.mean())
-        low = int(np.argmin(np.abs(v)))
+        mods = np.abs(v)
+        self.logs = np.log(mods) + 1j * (np.arctan2(v.imag[:1], v.real[:1]) + steps.cumsum() - steps[0])
+        self.log_mean = float(np.add.reduce(self.logs.real)) / v.size
+        low = int(mods.argmin())
         self.min_modulus = float(abs(v[low]))
         stats.cells += 1
         stats.panels += len(leaves)
-        stats.max_depth = max(stats.max_depth, int(max(p.depth for p in leaves)))
+        stats.max_depth = max(stats.max_depth, *[p.depth for p in leaves])
         stats.min_modulus = min(stats.min_modulus, self.min_modulus)
         guard = _GUARD_FACTOR * math.exp(self.log_mean)
         if self.min_modulus < guard:
             p = leaves[low // 16]
             raise self._error(f"|f| below the guard {guard:.3e}; nudge the region", p.edge,
                               p.t0 + (p.t1 - p.t0) * _GL_T[low % 16], self.min_modulus)
-        self.winding = round(float(steps.sum()) / (2.0 * math.pi))
+        self.winding = round(float(np.add.reduce(steps)) / (2.0 * math.pi))
 
     def _build(self, edges, t0, t1, depth, prev=None, a=None) -> list:
         """Panels [t0[i], t1[i]] of edge ``edges[i]``, f at all their nodes in one
@@ -295,25 +294,26 @@ class _Contour:
         z, dz = self.region.panels(edges, t0, t1)
         v = self.f(z.ravel())
         mods = np.abs(v)
-        bad = np.flatnonzero(~((mods > 0.0) & (mods < math.inf)))
-        if bad.size:
-            i, j = divmod(int(bad[0]), 16)
+        ok = (mods > 0.0) & (mods < math.inf)
+        if not np.logical_and.reduce(ok):
+            i, j = divmod(int(ok.argmin()), 16)
             raise self._error("f is zero or not finite on the contour; nudge the region",
-                              edges[i], t0[i] + (t1[i] - t0[i]) * _GL_T[j], mods[bad[0]])
+                              edges[i], t0[i] + (t1[i] - t0[i]) * _GL_T[j], mods[~ok][0])
         v = v.reshape(-1, 16)
         if prev is None:  # each edge from its first node, then any halves from the edge's
-            steps, args = _walk(v[:4], v[:4, 0], np.angle(v[:4, 0]))
+            steps, args = _walk(v[:4], v[:4, 0], np.arctan2(v.imag[:4, 0], v.real[:4, 0]))
             if len(v) > 4:
-                steps, args = map(np.vstack, zip(
+                steps, args = (np.concatenate(pair) for pair in zip(
                     (steps, args), _walk(v[4:].reshape(4, 32), v[:4, 0], args[:, 0])))
         else:
             steps, args = _walk(v.reshape(-1, 32), prev, a)
         u = (z - self.c) / self.h
-        mods = mods.reshape(-1, 16)
-        w = (np.log(mods) + 1j * args) * dz
-        moments = np.stack((w.sum(1), (w * u).sum(1), (w * u * u).sum(1)), axis=1)
-        worst = np.abs(steps).max(1)
-        return list(map(_Panel, edges, t0, t1, depth, z, dz, v, mods, args, worst, moments))
+        w = (np.log(mods).reshape(-1, 16) + 1j * args) * dz
+        wu = w * u
+        moments = np.add.reduce(np.array((w, wu, wu * u)), axis=2).T.tolist()
+        worst = np.maximum.reduce(np.abs(steps), axis=1).tolist()
+        length = np.add.reduce(np.abs(dz), axis=1).tolist()
+        return list(map(_Panel, edges, t0, t1, depth, z, dz, v, args, worst, moments, length))
 
     def _error(self, message: str, edge, t, modulus) -> ContourError:
         """ContourError at parameter t of an edge, with the node there."""
@@ -325,15 +325,14 @@ class _Contour:
         for p in panels:
             if p.depth >= _MAX_REFINE:
                 raise self._error(f"no settled panel after {p.depth} bisections; nudge the region",
-                                  p.edge, 0.5 * (p.t0 + p.t1), float(p.mods.min()))
+                                  p.edge, 0.5 * (p.t0 + p.t1), float(np.abs(p.v).min()))
         if self.stats.evaluations + 32 * len(panels) > _MAX_POINTS:
             p = panels[0]
             raise self._error(f"f did not settle within {_MAX_POINTS} points", p.edge,
-                              0.5 * (p.t0 + p.t1), float(p.mods.min()))
-        t = np.array([(p.t0, 0.5 * (p.t0 + p.t1), p.t1) for p in panels])
-        return self._build(np.repeat([p.edge for p in panels], 2), t[:, :2].ravel(),
-                           t[:, 1:].ravel(), np.repeat([p.depth + 1 for p in panels], 2),
-                           [p.v[0] for p in panels], [p.args[0] for p in panels])
+                              0.5 * (p.t0 + p.t1), float(np.abs(p.v).min()))
+        rows = [(p.edge, t0, t1, p.depth + 1) for p in panels
+                for mid in (0.5 * (p.t0 + p.t1),) for t0, t1 in ((p.t0, mid), (mid, p.t1))]
+        return self._build(*zip(*rows), [p.v[0] for p in panels], [p.args[0] for p in panels])
 
     def power_sums(self, n: int) -> np.ndarray:
         """s_0 .. s_(n-1), n >= 2, of the enclosed zeros in u = (z - center)/h."""
@@ -343,7 +342,7 @@ class _Contour:
         s = self.winding * ((first - self.c) / self.h) ** np.arange(n) + 0j
         w = (self.logs - self.log_mean) * du  # less a constant, so c*f gives the same sums
         for p in range(1, n):
-            s[p] -= p / (2j * math.pi) * w.sum()
+            s[p] -= p / (2j * math.pi) * np.add.reduce(w)
             w *= u
         return s
 
@@ -355,11 +354,12 @@ def _counted(f, stats: SolverStats):
     vectorized = getattr(f, "vectorized", False)
 
     def g(z):
-        n = np.size(z)
-        stats.evaluations += n
-        stats.calls += 1 if vectorized or np.ndim(z) == 0 else n
-        if np.ndim(z) == 0:
+        if not isinstance(z, np.ndarray) or not z.ndim:  # one point
+            stats.evaluations += 1
+            stats.calls += 1
             return complex(f(z))
+        stats.evaluations += z.size
+        stats.calls += 1 if vectorized else z.size
         return np.asarray(f(z) if vectorized else [complex(f(x)) for x in z.tolist()], dtype=complex)
 
     return g
@@ -375,19 +375,15 @@ def winding_count(f, region: Region) -> int:
 def _secant(f, z0: complex, con: _Contour, stats: SolverStats):
     """Secant steps from z0 until one is below 1e-10 relative: the simple zero, or
     None if an iterate leaves |z - center| <= 1.5 h or 16 steps do not settle."""
-    za = z0
-    zb = z0 + 1e-7 * con.h
-    fa = f(za)
-    fb = f(zb)
+    za, zb = z0, z0 + 1e-7 * con.h
+    fa, fb = f(za), f(zb)
     for _ in range(16):
         if fb == 0:
             break
         if fb == fa:
             return None
         step = fb * (zb - za) / (fb - fa)
-        za = zb
-        fa = fb
-        zb = zb - step
+        za, fa, zb = zb, fb, zb - step
         if abs(zb - con.c) > 1.5 * con.h:
             return None
         fb = f(zb)
@@ -407,14 +403,13 @@ def _moment_zeros(f, cell: Region, con: _Contour, stats: SolverStats, multiple: 
     n = con.winding
     s = con.power_sums(2 * n)
     idx = np.add.outer(np.arange(n), np.arange(n))
-    h0 = s[idx]
-    h1 = s[idx + 1]
+    h0, h1 = s[idx], s[idx + 1]
     sv = np.linalg.svd(h0, compute_uv=False)
     r = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
     us = np.linalg.eigvals(np.linalg.solve(h0[:r, :r], h1[:r, :r]))
     m = np.linalg.solve(np.vander(us, r, increasing=True).T, s[:r])
     mult = np.rint(m.real)
-    if np.any(np.abs(m - mult) > 0.1) or np.any(mult < 1) or mult.sum() != n:
+    if np.logical_or.reduce((np.abs(m - mult) > 0.1) | (mult < 1)) or np.add.reduce(mult) != n:
         return None
     zeros = []
     for z, k in zip((con.c + con.h * us).tolist(), mult.astype(int).tolist()):
@@ -567,22 +562,21 @@ def _refine_ladder(N: int, seed, parity: str) -> dict:
     """Newton from the seed array of one ladder: the record columns.
     A branch stops unconverged at a zero derivative or as soon as an iterate
     leaves the hop disk |kappa - seed| <= _HOP/N, keeping the last inside."""
-    v0, R = 1j, float(N)
-    hop = _HOP / N
+    v0, R, hop = 1j, float(N), _HOP / N
     kappa, res = seed.copy(), np.full(seed.shape, math.inf)
     # chi at convergence: the matched exterior momentum i*kappa*r, even in kappa
     converged, chi = np.zeros(seed.shape, dtype=bool), np.zeros(seed.shape, dtype=complex)
-    idx, ka = np.arange(seed.size), seed
+    idx, ka, sd = np.arange(seed.size), seed, seed  # the running branches' index, iterate, seed
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
             fval, d, r = _secular_terms(parity, v0, R, ka)
-            res[idx] = np.abs(fval)
-            hit = res[idx] <= _NEWTON_TOL
+            res[idx] = mod = np.abs(fval)
+            hit = mod <= _NEWTON_TOL
             converged[idx[hit]] = True
             chi[idx[hit]] = 1j * ka[hit] * r[hit]
             k_new = ka - fval / d
-            go = ~hit & (d != 0) & (np.abs(k_new - seed[idx]) <= hop)
-            idx, ka = idx[go], k_new[go]
+            go = ~hit & (d != 0) & (np.abs(k_new - sd) <= hop)
+            idx, ka, sd = idx[go], k_new[go], sd[go]
             kappa[idx] = ka
             if not idx.size:
                 break

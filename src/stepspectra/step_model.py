@@ -80,7 +80,7 @@ class BumpReport:
 def _trig_sq(parity: str, w):
     """(csc^2, -cot)(w) = (-4q/(q-1)^2, -is(q+1)/(q-1)) for odd, (sec^2, tan)(w) = (4q/(q+1)^2,
     -is(q-1)/(q+1)) for even, q = e^{a+ib} = e^{2isw}, s = sign(Im w), |q| <= 1; near q = +-1,
-    q -+ 1 is +-(expm1(a) - 2e^a (sin|cos)^2(b/2)) + i Im q.  Scalars by cmath, arrays by numpy."""
+    q -+ 1 is +-(expm1(a) - 2e^a (sin|cos)^2(b/2)) + i Im q.  Scalars by cmath, 1-d arrays by numpy."""
     if np.ndim(w) == 0:
         s = -1.0 if w.imag < 0.0 else 1.0
         z = 2j * s * w
@@ -100,9 +100,10 @@ def _trig_sq(parity: str, w):
     z = 2j * s * w
     q = np.exp(z)
     qm, qp = q - 1.0, q + 1.0
+    cand = (np.abs(q.real) > 0.5).nonzero()[0]  # |q -+ 1| < 0.5 needs |Re q| > 0.5
     for d, sgn, half in ((qm, 1.0, np.sin), (qp, -1.0, np.cos)):
-        near = np.abs(d) < 0.5
-        if near.any():
+        near = cand[np.abs(d[cand]) < 0.5]
+        if near.size:
             a, h = z.real[near], half(0.5 * z.imag[near])
             d[near] = sgn * (np.expm1(a) - 2.0 * np.exp(a) * h * h) + 1j * q.imag[near]
     d, o, sg = (qm, qp, -1.0) if parity == "odd" else (qp, qm, 1.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -166,6 +167,22 @@ class TestSpectrumCommand:
         # re_hi = 0 puts E = 0 on the right side; it ran 28 bisections and exited 3
         assert run([command, "--potential", str(well_file), "--region=-6,0,-1,1"]) == 1
         assert "essential spectrum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "check"])
+    @pytest.mark.parametrize("region", ["--disk=1,0.1,1e-9", "--region=-1,-0.5,0.1,0.1000001"])
+    def test_region_below_the_contour_resolution_exit_1(self, tmp_path, capsys, command, region):
+        # a radius or half side below 1e-7 of the region's scale: the disk around the
+        # bump's eigenvalue ran to the contour's 2^20-point bound and exited 3 after a second
+        out = tmp_path / "bump"
+        assert run(["bump", "--zeta", "1+0.1i", "--out", str(out)]) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = run([command, "--potential", str(out / "potential.json"), region])
+        assert code == 1 and time.perf_counter() - start < 0.1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("usage error:") and "below 1e-07 of its scale" in line
+        # a zero-free disk of twice that radius is let through, and settles
+        assert run(["spectrum", "--potential", str(out / "potential.json"), "--disk=1.5,0.1,2e-7"]) == 0
 
     def test_idempotent_localization(self, tmp_path, well_file):
         out = tmp_path / "s.csv"

@@ -339,14 +339,18 @@ class TestPieceFormula:
 
     def test_broadcast_width(self):
         # reconstruct_eigenfunction's case: one k2 against an array of widths, zero
-        # and |w| < 1/2 included; and a k2 column against a width row
+        # and |w| < 1/2 included; and a k2 column against a width row. Width 0 is
+        # 0/0 in the unused branch, so _pieces runs under errstate, as its callers run it
         widths = np.array([0.0, 1e-12, 1e-9, 0.05, 0.3, 0.49, 0.51, 2.0, 40.0])
         for k2 in (-1.0 + 0.3j, 4.0 - 0.01j, 1e-6j):
-            for a, wd in zip(zip(*_pieces(k2, widths)), widths.tolist()):
+            with np.errstate(all="ignore"):
+                arrays = _pieces(k2, widths)
+            for a, wd in zip(zip(*arrays), widths.tolist()):
                 for x, y in zip(a, _piece(k2, wd)):
                     assert abs(x - y) <= 1e-15 * max(1.0, abs(y))
         k2s = np.array([-1.0 + 0.3j, 4.0 - 0.01j, 0.25 + 0j])
-        grid = _pieces(k2s[:, None], widths[None, :])
+        with np.errstate(all="ignore"):
+            grid = _pieces(k2s[:, None], widths[None, :])
         assert all(g.shape == (3, widths.size) for g in grid)
         for i, k2 in enumerate(k2s.tolist()):
             for j, wd in enumerate(widths.tolist()):

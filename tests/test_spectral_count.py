@@ -235,16 +235,18 @@ class TestLocateZeros:
         assert rep.stats.calls == 1 + 2 + rep.stats.polish_iterations
         assert rep.stats.evaluations == 192 + 2 + rep.stats.polish_iterations
         # contours that go deeper: the points of one call per level (520 on the
-        # rectangle, 19,672 over the census box's split), one call fewer per contour
-        cases = [(pieces, Region.rectangle(-8.0, -1e-3, -1.5, 1.5), 520, 12) for pieces in (
-            [(-0.92, 0.92, -5.86 + 1.03j)], [(-1.0, 1.0, -4.0 + 0j)],
-            [(-1.11, -0.42, -2.92 - 0.39j), (-0.42, 0.24, -5.08 - 0.94j),
-             (0.24, 1.11, -5.77 - 0.19j)])]
-        cases.append(([(-8.0, 8.0, 1j)], census_box(8), 19672, 142))
-        for pieces, region, points, calls_per_level in cases:
+        # rectangle, 19,672 over the census box's split), one call fewer per contour;
+        # and the leaves: each steps rectangle is one contour of 18 panels, 3 deep
+        cases = [(pieces, Region.rectangle(-8.0, -1e-3, -1.5, 1.5), 520, 12, (18, 3, 1))
+                 for pieces in ([(-0.92, 0.92, -5.86 + 1.03j)], [(-1.0, 1.0, -4.0 + 0j)],
+                                [(-1.11, -0.42, -2.92 - 0.39j), (-0.42, 0.24, -5.08 - 0.94j),
+                                 (0.24, 1.11, -5.77 - 0.19j)])]
+        cases.append(([(-8.0, 8.0, 1j)], census_box(8), 19672, 142, (656, 8, 21)))
+        for pieces, region, points, calls_per_level, leaves in cases:
             rep = locate_zeros(make_secular_handle(PiecewisePotential(pieces)), region)
             assert rep.complete and rep.stats.evaluations == points
             assert rep.stats.calls == calls_per_level - rep.stats.cells
+            assert (rep.stats.panels, rep.stats.max_depth, rep.stats.cells) == leaves
 
     def test_array_handle_zero_on_contour_names_the_same_point(self):
         # a real well with its ground state at E = -8, on the rectangle's left side
