@@ -4,7 +4,8 @@ Contours are walked on 16-node Gauss-Legendre panels, a level of panels at a
 time (when f is ``vectorized``, one call of f for the four edges and their
 eight halves, then one per level; else one per node), halved until the halves
 give a panel's integrals of u^k log f (k = 0, 1, 2) and arg f moves by under
-pi/3 between nodes; the winding sums those steps.
+pi/3 between nodes; the winding sums those steps.  Only f zero or not finite
+at a node, the bisection cap or the point bound fails a contour.
 Rectangle edges are sinh-graded toward E = 0 (Region.panels): the threshold
 is the one singularity of the global and radial secular functions and lies
 next to every eigenvalue, so graded nodes settle there without the deep
@@ -15,8 +16,8 @@ sum m_k u_k^p = N*u0^p - (p/2 pi i) oint u^(p-1) log f du.  The rank of H0 =
 [s_(i+j)] counts distinct zeros, the pencil (H1, H0) places them, a Vandermonde
 solve gives multiplicities, and the secant method polishes simple zeros.  A
 cell is split in four only when a polished zero leaves it or meets another, or
-multiplicities do not add up; a cluster that makes H0 rank deficient is first
-solved again on a small disk.
+multiplicities do not add up; a cluster that makes H0 rank deficient is one
+multiple zero in a cell below the floor, else solved again on a small disk.
 
 The census of V = i*1_[-N,N] refines each resonance ladder as numpy arrays
 over the branch number n, with Lambert-W seeds and a per-branch Newton stop.
@@ -59,8 +60,6 @@ _MAX_REFINE = 28
 _MAX_POINTS = 2**20
 #: a panel's integrals of u^k log f must match its halves' to this, per unit length
 _MOMENT_TOL = 1e-9
-#: a node with |f| below this times the geometric mean of |f| on its contour raises ContourError
-_GUARD_FACTOR = 1e-12
 #: a cell below this times the region's scale reports its centre, the winding as
 #: multiplicity
 _MIN_DIAMETER = 1e-8
@@ -272,18 +271,11 @@ class _Contour:
         self.leaves = leaves
         mods = np.abs(v)
         self.logs = np.log(mods) + 1j * (np.arctan2(v.imag[:1], v.real[:1]) + steps.cumsum() - steps[0])
-        self.log_mean = float(np.add.reduce(self.logs.real)) / v.size
-        low = int(mods.argmin())
-        self.min_modulus = float(abs(v[low]))
+        self.min_modulus = float(abs(v[mods.argmin()]))  # np.abs(v) may differ in the last bit
         stats.cells += 1
         stats.panels += len(leaves)
         stats.max_depth = max(stats.max_depth, *[p.depth for p in leaves])
         stats.min_modulus = min(stats.min_modulus, self.min_modulus)
-        guard = _GUARD_FACTOR * math.exp(self.log_mean)
-        if self.min_modulus < guard:
-            p = leaves[low // 16]
-            raise self._error(f"|f| below the guard {guard:.3e}; nudge the region", p.edge,
-                              p.t0 + (p.t1 - p.t0) * _GL_T[low % 16], self.min_modulus)
         self.winding = round(float(np.add.reduce(steps)) / (2.0 * math.pi))
 
     def _build(self, edges, t0, t1, depth, prev=None, a=None) -> list:
@@ -340,7 +332,7 @@ class _Contour:
         du = np.concatenate([p.dz for p in self.leaves]) / self.h
         first = self.region.panels([0], [0.0], [0.0])[0][0, 0]  # zero-length: the first vertex
         s = self.winding * ((first - self.c) / self.h) ** np.arange(n) + 0j
-        w = (self.logs - self.log_mean) * du  # less a constant, so c*f gives the same sums
+        w = (self.logs - self.logs.real.mean()) * du  # less a constant, so c*f gives the same sums
         for p in range(1, n):
             s[p] -= p / (2j * math.pi) * np.add.reduce(w)
             w *= u
@@ -395,11 +387,12 @@ def _secant(f, z0: complex, con: _Contour, stats: SolverStats):
     return LocatedZero(zb, 1, abs(fb)) if abs(fb) <= abs(fa) else LocatedZero(za, 1, abs(fa))
 
 
-def _moment_zeros(f, cell: Region, con: _Contour, stats: SolverStats, multiple: bool):
+def _moment_zeros(f, cell: Region, con: _Contour, stats: SolverStats, floor: float):
     """The zeros of f in ``cell`` from its contour's power sums, or None when the
     cell has to be split.  A rank-deficient H0 means a multiple zero or zeros
-    closer than the moments resolve: unless ``multiple`` accepts it, each such
-    cluster is solved again on a disk of a thousandth of the cell's size."""
+    closer than the moments resolve: a cell at most ``floor`` across reports such
+    a cluster as one multiple zero, and a larger one solves it again, by the same
+    rule, on a disk of a thousandth of the cell's size."""
     n = con.winding
     s = con.power_sums(2 * n)
     idx = np.add.outer(np.arange(n), np.arange(n))
@@ -416,7 +409,7 @@ def _moment_zeros(f, cell: Region, con: _Contour, stats: SolverStats, multiple: 
         if k == 1:
             hit = _secant(f, z, con, stats)
             found = hit and [hit]
-        elif multiple:
+        elif cell.diameter <= floor:
             # the secant is only linear at a multiple zero: keep the pencil value
             found = [LocatedZero(z, k, abs(f(z)))]
         else:
@@ -425,7 +418,7 @@ def _moment_zeros(f, cell: Region, con: _Contour, stats: SolverStats, multiple: 
                 sub = _Contour(f, disk, stats)
             except ContourError:
                 return None
-            found = _moment_zeros(f, disk, sub, stats, True) if sub.winding == k else None
+            found = _moment_zeros(f, disk, sub, stats, floor) if sub.winding == k else None
         if found is None:
             return None
         for q in found:
@@ -459,10 +452,11 @@ def locate_zeros(f, region: Region) -> ZeroReport:
 
     A cell whose moments do not give its zeros is split in four (a disk falls back
     to its bounding box) down to ``_MIN_DIAMETER`` of the region's scale, where the
-    centre is reported with the winding as multiplicity.  A split or box whose
+    centre is reported with the winding as multiplicity; only a cell at most a
+    thousand times that size (the floor) reports a multiple zero.  A split or box whose
     contours do not settle, by ``_MAX_POINTS`` points in the call, is retried along
-    ``_NUDGES`` (shifted midpoints, grown boxes); only when every retry fails is
-    the report ``complete=False`` (the region's own contour raises ContourError).
+    ``_NUDGES`` (shifted midpoints, grown boxes); when every retry fails the report
+    is ``complete=False``, never a guess (the region's own contour raises ContourError).
     ``report.stats`` counts the work.
 
     ``f`` maps a complex number to one.  If it has a true attribute
@@ -485,7 +479,7 @@ def locate_zeros(f, region: Region) -> ZeroReport:
         if cell.diameter <= min_diameter:
             found.append(LocatedZero(con.c, wind, abs(f(con.c))))
             continue
-        zeros = _moment_zeros(f, cell, con, stats, cell.diameter <= floor)
+        zeros = _moment_zeros(f, cell, con, stats, floor)
         if zeros is not None:
             found += zeros
             continue
@@ -504,11 +498,7 @@ def locate_zeros(f, region: Region) -> ZeroReport:
                 break
             stats.nudges += 1
         else:
-            # every box or split failed: near the floor, a multiple zero pinching the guard
-            if cell.diameter <= floor:
-                found.append(LocatedZero(con.c, wind, abs(f(con.c))))
-            else:
-                report.complete = False
+            report.complete = False
 
     if region.kind == "disk":
         found = [z for z in found if region.contains(z.location)]
