@@ -16,7 +16,7 @@ from .errors import (
 )
 from .schrodinger_1d import (
     PiecewisePotential, global_secular, make_secular_handle, reconstruct_eigenfunction)
-from .special_functions import branch_of_w, lambert_w, lambert_w_seed, sqrt_upper
+from .special_functions import branch_of_w, lambert_w, sqrt_upper
 from .spectral_count import (
     BranchResult,
     CensusResult,

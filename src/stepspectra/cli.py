@@ -88,14 +88,13 @@ def _parse_L(spec: str, eta0: float):
     from .sparse_builder import SeparationSequence
     if spec.startswith("values:"):
         vals = [float(v) for v in spec[len("values:"):].split(",")]
-        return SeparationSequence.from_values(vals, eta0=eta0)
+        return SeparationSequence(values=vals, eta0=eta0)
     if spec.startswith("power:"):
         alpha = float(spec[len("power:"):])
-        return SeparationSequence.from_rule(
-            lambda k: float(k) ** alpha, eta0=eta0, convex_increments=(alpha >= 1.0)
-        )
+        return SeparationSequence(
+            rule=lambda k: float(k) ** alpha, eta0=eta0, convex_increments=(alpha >= 1.0))
     if spec == "geometric":
-        return SeparationSequence.from_rule(lambda k: 2.0 ** k, eta0=eta0, convex_increments=True)
+        return SeparationSequence(rule=lambda k: 2.0 ** k, eta0=eta0, convex_increments=True)
     raise _UsageError(f"unknown separation spec {spec!r}")
 
 
@@ -215,6 +214,8 @@ def cmd_imag_step(args) -> int:
 
 def cmd_sparse(args) -> int:
     from .sparse_builder import EnvelopeParams, TargetSequence, assemble_sparse, choose_L
+    if not 0.0 < args.delta < float("inf"):
+        raise _UsageError(f"--delta must be finite and > 0, got {args.delta}")
     with open(args.targets, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     try:

@@ -80,9 +80,6 @@ class PiecewisePotential:
             ]
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     @classmethod
     def from_dict(cls, data) -> "PiecewisePotential":
         if not isinstance(data, dict) or "pieces" not in data:

@@ -58,7 +58,7 @@ class TargetSequence:
                 _check_sector(z, self.sector_aperture)
             except ValueError as exc:
                 raise ValueError(f"target {idx}: {exc}") from None
-            if idx and z.imag > zetas[idx - 1].imag + 1e-15:
+            if idx and z.imag > zetas[idx - 1].imag + 4.0 * math.ulp(zetas[idx - 1].imag):
                 raise ValueError(
                     f"target {idx}: Im zeta must be nonincreasing along the sequence"
                 )
@@ -127,14 +127,6 @@ class SeparationSequence:
             if any(b < a for a, b in zip(vals[:-1], vals[1:])):
                 raise ValueError("gap lengths must be nondecreasing")
             self.values = vals
-
-    @classmethod
-    def from_values(cls, values, eta0: float = 1.0) -> "SeparationSequence":
-        return cls(values=values, eta0=eta0)
-
-    @classmethod
-    def from_rule(cls, rule, eta0: float = 1.0, convex_increments: bool = False) -> "SeparationSequence":
-        return cls(rule=rule, eta0=eta0, convex_increments=convex_increments)
 
     @property
     def finite(self) -> bool:
@@ -431,9 +423,8 @@ def choose_L(t: TargetSequence, params: EnvelopeParams, mode: str = "desk") -> C
     prelim = None
     if mode == "faithful":
         # pre-adjustment gaps for the M_pq(L, .) factor, kept inside float range both ways
-        prelim = SeparationSequence.from_values(
-            sorted(math.exp(min(700.0, max(-700.0, v))) for v in power_logs)
-        )
+        prelim = SeparationSequence(
+            values=sorted(math.exp(min(700.0, max(-700.0, v))) for v in power_logs))
 
     per_target = []  # (log separation needed by target n, log delta_n)
     running_log_eps_a = -math.inf

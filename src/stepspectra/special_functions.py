@@ -57,26 +57,6 @@ def _dist_to_ray(z: complex) -> float:
 # Lambert W
 # ---------------------------------------------------------------------------
 
-def lambert_w_seed(n, z):
-    """Two-term asymptotic approximation ``log z + 2*pi*i*n - log(log z + 2*pi*i*n)``.
-
-    Requires ``|log z + 2*pi*i*n| >= 1``; the approximation error is
-    O(log|L1|/|L1|) with L1 the shifted logarithm.  ``n`` and ``z`` may be arrays.
-    """
-    z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"z must be finite, got {z!r}")
-    if np.any(z == 0):
-        raise ValueError("seed undefined at z = 0")
-    l1 = np.log(z) + 2j * math.pi * np.asarray(n)
-    if np.any(np.abs(l1) < 1.0):
-        raise ValueError(
-            f"asymptotic seed needs |log z + 2*pi*i*n| >= 1, got {np.min(np.abs(l1)):.3g}"
-        )
-    w = l1 - np.log(l1)
-    return complex(w) if w.ndim == 0 else w
-
-
 def branch_of_w(w):
     """Branch index whose region contains ``w`` (standard boundary layout).
 
@@ -131,7 +111,8 @@ def _halley(w, z):
     return w, ok
 
 
-def _w_seed(n: int, z: complex) -> complex:
+def _w_seed(n: int, z: complex) -> complex | None:
+    """Branch 0's or -1's own seed at z, or None where ``lambert_w``'s series serves."""
     # branch-point series in p = +-sqrt(2(e z + 1)) (Corless et al. 1996, section 4),
     # p > 0 for branch 0; branch -1 meets the branch point from Im z >= 0 only
     p2 = 2.0 * (math.e * z + 1.0)
@@ -144,7 +125,7 @@ def _w_seed(n: int, z: complex) -> complex:
     if n == -1 and z.imag == 0.0 and -1.0 / math.e < z.real < 0.0:
         t = -math.log(-z.real)  # > 1.2: the branch-point series took -1/e < x < -0.29
         return complex(-t - math.log(t), 0.0)
-    return lambert_w_seed(n, z)
+    return None
 
 
 def _w_continuation(n, z):
@@ -178,7 +159,9 @@ def _on_branch(w, n, z):
 def lambert_w(n, z):
     """Branch ``n`` of the Lambert W function, by Halley iteration.
 
-    ``n`` (int or int array) and ``z`` broadcast.  Halley stops at a step below 4e-16*(1 + |w|)
+    ``n`` (int or int array) and ``z`` broadcast.  Every entry is seeded from the asymptotic
+    series (Corless et al. 1996, eq. 4.19), except where ``_w_seed`` has a seed of branch 0
+    or -1 of its own.  Halley stops at a step below 4e-16*(1 + |w|)
     or at |w*exp(w) - z| <= max(1e-13, 1.47e-14*(1 + |w|))*|z|, the second term being the floor
     of exp's argument reduction (5e-10*|z| at |w| = 3.7e4).  Each result is verified to lie in
     the branch-``n`` region, else redone by continuation from inside it.  A ConvergenceError
@@ -193,16 +176,17 @@ def lambert_w(n, z):
         raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]!r}")
     if np.any((z == 0) & (n != 0)):
         raise ValueError("z = 0 is a logarithmic singularity for branches n != 0")
-    w = np.empty(n.shape, dtype=complex)
-    low = (n == 0) | (n == -1)  # branches with seeds of their own
-    zh = z if z.size == 1 and not low.all() else zn[~low]
-    # the asymptotic series through L2/L1^3, L2 = log L1 (Corless et al. 1996, eq. 4.19)
-    l1 = np.log(zh) + 2j * math.pi * n[~low]
-    seed = l1 - np.log(l1)  # the two-term seed; |L1| > pi here, so it needs no check
-    l2, t = l1 - seed, 1.0 / l1
-    w[~low] = seed + l2 * t * (1.0 + t * (0.5 * l2 - 1.0 + t * (1.0 - 1.5 * l2 + l2 * l2 / 3.0)))
-    for i in np.flatnonzero(low):
-        w[i] = _w_seed(int(n[i]), complex(zn[i]))
+    # the series through L2/L1^3, L2 = log L1; |L1| >= pi off branches 0 and -1, and where
+    # _w_seed has no seed of theirs (off the branch point, Im W far from 0) too
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1 = np.log(z) + 2j * math.pi * n
+        seed = l1 - np.log(l1)
+        l2, t = l1 - seed, 1.0 / l1
+        w = seed + l2 * t * (1.0 + t * (0.5 * l2 - 1.0 + t * (1.0 - 1.5 * l2 + l2 * l2 / 3.0)))
+    for i in np.flatnonzero((n == 0) | (n == -1)):
+        own = _w_seed(int(n[i]), complex(zn[i]))
+        if own is not None:
+            w[i] = own
     w, ok = _halley(w, z)
     redo = np.flatnonzero(~(ok & _on_branch(w, n, z)))
     if redo.size:

@@ -87,29 +87,33 @@ class Region:
 
     def __post_init__(self):
         if self.kind == "rectangle":
-            object.__setattr__(self, "center", complex(0.5 * (self.re_lo + self.re_hi),
-                                                       0.5 * (self.im_lo + self.im_hi)))
+            lo, hi = complex(self.re_lo, self.im_lo), complex(self.re_hi, self.im_hi)
+            if not (cmath.isfinite(lo) and cmath.isfinite(hi)):
+                raise ValueError("rectangle needs finite bounds")
+            if not (lo.real < hi.real and lo.imag < hi.imag):
+                raise ValueError("rectangle needs re_lo < re_hi and im_lo < im_hi")
+            size, side = min(hi.real - lo.real, hi.imag - lo.imag), "side"
+            at = max(map(abs, (lo.real, lo.imag, hi.real, hi.imag)))
+            center = complex(0.5 * (lo.real + hi.real), 0.5 * (lo.imag + hi.imag))
+        elif self.kind == "disk":
+            center, size, side = complex(self.center), self.radius, "radius"
+            if not (cmath.isfinite(center) and math.isfinite(size)):
+                raise ValueError("disk needs a finite centre and radius")
+            if not size > 0:
+                raise ValueError("disk needs a positive radius")
+            at = max(abs(center.real), abs(center.imag)) + size
+        else:
+            raise ValueError(f"region kind must be 'rectangle' or 'disk', got {self.kind!r}")
+        if size < _MIN_ULPS * math.ulp(at):  # the nodes would round onto a few floats
+            raise ValueError(f"{self.kind} {side} below {_MIN_ULPS} float spacings at its coordinates")
+        object.__setattr__(self, "center", center)
 
     @staticmethod
     def rectangle(re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> "Region":
-        if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
-            raise ValueError("rectangle needs finite bounds")
-        if not (re_lo < re_hi and im_lo < im_hi):
-            raise ValueError("rectangle needs re_lo < re_hi and im_lo < im_hi")
-        side, largest = min(re_hi - re_lo, im_hi - im_lo), max(map(abs, (re_lo, re_hi, im_lo, im_hi)))
-        if side < _MIN_ULPS * math.ulp(largest):  # the nodes would round onto a few floats
-            raise ValueError(f"rectangle side below {_MIN_ULPS} float spacings at its coordinates")
         return Region("rectangle", re_lo=re_lo, re_hi=re_hi, im_lo=im_lo, im_hi=im_hi)
 
     @staticmethod
     def disk(center: complex, radius: float) -> "Region":
-        center = complex(center)
-        if not (cmath.isfinite(center) and math.isfinite(radius)):
-            raise ValueError("disk needs a finite centre and radius")
-        if not radius > 0:
-            raise ValueError("disk needs a positive radius")
-        if radius < _MIN_ULPS * math.ulp(max(abs(center.real), abs(center.imag)) + radius):
-            raise ValueError(f"disk radius below {_MIN_ULPS} float spacings at its centre")
         return Region("disk", center=center, radius=radius)
 
     def contains(self, z: complex) -> bool:
@@ -117,12 +121,6 @@ class Region:
         if self.kind == "rectangle":
             return self.re_lo <= z.real <= self.re_hi and self.im_lo <= z.imag <= self.im_hi
         return abs(z - self.center) <= self.radius
-
-    def bounding_rectangle(self) -> "Region":
-        if self.kind == "rectangle":
-            return self
-        c, r = self.center, self.radius
-        return Region.rectangle(c.real - r, c.real + r, c.imag - r, c.imag + r)
 
     @property
     def diameter(self) -> float:
@@ -433,7 +431,8 @@ def _subdivide(cell: Region, shift: float):
     """A cell's replacements at one step of the nudge ladder: a disk's bounding box
     grown by the step, or a rectangle's quarters about a midpoint shifted by it."""
     if cell.kind == "disk":
-        return [Region.disk(cell.center, (1.0 + shift) * cell.radius).bounding_rectangle()]
+        c, r = cell.center, (1.0 + shift) * cell.radius
+        return [Region.rectangle(c.real - r, c.real + r, c.imag - r, c.imag + r)]
     mid_re = cell.re_lo + (cell.re_hi - cell.re_lo) * (0.5 + shift * 0.37)
     mid_im = cell.im_lo + (cell.im_hi - cell.im_lo) * (0.5 + shift)
     return [

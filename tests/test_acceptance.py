@@ -237,10 +237,10 @@ def test_criterion_7_sparse_verification():
 def test_criterion_8_separation_machinery():
     """sep/h_L exact values, distribution-function band, strong-separation verdicts."""
     with _Stopwatch("criterion 8: separation machinery", 1.0):
-        linear = SeparationSequence.from_rule(lambda k: float(k), convex_increments=True)
+        linear = SeparationSequence(rule=lambda k: float(k), convex_increments=True)
         assert sep(linear, 1.0) == pytest.approx(1.0 / (math.e - 1.0), abs=1e-12)
-        geometric = SeparationSequence.from_rule(lambda k: 2.0 ** k, convex_increments=True)
-        squares = SeparationSequence.from_rule(lambda k: float(k * k), convex_increments=True)
+        geometric = SeparationSequence(rule=lambda k: 2.0 ** k, convex_increments=True)
+        squares = SeparationSequence(rule=lambda k: float(k * k), convex_increments=True)
         assert h_L(geometric, 0.1) == 3
         assert h_L(squares, 0.01) == 10
         assert h_L(geometric, 10.0) == 0
@@ -251,7 +251,7 @@ def test_criterion_8_separation_machinery():
         assert max(ratios) / min(ratios) < 2.0
         lams = [0.3, 0.5, 0.7]
         sgrid = [10 ** (-x) for x in np.linspace(0.5, 2.5, 12)]
-        log_like = SeparationSequence.from_rule(lambda k: math.log(k + 1), convex_increments=False)
+        log_like = SeparationSequence(rule=lambda k: math.log(k + 1), convex_increments=False)
         verdicts = tuple(
             strong_separation_check(L, lams, sgrid) for L in (geometric, linear, log_like)
         )

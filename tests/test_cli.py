@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from stepspectra.cli import main, parse_complex
+from stepspectra.cli import _json, main, parse_complex
 from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
 from stepspectra.step_model import StepBump
 
@@ -33,7 +33,7 @@ class TestParsing:
     def test_os_errors_exit_1(self, capsys, tmp_path, case):
         # IsADirectoryError and FileExistsError escaped main as a traceback
         pot = tmp_path / "well.json"
-        pot.write_text(PiecewisePotential.from_bumps([StepBump(-10.0, 1.0)]).to_json())
+        pot.write_text(_json(PiecewisePotential.from_bumps([StepBump(-10.0, 1.0)]).to_dict()))
         region = "--region=-10,-1e-6,-0.5,0.5"
         args = {
             "out_is_directory": ["spectrum", "--potential", str(pot), region, "--out", str(tmp_path)],
@@ -54,7 +54,7 @@ class TestParsing:
     ])
     def test_usage_error_is_one_line(self, capsys, tmp_path, args, message):
         pot, bad = tmp_path / "well.json", tmp_path / "list.json"
-        pot.write_text(PiecewisePotential.from_bumps([StepBump(-10.0, 1.0)]).to_json())
+        pot.write_text(_json(PiecewisePotential.from_bumps([StepBump(-10.0, 1.0)]).to_dict()))
         bad.write_text("[1, 2]")
         assert run([a.format(pot=pot, bad=bad) for a in args]) == 1
         err = capsys.readouterr().err
@@ -96,13 +96,21 @@ class TestBumpCommand:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and message in err and err.count("\n") == 1
 
+    def test_nan_aperture_exit_1(self, tmp_path, capsys):
+        # a NaN aperture passed every zeta: 1+0.5i lies far outside any sector it names
+        out = tmp_path / "bump"
+        assert run(["bump", "--zeta", "1+0.5i", "--eps0", "nan", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "sector aperture" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     @pytest.fixture
     def well_file(self, tmp_path):
         pot = PiecewisePotential.from_bumps([StepBump(-10.0, 1.0)])
         path = tmp_path / "well.json"
-        path.write_text(pot.to_json())
+        path.write_text(_json(pot.to_dict()))
         return path
 
     def test_well_three_rows(self, tmp_path, well_file):
@@ -296,6 +304,19 @@ class TestSparseCommand:
         if found is not None:
             assert [v["found"] for v in report["verification"]] == found
         assert sum(v["found"] for v in report["verification"]) == (114 if n == 30 else 3)
+
+    @pytest.mark.parametrize("option", ["--delta=-1", "--delta=0", "--delta=nan", "--delta=inf",
+                                        "--eps0=nan"])
+    def test_delta_or_aperture_out_of_range_exit_1(self, tmp_path, capsys, targets_file, option):
+        # each exited 0: a bad delta with "not verified" for every disk and "found": null
+        # in the report, a NaN aperture with every target accepted
+        out = tmp_path / "o"
+        assert run(["sparse", "--targets", str(targets_file), option, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert ("--delta must be finite and > 0" if "delta" in option
+                else "sector aperture must be > 0") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("spec", [
         {"q": 2.0},                           # no "zetas": KeyError

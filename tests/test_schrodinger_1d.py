@@ -39,7 +39,7 @@ def assert_matches_oracle(pot, E, rel=1e-10, near_zero=1e-4):
 class TestPotentialSchema:
     def test_roundtrip(self):
         pot = PiecewisePotential([(-1.0, 1.0, -1 + 0.5j), (3.0, 4.5, 2j)])
-        again = PiecewisePotential.from_json(pot.to_json())
+        again = PiecewisePotential.from_json(json.dumps(pot.to_dict()))
         assert again == pot
 
     def test_overlap_rejected_with_index(self):

@@ -27,9 +27,9 @@ from stepspectra.sparse_builder import (
 )
 from stepspectra.step_model import bump_norm_lq
 
-GEOMETRIC = SeparationSequence.from_rule(lambda k: 2.0 ** k, convex_increments=True)
-LINEAR = SeparationSequence.from_rule(lambda k: float(k), convex_increments=True)
-LOGARITHMIC = SeparationSequence.from_rule(lambda k: math.log(k + 1), convex_increments=False)
+GEOMETRIC = SeparationSequence(rule=lambda k: 2.0 ** k, convex_increments=True)
+LINEAR = SeparationSequence(rule=lambda k: float(k), convex_increments=True)
+LOGARITHMIC = SeparationSequence(rule=lambda k: math.log(k + 1), convex_increments=False)
 
 ACCEPT_TARGETS = TargetSequence((1 + 0.08j, 1.3 + 0.06j, 0.8 + 0.05j))
 ACCEPT_PARAMS = EnvelopeParams(d=1, q=2.0, p=4.0, alpha=1.0, gamma=1.0)
@@ -52,6 +52,27 @@ class TestTargetSequence:
             EnvelopeParams(d=1, q=0.5)  # q outside the admissible range
         with pytest.raises(ValueError, match="q > d"):
             choose_L(TargetSequence((1 + 0.05j,)), EnvelopeParams(d=1, q=1.0))  # q <= d
+
+    def test_im_zeta_may_not_grow_by_more_than_rounding(self):
+        # an absolute slack of 1e-15 let Im zeta grow 50-fold at this scale
+        with pytest.raises(ValueError, match="nonincreasing"):
+            TargetSequence((1 + 1e-17j, 1 + 5e-16j))
+        with pytest.raises(ValueError, match="nonincreasing"):
+            TargetSequence((1 + 0.1j, 1 + 0.1000001j))
+        im = 1e-17
+        TargetSequence((1 + 1j * im, 1 + 1j * im, 1 + 1j * (im + math.ulp(im))))
+
+    @pytest.mark.parametrize("aperture", [math.nan, 0.0, -1.0])
+    def test_aperture_not_above_zero_rejected(self, aperture):
+        # a NaN aperture passed every zeta, and -1 passed -1 + 0.5i
+        from stepspectra.step_model import _check_sector
+
+        for zeta in (1 + 0.5j, -1 + 0.5j):
+            with pytest.raises(ValueError, match="sector aperture must be > 0"):
+                _check_sector(zeta, aperture)
+            with pytest.raises(ValueError, match="sector aperture must be > 0"):
+                TargetSequence((zeta,), sector_aperture=aperture)
+        assert _check_sector(1 + 0.5j, math.inf) == 1 + 0.5j
 
     def test_sector_is_shared_with_the_bump(self):
         from stepspectra.step_model import SECTOR_APERTURE, construct_bump
@@ -105,7 +126,7 @@ class TestSep:
         assert sep(LINEAR, 1.0) == pytest.approx(1.0 / (math.e - 1.0), abs=1e-12)
 
     def test_single_gap(self):
-        assert sep(SeparationSequence.from_values([5.0]), 2.0) == pytest.approx(math.exp(-10))
+        assert sep(SeparationSequence(values=[5.0]), 2.0) == pytest.approx(math.exp(-10))
 
     def test_monotone_in_eta(self):
         assert sep(GEOMETRIC, 0.2) < sep(GEOMETRIC, 0.1)
@@ -115,13 +136,13 @@ class TestSep:
             sep(LOGARITHMIC, 2.0)
 
     def test_bounded_rule_rejected(self):
-        flat = SeparationSequence.from_rule(lambda k: 5.0, convex_increments=True)
+        flat = SeparationSequence(rule=lambda k: 5.0, convex_increments=True)
         with pytest.raises(NonSummableError) as err:
             sep(flat, 1.0)
         assert "partial sum" in str(err.value)
 
     def test_empty_values(self):
-        assert sep(SeparationSequence.from_values([]), 1.0) == 0.0
+        assert sep(SeparationSequence(values=[]), 1.0) == 0.0
 
     def test_ratio_rounding_to_one(self):
         # eta*inc below 1e-16 for the first gaps: e^{-eta*inc} is 1.0 in float64
@@ -139,7 +160,7 @@ class TestSep:
 class TestDistribution:
     def test_trivial_counts(self):
         assert h_L(GEOMETRIC, 0.1) == 3  # 2, 4, 8 <= 10
-        assert h_L(SeparationSequence.from_rule(lambda k: float(k * k), convex_increments=True), 0.01) == 10
+        assert h_L(SeparationSequence(rule=lambda k: float(k * k), convex_increments=True), 0.01) == 10
         assert h_L(GEOMETRIC, 10.0) == 0
 
     def test_rule_beyond_float_range(self):
@@ -148,7 +169,7 @@ class TestDistribution:
         assert h_L(GEOMETRIC, 1e-300) == 996  # 2^996 <= 1e300 < 2^997
 
     def test_eta0_scaling(self):
-        scaled = SeparationSequence.from_rule(lambda k: 2.0 ** k, eta0=2.0, convex_increments=True)
+        scaled = SeparationSequence(rule=lambda k: 2.0 ** k, eta0=2.0, convex_increments=True)
         assert h_L(scaled, 0.1) == 2  # eta0*L = 4, 8 <= 10
 
     def test_proposition_band_geometric(self):
@@ -166,8 +187,8 @@ class TestDistribution:
             assert sep(LINEAR, eta) <= 4.0 * eta ** (-1.0)
             assert sep(LINEAR, eta) >= 0.25 * eta ** (-1.0)
             assert sep(GEOMETRIC, eta) <= 4.0 * math.log(1.0 / eta)
-            double = SeparationSequence.from_rule(
-                lambda k: math.exp(math.exp(k)), convex_increments=True
+            double = SeparationSequence(
+                rule=lambda k: math.exp(math.exp(k)), convex_increments=True
             )
             assert sep(double, eta) <= 4.0 * math.log(math.log(1.0 / eta))
 
@@ -184,7 +205,7 @@ class TestEnvelopes:
         val = s_of_L_z(LINEAR, -1.0, 1)
         assert val == pytest.approx(math.exp(-0.5) / (1 - math.exp(-0.5)), abs=1e-9)
         assert s_of_L_z(LINEAR, -4.0, 1) < val  # larger Im sqrt shrinks it
-        assert s_of_L_z(SeparationSequence.from_values([]), -1.0, 1) == 0.0
+        assert s_of_L_z(SeparationSequence(values=[]), -1.0, 1) == 0.0
 
     def test_M_pq_printed_value(self):
         params = EnvelopeParams(d=1, q=1.0, p=2.0)

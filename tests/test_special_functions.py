@@ -14,7 +14,7 @@ import scipy.special as sp
 import stepspectra
 from stepspectra import special_functions
 from stepspectra.errors import ConvergenceError, UnsupportedDomainError
-from stepspectra.special_functions import _h01, _j01, branch_of_w, lambert_w, lambert_w_seed, sqrt_upper
+from stepspectra.special_functions import _h01, _j01, branch_of_w, lambert_w, sqrt_upper
 
 from conftest import mp_bessel_j01, mp_bessel_jh, mp_hankel1_upper
 
@@ -149,27 +149,6 @@ class TestLambertW:
         assert isinstance(w, complex) and cmath.isfinite(w)
         assert info.value.residual == pytest.approx(abs(w * cmath.exp(w) - z[0]), rel=1e-12)
         assert math.isfinite(info.value.residual) and info.value.residual > 0.0
-
-
-class TestLambertSeed:
-    def test_seed_two_term_expansion_at_deep_branch(self):
-        # two-term expansion at branch -40, z = 16i
-        val = lambert_w_seed(-40, 16j)
-        l1 = cmath.log(16j) - 80j * math.pi
-        assert val == pytest.approx(l1 - cmath.log(l1), rel=1e-15)
-
-    def test_seed_near_principal_value(self):
-        # seed at (0, e) lands within 0.3 of the true W = 1
-        assert abs(lambert_w_seed(0, math.e) - lambert_w(0, math.e)) < 0.3
-
-    def test_huge_branch_imag_dominated(self):
-        for n in (10**4, -(10**5)):
-            seed = lambert_w_seed(n, 1.0 + 1.0j)
-            assert seed.imag == pytest.approx(2 * math.pi * n, rel=0.1)
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            lambert_w_seed(0, 1.0)  # log(1) = 0, |L1| < 1
 
 
 def _jh(nu, z):

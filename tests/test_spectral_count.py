@@ -296,7 +296,7 @@ class TestLocateZeros:
         handle = make_secular_handle(assemble_sparse(
             targets, params, choose_L(targets, params, mode="desk").lengths).potential)
         disk = Region.disk(zetas[0], 0.01)
-        box = locate_zeros(handle, disk.bounding_rectangle())
+        box = locate_zeros(handle, spectral_count._subdivide(disk, 0.0)[0])
         assert sum(not disk.contains(z.location) for z in box.zeros) == 1
         calls = []
         rep = locate_zeros(lambda E: calls.append(E) or handle(E), disk)
@@ -462,6 +462,19 @@ class TestLocateZeros:
         assert [z.location for z in direct.zeros] == [z.location for z in made.zeros]
         assert direct.stats.evaluations == made.stats.evaluations
         assert direct.stats.splits == 0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kind="disk", center=1j, radius=-1.0), "positive radius"),
+        (dict(kind="disk", center=complex(math.nan, 0.0), radius=1.0), "finite centre and radius"),
+        (dict(kind="rectangle", re_lo=3.0, re_hi=2.0, im_hi=1.0), "re_lo < re_hi"),
+        (dict(kind="rectangle", re_hi=math.inf, im_hi=1.0), "finite bounds"),
+        (dict(kind="triangle"), "kind must be 'rectangle' or 'disk'"),
+    ])
+    def test_direct_construction_checks_as_the_constructors_do(self, kwargs, message):
+        # the disk of radius -1 was walked as the radius-1 disk (winding 1 about 0.5i),
+        # and Region("triangle") ran 2^20 points into a ContourError
+        with pytest.raises(ValueError, match=message):
+            Region(**kwargs)
 
     def test_rectangle_rejects_non_finite_bounds(self):
         # an infinite bound gave NaN panel nodes (and numpy warnings) before failing
