@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 from .errors import NonSummableError, StepSpectraError, UnsupportedDomainError
 from .schrodinger_1d import _LOG_MAX, PiecewisePotential
 from .special_functions import _dist_to_ray, sqrt_upper
-from .step_model import SECTOR_APERTURE, BumpReport, _check_sector, bump_norm_lq, construct_bump
+from .step_model import (SECTOR_APERTURE, BumpReport, _check_aperture, _check_sector, bump_norm_lq,
+                         construct_bump)
 
 DESK_DELTA_FLOOR = 1e-3
 #: strong_separation_check accepts a ratio only below 1 minus this
@@ -51,6 +52,7 @@ class TargetSequence:
     sector_aperture: float = SECTOR_APERTURE
 
     def __post_init__(self):
+        _check_aperture(self.sector_aperture)  # before the loop, so an empty sequence checks it too
         zetas = tuple(complex(z) for z in self.zetas)
         object.__setattr__(self, "zetas", zetas)
         for idx, z in enumerate(zetas):

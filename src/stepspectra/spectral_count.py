@@ -19,11 +19,14 @@ cell is split in four only when a polished zero leaves it or meets another, or
 multiplicities do not add up; a cluster that makes H0 rank deficient is one
 multiple zero in a cell below the floor, else solved again on a small disk.
 
-The census of V = i*1_[-N,N] refines each resonance ladder as numpy arrays
-over the branch number n, with Lambert-W seeds and a per-branch Newton stop.
-One Lambert pass per factor sign seeds both parities, by W_n(conj z) = conj W_-n(z).
-Only branches whose hop disk can reach the box are refined, each ladder folded into
-the counts before the next; CensusResult.results refines the full window on first read.
+The census of V = i*1_[-N,N] seeds each resonance ladder as numpy arrays over the
+branch number n by Lambert W, one pass per factor sign for both parities, by
+W_n(conj z) = conj W_-n(z).  Of the branches whose hop disk can reach the box, each
+is certified in closed form: one zero in a disk around its seed, and the disk's box and
+sheet.  Newton, with a per-branch stop, refines only those the certificate leaves
+undecided (at N = 32..256, 7 of 54,993, all on a box edge) or whose error could change
+the dedupe.  Each ladder is folded into the counts before the next;
+CensusResult.results refines the full window by Newton on first read.
 """
 
 from __future__ import annotations
@@ -523,6 +526,11 @@ _NEWTON_MAX_ITER = 60
 _HOP = 0.75 * math.pi
 #: the census pads a hop disk's reach in E by this fraction of the largest |E| there, for rounding
 _HOP_SLACK = 1e-9
+#: c of the odd ladders' factor 2*kappa*e^{i*kappa*R} = s*c; the even ladders' is i*c
+_ROOT_I = cmath.sqrt(1j)
+#: the certificate's disk radius in Newton steps |H/H'| (Rouche needs more than one)
+_CERT_STEPS = 2.0
+_EPS = 2.0**-52  # the float64 epsilon
 
 
 class BranchResult(NamedTuple):
@@ -592,12 +600,11 @@ def _reachable(box: Region, seed, N: int):
     |kappa -+ s| <= hop lies within hop*(2|s| + hop) of E_s = s^2 + i."""
     hop, E_s = _HOP / N, seed * seed + 1j
     reach = hop * (2.0 * np.abs(seed) + hop)
-    return _in_box(box, E_s, reach + _HOP_SLACK * (np.abs(E_s) + reach))
+    return _depth(box, E_s) >= -(reach + _HOP_SLACK * (np.abs(E_s) + reach))
 
 
-def _ladders(N: int, n_window: tuple[int, int], families, box: Region | None = None):
-    """Per family in (parity, sign) order, refined as read: (parity, sign, ns, refined columns).
-    Given a ``box``, only the branches ``_reachable`` from it are refined."""
+def _ladders(N: int, n_window: tuple[int, int], families):
+    """Per family in (parity, sign) order, seeded as read: (parity, sign, ns, seeds)."""
     _require_census_N(N)
     lo, hi = n_window
     if lo > hi:
@@ -609,8 +616,61 @@ def _ladders(N: int, n_window: tuple[int, int], families, box: Region | None = N
         if sign not in odd:
             odd[sign] = imag_step_seed(N, np.arange(-top, top + 1), sign)
         seed = odd[sign][window] if parity == "odd" else -np.conj(odd[sign][::-1][window])
-        keep = slice(None) if box is None else _reachable(box, seed, N)
-        yield parity, sign, ns[keep], _refine_ladder(N, seed[keep], parity)
+        yield parity, sign, ns, seed
+
+
+def _certify(N: int, seed, parity: str, sign: int):
+    """A closed-form one-zero certificate per seed kappa0 of a ladder: (rho, ok, chi, dchi).
+
+    The ladder's zeros of the parity secular are those of H(kappa) = 2 kappa p - s c (1 - q),
+    p = e^{i kappa N}, with q = p^2, c = sqrt(i) (odd) or q = -p^2, c = i sqrt(i) (even); the
+    seed solves 2 kappa p = s c, which drops s c q.  By Rouche against H's linear part at
+    kappa0, the disk |kappa - kappa0| <= rho, rho = _CERT_STEPS Newton steps, holds exactly one
+    zero of H when |H(kappa0)| + M rho^2/2 < |H'(kappa0)| rho, with M >= |H''| on the disk
+    from |p| <= |p0| e^{N rho}; ``ok`` says so for a disk inside the hop disk.  At a zero,
+    chi = i kappa r = -kappa (1 + q)/(1 - q); over the disk it moves from its value at kappa0
+    by less than ``dchi``, which is padded by _HOP_SLACK of |chi| for Newton's own error.
+    Every bound is padded for the rounding of p0 = e^{i kappa0 N}, one exp per seed."""
+    R, k = float(N), seed
+    c = sign * (_ROOT_I if parity == "odd" else 1j * _ROOT_I)
+    with np.errstate(all="ignore"):
+        p = np.exp(k * (1j * R))
+        pp = p * p
+        g, h = k * p, (c if parity == "odd" else -c) * pp  # kappa p and c q
+        ak, ap = np.abs(k), np.exp(-R * k.imag)
+        akp, aq = ak * ap, ap * ap
+        u = 16.0 * _EPS * (R * ak.max(initial=0.0) + 4.0)  # relative rounding of p0 and of each sum
+        f_hi = np.abs(2.0 * g + h - c) + u * (2.0 * akp + 1.0 + aq)
+        df_lo = np.abs(2.0 * p + (2j * R) * (g + h)) - 2.0 * u * (ap + R * (akp + aq))
+        rho = _CERT_STEPS * f_hi / df_lo
+        P, K = ap * ((1.0 + u) * np.exp(R * rho)), ak + rho  # bound |p| and |kappa| on the disk
+        Q, D = P * P, 1.0 - P * P  # |q| <= Q and |1 - q| >= D on the disk
+        M = (1.0 + u) * R * P * (4.0 + 2.0 * R * K + 4.0 * R * P)
+        chi = k * ((1.0 + pp) / (pp - 1.0) if parity == "odd" else (pp - 1.0) / (pp + 1.0))
+        dchi = (rho * ((1.0 + Q) / D + 4.0 * R * K * Q / (D * D))
+                + (u + _HOP_SLACK) * ak * (1.0 + aq) / D + _HOP_SLACK)
+        ok = ((df_lo > 0.0) & (D > 0.0) & (rho < _HOP / R)
+              & (f_hi + 0.5 * M * rho * rho < df_lo * rho))
+    return rho, ok, chi, dchi
+
+
+def _census_ladder(ladder, N: int, box: Region):
+    """One ladder's reachable branches, certified where the certificate decides them and
+    refined by Newton elsewhere: the certified counted branches as (parity, sign, ns, seeds,
+    energies, error radii), ``_newton`` of the others, and the number of branches."""
+    parity, sign, ns, seed = ladder
+    keep = _reachable(box, seed, N)
+    ns, seed = ns[keep], seed[keep]
+    rho, ok, chi, dchi = _certify(N, seed, parity, sign)
+    E, ak = seed * seed + 1j, np.abs(seed)
+    err = rho * (2.0 * ak + rho)  # |kappa^2 - kappa0^2| on the disk
+    err += _HOP_SLACK * (ak * ak + 1.0 + err)  # as the reach is padded
+    depth = _depth(box, E)
+    inside = depth >= err
+    decided = ok & ((inside & (np.abs(chi.imag) > dchi)) | (depth < -err))
+    hit, rest = decided & inside & (chi.imag > 0.0), ~decided
+    return ((parity, sign, ns[hit], seed[hit], E[hit], err[hit]),
+            _newton(N, box, parity, sign, ns[rest], seed[rest]), ns.size)
 
 
 def _records(ladder, idx) -> list[BranchResult]:
@@ -629,16 +689,19 @@ def enumerate_imag_step(N: int, n_window: tuple[int, int],
     per requested family.  A branch whose Newton run stalls or leaves its hop
     disk is flagged (``converged=False``) rather than fatal.
     """
-    ladders = _ladders(N, n_window, families)
+    ladders = ((parity, sign, ns, _refine_ladder(N, seed, parity))
+               for parity, sign, ns, seed in _ladders(N, n_window, families))
     return [r for group in zip(*(_records(lad, slice(None)) for lad in ladders)) for r in group]
 
 
 @dataclass(frozen=True)
 class CensusResult:
-    """``branches`` counts the branches refined, those whose hop disk can reach the
-    box; no other branch could be counted.  ``uncertified`` lists the refined branches
-    that did not converge, each of which could have been; ``certified`` says it is empty.
-    ``results``, every branch of the full window as a record, refines again on first read."""
+    """``branches`` counts the reachable branches, those whose hop disk can reach the
+    box, certified or refined; no other branch could be counted.  ``refined`` counts those
+    that Newton refined, where the certificate left the zero, the box or the sheet
+    undecided, or the dedupe.  ``uncertified`` lists the refined branches that did not
+    converge, each of which could have been counted; ``certified`` says it is empty.
+    ``results``, every branch of the full window as a Newton record, refines on first read."""
 
     N: int
     count: int
@@ -647,6 +710,7 @@ class CensusResult:
     certified: bool
     uncertified: tuple
     branches: int
+    refined: int
 
     @cached_property
     def results(self) -> tuple:
@@ -681,17 +745,35 @@ def _box_window(N: int, box: Region) -> tuple[int, int]:
     return (-n_max, n_max)
 
 
-def _in_box(box: Region, E, pad=0.0):
-    return ((box.re_lo - pad <= E.real) & (E.real <= box.re_hi + pad)
-            & (box.im_lo - pad <= E.imag) & (E.imag <= box.im_hi + pad))
+def _depth(box: Region, E):
+    """How far each E lies inside the box, by its nearest edge: negative outside it."""
+    return np.minimum(np.minimum(E.real - box.re_lo, box.re_hi - E.real),
+                      np.minimum(E.imag - box.im_lo, box.im_hi - E.imag))
 
 
-def _tally(ladder, box: Region):
-    """A ladder's counted energies, unconverged records and size."""
-    cols = ladder[3]
+def _newton(N: int, box: Region, parity: str, sign: int, ns, seed):
+    """Newton on these branches of one ladder: their counted energies, unconverged
+    records and number."""
+    if not seed.size:
+        return seed, [], 0
+    cols = _refine_ladder(N, seed, parity)
     E, conv = cols["energy"], cols["converged"]
-    return (E[conv & cols["on_physical_sheet"] & _in_box(box, E)],
-            _records(ladder, np.flatnonzero(~conv)), conv.size)
+    return (E[conv & cols["on_physical_sheet"] & (_depth(box, E) >= 0.0)],
+            _records((parity, sign, ns, cols), np.flatnonzero(~conv)), conv.size)
+
+
+def _distinct(E, err):
+    """The energies at least 1e-6 relative from the previous one in sorted order, each
+    known to within ``err``: their number, and the positions whose error could change it,
+    in a pair near that threshold or of uncertain order."""
+    order = np.lexsort((E.imag, E.real))
+    E, err = E[order], err[order]
+    gap = np.abs(np.diff(E, prepend=np.inf))
+    least = 1e-6 * np.maximum(1.0, np.abs(E))
+    width = (1.0 + 1e-6) * (err[1:] + err[:-1])
+    near = (width > 0.0) & ((np.abs(gap[1:] - least[1:]) <= width)
+                            | (E.real[1:] - E.real[:-1] <= width))
+    return int(np.count_nonzero(gap >= least)), np.union1d(order[1:][near], order[:-1][near])
 
 
 def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
@@ -699,18 +781,32 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
 
     Emits (N, count, count*log(N)/N^2) plus the box, for the locality-violation
     scaling check.  Energies less than 1e-6 relative from the previous sorted one are dropped.
+    Each reachable branch is certified in closed form (``_certify``); Newton refines only
+    the branches the certificate leaves undecided, and the certified ones whose error
+    could change the dedupe.
     """
     box = census_box(N, C_box)
-    hits, uncertified, branches = [], [], 0
-    # map holds no ladder while it refines the next, as a for-loop variable would
-    for hit, records, size in map(partial(_tally, box=box),
-                                  _ladders(N, _box_window(N, box), FAMILIES, box)):
-        hits.append(hit)
-        uncertified += records
-        branches += size
-    E = np.sort_complex(np.concatenate(hits))
-    gap = np.abs(np.diff(E, prepend=np.inf))
-    count = int(np.count_nonzero(gap >= 1e-6 * np.maximum(1.0, np.abs(E))))
-    ratio = count * math.log(N) / (N * N)
-    return CensusResult(N=N, count=count, ratio=ratio, box=box, certified=not uncertified,
-                        uncertified=tuple(sorted(uncertified, key=lambda r: r[:3])), branches=branches)
+    certified, newton, branches = [], [], 0
+    # map holds no ladder while it certifies the next, as a for-loop variable would
+    for cert, refined, reachable in map(partial(_census_ladder, N=N, box=box),
+                                        _ladders(N, _box_window(N, box), FAMILIES)):
+        certified.append(cert)
+        newton.append(refined)
+        branches += reachable
+    while True:
+        bounds = np.cumsum([0] + [cert[4].size for cert in certified])
+        E = np.concatenate([cert[4] for cert in certified] + [hit for hit, _, _ in newton])
+        err = np.zeros(E.size)
+        err[:bounds[-1]] = np.concatenate([cert[5] for cert in certified])
+        count, doubt = _distinct(E, err)
+        doubt = doubt[doubt < bounds[-1]]
+        if not doubt.size:
+            break
+        for j, (parity, sign, ns, seed, E_c, err_c) in enumerate(certified):
+            pick = np.isin(np.arange(bounds[j], bounds[j + 1]), doubt)
+            newton.append(_newton(N, box, parity, sign, ns[pick], seed[pick]))
+            certified[j] = (parity, sign, ns[~pick], seed[~pick], E_c[~pick], err_c[~pick])
+    uncertified = sorted((r for _, records, _ in newton for r in records), key=lambda r: r[:3])
+    return CensusResult(N=N, count=count, ratio=count * math.log(N) / (N * N), box=box,
+                        certified=not uncertified, uncertified=tuple(uncertified),
+                        branches=branches, refined=sum(size for _, _, size in newton))

@@ -35,11 +35,16 @@ def _check_parity(parity: str) -> str:
     return parity
 
 
-def _check_sector(zeta: complex, aperture: float = SECTOR_APERTURE) -> complex:
-    """``zeta`` as a complex number, or ValueError unless it lies in the sector
-    0 < Im zeta <= aperture * Re zeta, for an aperture > 0 (NaN would pass every zeta)."""
+def _check_aperture(aperture: float) -> None:
+    """ValueError unless the sector aperture is > 0 (NaN would pass every zeta)."""
     if not aperture > 0:
         raise ValueError(f"sector aperture must be > 0, got {aperture!r}")
+
+
+def _check_sector(zeta: complex, aperture: float = SECTOR_APERTURE) -> complex:
+    """``zeta`` as a complex number, or ValueError unless it lies in the sector
+    0 < Im zeta <= aperture * Re zeta, for an aperture > 0."""
+    _check_aperture(aperture)
     zeta = complex(zeta)
     if not zeta.imag > 0:
         raise ValueError(f"Im zeta > 0 required, got {zeta!r}")

@@ -318,6 +318,18 @@ class TestSparseCommand:
                 else "sector aperture must be > 0") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--eps0=nan", "--eps0=-1"])
+    def test_aperture_out_of_range_exit_1_on_no_targets(self, tmp_path, capsys, option):
+        # with no target to check it against, each exited 0: "empty target list; report written"
+        path = tmp_path / "none.json"
+        path.write_text(json.dumps({"zetas": []}))
+        out = tmp_path / "o"
+        assert run(["sparse", "--targets", str(path), option, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "sector aperture must be > 0" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", [
         {"q": 2.0},                           # no "zetas": KeyError
         {"zetas": [[1.0, 0.08], [1.3]]},      # a one-number entry: IndexError

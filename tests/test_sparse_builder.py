@@ -72,6 +72,9 @@ class TestTargetSequence:
                 _check_sector(zeta, aperture)
             with pytest.raises(ValueError, match="sector aperture must be > 0"):
                 TargetSequence((zeta,), sector_aperture=aperture)
+        # with no target the aperture was never checked
+        with pytest.raises(ValueError, match="sector aperture must be > 0"):
+            TargetSequence((), sector_aperture=aperture)
         assert _check_sector(1 + 0.5j, math.inf) == 1 + 0.5j
 
     def test_sector_is_shared_with_the_bump(self):

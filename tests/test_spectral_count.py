@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -863,6 +865,94 @@ class TestEnumerate:
             assert cmath.isfinite(r.energy)
 
 
+def _newton_recount(cen):
+    """The census from its Newton records alone: the converged physical energies in the box,
+    each counted unless it lies within 1e-6 relative of the previous one in sorted order,
+    and whether every branch that could reach the box converged."""
+    count, last = 0, None
+    for e in sorted((r.energy for r in cen.results
+                     if r.converged and r.on_physical_sheet and cen.box.contains(r.energy)),
+                    key=lambda e: (e.real, e.imag)):
+        count += last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e))
+        last = e
+    reach = spectral_count._reachable(cen.box, np.array([r.kappa_seed for r in cen.results]), cen.N)
+    return count, all(r.converged for r, ok in zip(cen.results, reach) if ok)
+
+
+def _certified_disks(N, C_box=10.0):
+    """(parity, sign, n, seed, rho) of each reachable branch whose disk the certificate holds."""
+    box, disks = census_box(N, C_box), []
+    for parity, sign, ns, seed in spectral_count._ladders(N, _box_window(N, box), FAMILIES):
+        keep = spectral_count._reachable(box, seed, N)
+        rho, ok = spectral_count._certify(N, seed[keep], parity, sign)[:2]
+        disks += [(parity, sign, n, k, r) for n, k, r in zip(
+            ns[keep][ok].tolist(), seed[keep][ok].tolist(), rho[ok].tolist())]
+    return disks
+
+
+class TestCensusCertificate:
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_each_disk_winds_once_around_the_newton_zero(self, N):
+        # the argument principle on a seeded sample of certificate disks: the parity
+        # secular i + kappa^2 csc^2(kappa N) (odd) or sec^2 (even) in kappa has one zero
+        # there, and Newton from the seed finds it.  The contour is walked in t = kappa - seed
+        # and the secular taken at 30 digits: a disk of radius 1e-6 around kappa = 40 has
+        # nodes rounded by 1e-9 of its radius, which keeps the contour from settling
+        def secular(t, seed, trig):
+            with mpmath.workdps(30):
+                k = mpmath.mpc(seed) + mpmath.mpc(t)
+                return complex(1j + k * k / trig(k * N) ** 2)
+
+        disks = _certified_disks(N)
+        records = {r[:3]: r for r in imag_step_census(N, 10.0).results}
+        for i in np.random.default_rng(N).choice(len(disks), 16, replace=False).tolist():
+            parity, sign, n, seed, rho = disks[i]
+            trig = mpmath.sin if parity == "odd" else mpmath.cos
+            assert winding_count(partial(secular, seed=seed, trig=trig), Region.disk(0, rho)) == 1
+            newton = records[n, parity, sign]
+            assert newton.converged
+            # Newton reports the zero with Im kappa >= 0; the secular is even in kappa
+            assert min(abs(newton.kappa_refined - seed), abs(newton.kappa_refined + seed)) <= rho
+
+    def test_doubted_energies_go_to_newton(self, monkeypatch):
+        # no census here leaves a pair in doubt, so doubt every other certified energy once:
+        # Newton refines those branches, and the count and its certificate stand
+        certified = imag_step_census(32, 10.0)
+        distinct, doubted = spectral_count._distinct, []
+
+        def doubting(E, err):
+            count, doubt = distinct(E, err)
+            if not doubted:
+                doubted.append(doubt := np.flatnonzero(err > 0.0)[::2])
+            return count, doubt
+
+        monkeypatch.setattr(spectral_count, "_distinct", doubting)
+        cen = imag_step_census(32, 10.0)
+        assert (cen.count, cen.certified) == (certified.count, certified.certified)
+        assert cen.refined == certified.refined + doubted[0].size > certified.refined
+
+    @pytest.mark.parametrize("N, C_box", [(16, 10.0), (32, 100.0)])
+    def test_moved_seeds_go_to_newton(self, monkeypatch, N, C_box):
+        # a quarter of the ladder spacing 2 pi/N puts a seed midway between a zero of its
+        # own factor and one of the other sign's: no disk is certified, Newton counts all
+        seed = spectral_count.imag_step_seed
+        monkeypatch.setattr(spectral_count, "imag_step_seed",
+                            lambda N, n, sign=1: seed(N, n, sign) + 0.5 * math.pi / N)
+        cen = imag_step_census(N, C_box)
+        assert cen.refined == cen.branches > 0
+        assert (cen.count, cen.certified) == _newton_recount(cen)
+
+    @pytest.mark.parametrize("N, C_box", [(16, 10.0), (32, 100.0)])
+    def test_radius_below_the_bound_goes_to_newton(self, monkeypatch, N, C_box):
+        # no disk narrower than the Newton step |H/H'| can pass Rouche against H's linear part
+        certified = imag_step_census(N, C_box)
+        monkeypatch.setattr(spectral_count, "_CERT_STEPS", 0.9)
+        cen = imag_step_census(N, C_box)
+        assert cen.refined == cen.branches == certified.branches
+        assert (cen.count, cen.certified) == _newton_recount(cen)
+        assert (cen.count, cen.certified) == (certified.count, certified.certified)
+
+
 class TestCensus:
     def test_counts_increase_and_ratio_band(self):
         results = [imag_step_census(N, 10.0) for N in (16, 32, 64)]
@@ -892,24 +982,27 @@ class TestCensus:
             assert 4.0 * math.pi * 1.2 < ratio < 4.0 * math.pi * 2.5
 
     def test_pinned_counts_and_certificate(self):
-        # the census CSV of the benchmark ladder and N = 16, and the branches whose
-        # hop disk can reach the box; every one of them converges
-        for N, count, branches in ((16, 18, 261), (32, 60, 774), (64, 198, 2443),
-                                   (128, 663, 8049), (192, 1357, 16402), (256, 2265, 27325)):
+        # the census CSV of the benchmark ladder and N = 16, the branches whose hop disk
+        # can reach the box, and the few of them Newton refines, all on a box edge;
+        # every refined branch converges
+        for N, count, branches, refined in (
+                (16, 18, 261, 0), (32, 60, 774, 3), (64, 198, 2443, 1),
+                (128, 663, 8049, 1), (192, 1357, 16402, 1), (256, 2265, 27325, 1)):
             cen = imag_step_census(N, 10.0)
-            assert (cen.count, cen.branches) == (count, branches)
+            assert (cen.count, cen.branches, cen.refined) == (count, branches, refined)
             assert cen.certified and cen.uncertified == ()
             assert not any(cmath.isnan(r.energy) for r in cen.results)
 
     def test_census_512_certified(self):
         cen = imag_step_census(512, 10.0)
-        assert (cen.count, cen.branches) == (7846, 94881)
+        assert (cen.count, cen.branches, cen.refined) == (7846, 94881, 1)
         assert cen.certified
         assert cen.ratio == pytest.approx(0.18671377185081472, rel=1e-15)
 
     def test_census_1024_certified(self):
+        # Newton refined all 335,184 reachable branches before the certificate
         cen = imag_step_census(1024, 10.0)
-        assert (cen.count, cen.branches) == (27524, 335184)
+        assert (cen.count, cen.branches, cen.refined) == (27524, 335184, 2)
         assert cen.certified
         assert cen.ratio == pytest.approx(0.18194373128635344, rel=1e-15)
 
@@ -920,10 +1013,26 @@ class TestCensus:
         e, f = complex(box.re_lo + 1.0, 1.0), complex(box.re_lo + 2.0, 1.0)
         chain = [f, f * (1.0 + 0.6e-6), f * (1.0 + 1.2e-6)]
         hits = iter([[e, chain[0]], [e, chain[2]], [chain[1]], []])
-        monkeypatch.setattr(spectral_count, "_tally",
-                            lambda ladder, box: (np.array(next(hits), dtype=complex), [], 1))
+        none = ("odd", 1, np.zeros(0, dtype=int), np.zeros(0, dtype=complex),
+                np.zeros(0, dtype=complex), np.zeros(0))
+        monkeypatch.setattr(spectral_count, "_census_ladder", lambda ladder, N, box: (
+            none, (np.array(next(hits), dtype=complex), [], 1), 1))
         cen = imag_step_census(8, 10.0)
-        assert (cen.count, cen.branches) == (2, 4)
+        assert (cen.count, cen.branches, cen.refined) == (2, 4, 4)
+
+    def test_dedupe_doubts_pairs_that_errors_could_change(self):
+        distinct, a = spectral_count._distinct, 1000.0 + 1j
+        # 1e-3 apart, a pair lies 1.5e-9 below its threshold 1e-6*|a + 1e-3|
+        pair = np.array([a, a + 1e-3])
+        assert distinct(pair, np.zeros(2))[0] == 1 and distinct(pair, np.zeros(2))[1].size == 0
+        assert distinct(pair, np.array([0.0, 1e-8]))[1].tolist() == [0, 1]
+        # far apart, but 1e-12 apart in Re E: an error of 1e-9 could swap their order
+        pair = np.array([a + 1e-12 + 1j, a])
+        assert distinct(pair, np.array([1e-9, 0.0]))[1].tolist() == [0, 1]
+        assert distinct(pair, np.array([1e-13, 0.0]))[1].size == 0
+        # well below the threshold, and known well enough to say so
+        count, doubt = distinct(np.array([a, a + 5e-4]), np.array([1e-6, 1e-6]))
+        assert count == 1 and doubt.size == 0
 
     @pytest.mark.parametrize("N", [16, 64])
     def test_results_are_the_enumeration(self, N):
@@ -957,13 +1066,7 @@ class TestCensus:
         reach = spectral_count._reachable(cen.box, np.array([r.kappa_seed for r in full]), N)
         counted = [r for r in full
                    if r.converged and r.on_physical_sheet and cen.box.contains(r.energy)]
-        # the dedupe rule as a loop: an energy counts unless it lies within 1e-6
-        # relative of the previous one in sorted order
-        count, last = 0, None
-        for e in sorted((r.energy for r in counted), key=lambda e: (e.real, e.imag)):
-            count += last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e))
-            last = e
-        assert cen.count == count
+        assert (cen.count, cen.certified) == _newton_recount(cen)
         # a branch that converges stays in its hop disk, so its energy in the box
         # means its seed passes the predicate
         assert all(ok for r, ok in zip(full, reach) if r in counted)
@@ -977,19 +1080,19 @@ class TestCensus:
             dx = max(cen.box.re_lo - e_s.real, 0.0, e_s.real - cen.box.re_hi)
             dy = max(cen.box.im_lo - e_s.imag, 0.0, e_s.imag - cen.box.im_hi)
             assert ok or math.hypot(dx, dy) > disk
-        # each refined branch refines as it does in the full window, bit for bit
-        # (repr tells every two distinct floats apart)
-        by_key = {r[:3]: repr(r) for r in full}
-        window = _box_window(N, census_box(N, C_box))
-        refined = [r for ladder in spectral_count._ladders(N, window, FAMILIES, cen.box)
-                   for r in spectral_count._records(ladder, slice(None))]
-        assert sorted(r[:3] for r in refined) == [r[:3] for r, ok in zip(full, reach) if ok]
-        assert all(repr(r) == by_key[r[:3]] for r in refined)
-        assert len(refined) == cen.branches
-        # the uncertified records are exactly the reachable ones that did not converge
-        assert list(map(repr, cen.uncertified)) == [
-            repr(r) for r, ok in zip(full, reach) if ok and not r.converged]
+        # the branches Newton refines are reachable ones, and refine as they do in the full
+        # window, bit for bit (repr tells every two distinct floats apart): the uncertified
+        # records are reachable branches that do not converge
+        assert cen.branches == np.count_nonzero(reach) and cen.refined <= cen.branches
+        unconverged = {repr(r) for r, ok in zip(full, reach) if ok and not r.converged}
+        assert set(map(repr, cen.uncertified)) <= unconverged
         assert cen.certified == (not cen.uncertified)
+
+    @pytest.mark.parametrize("C_box", [1.5, 10.0, 100.0])
+    @pytest.mark.parametrize("N", [8, 9, 16, 32, 64, 128, 192, 256])
+    def test_certified_count_is_the_newton_recount(self, N, C_box):
+        cen = imag_step_census(N, C_box)
+        assert (cen.count, cen.certified) == _newton_recount(cen)
 
     def test_certificate_names_branches_near_the_box(self):
         # C_box = 100 stretches the box to Re E > 0.33, Im E > 0.01, where the
