@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContourError, SchemaError, StepSpectraError
 from .schrodinger_1d import PiecewisePotential, make_secular_handle, reconstruct_eigenfunction
-from .spectral_count import Region, imag_step_census, locate_zeros
+from .spectral_count import Region, census_box, imag_step_census, locate_zeros
 from .step_model import SECTOR_APERTURE, bump_norm_lq, construct_bump, davies_nath
 from .special_functions import _dist_to_ray, sqrt_upper
 
@@ -186,20 +186,15 @@ def cmd_spectrum(args) -> int:
 
 def cmd_imag_step(args) -> int:
     n_values = [int(v) for v in args.N.split(",")]
-    for n in n_values:
-        if n < 8:
-            raise _UsageError(f"imag-step requires N >= 8, got {n}")
-    rows = []
-    all_points = []
-    all_colors = []
+    for n in n_values:  # every N and --c-box, before any output
+        census_box(n, args.c_box)
+    rows, points, colors = [], [], []
     for n in n_values:
         cen = imag_step_census(n, args.c_box)
         rows.append(cen.table_row())
-        if args.svg:
-            for r in cen.results:
-                if r.converged and abs(r.energy) > 0:
-                    all_points.append(r.energy)
-                    all_colors.append("#d62728" if r.on_physical_sheet else "#aaaaaa")
+        if args.svg:  # red: the counted energies; grey: unconverged, could lie in the box
+            points += [*cen.energies, *(r.energy for r in cen.uncertified)]
+            colors += ["#d62728"] * cen.count + ["#aaaaaa"] * len(cen.uncertified)
         print(f"N={n}: count={cen.count} ratio={_fmt(cen.ratio)}")
         if not cen.certified:
             print(f"N={n}: {len(cen.uncertified)} unconverged branch(es) could lie in the box; "
@@ -208,7 +203,7 @@ def cmd_imag_step(args) -> int:
     if args.svg:
         from . import _svg
         box = (cen.box.re_lo, cen.box.re_hi, cen.box.im_lo, cen.box.im_hi)
-        _write(args.svg, _svg.scatter_svg(all_points, all_colors, box, title="imag-step census"))
+        _write(args.svg, _svg.scatter_svg(points, colors, box, title="imag-step census"))
     return EXIT_OK
 
 
@@ -271,8 +266,6 @@ def cmd_sparse(args) -> int:
 def cmd_envelopes(args) -> int:
     from .sparse_builder import EnvelopeParams, M_pq, M_pq_L, h_L, kappa_tilde, omega_q, s_of_L_z, sep
     z = parse_complex(args.z)
-    if z.imag == 0 and z.real >= 0:
-        raise _UsageError("z must avoid [0, inf)")
     params = EnvelopeParams(
         d=args.d, q=args.q, p=args.p, alpha=args.alpha, gamma=args.gamma
     )
@@ -295,7 +288,7 @@ def cmd_check(args) -> int:
     pot, report = _located(args)
     eigs = [z.location for z in report.zeros]
     rows = [(r.eigenvalue.real, r.eigenvalue.imag, r.lhs, r.rhs, r.ratio, int(r.flagged))
-            for r in magnitude_check(eigs, pot, q=args.q, d=1, ceiling=args.ceiling)]
+            for r in magnitude_check(eigs, pot, q=args.q, ceiling=args.ceiling)]
     _emit(args.out, _csv(("re", "im", "lhs", "rhs", "ratio", "flagged"), rows))
     return EXIT_OK
 

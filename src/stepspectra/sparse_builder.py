@@ -300,8 +300,6 @@ def M_pq(z: complex, params: EnvelopeParams, vnorm: float = 1.0) -> float:
     """Resolvent-envelope exponent (<z>/|Im z|)(<z>/|z|)^(5p(q_d/q-1)_- + 8) <omega>^p,
     inf where it leaves float range or Im z = 0."""
     z = complex(z)
-    if z.imag == 0 and z.real >= 0:
-        raise ValueError("M_pq is undefined on [0, inf)")
     br_z = _bracket(abs(z))
     expo = 5.0 * params.p * _neg_part(params.q_d / params.q - 1.0) + 8.0
     omega = omega_q(z, params.d, params.q) * vnorm
@@ -614,14 +612,13 @@ class MagnitudeRow:
     flagged: bool
 
 
-def magnitude_check(eigs, pot: PiecewisePotential, q: float, d: int,
-                    ceiling: float | None = None):
-    """Per-eigenvalue magnitude-bound ratios for separating potentials.
+def magnitude_check(eigs, pot: PiecewisePotential, q: float, ceiling: float | None = None):
+    """Per-eigenvalue magnitude-bound ratios for separating potentials on the line.
 
-    The bound is omega_q(z, d, q)^(-q) <= C sup_j ||V_j||_q^q, with V_j the pieces
-    of ``pot`` and a finite q >= 1: the left side is |z|^(q - d/2) for q <= (d+1)/2
-    and |z|^(1/2) d(z, R+)^(q - (d+1)/2) above, the right side the largest
-    |v|^q * (b - a) of a piece.  Rows whose ratio exceeds the ceiling are flagged.
+    The pieces V_j of ``pot`` are intervals, so d = 1: the bound is
+    omega_q(z, 1, q)^(-q) <= C sup_j ||V_j||_q^q for a finite q >= 1, the left side
+    |z|^(1/2) d(z, R+)^(q - 1) and the right side the largest |v|^q * (b - a) of a piece.
+    Rows whose ratio exceeds the ceiling are flagged.
     """
     if not 1.0 <= q < math.inf:
         raise ValueError(f"q must be finite and >= 1, got {q}")
@@ -637,7 +634,7 @@ def magnitude_check(eigs, pot: PiecewisePotential, q: float, d: int,
     rhs = exp(log_rhs)
     rows = []
     for z in map(complex, eigs):
-        log_lhs = -q * math.log(omega_q(z, d, q))
+        log_lhs = -q * math.log(omega_q(z, 1, q))
         ratio = exp(log_lhs - log_rhs)
         rows.append(MagnitudeRow(eigenvalue=z, lhs=exp(log_lhs), rhs=rhs, ratio=ratio,
                                  flagged=(ceiling is not None and ratio > ceiling)))

@@ -25,8 +25,9 @@ W_n(conj z) = conj W_-n(z).  Of the branches whose hop disk can reach the box, e
 is certified in closed form: one zero in a disk around its seed, and the disk's box and
 sheet.  Newton, with a per-branch stop, refines only those the certificate leaves
 undecided (at N = 32..256, 7 of 54,993, all on a box edge) or whose error could change
-the dedupe.  Each ladder is folded into the counts before the next;
-CensusResult.results refines the full window by Newton on first read.
+the dedupe.  Each ladder is folded into the counts before the next; the result keeps
+the counted energies and their error radii.  CensusResult.results and enumerate_imag_step,
+Newton on the full window, are the independent oracle that no package code reads.
 """
 
 from __future__ import annotations
@@ -240,11 +241,11 @@ class _Contour:
         self.stats = stats
         self.c = region.center
         self.h = 0.5 * region.diameter
-        # the four edges and their eight halves in one call of f (the edges alone if
-        # the halves would pass the point bound), then the unsettled panels halved a
-        # level at a time
-        built = self._build(*(x[:12 if stats.evaluations + 192 <= _MAX_POINTS else 4]
-                              for x in _ROOTS))
+        # the four edges and their eight halves in one call of f, then the unsettled
+        # panels halved a level at a time
+        if stats.evaluations + 192 > _MAX_POINTS:  # no |f| yet at the first panel
+            raise self._error(f"f did not settle within {_MAX_POINTS} points", 0, 0.5, math.nan)
+        built = self._build(*_ROOTS)
         level, halves = built[:4], built[4:]
         leaves = []
         while level:
@@ -701,7 +702,10 @@ class CensusResult:
     that Newton refined, where the certificate left the zero, the box or the sheet
     undecided, or the dedupe.  ``uncertified`` lists the refined branches that did not
     converge, each of which could have been counted; ``certified`` says it is empty.
-    ``results``, every branch of the full window as a Newton record, refines on first read."""
+    ``energies`` are the counted energies in the dedupe's sorted order, each its certificate
+    disk's centre (within ``radii``) or Newton's energy (radius 0).  ``results``, every branch
+    of the full window as a Newton record, refines on first read: an independent oracle
+    for tests and benchmarks, which no package code reads."""
 
     N: int
     count: int
@@ -711,6 +715,8 @@ class CensusResult:
     uncertified: tuple
     branches: int
     refined: int
+    energies: tuple
+    radii: tuple
 
     @cached_property
     def results(self) -> tuple:
@@ -764,8 +770,8 @@ def _newton(N: int, box: Region, parity: str, sign: int, ns, seed):
 
 def _distinct(E, err):
     """The energies at least 1e-6 relative from the previous one in sorted order, each
-    known to within ``err``: their number, and the positions whose error could change it,
-    in a pair near that threshold or of uncertain order."""
+    known to within ``err``: their positions in that order, and the positions whose error
+    could change them, in a pair near that threshold or of uncertain order."""
     order = np.lexsort((E.imag, E.real))
     E, err = E[order], err[order]
     gap = np.abs(np.diff(E, prepend=np.inf))
@@ -773,7 +779,7 @@ def _distinct(E, err):
     width = (1.0 + 1e-6) * (err[1:] + err[:-1])
     near = (width > 0.0) & ((np.abs(gap[1:] - least[1:]) <= width)
                             | (E.real[1:] - E.real[:-1] <= width))
-    return int(np.count_nonzero(gap >= least)), np.union1d(order[1:][near], order[:-1][near])
+    return order[gap >= least], np.union1d(order[1:][near], order[:-1][near])
 
 
 def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
@@ -798,7 +804,7 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
         E = np.concatenate([cert[4] for cert in certified] + [hit for hit, _, _ in newton])
         err = np.zeros(E.size)
         err[:bounds[-1]] = np.concatenate([cert[5] for cert in certified])
-        count, doubt = _distinct(E, err)
+        kept, doubt = _distinct(E, err)
         doubt = doubt[doubt < bounds[-1]]
         if not doubt.size:
             break
@@ -807,6 +813,8 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
             newton.append(_newton(N, box, parity, sign, ns[pick], seed[pick]))
             certified[j] = (parity, sign, ns[~pick], seed[~pick], E_c[~pick], err_c[~pick])
     uncertified = sorted((r for _, records, _ in newton for r in records), key=lambda r: r[:3])
+    count = kept.size
     return CensusResult(N=N, count=count, ratio=count * math.log(N) / (N * N), box=box,
                         certified=not uncertified, uncertified=tuple(uncertified),
-                        branches=branches, refined=sum(size for _, _, size in newton))
+                        branches=branches, refined=sum(size for _, _, size in newton),
+                        energies=tuple(E[kept].tolist()), radii=tuple(err[kept].tolist()))

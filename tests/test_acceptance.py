@@ -302,9 +302,9 @@ def test_criterion_10_scaling_covariance():
             ):
                 assert abs(z_scaled - lam * lam * z_base) < 1e-9 * max(1.0, abs(z_scaled))
             for q in (1.0, 2.0):
-                rows_base = magnitude_check(base_eigs, base, q=q, d=1)
+                rows_base = magnitude_check(base_eigs, base, q=q)
                 rows_scaled = magnitude_check(
-                    [lam * lam * z for z in base_eigs], scaled, q=q, d=1
+                    [lam * lam * z for z in base_eigs], scaled, q=q
                 )
                 for r0, r1 in zip(rows_base, rows_scaled):
                     assert r1.ratio == pytest.approx(r0.ratio, rel=1e-9)

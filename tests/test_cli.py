@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from stepspectra import _svg, spectral_count
 from stepspectra.cli import _json, main, parse_complex
 from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
 from stepspectra.step_model import StepBump
@@ -220,6 +221,23 @@ class TestImagStepCommand:
         assert counts[0] < counts[1]
         assert svg.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("N, c_box, grey", [("8,16,32", "10", 0), ("8", "50", 4)])
+    def test_svg_draws_what_the_census_decided(self, monkeypatch, tmp_path, N, c_box, grey):
+        # red: one circle per counted energy; grey: the unconverged branches that could
+        # lie in the box.  The full-window Newton records are never read
+        def full_window(*args):
+            raise AssertionError("the full window was refined")
+
+        monkeypatch.setattr(spectral_count.CensusResult, "results", property(full_window))
+        monkeypatch.setattr(spectral_count, "enumerate_imag_step", full_window)
+        out, svg = tmp_path / "census.csv", tmp_path / "census.svg"
+        assert run(["imag-step", "--N", N, "--c-box", c_box, "--out", str(out),
+                    "--svg", str(svg)]) == 0
+        counts = [int(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        text = svg.read_text()
+        assert text.count("<circle") == sum(counts) + grey
+        assert (text.count('fill="#d62728"'), text.count('fill="#aaaaaa"')) == (sum(counts), grey)
+
     def test_unconverged_counts_on_stderr(self, capsys):
         # every branch that could converge into the benchmark ladder's boxes does:
         # no line on stderr
@@ -246,6 +264,13 @@ class TestImagStepCommand:
         for out in (a, b):
             assert run(["imag-step", "--N", "8", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("x_range, y_range", [((0.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.0)),
+                                              ((0.0, math.nan), (0.0, 1.0))])
+def test_svg_canvas_refuses_a_degenerate_range(x_range, y_range):
+    with pytest.raises(ValueError, match="degenerate axis range"):
+        _svg.Canvas(x_range, y_range)
 
 
 class TestSparseCommand:

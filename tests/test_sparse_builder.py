@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stepspectra.errors import NonSummableError
+from stepspectra.errors import NonSummableError, UnsupportedDomainError
 from stepspectra.schrodinger_1d import PiecewisePotential
 from stepspectra.sparse_builder import (
     DESK_DELTA_FLOOR,
@@ -325,7 +325,7 @@ class TestMagnitude:
     def test_real_well_reduces_to_classical(self):
         # genuinely real negative eigenvalue: d(z, R+) = |z|, so the bound
         # collapses to |z|^{1/2 + q - q_d} (= 4^{3/2} here)
-        rows = magnitude_check([-4.0 + 0j], PiecewisePotential([(0.0, 1.0, 2.0)]), q=2.0, d=1)
+        rows = magnitude_check([-4.0 + 0j], PiecewisePotential([(0.0, 1.0, 2.0)]), q=2.0)
         assert rows[0].lhs == pytest.approx(8.0)
         assert rows[0].rhs == pytest.approx(4.0)  # the one piece's L^2 norm 2, squared
 
@@ -339,8 +339,8 @@ class TestMagnitude:
             eigs = [complex(-0.3, 0.2), complex(-1.2, -0.1)]
             eigs_scaled = [lam * lam * z for z in eigs]
             for q in (1.0, 2.0):
-                base = magnitude_check(eigs, pot, q=q, d=1)
-                scl = magnitude_check(eigs_scaled, scaled, q=q, d=1)
+                base = magnitude_check(eigs, pot, q=q)
+                scl = magnitude_check(eigs_scaled, scaled, q=q)
                 for r0, r1 in zip(base, scl):
                     assert r1.ratio == pytest.approx(r0.ratio, rel=1e-9)
 
@@ -353,14 +353,14 @@ class TestMagnitude:
             zeta = 1 + eps * 1j
             rep = construct_bump(zeta)
             pot = PiecewisePotential.from_bumps([rep.bump])
-            rows = magnitude_check([zeta], pot, q=2.0, d=1)
+            rows = magnitude_check([zeta], pot, q=2.0)
             assert rows[0].rhs == pytest.approx(bump_norm_lq(rep.bump, 2.0) ** 2, rel=1e-14)
             predicted = eps * math.log(1.0 / eps) ** 2
             vals.append(rows[0].ratio / predicted)
         assert max(vals) / min(vals) < 4.0
 
     def test_ceiling_flag(self):
-        rows = magnitude_check([1e6 + 1j], PiecewisePotential([(0.0, 1.0, 0.1)]), q=2.0, d=1,
+        rows = magnitude_check([1e6 + 1j], PiecewisePotential([(0.0, 1.0, 0.1)]), q=2.0,
                                ceiling=1.0)
         assert rows[0].flagged
 
@@ -368,7 +368,7 @@ class TestMagnitude:
     def test_rejects_q_outside_finite_q_at_least_1(self, q):
         # q = inf and nan gave nan ratios that no ceiling flags; q < 1 is no norm
         with pytest.raises(ValueError, match="q must be finite and >= 1"):
-            magnitude_check([-1.0 + 0j], PiecewisePotential([(0.0, 1.0, 2.0)]), q=q, d=1)
+            magnitude_check([-1.0 + 0j], PiecewisePotential([(0.0, 1.0, 2.0)]), q=q)
 
     @pytest.mark.parametrize("v, q, lhs, rhs, ratio", [
         # 4^2999.5 and 2^2000 raised OverflowError, and a right side that
@@ -379,11 +379,52 @@ class TestMagnitude:
         (4.0, 2000.0, math.inf, math.inf, 0.5),
     ])
     def test_sides_beyond_float_range(self, v, q, lhs, rhs, ratio):
-        row, = magnitude_check([-4.0 + 0j], PiecewisePotential([(0.0, 1.0, v)]), q=q, d=1)
+        row, = magnitude_check([-4.0 + 0j], PiecewisePotential([(0.0, 1.0, v)]), q=q)
         assert (row.lhs, row.rhs) == (lhs, rhs)
         assert row.ratio == pytest.approx(ratio, rel=1e-9)
 
     def test_zero_potential_rejected(self):
         # the right side 0 raised ZeroDivisionError
         with pytest.raises(ValueError, match="no nonzero piece"):
-            magnitude_check([-4.0 + 0j], PiecewisePotential([(0.0, 1.0, 0.0)]), q=2.0, d=1)
+            magnitude_check([-4.0 + 0j], PiecewisePotential([(0.0, 1.0, 0.0)]), q=2.0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: EnvelopeParams(d=0), ValueError, "dimension must be >= 1"),
+        (lambda: EnvelopeParams(alpha=0.0), ValueError, "alpha must be positive"),
+        (lambda: EnvelopeParams(gamma=-1.0), ValueError, "gamma must be positive"),
+        (lambda: EnvelopeParams(big_o_constant=math.nan), ValueError, "big_o_constant must"),
+        (lambda: EnvelopeParams(C_L=0.0), ValueError, "C_L must be positive"),
+        (lambda: SeparationSequence(values=[1.0], rule=float), ValueError, "exactly one of"),
+        (lambda: SeparationSequence(), ValueError, "exactly one of values or rule"),
+        (lambda: SeparationSequence(values=[1.0], eta0=0.0), ValueError, "eta0 must be positive"),
+        (lambda: SeparationSequence(values=[1.0, 0.0]), ValueError, "must be positive"),
+        (lambda: SeparationSequence(values=[2.0, 1.0]), ValueError, "nondecreasing"),
+        (lambda: SeparationSequence(values=[1.0, 2.0]).L(0), IndexError, "1-based"),
+        (lambda: SeparationSequence(values=[1.0, 2.0]).L(3), IndexError, "beyond the 2 stored"),
+        (lambda: sep(LINEAR, 0.0), ValueError, "eta must be positive"),
+        (lambda: h_L(LINEAR, -1.0), ValueError, "s must be positive"),
+        (lambda: strong_separation_check(GEOMETRIC, [], [0.1]), ValueError, "nonempty"),
+        (lambda: strong_separation_check(GEOMETRIC, [0.5], []), ValueError, "nonempty"),
+        (lambda: strong_separation_check(GEOMETRIC, [1.0], [0.1, 0.01]), ValueError, "lambda grid"),
+        (lambda: strong_separation_check(GEOMETRIC, [0.5], [0.01, 0.1]), ValueError, "descending"),
+        (lambda: s_of_L_z(GEOMETRIC, 2.0, 1), ValueError, "must be positive"),
+        (lambda: choose_L(ACCEPT_TARGETS, ACCEPT_PARAMS, mode="fast"), ValueError, "'desk' or"),
+    ], ids=["d-0", "alpha-0", "gamma-negative", "big-o-nan", "C_L-0", "values-and-rule",
+            "neither", "eta0-0", "value-0", "values-decrease", "L-index-0", "L-past-stored",
+            "sep-eta-0", "h_L-s-negative", "empty-lambda-grid", "empty-s-grid",
+            "lambda-1", "s-grid-ascends", "z-on-ray", "mode"])
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_stored_values_are_the_gaps(self):
+        L = SeparationSequence(values=[1.0, 2.0, 2.0])
+        assert [L.L(k) for k in (1, 2, 3)] == [1.0, 2.0, 2.0]
+
+    def test_failed_bump_names_its_target(self):
+        # Im zeta = 1e-320 puts the bump's half-width log(1/eps)/(2 eps) beyond float range
+        targets = TargetSequence((1 + 0.1j, 1 + 1e-320j))
+        with pytest.raises(UnsupportedDomainError, match=r"failed at target 2 \(\(1\+1e-320j\)\)"):
+            assemble_sparse(targets, ACCEPT_PARAMS, [10.0])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import stepspectra
+from stepbench import checks as bench_checks
 from stepspectra import special_functions, spectral_count, step_model
 from stepspectra.errors import ContourError
 from stepspectra.schrodinger_1d import PiecewisePotential, make_secular_handle
@@ -525,6 +526,16 @@ class TestLocateZeros:
             locate_zeros(f, Region.disk(0, 1))
         assert seen[0] <= spectral_count._MAX_POINTS
 
+    @pytest.mark.parametrize("left", [1, 64, 191])
+    def test_first_call_past_the_point_bound_evaluates_nothing(self, left):
+        # the four edges and their halves take 192 points: with fewer left the contour
+        # fails before it calls f, so no call passes the bound
+        stats = SolverStats(evaluations=spectral_count._MAX_POINTS - left)
+        with pytest.raises(ContourError, match="f did not settle within") as err:
+            _Contour(_counted(lambda z: z - 0.1, stats), Region.disk(0, 1), stats)
+        assert math.isnan(err.value.modulus)  # no |f| yet
+        assert (stats.evaluations, stats.calls) == (spectral_count._MAX_POINTS - left, 0)
+
     def test_child_contour_past_the_point_bound_is_a_failed_split(self, monkeypatch):
         # f is noisy only within 0.3 of 0: the outer contour settles, the polish
         # of the zero at 0.05 does not, and neither do the split's inner edges
@@ -837,6 +848,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_imag_step(4, (-10, -1))
 
+    @pytest.mark.parametrize("window", [(5, 4), (-1, -2)])
+    def test_empty_window_rejected(self, window):
+        with pytest.raises(ValueError, match="empty n window"):
+            enumerate_imag_step(16, window)
+
     @pytest.mark.parametrize("N", [16, 64])
     def test_agrees_with_scalar_newton(self, N):
         rows = enumerate_imag_step(N, _box_window(N, census_box(N, 10.0)))
@@ -1024,15 +1040,34 @@ class TestCensus:
         distinct, a = spectral_count._distinct, 1000.0 + 1j
         # 1e-3 apart, a pair lies 1.5e-9 below its threshold 1e-6*|a + 1e-3|
         pair = np.array([a, a + 1e-3])
-        assert distinct(pair, np.zeros(2))[0] == 1 and distinct(pair, np.zeros(2))[1].size == 0
+        assert distinct(pair, np.zeros(2))[0].tolist() == [0]
+        assert distinct(pair, np.zeros(2))[1].size == 0
         assert distinct(pair, np.array([0.0, 1e-8]))[1].tolist() == [0, 1]
         # far apart, but 1e-12 apart in Re E: an error of 1e-9 could swap their order
         pair = np.array([a + 1e-12 + 1j, a])
         assert distinct(pair, np.array([1e-9, 0.0]))[1].tolist() == [0, 1]
         assert distinct(pair, np.array([1e-13, 0.0]))[1].size == 0
         # well below the threshold, and known well enough to say so
-        count, doubt = distinct(np.array([a, a + 5e-4]), np.array([1e-6, 1e-6]))
-        assert count == 1 and doubt.size == 0
+        kept, doubt = distinct(np.array([a + 5e-4, a]), np.array([1e-6, 1e-6]))
+        assert kept.tolist() == [1] and doubt.size == 0
+        # the kept positions in sorted order, by Re E and then Im E
+        kept, doubt = distinct(np.array([a + 1j, a + 2.0, a]), np.zeros(3))
+        assert kept.tolist() == [2, 0, 1] and doubt.size == 0
+
+    @pytest.mark.parametrize("C_box", [1.5, 10.0, 50.0])
+    @pytest.mark.parametrize("N", [8, 16, 64, 256])
+    def test_energies_hold_the_newton_energies(self, N, C_box):
+        # one energy and radius per counted eigenvalue, sorted as the dedupe sorts; each
+        # energy that a Newton recount of the full window counts lies in one energy's disk
+        cen = imag_step_census(N, C_box)
+        assert len(cen.energies) == len(cen.radii) == cen.count
+        assert list(cen.energies) == sorted(cen.energies, key=lambda e: (e.real, e.imag))
+        E, radii = np.array(cen.energies), np.array(cen.radii)
+        assert np.all(radii >= 0.0)
+        newton = bench_checks._counted(cen)
+        assert len(newton) == cen.count
+        for r in newton:
+            assert np.count_nonzero(np.abs(E - r.energy) <= radii + 1e-12 * np.abs(E)) == 1
 
     @pytest.mark.parametrize("N", [16, 64])
     def test_results_are_the_enumeration(self, N):
@@ -1047,7 +1082,8 @@ class TestCensus:
         assert cen.branches == {16: 261, 64: 2443}[N]
 
     def test_census_keeps_no_ladder(self):
-        # each ladder's columns go once counted; they were 824 KB at N = 128
+        # each ladder's columns go once counted; they were 824 KB at N = 128, and the
+        # result's own 663 energies and radii take about 46 KB
         imag_step_census(8, 10.0)  # leave first-call caches outside the trace
         tracemalloc.start()
         try:

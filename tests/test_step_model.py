@@ -549,3 +549,26 @@ class TestSecularEntire:
         # just inside float range the value is still returned
         val = secular_entire(StepBump(-5.0, 1.0), -709.2**2, "odd")
         assert np.isfinite(val.real) and abs(val) > 1e307
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call", [
+        lambda: secular_entire(StepBump(-1.0, 1.0), 1.0 + 1j, "both"),
+        lambda: StepBump(-1.0, 0.0),
+        lambda: StepBump(-1.0, math.inf),
+        lambda: solve_for_v0(1.0 + 0.1j, 0.0, "odd"),
+        lambda: solve_for_v0(1.0 + 0.1j, -1.0, "even"),
+        lambda: radial_secular(-1.0, 0.0, 1.0 + 1j, 2),
+        lambda: radial_secular(-1.0, -1.0, 1.0 + 1j, 3),
+        lambda: radial_secular(-1.0, 1.0, 1.0 + 1j, 4),
+        lambda: davies_nath(StepBump(-1.0, 1.0), 2.0, 0.0),
+        lambda: davies_nath(StepBump(-1.0, 1.0), math.inf, -1.0),
+    ], ids=["parity", "half-width-0", "half-width-inf",
+            "v0-R-0", "v0-R-negative", "radial-R-0", "radial-R-negative", "radial-d-4",
+            "davies-nath-s-0", "davies-nath-s-negative"])
+    def test_refused(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_davies_nath_at_q_inf_is_the_sup_norm(self):
+        assert davies_nath(StepBump(3.0 - 4.0j, 2.0), math.inf, 0.5) == 5.0
