@@ -89,10 +89,11 @@ class Canvas:
         )
 
 
-def scatter_svg(points, colors, box, title="") -> str:
-    """Scatter of complex points in their colours and the dashed box (re_lo, re_hi, im_lo, im_hi)."""
-    xs = [p.real for p in points] + [box[0], box[1]]
-    ys = [p.imag for p in points] + [box[2], box[3]]
+def scatter_svg(points, colors, boxes, title="") -> str:
+    """Scatter of complex points in their colours and one dashed box per
+    (re_lo, re_hi, im_lo, im_hi) in ``boxes``."""
+    xs = [p.real for p in points] + [x for b in boxes for x in b[:2]]
+    ys = [p.imag for p in points] + [y for b in boxes for y in b[2:]]
     pad_x = 0.05 * (max(xs) - min(xs) or 1.0)
     pad_y = 0.05 * (max(ys) - min(ys) or 1.0)
     canvas = Canvas(
@@ -100,7 +101,8 @@ def scatter_svg(points, colors, box, title="") -> str:
         (min(ys) - pad_y, max(ys) + pad_y),
         title=title,
     )
-    canvas.rect(box[0], box[1], box[2], box[3])
+    for box in boxes:
+        canvas.rect(*box)
     for p, color in zip(points, colors):
         canvas.circle(p.real, p.imag, color=color)
     return canvas.render()

@@ -188,13 +188,14 @@ def cmd_imag_step(args) -> int:
     n_values = [int(v) for v in args.N.split(",")]
     for n in n_values:  # every N and --c-box, before any output
         census_box(n, args.c_box)
-    rows, points, colors = [], [], []
+    rows, points, colors, boxes = [], [], [], []
     for n in n_values:
         cen = imag_step_census(n, args.c_box)
         rows.append(cen.table_row())
         if args.svg:  # red: the counted energies; grey: unconverged, could lie in the box
             points += [*cen.energies, *(r.energy for r in cen.uncertified)]
             colors += ["#d62728"] * cen.count + ["#aaaaaa"] * len(cen.uncertified)
+            boxes.append((cen.box.re_lo, cen.box.re_hi, cen.box.im_lo, cen.box.im_hi))
         print(f"N={n}: count={cen.count} ratio={_fmt(cen.ratio)}")
         if not cen.certified:
             print(f"N={n}: {len(cen.uncertified)} unconverged branch(es) could lie in the box; "
@@ -202,8 +203,7 @@ def cmd_imag_step(args) -> int:
     _emit(args.out, _csv(rows[0], (row.values() for row in rows)))
     if args.svg:
         from . import _svg
-        box = (cen.box.re_lo, cen.box.re_hi, cen.box.im_lo, cen.box.im_hi)
-        _write(args.svg, _svg.scatter_svg(points, colors, box, title="imag-step census"))
+        _write(args.svg, _svg.scatter_svg(points, colors, boxes, title="imag-step census"))
     return EXIT_OK
 
 

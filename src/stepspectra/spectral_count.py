@@ -64,9 +64,8 @@ _MAX_REFINE = 28
 _MAX_POINTS = 2**20
 #: a panel's integrals of u^k log f must match its halves' to this, per unit length
 _MOMENT_TOL = 1e-9
-#: a cell below this times the region's scale reports its centre, the winding as
-#: multiplicity
-_MIN_DIAMETER = 1e-8
+#: a cell at most this times the region's scale reports a cluster as one multiple zero
+_MULTIPLE_FLOOR = 1e-5
 #: singular values of H0 below this fraction of the largest count as zero
 _RANK_TOL = 1e-9
 #: least grading scale of a rectangle edge that misses 0, times its length
@@ -423,11 +422,12 @@ def _moment_zeros(f, cell: Region, con: _Contour, stats: SolverStats, floor: flo
             found = _moment_zeros(f, disk, sub, stats, floor) if sub.winding == k else None
         if found is None:
             return None
-        for q in found:
-            if not cell.contains(q.location) or any(
-                    abs(q.location - p.location) <= 1e-8 * con.h for p in zeros):
-                return None
-            zeros.append(q)
+        # a cluster disk's zeros are already distinct at its own scale: judge them
+        # only against the zeros of earlier entries
+        if any(not cell.contains(q.location) or any(
+                abs(q.location - p.location) <= 1e-8 * con.h for p in zeros) for q in found):
+            return None
+        zeros += found
     return zeros
 
 
@@ -453,11 +453,11 @@ _NUDGES = (0.0, 0.13, -0.13, 0.29, -0.29, 0.41)
 def locate_zeros(f, region: Region) -> ZeroReport:
     """Locate and refine all zeros of ``f`` in the region from contour moments.
 
-    A cell whose moments do not give its zeros is split in four (a disk falls back
-    to its bounding box) down to ``_MIN_DIAMETER`` of the region's scale, where the
-    centre is reported with the winding as multiplicity; only a cell at most a
-    thousand times that size (the floor) reports a multiple zero.  A split or box whose
-    contours do not settle, by ``_MAX_POINTS`` points in the call, is retried along
+    Every zero reported is one a Hankel pencil placed.  A cell whose moments do not
+    give its zeros is split in four (a disk falls back to its bounding box); only a
+    cell at most ``_MULTIPLE_FLOOR`` of the region's scale across reports a multiple
+    zero, and a cell that never resolves ends when the call's contours reach
+    ``_MAX_POINTS`` points.  A split or box whose contours do not settle is retried along
     ``_NUDGES`` (shifted midpoints, grown boxes); when every retry fails the report
     is ``complete=False``, never a guess (the region's own contour raises ContourError).
     ``report.stats`` counts the work.
@@ -466,8 +466,7 @@ def locate_zeros(f, region: Region) -> ZeroReport:
     ``vectorized``, it must also map a 1-d complex array to the array of its
     values, each the value at that node alone; a contour's four edges with
     their eight halves are then one call of ``f``, and each further level one."""
-    min_diameter = _MIN_DIAMETER * region.scale
-    floor = 1e3 * min_diameter  # a cell this small may report a multiple zero
+    floor = _MULTIPLE_FLOOR * region.scale
     stats = SolverStats()
     f = _counted(f, stats)
     top = _Contour(f, region, stats)
@@ -479,9 +478,6 @@ def locate_zeros(f, region: Region) -> ZeroReport:
     while stack:
         cell, con = stack.pop()
         wind = con.winding
-        if cell.diameter <= min_diameter:
-            found.append(LocatedZero(con.c, wind, abs(f(con.c))))
-            continue
         zeros = _moment_zeros(f, cell, con, stats, floor)
         if zeros is not None:
             found += zeros

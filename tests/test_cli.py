@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -237,6 +238,19 @@ class TestImagStepCommand:
         text = svg.read_text()
         assert text.count("<circle") == sum(counts) + grey
         assert (text.count('fill="#d62728"'), text.count('fill="#aaaaaa"')) == (sum(counts), grey)
+
+    def test_svg_draws_one_box_per_census(self, tmp_path):
+        # each N's census box, dashed, all inside the plot area (the last N's box alone
+        # was drawn once)
+        out, svg = tmp_path / "census.csv", tmp_path / "census.svg"
+        assert run(["imag-step", "--N", "8,16,32", "--out", str(out), "--svg", str(svg)]) == 0
+        boxes = [[float(b) for b in line.split(",")[3:]] for line in out.read_text().splitlines()[1:]]
+        rects = re.findall(r'<rect x="(\S+)" y="(\S+)" width="(\S+)" height="(\S+)" fill="none"',
+                           svg.read_text())
+        assert len(rects) == len(boxes) == 3 and len({b[0] for b in boxes}) == 3
+        lo, hi = _svg._MARGIN - 1e-3, _svg._WIDTH - _svg._MARGIN + 1e-3
+        for x, y, w, h in (map(float, r) for r in rects):
+            assert lo <= x and x + w <= hi and lo <= y and y + h <= _svg._HEIGHT - lo
 
     def test_unconverged_counts_on_stderr(self, capsys):
         # every branch that could converge into the benchmark ladder's boxes does:

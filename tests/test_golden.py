@@ -8,8 +8,9 @@ rounding level, and moves with any change to the polish, so it is only held
 to ``RESIDUAL_BOUND``, which the stored outputs meet; every other residual is
 compared by value.  SVGs are compared by their element counts.
 
-``python tests/test_golden.py`` rewrites the stored outputs from the current
-tree; do that only for a deliberate change of output.
+``python tests/test_golden.py`` reruns the examples on the current tree and
+rewrites, and prints, only the stored outputs that no longer compare equal; run
+it only for a deliberate change of output.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import shutil
 import tempfile
@@ -187,8 +189,14 @@ def test_golden_residuals_meet_the_bound():
             compare_file(path, path, None)
 
 
-def _regenerate():
-    svgs = {}
+def _regenerate(golden: str = GOLDEN) -> list:
+    """Rerun the examples and rewrite only the stored outputs whose comparison fails,
+    and only the ``svg.json`` entries whose element counts differ; return the paths
+    rewritten."""
+    svg_path = os.path.join(golden, "svg.json")
+    with open(svg_path, encoding="utf-8") as fh:
+        svgs = json.load(fh)
+    rewritten = []
     with tempfile.TemporaryDirectory() as tmp:
         bump = os.path.join(tmp, "bump")
         for name, (_argv, files) in EXAMPLES.items():
@@ -196,19 +204,50 @@ def _regenerate():
             code, text = run_example(name, out, bump)
             if code != 0:
                 raise SystemExit(f"{name} exited {code}")
-            want_dir = os.path.join(GOLDEN, name)
-            os.makedirs(want_dir, exist_ok=True)
-            with open(os.path.join(want_dir, "stdout.txt"), "w", encoding="utf-8") as fh:
+            with open(os.path.join(out, "stdout.txt"), "w", encoding="utf-8") as fh:
                 fh.write(text)
-            for fname in files:
+            want_dir = os.path.join(golden, name)
+            os.makedirs(want_dir, exist_ok=True)
+            for fname in ["stdout.txt"] + files:
+                got, want = os.path.join(out, fname), os.path.join(want_dir, fname)
                 if fname.endswith(".svg"):
-                    svgs[f"{name}/{fname}"] = svg_structure(os.path.join(out, fname))
-                else:
-                    shutil.copy(os.path.join(out, fname), os.path.join(want_dir, fname))
-    with open(os.path.join(GOLDEN, "svg.json"), "w", encoding="utf-8") as fh:
-        json.dump(svgs, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+                    key = f"{name}/{fname}"
+                    if svgs.get(key) != svg_structure(got):
+                        svgs[key] = svg_structure(got)
+                        rewritten.append(f"{svg_path} [{key}]")
+                    continue
+                try:
+                    compare_file(got, want, None)
+                except (AssertionError, ValueError, OSError):
+                    shutil.copy(got, want)
+                    rewritten.append(want)
+    if any(path.startswith(svg_path) for path in rewritten):
+        with open(svg_path, "w", encoding="utf-8") as fh:
+            json.dump(svgs, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return rewritten
+
+
+def _snapshot(root: str) -> dict:
+    return {str(p): p.read_bytes() for p in pathlib.Path(root).rglob("*") if p.is_file()}
+
+
+def test_regenerate_rewrites_only_what_changed(tmp_path):
+    golden = str(tmp_path / "golden")
+    shutil.copytree(GOLDEN, golden)
+    before = _snapshot(golden)
+    assert _regenerate(golden) == [] and _snapshot(golden) == before
+    # the check's ratio, 1e-6 relative off: that file alone is rewritten, to the run's value
+    path = os.path.join(golden, "check", "stdout.txt")
+    text = before[path].decode()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("0.041580912757031983", "0.041580954337944740"))
+    assert _regenerate(golden) == [path]
+    after = _snapshot(golden)
+    assert {p for p in after if after[p] != before[p]} == {path}
+    compare_text(after[path].decode(), text)
 
 
 if __name__ == "__main__":
-    _regenerate()
+    for path in _regenerate():
+        print(path)

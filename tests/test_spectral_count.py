@@ -501,12 +501,48 @@ class TestLocateZeros:
             assert _secant(f, 0.3 + 0j, con, stats) is None
         assert stats.polish_iterations == 16
 
-    def test_cell_below_the_least_diameter_reports_its_centre(self):
-        # 5.7e-9 across, below 1e-8 of the region's scale 1
-        rep = locate_zeros(lambda z: z - 1e-9j, Region.rectangle(-2e-9, 2e-9, -2e-9, 2e-9))
-        assert rep.complete and rep.winding_total == 1
-        assert [(z.location, z.multiplicity) for z in rep.zeros] == [(0j, 1)]
-        assert rep.zeros[0].residual == pytest.approx(1e-9)
+    @pytest.mark.parametrize("f, want", [
+        (lambda z: z - 1e-9j, [(1e-9j, 1)]),
+        (lambda z: (z - 1e-9j) ** 2, [(1e-9j, 2)]),
+        (lambda z: (z - 1e-9j) * (z - 1.1e-9j), [(1e-9j, 1), (1.1e-9j, 1)]),
+    ], ids=["simple", "double", "pair"])
+    def test_tiny_cell_reports_the_pencil_zeros(self, f, want):
+        # 5.7e-9 across at scale 1: each zero comes from the pencil, none is the
+        # cell's centre 0 (which a least-diameter rule once reported, complete)
+        rep = locate_zeros(f, Region.rectangle(-2e-9, 2e-9, -2e-9, 2e-9))
+        assert rep.complete and rep.winding_total == sum(k for _, k in want)
+        got = sorted(rep.zeros, key=lambda z: z.location.imag)
+        assert [z.multiplicity for z in got] == [k for _, k in want]
+        for z, (loc, _) in zip(got, want):
+            assert abs(z.location - loc) <= 1e-21
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-12])
+    def test_cluster_disk_zeros_are_judged_once(self, noise):
+        # a pair 1e-9 apart is rank deficient on the unit disk and resolved on its
+        # cluster disk; judged again at the enclosing cell's coarser spacing, the pair
+        # was rejected and the call ran to the point bound with only -0.5i
+        rng = np.random.default_rng(0)
+        a, g = 0.3 + 0.1j, 1e-9
+
+        def f(z):
+            z = np.asarray(z)
+            return (z - a) * (z - a - g) * (z + 0.5j) * (1.0 + noise * rng.standard_normal(z.shape))
+
+        f.vectorized = True
+        rep = locate_zeros(f, Region.disk(0, 1))
+        assert rep.complete and rep.stats.evaluations <= 10_000
+        got = sorted(rep.zeros, key=lambda z: z.location.real)
+        assert [z.multiplicity for z in got] == [1, 1, 1]
+        assert all(abs(z.location - w) <= 1e-11 for z, w in zip(got, (-0.5j, a, a + g)))
+
+    @pytest.mark.parametrize("region", [Region.disk(0, 1), Region.rectangle(-2e-9, 2e-9, -2e-9, 2e-9)],
+                             ids=["unit-disk", "tiny-rectangle"])
+    def test_cell_that_never_resolves_ends_at_the_point_bound(self, monkeypatch, region):
+        # every cell split, however small: the report is incomplete, never a guess
+        monkeypatch.setattr(spectral_count, "_moment_zeros", lambda *args: None)
+        rep = locate_zeros(lambda z: (z - 1e-9j) * (z - 0.3 - 0.1j), region)
+        assert not rep.complete
+        assert rep.stats.evaluations <= spectral_count._MAX_POINTS
 
     def test_contour_that_cannot_settle_stops_at_the_point_bound(self):
         # relative noise of 1e-6 in f fails every panel's moment test at every
