@@ -128,6 +128,16 @@ def _w_seed(n: int, z: complex) -> complex | None:
     return None
 
 
+def _w_series(n, z):
+    """W_n(z) by its series through L2/L1^3, L1 = log z + 2 pi i n, L2 = log L1 (Corless et al.
+    1996, eq. 4.19); |L1| >= pi off branches 0 and -1, and where _w_seed has no seed of theirs."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1 = np.log(z) + 2j * math.pi * n
+        seed = l1 - np.log(l1)
+        l2, t = l1 - seed, 1.0 / l1
+        return seed + l2 * t * (1.0 + t * (0.5 * l2 - 1.0 + t * (1.0 - 1.5 * l2 + l2 * l2 / 3.0)))
+
+
 def _w_continuation(n, z):
     # Homotopy from an anchor deep inside branch n, on 1-d arrays: (w, ok).
     w = np.where(n != 0, 1.0 + 2j * math.pi * n, 1.0 + 0j)
@@ -176,13 +186,7 @@ def lambert_w(n, z):
         raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]!r}")
     if np.any((z == 0) & (n != 0)):
         raise ValueError("z = 0 is a logarithmic singularity for branches n != 0")
-    # the series through L2/L1^3, L2 = log L1; |L1| >= pi off branches 0 and -1, and where
-    # _w_seed has no seed of theirs (off the branch point, Im W far from 0) too
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l1 = np.log(z) + 2j * math.pi * n
-        seed = l1 - np.log(l1)
-        l2, t = l1 - seed, 1.0 / l1
-        w = seed + l2 * t * (1.0 + t * (0.5 * l2 - 1.0 + t * (1.0 - 1.5 * l2 + l2 * l2 / 3.0)))
+    w = _w_series(n, z)
     for i in np.flatnonzero((n == 0) | (n == -1)):
         own = _w_seed(int(n[i]), complex(zn[i]))
         if own is not None:

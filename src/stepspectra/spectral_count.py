@@ -19,15 +19,16 @@ cell is split in four only when a polished zero leaves it or meets another, or
 multiplicities do not add up; a cluster that makes H0 rank deficient is one
 multiple zero in a cell below the floor, else solved again on a small disk.
 
-The census of V = i*1_[-N,N] seeds each resonance ladder as numpy arrays over the
-branch number n by Lambert W, one pass per factor sign for both parities, by
-W_n(conj z) = conj W_-n(z).  Of the branches whose hop disk can reach the box, each
-is certified in closed form: one zero in a disk around its seed, and the disk's box and
-sheet.  Newton, with a per-branch stop, refines only those the certificate leaves
-undecided (at N = 32..256, 7 of 54,993, all on a box edge) or whose error could change
-the dedupe.  Each ladder is folded into the counts before the next; the result keeps
-the counted energies and their error radii.  CensusResult.results and enumerate_imag_step,
-Newton on the full window, are the independent oracle that no package code reads.
+The census of V = i*1_[-N,N] seeds each resonance ladder as numpy arrays over the branch
+number n from W's asymptotic series, no Halley step (Lambert W only at |n| < 12 in reach of
+the box), one pass per factor sign for both parities, by W_n(conj z) = conj W_-n(z).  Of
+the branches whose hop disk, widened by its seed's error bound, can reach the box, each is
+certified in closed form: one zero in a disk around its seed, and the disk's box and sheet.
+Newton, with a per-branch stop, refines only those the certificate leaves undecided (at
+N = 32..256, 7 of 54,993, all on a box edge) or whose error could change the dedupe.  Each
+ladder is folded into the counts before the next; the result keeps the counted energies
+and their error radii.  CensusResult.results and enumerate_imag_step, Newton on the full
+window from Lambert seeds, are the independent oracle that no package code reads.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContourError
-from .special_functions import lambert_w
+from .special_functions import _TWO_PI, _w_series, lambert_w
 from .step_model import _secular_terms
 
 #: the positive half of the 16-node Gauss-Legendre rule on [-1, 1], as
@@ -528,6 +529,9 @@ _ROOT_I = cmath.sqrt(1j)
 #: the certificate's disk radius in Newton steps |H/H'| (Rouche needs more than one)
 _CERT_STEPS = 2.0
 _EPS = 2.0**-52  # the float64 epsilon
+#: the census's series seed errs in W by under _SERIES_C/(2 pi (|n| - 3/8))^3 <= _SERIES_C/|L1|^3
+#: from |n| = _SERIES_N on (below 1e-6), and by under _POOR_PAD below it (0.063 at n = 0)
+_SERIES_N, _SERIES_C, _POOR_PAD = 12, 0.5, 0.25
 
 
 class BranchResult(NamedTuple):
@@ -550,6 +554,12 @@ def imag_step_seed(N: int, n, sign: int = +1):
     its mirror images (``_ladders``)."""
     R = float(N)
     return -1j * lambert_w(n, 1j * sign * cmath.sqrt(1j) * R / 2.0) / R
+
+
+def _census_seed(N: int, n, sign: int = +1):
+    """imag_step_seed from W's asymptotic series alone, with no Halley step or branch check:
+    the seed that the census certifies, within ``_series_pad`` of imag_step_seed's."""
+    return -1j * _w_series(n, 1j * sign * _ROOT_I * N / 2.0) / N
 
 
 def _refine_ladder(N: int, seed, parity: str) -> dict:
@@ -592,26 +602,30 @@ def _require_census_N(N: int) -> None:
         raise ValueError(f"census requires N >= 8, got {N}")
 
 
-def _reachable(box: Region, seed, N: int):
+def _reachable(box: Region, seed, N: int, pad=0.0):
     """The seeds s whose branch can converge into the box: E = kappa^2 + i with
-    |kappa -+ s| <= hop lies within hop*(2|s| + hop) of E_s = s^2 + i."""
-    hop, E_s = _HOP / N, seed * seed + 1j
+    |kappa -+ s| <= hop lies within hop*(2|s| + hop) of E_s = s^2 + i.  ``pad``, a bound on
+    each seed's distance from imag_step_seed's, widens hop to keep every branch that reaches."""
+    hop, E_s = _HOP / N + pad, seed * seed + 1j
     reach = hop * (2.0 * np.abs(seed) + hop)
     return _depth(box, E_s) >= -(reach + _HOP_SLACK * (np.abs(E_s) + reach))
 
 
-def _ladders(N: int, n_window: tuple[int, int], families):
-    """Per family in (parity, sign) order, seeded as read: (parity, sign, ns, seeds)."""
+def _ladders(N: int, n_window: tuple[int, int], families, seed_of):
+    """Per family in (parity, sign) order: (parity, sign, ns, seeds), the odd seeds from
+    ``seed_of(N, n, sign)`` (imag_step_seed or _census_seed) and the even ones their mirror."""
     _require_census_N(N)
     lo, hi = n_window
     if lo > hi:
         raise ValueError(f"empty n window {n_window}")
+    if unknown := [f for f in families if tuple(f) not in FAMILIES]:
+        raise ValueError(f"unknown ladder families {unknown}, not in {FAMILIES}")
     ns, top = np.arange(lo, hi + 1), max(hi, -lo)
     window, odd = slice(lo + top, hi + top + 1), {}
     for parity, sign in sorted(families):
         # one pass per sign, when first needed; conjugate targets: even(n) = -conj(odd(-n))
         if sign not in odd:
-            odd[sign] = imag_step_seed(N, np.arange(-top, top + 1), sign)
+            odd[sign] = seed_of(N, np.arange(-top, top + 1), sign)
         seed = odd[sign][window] if parity == "odd" else -np.conj(odd[sign][::-1][window])
         yield parity, sign, ns, seed
 
@@ -651,12 +665,31 @@ def _certify(N: int, seed, parity: str, sign: int):
     return rho, ok, chi, dchi
 
 
-def _census_ladder(ladder, N: int, box: Region):
+def _series_pad(N: int, ns):
+    """Each series seed's distance bound from imag_step_seed's over the window ns, in closed
+    form from |n|; 0 on the poor entries |n| < _SERIES_N, which ``_ladder_seeds`` judges apart."""
+    an = np.abs(ns)
+    return np.where(an < _SERIES_N, 0.0, _SERIES_C / (N * (_TWO_PI * (an - 0.375)) ** 3))
+
+
+def _ladder_seeds(ladder, N: int, box: Region, pad):
+    """A series-seeded ladder's seeds and reachable mask under ``pad`` (``_series_pad``): the
+    poor entries take imag_step_seed's seeds where their series seeds could reach the box."""
+    parity, sign, ns, seed = ladder
+    poor = slice(max(1 - _SERIES_N - ns[0], 0), max(_SERIES_N - ns[0], 0))  # ns = lo..hi
+    if _reachable(box, seed[poor], N, _POOR_PAD / N).any():
+        seed = seed.copy()
+        seed[poor] = next(_ladders(N, (ns[poor][0], ns[poor][-1]), [(parity, sign)],
+                                   imag_step_seed))[3]
+    return seed, _reachable(box, seed, N, pad)
+
+
+def _census_ladder(ladder, N: int, box: Region, pad):
     """One ladder's reachable branches, certified where the certificate decides them and
     refined by Newton elsewhere: the certified counted branches as (parity, sign, ns, seeds,
     energies, error radii), ``_newton`` of the others, and the number of branches."""
-    parity, sign, ns, seed = ladder
-    keep = _reachable(box, seed, N)
+    parity, sign, ns, _ = ladder
+    seed, keep = _ladder_seeds(ladder, N, box, pad)
     ns, seed = ns[keep], seed[keep]
     rho, ok, chi, dchi = _certify(N, seed, parity, sign)
     E, ak = seed * seed + 1j, np.abs(seed)
@@ -687,7 +720,7 @@ def enumerate_imag_step(N: int, n_window: tuple[int, int],
     disk is flagged (``converged=False``) rather than fatal.
     """
     ladders = ((parity, sign, ns, _refine_ladder(N, seed, parity))
-               for parity, sign, ns, seed in _ladders(N, n_window, families))
+               for parity, sign, ns, seed in _ladders(N, n_window, families, imag_step_seed))
     return [r for group in zip(*(_records(lad, slice(None)) for lad in ladders)) for r in group]
 
 
@@ -699,9 +732,10 @@ class CensusResult:
     undecided, or the dedupe.  ``uncertified`` lists the refined branches that did not
     converge, each of which could have been counted; ``certified`` says it is empty.
     ``energies`` are the counted energies in the dedupe's sorted order, each its certificate
-    disk's centre (within ``radii``) or Newton's energy (radius 0).  ``results``, every branch
-    of the full window as a Newton record, refines on first read: an independent oracle
-    for tests and benchmarks, which no package code reads."""
+    disk's centre s^2 + i at its seed s (``_ladder_seeds``), within ``radii``, or Newton's
+    energy (radius 0).  ``results``, every branch of the full window as a Newton record from
+    converged Lambert seeds, refines on first read: an independent oracle for tests and
+    benchmarks, which no package code reads."""
 
     N: int
     count: int
@@ -783,15 +817,17 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
 
     Emits (N, count, count*log(N)/N^2) plus the box, for the locality-violation
     scaling check.  Energies less than 1e-6 relative from the previous sorted one are dropped.
-    Each reachable branch is certified in closed form (``_certify``); Newton refines only
-    the branches the certificate leaves undecided, and the certified ones whose error
-    could change the dedupe.
+    Each ladder is seeded from W's asymptotic series (``_census_seed``, the poor entries
+    by imag_step_seed), and each reachable branch is certified in closed form (``_certify``)
+    at its seed; Newton refines only the branches the certificate leaves undecided, and the
+    certified ones whose error could change the dedupe.
     """
     box = census_box(N, C_box)
-    certified, newton, branches = [], [], 0
+    (lo, hi), certified, newton, branches = _box_window(N, box), [], [], 0
+    pad = _series_pad(N, np.arange(lo, hi + 1))  # the same for every ladder
     # map holds no ladder while it certifies the next, as a for-loop variable would
-    for cert, refined, reachable in map(partial(_census_ladder, N=N, box=box),
-                                        _ladders(N, _box_window(N, box), FAMILIES)):
+    for cert, refined, reachable in map(partial(_census_ladder, N=N, box=box, pad=pad),
+                                        _ladders(N, (lo, hi), FAMILIES, _census_seed)):
         certified.append(cert)
         newton.append(refined)
         branches += reachable

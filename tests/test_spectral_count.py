@@ -889,6 +889,13 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="empty n window"):
             enumerate_imag_step(16, window)
 
+    @pytest.mark.parametrize("families", [[("bogus", 1)], [("odd", 2)]])
+    def test_unknown_family_rejected(self, families):
+        # a parity other than odd and even would be seeded as even, and sign 2 would scale
+        # the Lambert target by 2
+        with pytest.raises(ValueError, match=r"unknown ladder families \[\('(bogus|odd)', [12]\)"):
+            enumerate_imag_step(16, (-3, 3), families)
+
     @pytest.mark.parametrize("N", [16, 64])
     def test_agrees_with_scalar_newton(self, N):
         rows = enumerate_imag_step(N, _box_window(N, census_box(N, 10.0)))
@@ -931,15 +938,75 @@ def _newton_recount(cen):
     return count, all(r.converged for r, ok in zip(cen.results, reach) if ok)
 
 
+#: (N, count, branches, refined) of the benchmark ladder's censuses at C_box 10
+_PINNED = ((32, 60, 774, 3), (64, 198, 2443, 1), (128, 663, 8049, 1), (192, 1357, 16402, 1),
+           (256, 2265, 27325, 1))
+
+
 def _certified_disks(N, C_box=10.0):
     """(parity, sign, n, seed, rho) of each reachable branch whose disk the certificate holds."""
     box, disks = census_box(N, C_box), []
-    for parity, sign, ns, seed in spectral_count._ladders(N, _box_window(N, box), FAMILIES):
+    for parity, sign, ns, seed in spectral_count._ladders(N, _box_window(N, box), FAMILIES,
+                                                          spectral_count._census_seed):
         keep = spectral_count._reachable(box, seed, N)
         rho, ok = spectral_count._certify(N, seed[keep], parity, sign)[:2]
         disks += [(parity, sign, n, k, r) for n, k, r in zip(
             ns[keep][ok].tolist(), seed[keep][ok].tolist(), rho[ok].tolist())]
     return disks
+
+
+class TestSeriesSeeds:
+    """The census seeds from the asymptotic series of W, with no Halley step, and takes
+    the Lambert seed only for the poor entries |n| < _SERIES_N that can reach the box."""
+
+    def test_benchmark_ladder_takes_no_lambert_call(self, monkeypatch):
+        # no poor entry reaches these boxes (the least reachable |n| is 15, at N = 32), so
+        # nothing on the census path calls lambert_w
+        def refuse(*args):
+            raise AssertionError("lambert_w called")
+
+        monkeypatch.setattr(spectral_count, "lambert_w", refuse)
+        monkeypatch.setattr(special_functions, "lambert_w", refuse)
+        for N, count, branches, refined in _PINNED:
+            cen = imag_step_census(N, 10.0)
+            assert (cen.count, cen.branches, cen.refined) == (count, branches, refined)
+            assert cen.certified
+
+    @pytest.mark.parametrize("N", [8, 16, 32, 256])
+    def test_seeds_lie_within_their_pads(self, N):
+        # on the census window, each series seed lies within its pad of the Lambert seed;
+        # the poor entries are all bit for bit imag_step_seed's, or none of them is and
+        # none is kept; every branch whose Lambert seed's hop disk reaches the box is kept,
+        # and a box that everything reaches gives every poor entry the Lambert seed
+        box = census_box(N)
+        everything = Region.rectangle(-1e9, 1e9, -1e9, 1e9)
+        window = _box_window(N, box)
+        exact = {f[:2]: f[3] for f in spectral_count._ladders(N, window, FAMILIES, imag_step_seed)}
+        for ladder in spectral_count._ladders(N, window, FAMILIES, spectral_count._census_seed):
+            parity, sign, ns, series = ladder
+            lam, pad = exact[parity, sign], spectral_count._series_pad(N, ns)
+            poor = np.abs(ns) < spectral_count._SERIES_N
+            assert np.all((np.abs(series - lam) <= pad)[~poor] & (pad[~poor] > 0.0))
+            assert np.all(np.abs(series - lam)[poor] <= spectral_count._POOR_PAD / N)
+            assert np.all(pad[poor] == 0.0)
+            seed, keep = spectral_count._ladder_seeds(ladder, N, box, pad)
+            assert np.all(seed[~poor] == series[~poor])
+            assert np.all(seed[poor] == lam[poor]) or (
+                np.all(seed[poor] == series[poor]) and not keep[poor].any())
+            assert np.all(keep | ~spectral_count._reachable(box, lam, N))
+            seed, keep = spectral_count._ladder_seeds(ladder, N, everything, pad)
+            assert keep.all() and np.all(seed[poor] == lam[poor])
+
+    def test_census_equals_the_lambert_seeded_census(self, monkeypatch):
+        # the census seeded by imag_step_seed throughout decides every branch the same way
+        def summary(cen):
+            return (cen.count, cen.certified, cen.branches, cen.refined,
+                    [repr(r) for r in cen.uncertified])
+
+        cases = [(N, C_box) for N in range(8, 65) for C_box in (1.5, 10.0, 50.0, 100.0)]
+        series = [summary(imag_step_census(N, C_box)) for N, C_box in cases]
+        monkeypatch.setattr(spectral_count, "_census_seed", spectral_count.imag_step_seed)
+        assert [summary(imag_step_census(N, C_box)) for N, C_box in cases] == series
 
 
 class TestCensusCertificate:
@@ -986,10 +1053,12 @@ class TestCensusCertificate:
     @pytest.mark.parametrize("N, C_box", [(16, 10.0), (32, 100.0)])
     def test_moved_seeds_go_to_newton(self, monkeypatch, N, C_box):
         # a quarter of the ladder spacing 2 pi/N puts a seed midway between a zero of its
-        # own factor and one of the other sign's: no disk is certified, Newton counts all
-        seed = spectral_count.imag_step_seed
-        monkeypatch.setattr(spectral_count, "imag_step_seed",
-                            lambda N, n, sign=1: seed(N, n, sign) + 0.5 * math.pi / N)
+        # own factor and one of the other sign's: no disk is certified, Newton counts all.
+        # Both of the census's seed functions move: its poor entries |n| < 12 reach these
+        # boxes, and they take the Lambert seed
+        for name in ("_census_seed", "imag_step_seed"):
+            monkeypatch.setattr(spectral_count, name, lambda N, n, sign=1, seed=getattr(
+                spectral_count, name): seed(N, n, sign) + 0.5 * math.pi / N)
         cen = imag_step_census(N, C_box)
         assert cen.refined == cen.branches > 0
         assert (cen.count, cen.certified) == _newton_recount(cen)
@@ -1037,9 +1106,7 @@ class TestCensus:
         # the census CSV of the benchmark ladder and N = 16, the branches whose hop disk
         # can reach the box, and the few of them Newton refines, all on a box edge;
         # every refined branch converges
-        for N, count, branches, refined in (
-                (16, 18, 261, 0), (32, 60, 774, 3), (64, 198, 2443, 1),
-                (128, 663, 8049, 1), (192, 1357, 16402, 1), (256, 2265, 27325, 1)):
+        for N, count, branches, refined in ((16, 18, 261, 0),) + _PINNED:
             cen = imag_step_census(N, 10.0)
             assert (cen.count, cen.branches, cen.refined) == (count, branches, refined)
             assert cen.certified and cen.uncertified == ()
@@ -1067,7 +1134,7 @@ class TestCensus:
         hits = iter([[e, chain[0]], [e, chain[2]], [chain[1]], []])
         none = ("odd", 1, np.zeros(0, dtype=int), np.zeros(0, dtype=complex),
                 np.zeros(0, dtype=complex), np.zeros(0))
-        monkeypatch.setattr(spectral_count, "_census_ladder", lambda ladder, N, box: (
+        monkeypatch.setattr(spectral_count, "_census_ladder", lambda ladder, N, box, pad: (
             none, (np.array(next(hits), dtype=complex), [], 1), 1))
         cen = imag_step_census(8, 10.0)
         assert (cen.count, cen.branches, cen.refined) == (2, 4, 4)
