@@ -558,7 +558,7 @@ def imag_step_seed(N: int, n, sign: int = +1):
 
 def _census_seed(N: int, n, sign: int = +1):
     """imag_step_seed from W's asymptotic series alone, with no Halley step or branch check:
-    the seed that the census certifies, within ``_series_pad`` of imag_step_seed's."""
+    the seed that the census certifies, within ``_series_pad`` of imag_step_seed's at |n| >= 12."""
     return -1j * _w_series(n, 1j * sign * _ROOT_I * N / 2.0) / N
 
 
