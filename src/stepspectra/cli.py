@@ -33,7 +33,7 @@ EXIT_CONTOUR = 3
 _MIN_REGION = 1e-7  # least radius or half side of a region, times its scale, a contour resolves
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -59,20 +59,12 @@ def parse_complex(text: str) -> complex:
         raise _UsageError(f"cannot parse complex number from {text!r}")
 
 
-def _parse_region(args) -> Region:
-    spec = args.disk or args.region
-    if not spec:
-        raise _UsageError("provide --region or --disk")
-    parts = [float(v) for v in spec.split(",")]
-    if args.disk:
-        if len(parts) != 3:
-            raise _UsageError("--disk wants cx,cy,radius")
-        region = Region.disk(complex(parts[0], parts[1]), parts[2])
+def _walkable(region: Region) -> Region:
+    """``region`` if a contour can settle on it, else a usage error; every region ``spectrum``,
+    ``check`` and ``sparse`` walk passes here: off [0, inf) and at least ``_MIN_REGION`` wide."""
+    if region.kind == "disk":
         size, on_ray = region.radius, _dist_to_ray(region.center) <= region.radius
     else:
-        if len(parts) != 4:
-            raise _UsageError("--region wants re_lo,re_hi,im_lo,im_hi")
-        region = Region.rectangle(*parts)
         size = 0.5 * min(region.re_hi - region.re_lo, region.im_hi - region.im_lo)
         on_ray = region.re_hi >= 0 and region.im_lo <= 0 <= region.im_hi
     if on_ray:
@@ -81,6 +73,21 @@ def _parse_region(args) -> Region:
         raise _UsageError(f"region radius or half side {size:.3g} is below {_MIN_REGION:g} "
                           f"of its scale {region.scale:.3g}, where no contour settles")
     return region
+
+
+def _parse_region(args) -> Region:
+    """The ``--disk`` or ``--region`` of ``spectrum`` and ``check``, through ``_walkable``."""
+    spec = args.disk or args.region
+    if not spec:
+        raise _UsageError("provide --region or --disk")
+    parts = [float(v) for v in spec.split(",")]
+    if args.disk:
+        if len(parts) != 3:
+            raise _UsageError("--disk wants cx,cy,radius")
+        return _walkable(Region.disk(complex(parts[0], parts[1]), parts[2]))
+    if len(parts) != 4:
+        raise _UsageError("--region wants re_lo,re_hi,im_lo,im_hi")
+    return _walkable(Region.rectangle(*parts))
 
 
 def _parse_L(spec: str, eta0: float):
@@ -250,8 +257,8 @@ def cmd_sparse(args) -> int:
             entry = {"zeta": [zeta.real, zeta.imag], "delta": args.delta, "found": None, "zeros": []}
             verification.append(entry)
             try:
-                disk = Region.disk(zeta, args.delta)
-            except ValueError as exc:  # floats cannot resolve the disk: nothing can wind
+                disk = _walkable(Region.disk(zeta, args.delta))
+            except ValueError as exc:  # no contour can settle on the disk
                 print(f"D({zeta}, {args.delta}): not verified, {exc}", file=sys.stderr)
                 continue
             found = locate_zeros(handle, disk)
@@ -366,7 +373,7 @@ def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return args.func(args)
-    except (_UsageError, SchemaError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (SchemaError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ContourError as exc:

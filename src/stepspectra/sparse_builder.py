@@ -519,13 +519,6 @@ def assemble_sparse(t: TargetSequence, params: EnvelopeParams, gaps) -> Assembly
     if params.d != 1:
         raise ValueError("assembly is one-dimensional; use d = 1")
     n_targets = len(t)
-    if n_targets == 0:
-        return AssemblyResult(
-            potential=PiecewisePotential([]),
-            bumps=[], reports=[], gaps=[], sep_table=[],
-            sparsity_ratios=[], decay_report=[], norms={},
-            condition_value=0.0,
-        )
     gaps = [float(g) for g in gaps[: n_targets - 1]]  # gap k separates bump k and k+1
     if len(gaps) < n_targets - 1 or not all(0.0 < g < math.inf for g in gaps):
         raise ValueError(f"need {n_targets - 1} positive finite gap lengths, got {gaps}")
@@ -590,7 +583,7 @@ def assemble_sparse(t: TargetSequence, params: EnvelopeParams, gaps) -> Assembly
 def ell_p_lq_norm(bumps, p: float, q: float) -> float:
     """Mixed norm (sum_j ||V_j||_q^p)^(1/p)."""
     norms = [bump_norm_lq(b, q) for b in bumps]
-    top = max(norms)
+    top = max(norms, default=0.0)
     if p == math.inf:
         return top
     try:

@@ -344,6 +344,25 @@ class TestSparseCommand:
             assert [v["found"] for v in report["verification"]] == found
         assert sum(v["found"] for v in report["verification"]) == (114 if n == 30 else 3)
 
+    @pytest.mark.parametrize("delta, refused, message", [
+        ("1e-8", 3, "below 1e-07 of its scale"),  # walked the first disk to 2^20 points
+        ("0.07", 2, "region must stay off the essential spectrum"),  # walked D(1.3+0.06i) across it
+    ], ids=["1e-8", "0.07"])
+    def test_unwalkable_disks_are_not_verified(self, tmp_path, capsys, targets_file, delta,
+                                               refused, message):
+        # each exited 3 with potential.json written and no sparse_report.json, while
+        # spectrum --disk refused the same disks at once
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert run(["sparse", "--targets", str(targets_file), "--delta", delta, "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        lines = [line for line in capsys.readouterr().err.splitlines() if "not verified" in line]
+        assert len(lines) == refused and all(message in line for line in lines)
+        assert (out / "potential.json").exists()
+        verification = json.loads((out / "sparse_report.json").read_text())["verification"]
+        assert all(v["found"] == len(v["zeros"]) >= 1 for v in verification[:3 - refused])
+        assert all(v["found"] is None and v["zeros"] == [] for v in verification[3 - refused:])
+
     @pytest.mark.parametrize("option", ["--delta=-1", "--delta=0", "--delta=nan", "--delta=inf",
                                         "--eps0=nan"])
     def test_delta_or_aperture_out_of_range_exit_1(self, tmp_path, capsys, targets_file, option):
@@ -453,9 +472,10 @@ class TestSparseCommand:
         assert [v["found"] for v in report["verification"]] == [1, 1, 1]
 
     def test_unsettled_disk_exits_3_within_the_point_bound(self, tmp_path, capsys, monkeypatch):
-        # |F| is 2.6e-9 on the circle of D(1e5+1e3i, 1e-2) and nearly every panel
+        # |F| is 5.3e-9 on the circle of D(1e5+1e3i, 2e-2) and nearly every panel
         # fails the moment test at every level: the contour doubled its points a
-        # level at a time into gigabytes; the handle here raises past 3 M points
+        # level at a time into gigabytes; the handle here raises past 3 M points.
+        # A radius of 1e-2 is below 1e-7 of the disk's scale and is refused at once
         from stepspectra import cli as cli_mod
 
         seen = [0]
@@ -475,7 +495,7 @@ class TestSparseCommand:
         monkeypatch.setattr(cli_mod, "make_secular_handle", guarded)
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"zetas": [[1e5, 1e3]]}))
-        assert run(["sparse", "--targets", str(path), "--mode", "desk",
+        assert run(["sparse", "--targets", str(path), "--mode", "desk", "--delta", "2e-2",
                     "--out", str(tmp_path / "o")]) == 3
         assert "f did not settle within 1048576 points" in capsys.readouterr().err
         assert seen[0] <= 2**20

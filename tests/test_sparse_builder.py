@@ -311,6 +311,8 @@ class TestAssembly:
     def test_empty_targets(self):
         asm = assemble_sparse(TargetSequence(()), ACCEPT_PARAMS, [])
         assert len(asm.potential.pieces) == 0
+        assert asm.norms and all(v == 0.0 for v in asm.norms.values())
+        assert ell_p_lq_norm([], 4.0, 2.0) == 0.0  # raised ValueError from max()
 
     def test_gap_lengths_checked(self):
         t = TargetSequence((1 + 0.1j, 1 + 0.09j, 1 + 0.08j))
