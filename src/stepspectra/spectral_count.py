@@ -19,16 +19,20 @@ cell is split in four only when a polished zero leaves it or meets another, or
 multiplicities do not add up; a cluster that makes H0 rank deficient is one
 multiple zero in a cell below the floor, else solved again on a small disk.
 
-The census of V = i*1_[-N,N] seeds each resonance ladder as numpy arrays over the branch
-number n from W's asymptotic series, no Halley step (Lambert W only at |n| < 12 in reach of
-the box), one pass per factor sign for both parities, by W_n(conj z) = conj W_-n(z).  Of
-the branches whose hop disk, widened by its seed's error bound, can reach the box, each is
+The census of V = i*1_[-N,N] cuts each resonance ladder's window of branch numbers n into
+blocks of 32 and decides a block whole where closed-form bounds, its values at its centre
+plus half its width times derivative bounds in a real n, prove every branch in it
+unreachable, outside the box, or inside it and off the physical sheet.  The other blocks
+are seeded as numpy arrays from W's asymptotic series, no Halley step (Lambert W only at
+|n| < 12 in reach of the box), the even ladders by W_n(conj z) = conj W_-n(z).  Of their
+branches whose hop disk, widened by its seed's error bound, can reach the box, each is
 certified in closed form: one zero in a disk around its seed, and the disk's box and sheet.
 Newton, with a per-branch stop, refines only those the certificate leaves undecided (at
-N = 32..256, 7 of 54,993, all on a box edge) or whose error could change the dedupe.  Each
-ladder is folded into the counts before the next; the result keeps the counted energies
-and their error radii.  CensusResult.results and enumerate_imag_step, Newton on the full
-window from Lambert seeds, are the independent oracle that no package code reads.
+N = 32..256, 7 of the 5,596 certified one at a time, of 54,993 reachable, all on a box
+edge) or whose error could change the dedupe.  Each chunk is folded into the counts before
+the next; the result keeps the counted energies and their error radii.
+CensusResult.results and enumerate_imag_step, Newton on the full window from Lambert seeds,
+are the independent oracle that no package code reads.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -532,6 +536,9 @@ _EPS = 2.0**-52  # the float64 epsilon
 #: the census's series seed errs in W by under _SERIES_C/(2 pi (|n| - 3/8))^3 <= _SERIES_C/|L1|^3
 #: from |n| = _SERIES_N on (below 1e-6), and by under _POOR_PAD below it (0.063 at n = 0)
 _SERIES_N, _SERIES_C, _POOR_PAD = 12, 0.5, 0.25
+#: the census bounds a ladder's branches a block of _BLOCK at a time, and takes blocks, and
+#: the branches of the blocks it leaves undecided, _CHUNK at a time, so its arrays stay small
+_BLOCK, _CHUNK = 32, 4096
 
 
 class BranchResult(NamedTuple):
@@ -611,27 +618,36 @@ def _reachable(box: Region, seed, N: int, pad=0.0):
     return _depth(box, E_s) >= -(reach + _HOP_SLACK * (np.abs(E_s) + reach))
 
 
-def _ladders(N: int, n_window: tuple[int, int], families, seed_of):
-    """Per family in (parity, sign) order: (parity, sign, ns, seeds), the odd seeds from
-    ``seed_of(N, n, sign)`` (imag_step_seed or _census_seed) and the even ones their mirror."""
+def _seeds(N: int, ns, parity: str, sign: int, seed_of):
+    """One ladder's seeds at the branch numbers ``ns``: the odd ones ``seed_of(N, ns, sign)``
+    (imag_step_seed or _census_seed), the even ones their mirror images, by W_n(conj z) =
+    conj W_-n(z)."""
+    return seed_of(N, ns, sign) if parity == "odd" else -np.conj(seed_of(N, -ns, sign))
+
+
+def _ladders(N: int, n_window: tuple[int, int], families):
+    """Per family in (parity, sign) order: (parity, sign, ns, imag_step_seed's seeds)."""
     _require_census_N(N)
     lo, hi = n_window
     if lo > hi:
         raise ValueError(f"empty n window {n_window}")
     if unknown := [f for f in families if tuple(f) not in FAMILIES]:
         raise ValueError(f"unknown ladder families {unknown}, not in {FAMILIES}")
-    ns, top = np.arange(lo, hi + 1), max(hi, -lo)
-    window, odd = slice(lo + top, hi + top + 1), {}
+    ns = np.arange(lo, hi + 1)
     for parity, sign in sorted(families):
-        # one pass per sign, when first needed; conjugate targets: even(n) = -conj(odd(-n))
-        if sign not in odd:
-            odd[sign] = seed_of(N, np.arange(-top, top + 1), sign)
-        seed = odd[sign][window] if parity == "odd" else -np.conj(odd[sign][::-1][window])
-        yield parity, sign, ns, seed
+        yield parity, sign, ns, _seeds(N, ns, parity, sign, imag_step_seed)
 
 
-def _certify(N: int, seed, parity: str, sign: int):
-    """A closed-form one-zero certificate per seed kappa0 of a ladder: (rho, ok, chi, dchi).
+def _rounding(N: int, top: int) -> float:
+    """The certificate's relative rounding u of p0 = e^{i kappa0 N} and of each sum, 16 eps
+    (N |kappa0| + 4), for every seed of the window |n| <= top: N |kappa0| = |W| <= |L1| +
+    |log L1| + 1 with |L1| <= log(N/2) + pi + 2 pi top."""
+    L1 = math.log(N / 2.0) + math.pi + _TWO_PI * top
+    return 16.0 * _EPS * (L1 + math.log(L1) + math.pi + 5.0)
+
+
+def _certify(N: int, seed, parity: str, sign: int, u: float):
+    """A closed-form one-zero certificate per seed kappa0 of a ladder: (rho, ok, chi, dchi, err).
 
     The ladder's zeros of the parity secular are those of H(kappa) = 2 kappa p - s c (1 - q),
     p = e^{i kappa N}, with q = p^2, c = sqrt(i) (odd) or q = -p^2, c = i sqrt(i) (even); the
@@ -640,8 +656,9 @@ def _certify(N: int, seed, parity: str, sign: int):
     zero of H when |H(kappa0)| + M rho^2/2 < |H'(kappa0)| rho, with M >= |H''| on the disk
     from |p| <= |p0| e^{N rho}; ``ok`` says so for a disk inside the hop disk.  At a zero,
     chi = i kappa r = -kappa (1 + q)/(1 - q); over the disk it moves from its value at kappa0
-    by less than ``dchi``, which is padded by _HOP_SLACK of |chi| for Newton's own error.
-    Every bound is padded for the rounding of p0 = e^{i kappa0 N}, one exp per seed."""
+    by less than ``dchi``, which is padded by _HOP_SLACK of |chi| for Newton's own error, and
+    E = kappa^2 + i by less than ``err`` from kappa0^2 + i, padded as the reach is.  Every
+    bound is padded by ``u`` (``_rounding``) for the rounding of p0, one exp per seed."""
     R, k = float(N), seed
     c = sign * (_ROOT_I if parity == "odd" else 1j * _ROOT_I)
     with np.errstate(all="ignore"):
@@ -650,7 +667,6 @@ def _certify(N: int, seed, parity: str, sign: int):
         g, h = k * p, (c if parity == "odd" else -c) * pp  # kappa p and c q
         ak, ap = np.abs(k), np.exp(-R * k.imag)
         akp, aq = ak * ap, ap * ap
-        u = 16.0 * _EPS * (R * ak.max(initial=0.0) + 4.0)  # relative rounding of p0 and of each sum
         f_hi = np.abs(2.0 * g + h - c) + u * (2.0 * akp + 1.0 + aq)
         df_lo = np.abs(2.0 * p + (2j * R) * (g + h)) - 2.0 * u * (ap + R * (akp + aq))
         rho = _CERT_STEPS * f_hi / df_lo
@@ -662,39 +678,125 @@ def _certify(N: int, seed, parity: str, sign: int):
                 + (u + _HOP_SLACK) * ak * (1.0 + aq) / D + _HOP_SLACK)
         ok = ((df_lo > 0.0) & (D > 0.0) & (rho < _HOP / R)
               & (f_hi + 0.5 * M * rho * rho < df_lo * rho))
-    return rho, ok, chi, dchi
+        err = rho * (2.0 * ak + rho)
+        err += _HOP_SLACK * (ak * ak + 1.0 + err)
+    return rho, ok, chi, dchi, err
 
 
 def _series_pad(N: int, ns):
-    """Each series seed's distance bound from imag_step_seed's over the window ns, in closed
-    form from |n|; 0 on the poor entries |n| < _SERIES_N, which ``_ladder_seeds`` judges apart."""
+    """Each series seed's distance bound from imag_step_seed's over the branch numbers ns, in
+    closed form from |n|; 0 on the poor entries |n| < _SERIES_N, which ``_ladder_seeds``
+    judges apart."""
     an = np.abs(ns)
     return np.where(an < _SERIES_N, 0.0, _SERIES_C / (N * (_TWO_PI * (an - 0.375)) ** 3))
 
 
-def _ladder_seeds(ladder, N: int, box: Region, pad):
-    """A series-seeded ladder's seeds and reachable mask under ``pad`` (``_series_pad``): the
-    poor entries take imag_step_seed's seeds where their series seeds could reach the box."""
+def _block_bounds(N: int, box: Region, odd, sign, a, b, u: float):
+    """Bounds over each block a <= n <= b of the ladder (odd or even, sign), the four arrays
+    broadcast, on what ``_certify`` gives each branch: (decided, rho, chi_lo, chi_hi,
+    depth_lo, depth_hi), with rho >= each rho, chi.imag -+ dchi in [chi_lo, chi_hi] and
+    depth -+ err in [depth_lo, depth_hi], depth = _depth(box, kappa0^2 + i).
+
+    The seed is kappa(t) = -i w(t)/N at t = n, w = W_t's series (``_w_series``) at the odd
+    ladder's z, at conj z for the even one, and p = e^{i kappa N} = e^v, v = w - 2 pi i t, at
+    integers.  v moves slowly: |v'| <= V1, from the series' derivative in L1 = log z + 2 pi i t.
+    So each bound is its value at the block's centre plus half the width times a bound on its
+    derivative in t.  |H| and |H'| come from H = c (e^delta - 1 +- p^2), delta the series
+    residual (|delta| <= 2 N pad), which keeps |H| at the size of |p|^2 over the block.  A block is
+    decided when none of its branches can reach the box, or when the certificate holds for
+    each and puts each outside the box, or inside it and off the physical sheet; blocks
+    holding |n| < _SERIES_N never are.  Each bound is padded by 2u to 6u for the rounding of
+    a branch's own seed and p0, and by _HOP_SLACK for its own."""
+    R, hw, tc = float(N), 0.5 * (b - a), 0.5 * (a + b)
+    up, lo = 1.0 + _HOP_SLACK, 1.0 - _HOP_SLACK
+    z = 1j * sign * _ROOT_I * R / 2.0
+    z = np.where(odd, z, np.conj(z))
+    L1 = np.log(z) + (2j * math.pi) * tc
+    least = np.hypot(L1.real, np.maximum(np.abs(L1.imag) - _TWO_PI * hw, 0.0))  # of |L1|
+    T, l = 1.0 / least, np.hypot(np.log(np.abs(L1) + _TWO_PI * hw), math.pi)  # l >= |log L1|
+    V1 = _TWO_PI * T * (1.0 + T * (1.0 + l + T * (1.0 + l * (3.0 + l)
+                                                  + T * (1.0 + l * (6.0 + l * (5.5 + l))))))
+    nmin = np.where(a * b <= 0, 0, np.minimum(np.abs(a), np.abs(b)))
+    pad = _series_pad(N, nmin)
+    with np.errstate(all="ignore"):
+        w = _w_series(tc, z)
+        k, v = -1j * w / R, w - (2j * math.pi) * tc
+        K1 = (_TWO_PI + V1) / R  # |kappa'|
+        AK, TA, VA = np.abs(k) + hw * K1, np.abs(tc) + hw, np.abs(v) + hw * V1
+        AP = (1.0 + u) * np.exp(v.real + hw * V1)  # |p| and |p|^2 on the block
+        AQ = AP * AP
+        F = up * (np.expm1(2.0 * R * pad) + AQ + 3.0 * u * (2.0 * AK * AP + 1.0 + AQ))
+        G = lo * (R * np.exp(-2.0 * R * pad) - 2.0 * AP - 2.0 * R * AQ
+                  - 6.0 * u * (AP + R * (AK * AP + AQ)))
+        rho = _CERT_STEPS * F / G
+        P, K = AP * ((1.0 + u) * np.exp(R * rho)), AK + rho
+        Q, D = P * P, 1.0 - P * P
+        M = (1.0 + u) * R * P * (4.0 + 2.0 * R * K + 4.0 * R * P)
+        ok = ((nmin >= _SERIES_N) & (G > 0.0) & (D > 0.0) & (rho < _HOP / R)
+              & (F + 0.5 * M * rho * rho < lo * G * rho))
+        # chi = -kappa r, r = (1 + q)/(1 - q) = 1 +- 2 p^2/(1 -+ p^2): |r - 1| <= X1, |r'| <= X2
+        q = np.where(odd, 1.0, -1.0) * np.exp(2.0 * v)
+        chi = -k * (1.0 + q) / (1.0 - q)
+        X1, X2 = 2.0 * AQ / (1.0 - AQ), 4.0 * V1 * AQ / (1.0 - AQ) ** 2
+        dchi = (up * rho * ((1.0 + Q) / D + 4.0 * R * K * Q / (D * D))
+                + hw * (_TWO_PI * X1 + V1 * (1.0 + X1) + (_TWO_PI * TA + VA) * X2) / R
+                + (6.0 * u + 3.0 * _HOP_SLACK) * AK * (1.0 + AQ) / D + 3.0 * _HOP_SLACK)
+        # E = i - w^2/N^2: Re E and Im E move by under dre and dim over the block
+        E, ep = k * k + 1j, _HOP_SLACK * (AK * AK + 1.0)
+        dre = hw * (8.0 * math.pi * math.pi * TA + 4.0 * math.pi * (VA + TA * V1) + 2.0 * VA * V1)
+        dim = hw * (4.0 * math.pi * (VA + TA * V1) + 4.0 * VA * V1)
+        spread = (dre / (R * R) + ep) + 1j * (dim / (R * R) + ep)
+        err = up * (up * rho * (2.0 * AK + rho) + _HOP_SLACK * (AK * AK + 1.0))
+        hop = _HOP / R + pad
+        reach = hop * (2.0 * AK + hop)
+        top = _depth(box, E, -spread)
+        far = (nmin >= _SERIES_N) & (top + up * (reach + _HOP_SLACK * (
+            np.abs(E) + np.abs(spread) + reach)) < 0.0)
+        depth_lo, depth_hi = _depth(box, E, spread) - err, top + err
+        chi_lo, chi_hi = chi.imag - dchi, chi.imag + dchi
+        decided = far | (ok & ((depth_hi < 0.0) | ((depth_lo >= 0.0) & (chi_hi < 0.0))))
+    return decided, rho, chi_lo, chi_hi, depth_lo, depth_hi
+
+
+def _undecided(N: int, box: Region, n_window: tuple[int, int], u: float):
+    """Each ladder's window in blocks of _BLOCK branches, one of them centred on n = 0 so that
+    it holds every poor entry: per family, the branch numbers of the blocks that
+    ``_block_bounds`` leaves undecided; and the number of blocks it decides."""
+    lo, hi = n_window
+    start = np.arange(lo - (lo + _BLOCK // 2) % _BLOCK, hi + 1, _BLOCK)
+    a, b = np.maximum(start, lo), np.minimum(start + _BLOCK - 1, hi)
+    odd, sign = np.array([[parity == "odd", sign] for parity, sign in FAMILIES]).T[:, :, None]
+    decided = np.concatenate([_block_bounds(N, box, odd, sign, a[i:i + _CHUNK],
+                                            b[i:i + _CHUNK], u)[0]
+                              for i in range(0, a.size, _CHUNK)], axis=1)
+    runs = []
+    for row in ~decided:
+        size = (b - a + 1)[row]
+        runs.append(np.repeat(a[row] + size - np.cumsum(size), size) + np.arange(size.sum()))
+    return runs, int(decided.sum())
+
+
+def _ladder_seeds(ladder, N: int, box: Region):
+    """A series-seeded ladder's seeds and reachable mask, each hop padded by ``_series_pad``:
+    the poor entries take imag_step_seed's seeds where their series seeds could reach the box."""
     parity, sign, ns, seed = ladder
-    poor = slice(max(1 - _SERIES_N - ns[0], 0), max(_SERIES_N - ns[0], 0))  # ns = lo..hi
+    poor = np.abs(ns) < _SERIES_N
     if _reachable(box, seed[poor], N, _POOR_PAD / N).any():
         seed = seed.copy()
-        seed[poor] = next(_ladders(N, (ns[poor][0], ns[poor][-1]), [(parity, sign)],
-                                   imag_step_seed))[3]
-    return seed, _reachable(box, seed, N, pad)
+        seed[poor] = _seeds(N, ns[poor], parity, sign, imag_step_seed)
+    return seed, _reachable(box, seed, N, _series_pad(N, ns))
 
 
-def _census_ladder(ladder, N: int, box: Region, pad):
-    """One ladder's reachable branches, certified where the certificate decides them and
-    refined by Newton elsewhere: the certified counted branches as (parity, sign, ns, seeds,
-    energies, error radii), ``_newton`` of the others, and the number of branches."""
+def _census_ladder(ladder, N: int, box: Region, u: float):
+    """A run of one ladder's branches, each reachable one certified where the certificate
+    decides it and refined by Newton elsewhere: the certified counted branches as (parity,
+    sign, ns, seeds, energies, error radii), ``_newton`` of the others, and the number of
+    branches certified."""
     parity, sign, ns, _ = ladder
-    seed, keep = _ladder_seeds(ladder, N, box, pad)
+    seed, keep = _ladder_seeds(ladder, N, box)
     ns, seed = ns[keep], seed[keep]
-    rho, ok, chi, dchi = _certify(N, seed, parity, sign)
-    E, ak = seed * seed + 1j, np.abs(seed)
-    err = rho * (2.0 * ak + rho)  # |kappa^2 - kappa0^2| on the disk
-    err += _HOP_SLACK * (ak * ak + 1.0 + err)  # as the reach is padded
+    _, ok, chi, dchi, err = _certify(N, seed, parity, sign, u)
+    E = seed * seed + 1j
     depth = _depth(box, E)
     inside = depth >= err
     decided = ok & ((inside & (np.abs(chi.imag) > dchi)) | (depth < -err))
@@ -720,20 +822,21 @@ def enumerate_imag_step(N: int, n_window: tuple[int, int],
     disk is flagged (``converged=False``) rather than fatal.
     """
     ladders = ((parity, sign, ns, _refine_ladder(N, seed, parity))
-               for parity, sign, ns, seed in _ladders(N, n_window, families, imag_step_seed))
+               for parity, sign, ns, seed in _ladders(N, n_window, families))
     return [r for group in zip(*(_records(lad, slice(None)) for lad in ladders)) for r in group]
 
 
 @dataclass(frozen=True)
 class CensusResult:
-    """``branches`` counts the reachable branches, those whose hop disk can reach the
-    box, certified or refined; no other branch could be counted.  ``refined`` counts those
-    that Newton refined, where the certificate left the zero, the box or the sheet
-    undecided, or the dedupe.  ``uncertified`` lists the refined branches that did not
-    converge, each of which could have been counted; ``certified`` says it is empty.
-    ``energies`` are the counted energies in the dedupe's sorted order, each its certificate
-    disk's centre s^2 + i at its seed s (``_ladder_seeds``), within ``radii``, or Newton's
-    energy (radius 0).  ``results``, every branch of the full window as a Newton record from
+    """``blocks`` counts the blocks of branch numbers decided whole by their bounds, none of
+    whose branches could be counted.  ``branches`` counts the reachable branches of the
+    other blocks, those whose hop disk can reach the box, each certified one at a time.
+    ``refined`` counts those that Newton refined, where the certificate left the zero,
+    the box or the sheet undecided, or the dedupe.  ``uncertified`` lists the refined
+    branches that did not converge, each of which could have been counted; ``certified``
+    says it is empty.  ``energies`` are the counted energies in the dedupe's sorted order,
+    each its certificate disk's centre s^2 + i at its seed s (``_ladder_seeds``), within
+    ``radii``, or Newton's energy (radius 0).  ``results``, every branch of the full window as a Newton record from
     converged Lambert seeds, refines on first read: an independent oracle for tests and
     benchmarks, which no package code reads."""
 
@@ -744,6 +847,7 @@ class CensusResult:
     certified: bool
     uncertified: tuple
     branches: int
+    blocks: int
     refined: int
     energies: tuple
     radii: tuple
@@ -781,10 +885,13 @@ def _box_window(N: int, box: Region) -> tuple[int, int]:
     return (-n_max, n_max)
 
 
-def _depth(box: Region, E):
-    """How far each E lies inside the box, by its nearest edge: negative outside it."""
-    return np.minimum(np.minimum(E.real - box.re_lo, box.re_hi - E.real),
-                      np.minimum(E.imag - box.im_lo, box.im_hi - E.imag))
+def _depth(box: Region, E, spread=0j):
+    """How far each E lies inside the box, by its nearest edge: negative outside it.  With a
+    ``spread`` s, the least depth over the rectangle |Re(e - E)| <= Re s, |Im(e - E)| <= Im s;
+    with -s, a bound on the greatest."""
+    lo, hi = E - spread, E + spread
+    return np.minimum(np.minimum(lo.real - box.re_lo, box.re_hi - hi.real),
+                      np.minimum(lo.imag - box.im_lo, box.im_hi - hi.imag))
 
 
 def _newton(N: int, box: Region, parity: str, sign: int, ns, seed):
@@ -817,20 +924,23 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
 
     Emits (N, count, count*log(N)/N^2) plus the box, for the locality-violation
     scaling check.  Energies less than 1e-6 relative from the previous sorted one are dropped.
-    Each ladder is seeded from W's asymptotic series (``_census_seed``, the poor entries
-    by imag_step_seed), and each reachable branch is certified in closed form (``_certify``)
-    at its seed; Newton refines only the branches the certificate leaves undecided, and the
-    certified ones whose error could change the dedupe.
+    Each ladder's blocks that ``_block_bounds`` cannot decide whole are seeded from W's
+    asymptotic series (``_census_seed``, the poor entries by imag_step_seed), and each of
+    their reachable branches is certified in closed form (``_certify``) at its seed; Newton
+    refines only the branches the certificate leaves undecided, and the certified ones whose
+    error could change the dedupe.
     """
     box = census_box(N, C_box)
-    (lo, hi), certified, newton, branches = _box_window(N, box), [], [], 0
-    pad = _series_pad(N, np.arange(lo, hi + 1))  # the same for every ladder
-    # map holds no ladder while it certifies the next, as a for-loop variable would
-    for cert, refined, reachable in map(partial(_census_ladder, N=N, box=box, pad=pad),
-                                        _ladders(N, (lo, hi), FAMILIES, _census_seed)):
-        certified.append(cert)
-        newton.append(refined)
-        branches += reachable
+    window, certified, newton, branches = _box_window(N, box), [], [], 0
+    u = _rounding(N, window[1])
+    undecided, blocks = _undecided(N, box, window, u)
+    for (parity, sign), ns in zip(FAMILIES, undecided):
+        for part in (ns[i:i + _CHUNK] for i in range(0, ns.size, _CHUNK)):
+            ladder = (parity, sign, part, _seeds(N, part, parity, sign, _census_seed))
+            cert, refined, reachable = _census_ladder(ladder, N, box, u)
+            certified.append(cert)
+            newton.append(refined)
+            branches += reachable
     while True:
         bounds = np.cumsum([0] + [cert[4].size for cert in certified])
         E = np.concatenate([cert[4] for cert in certified] + [hit for hit, _, _ in newton])
@@ -848,5 +958,6 @@ def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
     count = kept.size
     return CensusResult(N=N, count=count, ratio=count * math.log(N) / (N * N), box=box,
                         certified=not uncertified, uncertified=tuple(uncertified),
-                        branches=branches, refined=sum(size for _, _, size in newton),
+                        branches=branches, blocks=blocks,
+                        refined=sum(size for _, _, size in newton),
                         energies=tuple(E[kept].tolist()), radii=tuple(err[kept].tolist()))

@@ -722,7 +722,7 @@ class TestLadderSeeds:
         assert np.all(np.abs(even - mirrored) <= 1e-15 * np.abs(even))
 
     @pytest.mark.parametrize("window, families", [
-        ((-3, 40), FAMILIES),  # asymmetric: the odd pass covers -40..40
+        ((-3, 40), FAMILIES),  # asymmetric: the even seeds come from odd n = -40..3
         ((5, 9), [("even", 1)]),  # one even ladder, seeded from odd n = -9..-5
     ])
     def test_shared_pass_matches_a_lambert_call_per_family(self, window, families):
@@ -938,18 +938,34 @@ def _newton_recount(cen):
     return count, all(r.converged for r, ok in zip(cen.results, reach) if ok)
 
 
-#: (N, count, branches, refined) of the benchmark ladder's censuses at C_box 10
-_PINNED = ((32, 60, 774, 3), (64, 198, 2443, 1), (128, 663, 8049, 1), (192, 1357, 16402, 1),
-           (256, 2265, 27325, 1))
+#: (N, count, branches, refined, blocks) of the benchmark ladder's censuses at C_box 10
+_PINNED = ((32, 60, 289, 3, 28), (64, 198, 374, 1, 106), (128, 663, 836, 1, 390),
+           (192, 1357, 1634, 1, 824), (256, 2265, 2463, 1, 1408))
+
+
+def _series_ladders(N, box):
+    """Each family's whole census window with its series seeds: (parity, sign, ns, seeds)."""
+    lo, hi = _box_window(N, box)
+    ns = np.arange(lo, hi + 1)
+    seed_of = spectral_count._census_seed
+    return [(parity, sign, ns, spectral_count._seeds(N, ns, parity, sign, seed_of))
+            for parity, sign in FAMILIES]
+
+
+def _reachable_count(N, C_box=10.0):
+    """The branches of the whole window that can reach the box, as the census seeds them."""
+    box = census_box(N, C_box)
+    return sum(np.count_nonzero(spectral_count._ladder_seeds(ladder, N, box)[1])
+               for ladder in _series_ladders(N, box))
 
 
 def _certified_disks(N, C_box=10.0):
     """(parity, sign, n, seed, rho) of each reachable branch whose disk the certificate holds."""
     box, disks = census_box(N, C_box), []
-    for parity, sign, ns, seed in spectral_count._ladders(N, _box_window(N, box), FAMILIES,
-                                                          spectral_count._census_seed):
+    u = spectral_count._rounding(N, _box_window(N, box)[1])
+    for parity, sign, ns, seed in _series_ladders(N, box):
         keep = spectral_count._reachable(box, seed, N)
-        rho, ok = spectral_count._certify(N, seed[keep], parity, sign)[:2]
+        rho, ok = spectral_count._certify(N, seed[keep], parity, sign, u)[:2]
         disks += [(parity, sign, n, k, r) for n, k, r in zip(
             ns[keep][ok].tolist(), seed[keep][ok].tolist(), rho[ok].tolist())]
     return disks
@@ -967,9 +983,10 @@ class TestSeriesSeeds:
 
         monkeypatch.setattr(spectral_count, "lambert_w", refuse)
         monkeypatch.setattr(special_functions, "lambert_w", refuse)
-        for N, count, branches, refined in _PINNED:
+        for N, count, branches, refined, blocks in _PINNED:
             cen = imag_step_census(N, 10.0)
-            assert (cen.count, cen.branches, cen.refined) == (count, branches, refined)
+            assert (cen.count, cen.branches, cen.refined, cen.blocks) == (
+                count, branches, refined, blocks)
             assert cen.certified
 
     @pytest.mark.parametrize("N", [8, 16, 32, 256])
@@ -980,21 +997,20 @@ class TestSeriesSeeds:
         # and a box that everything reaches gives every poor entry the Lambert seed
         box = census_box(N)
         everything = Region.rectangle(-1e9, 1e9, -1e9, 1e9)
-        window = _box_window(N, box)
-        exact = {f[:2]: f[3] for f in spectral_count._ladders(N, window, FAMILIES, imag_step_seed)}
-        for ladder in spectral_count._ladders(N, window, FAMILIES, spectral_count._census_seed):
+        exact = {f[:2]: f[3] for f in spectral_count._ladders(N, _box_window(N, box), FAMILIES)}
+        for ladder in _series_ladders(N, box):
             parity, sign, ns, series = ladder
             lam, pad = exact[parity, sign], spectral_count._series_pad(N, ns)
             poor = np.abs(ns) < spectral_count._SERIES_N
             assert np.all((np.abs(series - lam) <= pad)[~poor] & (pad[~poor] > 0.0))
             assert np.all(np.abs(series - lam)[poor] <= spectral_count._POOR_PAD / N)
             assert np.all(pad[poor] == 0.0)
-            seed, keep = spectral_count._ladder_seeds(ladder, N, box, pad)
+            seed, keep = spectral_count._ladder_seeds(ladder, N, box)
             assert np.all(seed[~poor] == series[~poor])
             assert np.all(seed[poor] == lam[poor]) or (
                 np.all(seed[poor] == series[poor]) and not keep[poor].any())
             assert np.all(keep | ~spectral_count._reachable(box, lam, N))
-            seed, keep = spectral_count._ladder_seeds(ladder, N, everything, pad)
+            seed, keep = spectral_count._ladder_seeds(ladder, N, everything)
             assert keep.all() and np.all(seed[poor] == lam[poor])
 
     def test_census_equals_the_lambert_seeded_census(self, monkeypatch):
@@ -1065,13 +1081,69 @@ class TestCensusCertificate:
 
     @pytest.mark.parametrize("N, C_box", [(16, 10.0), (32, 100.0)])
     def test_radius_below_the_bound_goes_to_newton(self, monkeypatch, N, C_box):
-        # no disk narrower than the Newton step |H/H'| can pass Rouche against H's linear part
+        # no disk narrower than the Newton step |H/H'| can pass Rouche against H's linear part,
+        # nor can a block's: Newton refines every reachable branch
         certified = imag_step_census(N, C_box)
         monkeypatch.setattr(spectral_count, "_CERT_STEPS", 0.9)
         cen = imag_step_census(N, C_box)
-        assert cen.refined == cen.branches == certified.branches
+        assert cen.refined == cen.branches == _reachable_count(N, C_box) >= certified.branches
         assert (cen.count, cen.certified) == _newton_recount(cen)
         assert (cen.count, cen.certified) == (certified.count, certified.certified)
+
+
+class TestBlocks:
+    """The census decides whole blocks of branch numbers from closed-form bounds, and only
+    what the certificate of each branch in them would decide."""
+
+    @pytest.mark.parametrize("C_box", [1.5, 10.0, 100.0])
+    @pytest.mark.parametrize("N", [8, 16, 64, 256, 1024])
+    def test_decided_blocks_hold_their_branches(self, N, C_box):
+        # blocks of _BLOCK branches at a seeded random offset tile the window; for each
+        # reachable branch of a decided block, its certificate's rho, chi.imag -+ dchi and
+        # depth -+ err lie inside the block's bounds, and the certificate decides it uncounted
+        box, size = census_box(N, C_box), spectral_count._BLOCK
+        lo, hi = _box_window(N, box)
+        u = spectral_count._rounding(N, hi)
+        a = np.arange(lo - int(np.random.default_rng([N, int(C_box)]).integers(size)), hi + 1, size)
+        b = a + size - 1
+        decided_total = 0
+        for parity, sign, ns, seed in _series_ladders(N, box):
+            decided, *bounds = spectral_count._block_bounds(
+                N, box, parity == "odd", sign, a, b, u)
+            poor = (a < spectral_count._SERIES_N) & (b > -spectral_count._SERIES_N)
+            assert not np.any(decided & poor)
+            decided_total += np.count_nonzero(decided)
+            seed, keep = spectral_count._ladder_seeds((parity, sign, ns, seed), N, box)
+            block = (ns - a[0]) // size
+            keep &= decided[block]
+            block, seed = block[keep], seed[keep]
+            rho, ok, chi, dchi, err = spectral_count._certify(N, seed, parity, sign, u)
+            depth = spectral_count._depth(box, seed * seed + 1j)
+            rho_hi, chi_lo, chi_hi, depth_lo, depth_hi = (x[block] for x in bounds)
+            assert np.all(rho <= rho_hi)
+            assert np.all((chi_lo <= chi.imag - dchi) & (chi.imag + dchi <= chi_hi))
+            assert np.all((depth_lo <= depth - err) & (depth + err <= depth_hi))
+            inside = depth >= err
+            assert np.all(ok & ((inside & (chi.imag < -dchi)) | (depth < -err)))
+        assert decided_total > 0 or N <= 16
+
+    @pytest.mark.parametrize("C_box", [1.5, 10.0, 100.0])
+    def test_blocks_change_no_census(self, monkeypatch, C_box):
+        # the census with no block decided, which certifies every reachable branch one at a
+        # time, gives the same counts, records, energies and radii, bit for bit
+        def summary(cen):
+            return (cen.count, cen.certified, cen.refined, [repr(r) for r in cen.uncertified],
+                    cen.energies, cen.radii)
+
+        Ns = list(range(8, 65)) + [96, 128, 200, 256, 300, 512]
+        blocked = [imag_step_census(N, C_box) for N in Ns]
+        monkeypatch.setattr(spectral_count, "_block_bounds", lambda N, box, odd, sign, a, b, u: (
+            np.zeros(np.broadcast(odd, a).shape, dtype=bool),))
+        for N, cen in zip(Ns, blocked):
+            branchwise = imag_step_census(N, C_box)
+            assert (cen.blocks, branchwise.blocks) == (cen.blocks, 0)
+            assert summary(cen) == summary(branchwise)
+            assert cen.branches <= branchwise.branches == _reachable_count(N, C_box)
 
 
 class TestCensus:
@@ -1082,12 +1154,14 @@ class TestCensus:
         ratios = [c.ratio for c in results]
         assert max(ratios) / min(ratios) < 3.0
 
-    def test_census_equals_winding_exactly(self):
-        N = 8
+    @pytest.mark.parametrize("N, count", [(8, 6), (16, 18), (32, 60), (64, 198)])
+    def test_census_equals_winding_exactly(self, N, count):
+        # the argument principle on the global secular, an oracle that shares no code with
+        # the census; from N = 96 on its contour does not settle on the census box
         cen = imag_step_census(N, 10.0)
         pot = PiecewisePotential([(-float(N), float(N), 1j)])
         wc = winding_count(make_secular_handle(pot), census_box(N, 10.0))
-        assert cen.count == wc
+        assert cen.count == wc == count
 
     def test_energy_scalings(self):
         # Re E ~ n^2/N^2 and |Im E| ~ (|n|/N^2) log(|n|/N) along the ladder,
@@ -1103,25 +1177,28 @@ class TestCensus:
             assert 4.0 * math.pi * 1.2 < ratio < 4.0 * math.pi * 2.5
 
     def test_pinned_counts_and_certificate(self):
-        # the census CSV of the benchmark ladder and N = 16, the branches whose hop disk
-        # can reach the box, and the few of them Newton refines, all on a box edge;
-        # every refined branch converges
-        for N, count, branches, refined in ((16, 18, 261, 0),) + _PINNED:
+        # the census CSV of the benchmark ladder and N = 16, the reachable branches of the
+        # blocks no bound decides, certified one at a time, the few of them Newton refines,
+        # all on a box edge, and the blocks decided whole; every refined branch converges
+        for N, count, branches, refined, blocks in ((16, 18, 261, 0, 8),) + _PINNED:
             cen = imag_step_census(N, 10.0)
-            assert (cen.count, cen.branches, cen.refined) == (count, branches, refined)
+            assert (cen.count, cen.branches, cen.refined, cen.blocks) == (
+                count, branches, refined, blocks)
             assert cen.certified and cen.uncertified == ()
             assert not any(cmath.isnan(r.energy) for r in cen.results)
 
     def test_census_512_certified(self):
+        # of 94,881 reachable branches, 8,003 are certified one at a time
         cen = imag_step_census(512, 10.0)
-        assert (cen.count, cen.branches, cen.refined) == (7846, 94881, 1)
+        assert (cen.count, cen.branches, cen.refined, cen.blocks) == (7846, 8003, 1, 5031)
         assert cen.certified
         assert cen.ratio == pytest.approx(0.18671377185081472, rel=1e-15)
 
     def test_census_1024_certified(self):
-        # Newton refined all 335,184 reachable branches before the certificate
+        # Newton refined all 335,184 reachable branches before the certificate, which then
+        # certified each of them before the block bounds; now 27,772 are, one at a time
         cen = imag_step_census(1024, 10.0)
-        assert (cen.count, cen.branches, cen.refined) == (27524, 335184, 2)
+        assert (cen.count, cen.branches, cen.refined, cen.blocks) == (27524, 27772, 2, 18160)
         assert cen.certified
         assert cen.ratio == pytest.approx(0.18194373128635344, rel=1e-15)
 
@@ -1134,7 +1211,7 @@ class TestCensus:
         hits = iter([[e, chain[0]], [e, chain[2]], [chain[1]], []])
         none = ("odd", 1, np.zeros(0, dtype=int), np.zeros(0, dtype=complex),
                 np.zeros(0, dtype=complex), np.zeros(0))
-        monkeypatch.setattr(spectral_count, "_census_ladder", lambda ladder, N, box, pad: (
+        monkeypatch.setattr(spectral_count, "_census_ladder", lambda ladder, N, box, u: (
             none, (np.array(next(hits), dtype=complex), [], 1), 1))
         cen = imag_step_census(8, 10.0)
         assert (cen.count, cen.branches, cen.refined) == (2, 4, 4)
@@ -1178,11 +1255,13 @@ class TestCensus:
         assert "results" not in vars(cen)  # nobody has read them yet
         assert list(cen.results) == enumerate_imag_step(N, _box_window(N, census_box(N, 10.0)))
         assert cen.results is cen.results
-        # the census refines the branches the full window's seeds can take into the box
+        # of the branches the full window's seeds can take into the box, the census
+        # certifies one at a time those the block bounds leave undecided
         assert len(cen.results) == {16: 412, 64: 4004}[N]
         seeds = np.array([r.kappa_seed for r in cen.results])
-        assert cen.branches == np.count_nonzero(spectral_count._reachable(cen.box, seeds, N))
-        assert cen.branches == {16: 261, 64: 2443}[N]
+        reach = np.count_nonzero(spectral_count._reachable(cen.box, seeds, N))
+        assert reach == _reachable_count(N) == {16: 261, 64: 2443}[N]
+        assert cen.branches == {16: 261, 64: 374}[N] <= reach
 
     def test_census_keeps_no_ladder(self):
         # each ladder's columns go once counted; they were 824 KB at N = 128, and the
@@ -1194,7 +1273,7 @@ class TestCensus:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert (cen.count, cen.branches) == (663, 8049)  # of 13,636 in the window
+        assert (cen.count, cen.branches) == (663, 836)  # of 8,049 reachable, 13,636 in the window
         assert retained < 64 * 1024
 
     @pytest.mark.parametrize("N, C_box", [(8, 10.0), (8, 50.0), (9, 30.0), (16, 200.0),
@@ -1222,7 +1301,7 @@ class TestCensus:
         # the branches Newton refines are reachable ones, and refine as they do in the full
         # window, bit for bit (repr tells every two distinct floats apart): the uncertified
         # records are reachable branches that do not converge
-        assert cen.branches == np.count_nonzero(reach) and cen.refined <= cen.branches
+        assert cen.refined <= cen.branches <= np.count_nonzero(reach)
         unconverged = {repr(r) for r, ok in zip(full, reach) if ok and not r.converged}
         assert set(map(repr, cen.uncertified)) <= unconverged
         assert cen.certified == (not cen.uncertified)
