@@ -22,15 +22,16 @@ multiple zero in a cell below the floor, else solved again on a small disk.
 The census of V = i*1_[-N,N] cuts each resonance ladder's window of branch numbers n into
 blocks of 32 and decides a block whole where closed-form bounds, its values at its centre
 plus half its width times derivative bounds in a real n, prove every branch in it
-unreachable, outside the box, or inside it and off the physical sheet.  The other blocks
-are seeded as numpy arrays from W's asymptotic series, no Halley step (Lambert W only at
-|n| < 12 in reach of the box), the even ladders by W_n(conj z) = conj W_-n(z).  Of their
-branches whose hop disk, widened by its seed's error bound, can reach the box, each is
-certified in closed form: one zero in a disk around its seed, and the disk's box and sheet.
-Newton, with a per-branch stop, refines only those the certificate leaves undecided (at
-N = 32..256, 7 of the 5,596 certified one at a time, of 54,993 reachable, all on a box
-edge) or whose error could change the dedupe.  Each chunk is folded into the counts before
-the next; the result keeps the counted energies and their error radii.
+unreachable, outside the box, or inside it and off the physical sheet.  The other blocks'
+branches, of all four ladders in one array with a family column, go in chunks: seeded from
+W's asymptotic series, a ladder's from its own z, no Halley step (Lambert W only at |n| < 12
+in reach of the box), the even ladders by W_n(conj z) = conj W_-n(z); then each branch whose
+hop disk, widened by its seed's error bound, can reach the box is certified in one array
+pass by one closed form for both parities: one zero in a disk around its seed, and the
+disk's box and sheet.  Newton, a ladder at a time with a per-branch stop, refines only those
+the certificate leaves undecided (at N = 32..256, 7 of the 5,596 certified, of 54,993
+reachable, all on a box edge) or whose error could change the dedupe.  The result keeps the
+counted energies and their error radii.
 CensusResult.results and enumerate_imag_step, Newton on the full window from Lambert seeds,
 are the independent oracle that no package code reads.
 """
@@ -530,6 +531,10 @@ _HOP = 0.75 * math.pi
 _HOP_SLACK = 1e-9
 #: c of the odd ladders' factor 2*kappa*e^{i*kappa*R} = s*c; the even ladders' is i*c
 _ROOT_I = cmath.sqrt(1j)
+#: per family of FAMILIES, c and sigma of ``_certify``'s H = 2 kappa p - c (1 - sigma p^2):
+#: s sqrt(i) and 1 on the odd ladders, s i sqrt(i) and -1 on the even ones
+_C = np.array([s * (_ROOT_I if parity == "odd" else 1j * _ROOT_I) for parity, s in FAMILIES])
+_SIGMA = np.array([1.0 if parity == "odd" else -1.0 for parity, _ in FAMILIES])
 #: the certificate's disk radius in Newton steps |H/H'| (Rouche needs more than one)
 _CERT_STEPS = 2.0
 _EPS = 2.0**-52  # the float64 epsilon
@@ -646,25 +651,23 @@ def _rounding(N: int, top: int) -> float:
     return 16.0 * _EPS * (L1 + math.log(L1) + math.pi + 5.0)
 
 
-def _certify(N: int, seed, parity: str, sign: int, u: float):
-    """A closed-form one-zero certificate per seed kappa0 of a ladder: (rho, ok, chi, dchi, err).
-
-    The ladder's zeros of the parity secular are those of H(kappa) = 2 kappa p - s c (1 - q),
-    p = e^{i kappa N}, with q = p^2, c = sqrt(i) (odd) or q = -p^2, c = i sqrt(i) (even); the
-    seed solves 2 kappa p = s c, which drops s c q.  By Rouche against H's linear part at
-    kappa0, the disk |kappa - kappa0| <= rho, rho = _CERT_STEPS Newton steps, holds exactly one
-    zero of H when |H(kappa0)| + M rho^2/2 < |H'(kappa0)| rho, with M >= |H''| on the disk
-    from |p| <= |p0| e^{N rho}; ``ok`` says so for a disk inside the hop disk.  At a zero,
-    chi = i kappa r = -kappa (1 + q)/(1 - q); over the disk it moves from its value at kappa0
-    by less than ``dchi``, which is padded by _HOP_SLACK of |chi| for Newton's own error, and
-    E = kappa^2 + i by less than ``err`` from kappa0^2 + i, padded as the reach is.  Every
+def _certify(N: int, seed, fam, u: float):
+    """A closed-form one-zero certificate per seed kappa0 of ladder FAMILIES[fam]: (rho, ok, chi,
+    dchi, err).  One formula serves both parities: with p = e^{i kappa N} and q = sigma p^2, c
+    and sigma = +-1 the family's (``_C``, ``_SIGMA``), the ladder's zeros of the parity secular
+    are those of H(kappa) = 2 kappa p - c (1 - q), and the seed solves 2 kappa p = c.  By Rouche
+    against H's linear part at kappa0, the disk |kappa - kappa0| <= rho, rho = _CERT_STEPS Newton
+    steps, holds exactly one zero of H when |H(kappa0)| + M rho^2/2 < |H'(kappa0)| rho, with
+    M >= |H''| on the disk from |p| <= |p0| e^{N rho}; ``ok`` says so for a disk inside the hop
+    disk.  At a zero, chi = i kappa r = kappa (1 + q)/(q - 1); over the disk it moves from its
+    value at kappa0 by less than ``dchi``, padded by _HOP_SLACK of |chi| for Newton's own error,
+    and E = kappa^2 + i by less than ``err`` from kappa0^2 + i, padded as the reach is.  Every
     bound is padded by ``u`` (``_rounding``) for the rounding of p0, one exp per seed."""
-    R, k = float(N), seed
-    c = sign * (_ROOT_I if parity == "odd" else 1j * _ROOT_I)
+    R, k, c = float(N), seed, _C.take(fam)
     with np.errstate(all="ignore"):
         p = np.exp(k * (1j * R))
-        pp = p * p
-        g, h = k * p, (c if parity == "odd" else -c) * pp  # kappa p and c q
+        q = _SIGMA.take(fam) * (p * p)
+        g, h = k * p, c * q  # kappa p and c q
         ak, ap = np.abs(k), np.exp(-R * k.imag)
         akp, aq = ak * ap, ap * ap
         f_hi = np.abs(2.0 * g + h - c) + u * (2.0 * akp + 1.0 + aq)
@@ -673,7 +676,7 @@ def _certify(N: int, seed, parity: str, sign: int, u: float):
         P, K = ap * ((1.0 + u) * np.exp(R * rho)), ak + rho  # bound |p| and |kappa| on the disk
         Q, D = P * P, 1.0 - P * P  # |q| <= Q and |1 - q| >= D on the disk
         M = (1.0 + u) * R * P * (4.0 + 2.0 * R * K + 4.0 * R * P)
-        chi = k * ((1.0 + pp) / (pp - 1.0) if parity == "odd" else (pp - 1.0) / (pp + 1.0))
+        chi = k * ((1.0 + q) / (q - 1.0))
         dchi = (rho * ((1.0 + Q) / D + 4.0 * R * K * Q / (D * D))
                 + (u + _HOP_SLACK) * ak * (1.0 + aq) / D + _HOP_SLACK)
         ok = ((df_lo > 0.0) & (D > 0.0) & (rho < _HOP / R)
@@ -685,7 +688,7 @@ def _certify(N: int, seed, parity: str, sign: int, u: float):
 
 def _series_pad(N: int, ns):
     """Each series seed's distance bound from imag_step_seed's over the branch numbers ns, in
-    closed form from |n|; 0 on the poor entries |n| < _SERIES_N, which ``_ladder_seeds``
+    closed form from |n|; 0 on the poor entries |n| < _SERIES_N, which ``_chunk_seeds``
     judges apart."""
     an = np.abs(ns)
     return np.where(an < _SERIES_N, 0.0, _SERIES_C / (N * (_TWO_PI * (an - 0.375)) ** 3))
@@ -759,9 +762,9 @@ def _block_bounds(N: int, box: Region, odd, sign, a, b, u: float):
 
 
 def _undecided(N: int, box: Region, n_window: tuple[int, int], u: float):
-    """Each ladder's window in blocks of _BLOCK branches, one of them centred on n = 0 so that
-    it holds every poor entry: per family, the branch numbers of the blocks that
-    ``_block_bounds`` leaves undecided; and the number of blocks it decides."""
+    """The window in blocks of _BLOCK branches, one centred on n = 0 so that it holds every poor
+    entry: the branch numbers of all four ladders' blocks that ``_block_bounds`` leaves
+    undecided, grouped by family, their family column (int8), and the number of blocks decided."""
     lo, hi = n_window
     start = np.arange(lo - (lo + _BLOCK // 2) % _BLOCK, hi + 1, _BLOCK)
     a, b = np.maximum(start, lo), np.minimum(start + _BLOCK - 1, hi)
@@ -769,40 +772,29 @@ def _undecided(N: int, box: Region, n_window: tuple[int, int], u: float):
     decided = np.concatenate([_block_bounds(N, box, odd, sign, a[i:i + _CHUNK],
                                             b[i:i + _CHUNK], u)[0]
                               for i in range(0, a.size, _CHUNK)], axis=1)
-    runs = []
-    for row in ~decided:
-        size = (b - a + 1)[row]
-        runs.append(np.repeat(a[row] + size - np.cumsum(size), size) + np.arange(size.sum()))
-    return runs, int(decided.sum())
+    fam, block = np.nonzero(~decided)
+    size = (b - a + 1)[block]
+    ns = np.repeat(a[block] + size - np.cumsum(size), size) + np.arange(size.sum())
+    return ns, np.repeat(fam.astype(np.int8), size), int(decided.sum())
 
 
-def _ladder_seeds(ladder, N: int, box: Region):
-    """A series-seeded ladder's seeds and reachable mask, each hop padded by ``_series_pad``:
-    the poor entries take imag_step_seed's seeds where their series seeds could reach the box."""
-    parity, sign, ns, seed = ladder
-    poor = np.abs(ns) < _SERIES_N
-    if _reachable(box, seed[poor], N, _POOR_PAD / N).any():
-        seed = seed.copy()
-        seed[poor] = _seeds(N, ns[poor], parity, sign, imag_step_seed)
+def _families(fam):
+    """(parity, sign, slice) of each family present in a family column grouped by family."""
+    cut = np.searchsorted(fam, np.arange(len(FAMILIES) + 1, dtype=np.int8)).tolist()
+    return [(*FAMILIES[f], slice(i, j)) for f, (i, j) in enumerate(zip(cut, cut[1:])) if i < j]
+
+
+def _chunk_seeds(N: int, box: Region, ns, fam):
+    """Seeds of the branches ``ns`` of the families ``fam`` (grouped by family), each ladder's
+    by _census_seed from its own z, its poor entries by imag_step_seed where theirs, padded by
+    _POOR_PAD, can reach the box; and the mask of those that can, hops padded by ``_series_pad``."""
+    seeds = [_seeds(N, ns[part], *ladder, _census_seed) for *ladder, part in _families(fam)]
+    seed = seeds[0] if len(seeds) == 1 else np.concatenate(seeds)  # a copy only across ladders
+    poor = np.flatnonzero(np.abs(ns) < _SERIES_N)
+    for parity, sign, part in _families(fam[poor]):
+        if _reachable(box, seed[poor[part]], N, _POOR_PAD / N).any():
+            seed[poor[part]] = _seeds(N, ns[poor[part]], parity, sign, imag_step_seed)
     return seed, _reachable(box, seed, N, _series_pad(N, ns))
-
-
-def _census_ladder(ladder, N: int, box: Region, u: float):
-    """A run of one ladder's branches, each reachable one certified where the certificate
-    decides it and refined by Newton elsewhere: the certified counted branches as (parity,
-    sign, ns, seeds, energies, error radii), ``_newton`` of the others, and the number of
-    branches certified."""
-    parity, sign, ns, _ = ladder
-    seed, keep = _ladder_seeds(ladder, N, box)
-    ns, seed = ns[keep], seed[keep]
-    _, ok, chi, dchi, err = _certify(N, seed, parity, sign, u)
-    E = seed * seed + 1j
-    depth = _depth(box, E)
-    inside = depth >= err
-    decided = ok & ((inside & (np.abs(chi.imag) > dchi)) | (depth < -err))
-    hit, rest = decided & inside & (chi.imag > 0.0), ~decided
-    return ((parity, sign, ns[hit], seed[hit], E[hit], err[hit]),
-            _newton(N, box, parity, sign, ns[rest], seed[rest]), ns.size)
 
 
 def _records(ladder, idx) -> list[BranchResult]:
@@ -835,10 +827,10 @@ class CensusResult:
     the box or the sheet undecided, or the dedupe.  ``uncertified`` lists the refined
     branches that did not converge, each of which could have been counted; ``certified``
     says it is empty.  ``energies`` are the counted energies in the dedupe's sorted order,
-    each its certificate disk's centre s^2 + i at its seed s (``_ladder_seeds``), within
-    ``radii``, or Newton's energy (radius 0).  ``results``, every branch of the full window as a Newton record from
-    converged Lambert seeds, refines on first read: an independent oracle for tests and
-    benchmarks, which no package code reads."""
+    each its certificate disk's centre s^2 + i at its seed s (``_chunk_seeds``), within
+    ``radii``, or Newton's energy (radius 0).  ``results``, every branch of the full window
+    as a Newton record from converged Lambert seeds, refines on first read: an independent
+    oracle for tests and benchmarks, which no package code reads."""
 
     N: int
     count: int
@@ -885,24 +877,25 @@ def _box_window(N: int, box: Region) -> tuple[int, int]:
     return (-n_max, n_max)
 
 
-def _depth(box: Region, E, spread=0j):
+def _depth(box: Region, E, spread=None):
     """How far each E lies inside the box, by its nearest edge: negative outside it.  With a
     ``spread`` s, the least depth over the rectangle |Re(e - E)| <= Re s, |Im(e - E)| <= Im s;
     with -s, a bound on the greatest."""
-    lo, hi = E - spread, E + spread
+    lo, hi = (E, E) if spread is None else (E - spread, E + spread)
     return np.minimum(np.minimum(lo.real - box.re_lo, box.re_hi - hi.real),
                       np.minimum(lo.imag - box.im_lo, box.im_hi - hi.imag))
 
 
-def _newton(N: int, box: Region, parity: str, sign: int, ns, seed):
-    """Newton on these branches of one ladder: their counted energies, unconverged
-    records and number."""
-    if not seed.size:
-        return seed, [], 0
-    cols = _refine_ladder(N, seed, parity)
-    E, conv = cols["energy"], cols["converged"]
-    return (E[conv & cols["on_physical_sheet"] & (_depth(box, E) >= 0.0)],
-            _records((parity, sign, ns, cols), np.flatnonzero(~conv)), conv.size)
+def _newton(N: int, box: Region, fam, ns, seed) -> list:
+    """Newton on these branches, grouped by family, a ladder at a time: per ladder its counted
+    energies, unconverged records and number."""
+    out = []
+    for parity, sign, part in _families(fam):
+        cols = _refine_ladder(N, seed[part], parity)
+        E, conv = cols["energy"], cols["converged"]
+        out.append((E[conv & cols["on_physical_sheet"] & (_depth(box, E) >= 0.0)],
+                    _records((parity, sign, ns[part], cols), np.flatnonzero(~conv)), conv.size))
+    return out
 
 
 def _distinct(E, err):
@@ -922,38 +915,42 @@ def _distinct(E, err):
 def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
     """Count physical-sheet ladder energies inside the census box.
 
-    Emits (N, count, count*log(N)/N^2) plus the box, for the locality-violation
-    scaling check.  Energies less than 1e-6 relative from the previous sorted one are dropped.
-    Each ladder's blocks that ``_block_bounds`` cannot decide whole are seeded from W's
-    asymptotic series (``_census_seed``, the poor entries by imag_step_seed), and each of
-    their reachable branches is certified in closed form (``_certify``) at its seed; Newton
-    refines only the branches the certificate leaves undecided, and the certified ones whose
-    error could change the dedupe.
+    Emits (N, count, count*log(N)/N^2) plus the box, for the locality-violation scaling
+    check; energies less than 1e-6 relative from the previous sorted one are dropped.  The
+    four ladders' branches that ``_block_bounds`` leaves undecided are seeded (``_chunk_seeds``)
+    and certified (``_certify``) in one array pass per chunk; Newton refines, a ladder at a
+    time, those the certificate leaves undecided or whose error could change the dedupe.
     """
     box = census_box(N, C_box)
     window, certified, newton, branches = _box_window(N, box), [], [], 0
     u = _rounding(N, window[1])
-    undecided, blocks = _undecided(N, box, window, u)
-    for (parity, sign), ns in zip(FAMILIES, undecided):
-        for part in (ns[i:i + _CHUNK] for i in range(0, ns.size, _CHUNK)):
-            ladder = (parity, sign, part, _seeds(N, part, parity, sign, _census_seed))
-            cert, refined, reachable = _census_ladder(ladder, N, box, u)
-            certified.append(cert)
-            newton.append(refined)
-            branches += reachable
+    ns, fam, blocks = _undecided(N, box, window, u)
+    for i in range(0, ns.size, _CHUNK):
+        part, pf = ns[i:i + _CHUNK], fam[i:i + _CHUNK]
+        seed, keep = _chunk_seeds(N, box, part, pf)
+        part, pf, seed = part[keep], pf[keep], seed[keep]
+        _, ok, chi, dchi, err = _certify(N, seed, pf, u)
+        E = seed * seed + 1j
+        depth = _depth(box, E)
+        inside = depth >= err
+        decided = ok & ((inside & (np.abs(chi.imag) > dchi)) | (depth < -err))
+        hit, rest = decided & inside & (chi.imag > 0.0), ~decided
+        certified.append((pf[hit], part[hit], seed[hit], E[hit], err[hit]))
+        newton += _newton(N, box, pf[rest], part[rest], seed[rest])
+        branches += part.size
+    del ns, fam  # the dedupe's peak needs no window
     while True:
-        bounds = np.cumsum([0] + [cert[4].size for cert in certified])
-        E = np.concatenate([cert[4] for cert in certified] + [hit for hit, _, _ in newton])
-        err = np.zeros(E.size)
-        err[:bounds[-1]] = np.concatenate([cert[5] for cert in certified])
+        bounds = np.cumsum([0] + [cert[3].size for cert in certified])
+        E = np.concatenate([cert[3] for cert in certified] + [hit for hit, _, _ in newton])
+        err = np.concatenate([cert[4] for cert in certified] + [np.zeros(E.size - bounds[-1])])
         kept, doubt = _distinct(E, err)
         doubt = doubt[doubt < bounds[-1]]
         if not doubt.size:
             break
-        for j, (parity, sign, ns, seed, E_c, err_c) in enumerate(certified):
+        for j, cert in enumerate(certified):
             pick = np.isin(np.arange(bounds[j], bounds[j + 1]), doubt)
-            newton.append(_newton(N, box, parity, sign, ns[pick], seed[pick]))
-            certified[j] = (parity, sign, ns[~pick], seed[~pick], E_c[~pick], err_c[~pick])
+            newton += _newton(N, box, *(x[pick] for x in cert[:3]))
+            certified[j] = tuple(x[~pick] for x in cert)
     uncertified = sorted((r for _, records, _ in newton for r in records), key=lambda r: r[:3])
     count = kept.size
     return CensusResult(N=N, count=count, ratio=count * math.log(N) / (N * N), box=box,

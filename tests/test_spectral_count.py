@@ -952,23 +952,64 @@ def _series_ladders(N, box):
             for parity, sign in FAMILIES]
 
 
+def _window(N, box):
+    """The whole census window of the four ladders as the census lays out its undecided
+    branches: (ns, fam), grouped by family, fam an int8 index into FAMILIES."""
+    lo, hi = _box_window(N, box)
+    size = hi - lo + 1
+    return (np.tile(np.arange(lo, hi + 1), len(FAMILIES)),
+            np.repeat(np.arange(len(FAMILIES), dtype=np.int8), size))
+
+
 def _reachable_count(N, C_box=10.0):
     """The branches of the whole window that can reach the box, as the census seeds them."""
     box = census_box(N, C_box)
-    return sum(np.count_nonzero(spectral_count._ladder_seeds(ladder, N, box)[1])
-               for ladder in _series_ladders(N, box))
+    return np.count_nonzero(spectral_count._chunk_seeds(N, box, *_window(N, box))[1])
 
 
 def _certified_disks(N, C_box=10.0):
     """(parity, sign, n, seed, rho) of each reachable branch whose disk the certificate holds."""
-    box, disks = census_box(N, C_box), []
+    box = census_box(N, C_box)
     u = spectral_count._rounding(N, _box_window(N, box)[1])
-    for parity, sign, ns, seed in _series_ladders(N, box):
-        keep = spectral_count._reachable(box, seed, N)
-        rho, ok = spectral_count._certify(N, seed[keep], parity, sign, u)[:2]
-        disks += [(parity, sign, n, k, r) for n, k, r in zip(
-            ns[keep][ok].tolist(), seed[keep][ok].tolist(), rho[ok].tolist())]
-    return disks
+    ns, fam = _window(N, box)
+    seed = np.concatenate([ladder[3] for ladder in _series_ladders(N, box)])
+    keep = spectral_count._reachable(box, seed, N)
+    ns, fam, seed = ns[keep], fam[keep], seed[keep]
+    rho, ok = spectral_count._certify(N, seed, fam, u)[:2]
+    return [(*FAMILIES[f], n, k, r) for f, n, k, r in zip(
+        fam[ok].tolist(), ns[ok].tolist(), seed[ok].tolist(), rho[ok].tolist())]
+
+
+def _two_branch_certify(N, seed, parity, sign, u):
+    """``_certify`` as it was written for one ladder, with a branch on the parity."""
+    sc = spectral_count
+    R, k = float(N), seed
+    c = sign * (sc._ROOT_I if parity == "odd" else 1j * sc._ROOT_I)
+    with np.errstate(all="ignore"):
+        p = np.exp(k * (1j * R))
+        pp = p * p
+        g, h = k * p, (c if parity == "odd" else -c) * pp
+        ak, ap = np.abs(k), np.exp(-R * k.imag)
+        akp, aq = ak * ap, ap * ap
+        f_hi = np.abs(2.0 * g + h - c) + u * (2.0 * akp + 1.0 + aq)
+        df_lo = np.abs(2.0 * p + (2j * R) * (g + h)) - 2.0 * u * (ap + R * (akp + aq))
+        rho = sc._CERT_STEPS * f_hi / df_lo
+        P, K = ap * ((1.0 + u) * np.exp(R * rho)), ak + rho
+        Q, D = P * P, 1.0 - P * P
+        M = (1.0 + u) * R * P * (4.0 + 2.0 * R * K + 4.0 * R * P)
+        chi = k * ((1.0 + pp) / (pp - 1.0) if parity == "odd" else (pp - 1.0) / (pp + 1.0))
+        dchi = (rho * ((1.0 + Q) / D + 4.0 * R * K * Q / (D * D))
+                + (u + sc._HOP_SLACK) * ak * (1.0 + aq) / D + sc._HOP_SLACK)
+        ok = ((df_lo > 0.0) & (D > 0.0) & (rho < sc._HOP / R)
+              & (f_hi + 0.5 * M * rho * rho < df_lo * rho))
+        err = rho * (2.0 * ak + rho)
+        err += sc._HOP_SLACK * (ak * ak + 1.0 + err)
+    return rho, ok, chi, dchi, err
+
+
+def _bits(columns):
+    """The bytes of each column: equal only where every float is the same to the bit."""
+    return [np.ascontiguousarray(x).tobytes() for x in columns]
 
 
 class TestSeriesSeeds:
@@ -998,19 +1039,19 @@ class TestSeriesSeeds:
         box = census_box(N)
         everything = Region.rectangle(-1e9, 1e9, -1e9, 1e9)
         exact = {f[:2]: f[3] for f in spectral_count._ladders(N, _box_window(N, box), FAMILIES)}
-        for ladder in _series_ladders(N, box):
-            parity, sign, ns, series = ladder
+        for f, (parity, sign, ns, series) in enumerate(_series_ladders(N, box)):
             lam, pad = exact[parity, sign], spectral_count._series_pad(N, ns)
             poor = np.abs(ns) < spectral_count._SERIES_N
             assert np.all((np.abs(series - lam) <= pad)[~poor] & (pad[~poor] > 0.0))
             assert np.all(np.abs(series - lam)[poor] <= spectral_count._POOR_PAD / N)
             assert np.all(pad[poor] == 0.0)
-            seed, keep = spectral_count._ladder_seeds(ladder, N, box)
+            fam = np.full(ns.size, f, dtype=np.int8)
+            seed, keep = spectral_count._chunk_seeds(N, box, ns, fam)
             assert np.all(seed[~poor] == series[~poor])
             assert np.all(seed[poor] == lam[poor]) or (
                 np.all(seed[poor] == series[poor]) and not keep[poor].any())
             assert np.all(keep | ~spectral_count._reachable(box, lam, N))
-            seed, keep = spectral_count._ladder_seeds(ladder, N, everything)
+            seed, keep = spectral_count._chunk_seeds(N, everything, ns, fam)
             assert keep.all() and np.all(seed[poor] == lam[poor])
 
     def test_census_equals_the_lambert_seeded_census(self, monkeypatch):
@@ -1048,6 +1089,28 @@ class TestCensusCertificate:
             assert newton.converged
             # Newton reports the zero with Im kappa >= 0; the secular is even in kappa
             assert min(abs(newton.kappa_refined - seed), abs(newton.kappa_refined + seed)) <= rho
+
+    @pytest.mark.parametrize("C_box", [1.5, 10.0, 100.0])
+    @pytest.mark.parametrize("N", [8, 64, 1024])
+    def test_one_formula_for_both_parities(self, N, C_box):
+        # on a seeded sample of the census's seeds of the window, the four ladders' in one
+        # array, the certificate gives bit for bit what it gives each ladder's own slice and
+        # what the per-parity formula (q = p^2 or -p^2, chi from -cot or tan) gives
+        box = census_box(N, C_box)
+        u = spectral_count._rounding(N, _box_window(N, box)[1])
+        ns, fam = _window(N, box)
+        pick = np.sort(np.random.default_rng([N, int(C_box)]).choice(
+            ns.size, min(4096, ns.size), replace=False))
+        seed, fam = spectral_count._chunk_seeds(N, box, ns, fam)[0][pick], fam[pick]
+        whole = _bits(cert := spectral_count._certify(N, seed, fam, u))
+        assert cert[1].any()
+        ladders = [spectral_count._certify(N, seed[part], fam[part], u)
+                   for *_, part in spectral_count._families(fam)]
+        literal = [_two_branch_certify(N, seed[part], parity, sign, u)
+                   for parity, sign, part in spectral_count._families(fam)]
+        assert len(ladders) == len(FAMILIES)
+        for parts in (ladders, literal):
+            assert _bits(np.concatenate(col) for col in zip(*parts)) == whole
 
     def test_doubted_energies_go_to_newton(self, monkeypatch):
         # no census here leaves a pair in doubt, so doubt every other certified energy once:
@@ -1107,17 +1170,18 @@ class TestBlocks:
         a = np.arange(lo - int(np.random.default_rng([N, int(C_box)]).integers(size)), hi + 1, size)
         b = a + size - 1
         decided_total = 0
-        for parity, sign, ns, seed in _series_ladders(N, box):
+        for f, (parity, sign, ns, _) in enumerate(_series_ladders(N, box)):
             decided, *bounds = spectral_count._block_bounds(
                 N, box, parity == "odd", sign, a, b, u)
             poor = (a < spectral_count._SERIES_N) & (b > -spectral_count._SERIES_N)
             assert not np.any(decided & poor)
             decided_total += np.count_nonzero(decided)
-            seed, keep = spectral_count._ladder_seeds((parity, sign, ns, seed), N, box)
+            fam = np.full(ns.size, f, dtype=np.int8)
+            seed, keep = spectral_count._chunk_seeds(N, box, ns, fam)
             block = (ns - a[0]) // size
             keep &= decided[block]
-            block, seed = block[keep], seed[keep]
-            rho, ok, chi, dchi, err = spectral_count._certify(N, seed, parity, sign, u)
+            block, seed, fam = block[keep], seed[keep], fam[keep]
+            rho, ok, chi, dchi, err = spectral_count._certify(N, seed, fam, u)
             depth = spectral_count._depth(box, seed * seed + 1j)
             rho_hi, chi_lo, chi_hi, depth_lo, depth_hi = (x[block] for x in bounds)
             assert np.all(rho <= rho_hi)
@@ -1202,17 +1266,59 @@ class TestCensus:
         assert cen.certified
         assert cen.ratio == pytest.approx(0.18194373128635344, rel=1e-15)
 
+    @pytest.mark.parametrize("chunk", [7, 100])
+    def test_chunks_across_ladders_change_no_census(self, monkeypatch, chunk):
+        # chunks of 7 and 100 branches cut across the ladders' boundaries in the one undecided
+        # array: counts, records, energies and radii are those of the whole chunks, bit for bit
+        def summary(cen):
+            return (cen.count, cen.certified, cen.branches, cen.blocks, cen.refined,
+                    [repr(r) for r in cen.uncertified], repr(cen.energies), repr(cen.radii))
+
+        cases = [(N, C_box) for N in (8, 64, 256) for C_box in (1.5, 10.0, 100.0)]
+        whole = [summary(imag_step_census(N, C_box)) for N, C_box in cases]
+        certify, mixed = spectral_count._certify, []
+
+        def recording(N, seed, fam, u):
+            mixed.append(np.unique(fam).size > 1)
+            return certify(N, seed, fam, u)
+
+        monkeypatch.setattr(spectral_count, "_CHUNK", chunk)
+        monkeypatch.setattr(spectral_count, "_certify", recording)
+        assert [summary(imag_step_census(N, C_box)) for N, C_box in cases] == whole
+        assert any(mixed)
+
+    def test_one_certificate_pass_per_chunk(self, monkeypatch):
+        # the benchmark ladder's undecided branches, all four ladders', fit in one chunk at
+        # each N: the certificate runs once per census, not once per ladder
+        certify, calls = spectral_count._certify, []
+
+        def counting(N, seed, fam, u):
+            calls.append(N)
+            return certify(N, seed, fam, u)
+
+        monkeypatch.setattr(spectral_count, "_certify", counting)
+        for N, *_ in _PINNED:
+            imag_step_census(N, 10.0)
+        assert calls == [N for N, *_ in _PINNED]
+        box = census_box(256)
+        ns, fam, _ = spectral_count._undecided(256, box, _box_window(256, box), 0.0)
+        assert fam.dtype == np.int8 and ns.size == fam.size
+
     def test_near_equal_energies_count_once(self, monkeypatch):
         # one energy from two ladders, and a chain whose links are 0.6e-6 relative
         # apart but whose ends are 1.2e-6 apart: each counts once
         box = census_box(8, 10.0)
         e, f = complex(box.re_lo + 1.0, 1.0), complex(box.re_lo + 2.0, 1.0)
         chain = [f, f * (1.0 + 0.6e-6), f * (1.0 + 1.2e-6)]
+        # the census keeps the first branch of each ladder, certifies none of them, and
+        # Newton finds these energies on the four ladders
         hits = iter([[e, chain[0]], [e, chain[2]], [chain[1]], []])
-        none = ("odd", 1, np.zeros(0, dtype=int), np.zeros(0, dtype=complex),
-                np.zeros(0, dtype=complex), np.zeros(0))
-        monkeypatch.setattr(spectral_count, "_census_ladder", lambda ladder, N, box, u: (
-            none, (np.array(next(hits), dtype=complex), [], 1), 1))
+        monkeypatch.setattr(spectral_count, "_chunk_seeds", lambda N, box, ns, fam: (
+            np.ones(ns.size, dtype=complex), np.diff(fam, prepend=-1) != 0))
+        monkeypatch.setattr(spectral_count, "_certify", lambda N, seed, fam, u: (
+            seed.real, np.zeros(seed.size, dtype=bool), seed, seed.real, seed.real))
+        monkeypatch.setattr(spectral_count, "_newton", lambda N, box, fam, ns, seed: [
+            (np.array(next(hits), dtype=complex), [], 1) for _ in fam])
         cen = imag_step_census(8, 10.0)
         assert (cen.count, cen.branches, cen.refined) == (2, 4, 4)
 
