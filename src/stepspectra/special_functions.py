@@ -128,11 +128,12 @@ def _w_seed(n: int, z: complex) -> complex | None:
     return None
 
 
-def _w_series(n, z):
-    """W_n(z) by its series through L2/L1^3, L1 = log z + 2 pi i n, L2 = log L1 (Corless et al.
-    1996, eq. 4.19); |L1| >= pi off branches 0 and -1, and where _w_seed has no seed of theirs."""
+def _w_series(n, z, log_z=None):
+    """W_n(z) by its series through L2/L1^3, L1 = log z + 2 pi i n (log z ``log_z`` if given),
+    L2 = log L1 (Corless et al. 1996, eq. 4.19); |L1| >= pi off branches 0 and -1, and where
+    _w_seed has no seed of theirs."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        l1 = np.log(z) + 2j * math.pi * n
+        l1 = (np.log(z) if log_z is None else log_z) + 2j * math.pi * n
         seed = l1 - np.log(l1)
         l2, t = l1 - seed, 1.0 / l1
         return seed + l2 * t * (1.0 + t * (0.5 * l2 - 1.0 + t * (1.0 - 1.5 * l2 + l2 * l2 / 3.0)))

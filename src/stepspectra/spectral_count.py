@@ -20,18 +20,22 @@ multiplicities do not add up; a cluster that makes H0 rank deficient is one
 multiple zero in a cell below the floor, else solved again on a small disk.
 
 The census of V = i*1_[-N,N] cuts each resonance ladder's window of branch numbers n into
-blocks of 32 and decides a block whole where closed-form bounds, its values at its centre
-plus half its width times derivative bounds in a real n, prove every branch in it
-unreachable, outside the box, or inside it and off the physical sheet.  The other blocks'
-branches, of all four ladders in one array with a family column, go in chunks: seeded from
-W's asymptotic series, a ladder's from its own z, no Halley step (Lambert W only at |n| < 12
-in reach of the box), the even ladders by W_n(conj z) = conj W_-n(z); then each branch whose
-hop disk, widened by its seed's error bound, can reach the box is certified in one array
-pass by one closed form for both parities: one zero in a disk around its seed, and the
-disk's box and sheet.  Newton, a ladder at a time with a per-branch stop, refines only those
-the certificate leaves undecided (at N = 32..256, 7 of the 5,596 certified, of 54,993
-reachable, all on a box edge) or whose error could change the dedupe.  The result keeps the
-counted energies and their error radii.
+blocks of 32 and decides a block whole where closed-form bounds, its values at its centre plus
+half its width times derivative bounds in a real n, prove every branch in it unreachable,
+outside the box, inside it and off the physical sheet, or counted (certified inside it and on
+the sheet, hop disks clear of their neighbours), which adds its size unseeded.  The other
+blocks' branches, all four ladders' in one array with a family column, are seeded in chunks by
+one call of W's asymptotic series (Lambert W only at |n| < 12 in reach of the box) and those
+that can reach the box certified in one array pass by one closed form: one zero in a disk
+around the seed, and the disk's box and sheet.  Newton refines the few left undecided (7 of
+the 1,788 certified one at a time at N = 32..256, all on a box edge).  Counted energies are
+distinct by proof: the parities share no eigenvalue (a 1-d eigenvalue has one eigenfunction,
+even or odd); a parity's two sign ladders are zeros of 2 kappa p -+ c (1 - sigma p^2), which
+share only kappa = 0; no certified disk (|p| < 1) holds the negative of another's zero, p(-kappa) =
+1/p(kappa); and from |n| = 12 a ladder's seeds are (2 pi - V1)/N apart, over twice the hop, the
+other sign's half a step away, so a Newton energy in its hop disk is its branch's zero.  Only
+|n| < 12 is compared pairwise (``_repeats``).  The census takes about 6 ms, 70 ms and 0.8 s at
+N = 1024, 4096 and 8192 (2 cores), tracemalloc peaks 1.9, 3.8 and 52 MB, energies built on read.
 CensusResult.results and enumerate_imag_step, Newton on the full window from Lambert seeds,
 are the independent oracle that no package code reads.
 """
@@ -541,8 +545,9 @@ _EPS = 2.0**-52  # the float64 epsilon
 #: the census's series seed errs in W by under _SERIES_C/(2 pi (|n| - 3/8))^3 <= _SERIES_C/|L1|^3
 #: from |n| = _SERIES_N on (below 1e-6), and by under _POOR_PAD below it (0.063 at n = 0)
 _SERIES_N, _SERIES_C, _POOR_PAD = 12, 0.5, 0.25
-#: the census bounds a ladder's branches a block of _BLOCK at a time, and takes blocks, and
-#: the branches of the blocks it leaves undecided, _CHUNK at a time, so its arrays stay small
+#: the census bounds a ladder's branches a block of _BLOCK at a time, and takes the four ladders'
+#: block bounds, and the branches of the blocks it leaves undecided, _CHUNK at a time, so its
+#: arrays stay small (the bounds run about 1.3x as fast on 4,096 entries as on 16,384)
 _BLOCK, _CHUNK = 32, 4096
 
 
@@ -568,10 +573,14 @@ def imag_step_seed(N: int, n, sign: int = +1):
     return -1j * lambert_w(n, 1j * sign * cmath.sqrt(1j) * R / 2.0) / R
 
 
-def _census_seed(N: int, n, sign: int = +1):
-    """imag_step_seed from W's asymptotic series alone, with no Halley step or branch check:
-    the seed that the census certifies, within ``_series_pad`` of imag_step_seed's at |n| >= 12."""
-    return -1j * _w_series(n, 1j * sign * _ROOT_I * N / 2.0) / N
+def _census_seed(N: int, ns, fam):
+    """imag_step_seed (``_seeds``) from W's series alone, no Halley step or branch check, at the
+    branch numbers ns of the families fam (int8), in one series call from a table of log z per
+    family: the seed that the census certifies, within ``_series_pad`` of it at |n| >= 12."""
+    odd = _SIGMA.take(fam) > 0.0
+    log_z = np.log([1j * sign * _ROOT_I * N / 2.0 for _, sign in FAMILIES])
+    seed = -1j * _w_series(np.where(odd, ns, -ns), None, log_z.take(fam)) / N
+    return np.where(odd, seed, -np.conj(seed))
 
 
 def _refine_ladder(N: int, seed, parity: str) -> dict:
@@ -579,7 +588,7 @@ def _refine_ladder(N: int, seed, parity: str) -> dict:
     A branch stops unconverged at a zero derivative or as soon as an iterate
     leaves the hop disk |kappa - seed| <= _HOP/N, keeping the last inside."""
     v0, R, hop = 1j, float(N), _HOP / N
-    kappa, res = seed.copy(), np.full(seed.shape, math.inf)
+    kappa, res, step = seed.copy(), np.full(seed.shape, math.inf), np.zeros(seed.shape)
     # chi at convergence: the matched exterior momentum i*kappa*r, even in kappa
     converged, chi = np.zeros(seed.shape, dtype=bool), np.zeros(seed.shape, dtype=complex)
     idx, ka, sd = np.arange(seed.size), seed, seed  # the running branches' index, iterate, seed
@@ -590,6 +599,7 @@ def _refine_ladder(N: int, seed, parity: str) -> dict:
             hit = mod <= _NEWTON_TOL
             converged[idx[hit]] = True
             chi[idx[hit]] = 1j * ka[hit] * r[hit]
+            step[idx[hit]] = np.abs(fval[hit] / d[hit])
             k_new = ka - fval / d
             go = ~hit & (d != 0) & (np.abs(k_new - sd) <= hop)
             idx, ka, sd = idx[go], k_new[go], sd[go]
@@ -606,7 +616,7 @@ def _refine_ladder(N: int, seed, parity: str) -> dict:
                    & (np.minimum(np.abs(kappa.real), np.abs(seed_can.real)) > 0.1 / R))
     return {"kappa_seed": seed, "kappa_refined": kappa, "energy": kappa * kappa + v0,
             "on_physical_sheet": converged & (chi.imag > 0.0), "residual": res,
-            "converged": converged}
+            "converged": converged, "step": step}
 
 
 def _require_census_N(N: int) -> None:
@@ -615,19 +625,19 @@ def _require_census_N(N: int) -> None:
 
 
 def _reachable(box: Region, seed, N: int, pad=0.0):
-    """The seeds s whose branch can converge into the box: E = kappa^2 + i with
-    |kappa -+ s| <= hop lies within hop*(2|s| + hop) of E_s = s^2 + i.  ``pad``, a bound on
-    each seed's distance from imag_step_seed's, widens hop to keep every branch that reaches."""
+    """The mask of seeds s whose branch can converge into the box, E_s = s^2 + i and its depth:
+    E = kappa^2 + i with |kappa -+ s| <= hop lies within hop*(2|s| + hop) of E_s.  ``pad``, a
+    bound on each seed's distance from imag_step_seed's, widens hop to keep every branch."""
     hop, E_s = _HOP / N + pad, seed * seed + 1j
-    reach = hop * (2.0 * np.abs(seed) + hop)
-    return _depth(box, E_s) >= -(reach + _HOP_SLACK * (np.abs(E_s) + reach))
+    reach, depth = hop * (2.0 * np.abs(seed) + hop), _depth(box, E_s)
+    return depth >= -(reach + _HOP_SLACK * (np.abs(E_s) + reach)), E_s, depth
 
 
-def _seeds(N: int, ns, parity: str, sign: int, seed_of):
-    """One ladder's seeds at the branch numbers ``ns``: the odd ones ``seed_of(N, ns, sign)``
-    (imag_step_seed or _census_seed), the even ones their mirror images, by W_n(conj z) =
-    conj W_-n(z)."""
-    return seed_of(N, ns, sign) if parity == "odd" else -np.conj(seed_of(N, -ns, sign))
+def _seeds(N: int, ns, parity: str, sign: int):
+    """One ladder's imag_step_seed seeds at the branch numbers ``ns``: the odd ones, and the even
+    ones their mirror images, by W_n(conj z) = conj W_-n(z)."""
+    seed = imag_step_seed(N, ns if parity == "odd" else -ns, sign)
+    return seed if parity == "odd" else -np.conj(seed)
 
 
 def _ladders(N: int, n_window: tuple[int, int], families):
@@ -640,7 +650,7 @@ def _ladders(N: int, n_window: tuple[int, int], families):
         raise ValueError(f"unknown ladder families {unknown}, not in {FAMILIES}")
     ns = np.arange(lo, hi + 1)
     for parity, sign in sorted(families):
-        yield parity, sign, ns, _seeds(N, ns, parity, sign, imag_step_seed)
+        yield parity, sign, ns, _seeds(N, ns, parity, sign)
 
 
 def _rounding(N: int, top: int) -> float:
@@ -691,12 +701,13 @@ def _series_pad(N: int, ns):
     closed form from |n|; 0 on the poor entries |n| < _SERIES_N, which ``_chunk_seeds``
     judges apart."""
     an = np.abs(ns)
-    return np.where(an < _SERIES_N, 0.0, _SERIES_C / (N * (_TWO_PI * (an - 0.375)) ** 3))
+    x = _TWO_PI * (an - 0.375)
+    return np.where(an < _SERIES_N, 0.0, _SERIES_C / (N * (x * x * x)))
 
 
 def _block_bounds(N: int, box: Region, odd, sign, a, b, u: float):
     """Bounds over each block a <= n <= b of the ladder (odd or even, sign), the four arrays
-    broadcast, on what ``_certify`` gives each branch: (decided, rho, chi_lo, chi_hi,
+    broadcast, on what ``_certify`` gives each branch: (decided, counted, rho, chi_lo, chi_hi,
     depth_lo, depth_hi), with rho >= each rho, chi.imag -+ dchi in [chi_lo, chi_hi] and
     depth -+ err in [depth_lo, depth_hi], depth = _depth(box, kappa0^2 + i).
 
@@ -707,9 +718,10 @@ def _block_bounds(N: int, box: Region, odd, sign, a, b, u: float):
     derivative in t.  |H| and |H'| come from H = c (e^delta - 1 +- p^2), delta the series
     residual (|delta| <= 2 N pad), which keeps |H| at the size of |p|^2 over the block.  A block is
     decided when none of its branches can reach the box, or when the certificate holds for
-    each and puts each outside the box, or inside it and off the physical sheet; blocks
-    holding |n| < _SERIES_N never are.  Each bound is padded by 2u to 6u for the rounding of
-    a branch's own seed and p0, and by _HOP_SLACK for its own."""
+    each and puts each outside the box, or inside it and off the physical sheet, or inside it
+    and on the sheet: counted, once V1 < 2 pi - 2 _HOP also keeps each hop disk clear of the
+    other seeds of both sign ladders; blocks holding |n| < _SERIES_N never are.  Each bound is
+    padded by 2u to 6u for the rounding of a branch's own seed and p0, and by _HOP_SLACK."""
     R, hw, tc = float(N), 0.5 * (b - a), 0.5 * (a + b)
     up, lo = 1.0 + _HOP_SLACK, 1.0 - _HOP_SLACK
     z = 1j * sign * _ROOT_I * R / 2.0
@@ -757,25 +769,32 @@ def _block_bounds(N: int, box: Region, odd, sign, a, b, u: float):
             np.abs(E) + np.abs(spread) + reach)) < 0.0)
         depth_lo, depth_hi = _depth(box, E, spread) - err, top + err
         chi_lo, chi_hi = chi.imag - dchi, chi.imag + dchi
-        decided = far | (ok & ((depth_hi < 0.0) | ((depth_lo >= 0.0) & (chi_hi < 0.0))))
-    return decided, rho, chi_lo, chi_hi, depth_lo, depth_hi
+        # V1: hop disks clear of the ladder's next seeds, (2 pi - V1)/N away, and the other sign's
+        counted = ok & (depth_lo >= 0.0) & (chi_lo > 0.0) & (V1 < _TWO_PI - 2.0 * _HOP)
+        decided = far | counted | (ok & ((depth_hi < 0.0) | ((depth_lo >= 0.0) & (chi_hi < 0.0))))
+    return decided, counted, rho, chi_lo, chi_hi, depth_lo, depth_hi
 
 
 def _undecided(N: int, box: Region, n_window: tuple[int, int], u: float):
-    """The window in blocks of _BLOCK branches, one centred on n = 0 so that it holds every poor
-    entry: the branch numbers of all four ladders' blocks that ``_block_bounds`` leaves
-    undecided, grouped by family, their family column (int8), and the number of blocks decided."""
+    """The window in blocks of _BLOCK, one centred on n = 0 to hold every poor entry, of the four
+    ladders: the blocks ``_block_bounds`` leaves undecided and those it counts, each as (family
+    column (int8), first n, last n) grouped by family, and the number decided, counted included."""
     lo, hi = n_window
     start = np.arange(lo - (lo + _BLOCK // 2) % _BLOCK, hi + 1, _BLOCK)
     a, b = np.maximum(start, lo), np.minimum(start + _BLOCK - 1, hi)
     odd, sign = np.array([[parity == "odd", sign] for parity, sign in FAMILIES]).T[:, :, None]
-    decided = np.concatenate([_block_bounds(N, box, odd, sign, a[i:i + _CHUNK],
-                                            b[i:i + _CHUNK], u)[0]
-                              for i in range(0, a.size, _CHUNK)], axis=1)
-    fam, block = np.nonzero(~decided)
-    size = (b - a + 1)[block]
-    ns = np.repeat(a[block] + size - np.cumsum(size), size) + np.arange(size.sum())
-    return ns, np.repeat(fam.astype(np.int8), size), int(decided.sum())
+    step = _CHUNK // len(FAMILIES)  # blocks per call, _CHUNK bounds
+    decided, counted = (np.concatenate(col, axis=1) for col in zip(*(
+        _block_bounds(N, box, odd, sign, a[i:i + step], b[i:i + step], u)[:2]
+        for i in range(0, a.size, step))))
+    blocks = [(fam.astype(np.int8), a[i], b[i]) for fam, i in map(np.nonzero, (~decided, counted))]
+    return blocks[0], blocks[1], int(decided.sum())
+
+
+def _expand(fam, a, b):
+    """The branch numbers a..b of each block, and their family column."""
+    size = b - a + 1
+    return np.repeat(a + size - np.cumsum(size), size) + np.arange(size.sum()), np.repeat(fam, size)
 
 
 def _families(fam):
@@ -785,16 +804,16 @@ def _families(fam):
 
 
 def _chunk_seeds(N: int, box: Region, ns, fam):
-    """Seeds of the branches ``ns`` of the families ``fam`` (grouped by family), each ladder's
-    by _census_seed from its own z, its poor entries by imag_step_seed where theirs, padded by
-    _POOR_PAD, can reach the box; and the mask of those that can, hops padded by ``_series_pad``."""
-    seeds = [_seeds(N, ns[part], *ladder, _census_seed) for *ladder, part in _families(fam)]
-    seed = seeds[0] if len(seeds) == 1 else np.concatenate(seeds)  # a copy only across ladders
+    """Seeds of the branches ``ns`` of the families ``fam`` (grouped by family) by _census_seed, a
+    ladder's poor entries by imag_step_seed where theirs, padded by _POOR_PAD, can reach the box;
+    with ``_reachable``'s mask of those that can, hops padded by ``_series_pad``, E_s and depth."""
+    seed = _census_seed(N, ns, fam)
     poor = np.flatnonzero(np.abs(ns) < _SERIES_N)
+    reach = _reachable(box, seed[poor], N, _POOR_PAD / N)[0]
     for parity, sign, part in _families(fam[poor]):
-        if _reachable(box, seed[poor[part]], N, _POOR_PAD / N).any():
-            seed[poor[part]] = _seeds(N, ns[poor[part]], parity, sign, imag_step_seed)
-    return seed, _reachable(box, seed, N, _series_pad(N, ns))
+        if reach[part].any():
+            seed[poor[part]] = _seeds(N, ns[poor[part]], parity, sign)
+    return (seed, *_reachable(box, seed, N, _series_pad(N, ns)))
 
 
 def _records(ladder, idx) -> list[BranchResult]:
@@ -820,17 +839,16 @@ def enumerate_imag_step(N: int, n_window: tuple[int, int],
 
 @dataclass(frozen=True)
 class CensusResult:
-    """``blocks`` counts the blocks of branch numbers decided whole by their bounds, none of
-    whose branches could be counted.  ``branches`` counts the reachable branches of the
-    other blocks, those whose hop disk can reach the box, each certified one at a time.
-    ``refined`` counts those that Newton refined, where the certificate left the zero,
-    the box or the sheet undecided, or the dedupe.  ``uncertified`` lists the refined
-    branches that did not converge, each of which could have been counted; ``certified``
-    says it is empty.  ``energies`` are the counted energies in the dedupe's sorted order,
-    each its certificate disk's centre s^2 + i at its seed s (``_chunk_seeds``), within
-    ``radii``, or Newton's energy (radius 0).  ``results``, every branch of the full window
-    as a Newton record from converged Lambert seeds, refines on first read: an independent
-    oracle for tests and benchmarks, which no package code reads."""
+    """``blocks`` counts the blocks of branch numbers decided whole, the counted ones
+    (``counted_blocks``: family column, first n, last n) among them, never seeded; ``branches``
+    the other blocks' branches whose hop disk can reach the box, each certified one at a time;
+    ``refined`` those Newton refined, where the certificate left the zero, box or sheet undecided.
+    ``uncertified`` lists the refined branches that did not converge, each of which could have
+    been counted; ``certified`` says it is empty.  ``energies``, built on first read, are the
+    counted energies sorted by Re E, then Im E: each its certificate disk's centre s^2 + i within
+    ``radii``, or Newton's energy (radius 0), ``branch_energies`` and ``branch_radii`` those not in
+    counted blocks.  ``results``, every branch of the full window as a Newton record from Lambert
+    seeds, refines on first read: an independent oracle that no package code reads."""
 
     N: int
     count: int
@@ -841,8 +859,26 @@ class CensusResult:
     branches: int
     blocks: int
     refined: int
-    energies: tuple
-    radii: tuple
+    counted_blocks: tuple = field(repr=False, compare=False)
+    branch_energies: np.ndarray = field(repr=False, compare=False)
+    branch_radii: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def _disks(self) -> tuple:
+        """(energies, radii), the counted blocks' disks certified a chunk at a time."""
+        (ns, fam), N = _expand(*self.counted_blocks), self.N
+        u = _rounding(N, _box_window(N, self.box)[1])
+        E, err = [self.branch_energies], [self.branch_radii]
+        for i in range(0, ns.size, _CHUNK):
+            seed = _census_seed(N, ns[i:i + _CHUNK], fam[i:i + _CHUNK])
+            E.append(seed * seed + 1j)
+            err.append(_certify(N, seed, fam[i:i + _CHUNK], u)[4])
+        E, err = np.concatenate(E), np.concatenate(err)
+        order = np.lexsort((E.imag, E.real))
+        return tuple(E[order].tolist()), tuple(err[order].tolist())
+
+    energies = property(lambda self: self._disks[0])
+    radii = property(lambda self: self._disks[1])
 
     @cached_property
     def results(self) -> tuple:
@@ -888,73 +924,65 @@ def _depth(box: Region, E, spread=None):
 
 def _newton(N: int, box: Region, fam, ns, seed) -> list:
     """Newton on these branches, grouped by family, a ladder at a time: per ladder its counted
-    energies, unconverged records and number."""
+    energies as (family, n, E, radius 0, disk), the disk's radius _CERT_STEPS Newton steps
+    |F/F'| in kappa, taken to E; its unconverged records; and its number of branches."""
     out = []
     for parity, sign, part in _families(fam):
         cols = _refine_ladder(N, seed[part], parity)
         E, conv = cols["energy"], cols["converged"]
-        out.append((E[conv & cols["on_physical_sheet"] & (_depth(box, E) >= 0.0)],
+        hit = conv & cols["on_physical_sheet"] & (_depth(box, E) >= 0.0)
+        s = _CERT_STEPS * cols["step"][hit]
+        out.append(((fam[part][hit], ns[part][hit], E[hit], np.zeros(s.size),
+                     s * (2.0 * np.abs(cols["kappa_refined"][hit]) + s)),
                     _records((parity, sign, ns[part], cols), np.flatnonzero(~conv)), conv.size))
     return out
 
 
-def _distinct(E, err):
-    """The energies at least 1e-6 relative from the previous one in sorted order, each
-    known to within ``err``: their positions in that order, and the positions whose error
-    could change them, in a pair near that threshold or of uncertain order."""
-    order = np.lexsort((E.imag, E.real))
-    E, err = E[order], err[order]
-    gap = np.abs(np.diff(E, prepend=np.inf))
-    least = 1e-6 * np.maximum(1.0, np.abs(E))
-    width = (1.0 + 1e-6) * (err[1:] + err[:-1])
-    near = (width > 0.0) & ((np.abs(gap[1:] - least[1:]) <= width)
-                            | (E.real[1:] - E.real[:-1] <= width))
-    return order[gap >= least], np.union1d(order[1:][near], order[:-1][near])
+def _repeats(fam, ns, E, disk, newton):
+    """The entries that repeat an earlier one's zero in the order by Re E, then Im E: poor entries
+    (|n| < _SERIES_N) of one parity whose error disks (radius ``disk``) meet, and of one factor
+    unless one is a ``newton`` energy, which may have converged to the other factor's zero.  No
+    other two counted energies can share a zero (module docstring)."""
+    repeat, poor = np.zeros(E.size, dtype=bool), np.flatnonzero(np.abs(ns) < _SERIES_N)
+    if poor.size < 2:
+        return repeat
+    poor = poor[np.lexsort((E[poor].imag, E[poor].real))]
+    f, e, r, nt = fam[poor], E[poor], disk[poor], newton[poor]
+    meet = ((np.abs(e[:, None] - e) <= r[:, None] + r) & (f[:, None] // 2 == f // 2)
+            & ((f[:, None] == f) | nt[:, None] | nt))
+    repeat[poor] = np.tril(meet, -1).any(axis=1)
+    return repeat
 
 
 def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
-    """Count physical-sheet ladder energies inside the census box.
-
-    Emits (N, count, count*log(N)/N^2) plus the box, for the locality-violation scaling
-    check; energies less than 1e-6 relative from the previous sorted one are dropped.  The
-    four ladders' branches that ``_block_bounds`` leaves undecided are seeded (``_chunk_seeds``)
-    and certified (``_certify``) in one array pass per chunk; Newton refines, a ladder at a
-    time, those the certificate leaves undecided or whose error could change the dedupe.
-    """
+    """Count physical-sheet ladder energies inside the census box: (N, count, count*log(N)/N^2)
+    and the box, for the locality-violation scaling check.  A block that ``_block_bounds`` proves
+    counted adds its size unseeded; the branches of undecided blocks are seeded (``_chunk_seeds``)
+    and certified (``_certify``) in one array pass per chunk, and Newton refines, a ladder at a
+    time, those the certificate leaves undecided.  Counted energies are distinct by proof, but for
+    the poor entries, which ``_repeats`` compares pairwise."""
     box = census_box(N, C_box)
-    window, certified, newton, branches = _box_window(N, box), [], [], 0
+    window, hits, newton, branches = _box_window(N, box), [], [], 0
     u = _rounding(N, window[1])
-    ns, fam, blocks = _undecided(N, box, window, u)
+    undecided, counted, blocks = _undecided(N, box, window, u)
+    ns, fam = _expand(*undecided)
     for i in range(0, ns.size, _CHUNK):
         part, pf = ns[i:i + _CHUNK], fam[i:i + _CHUNK]
-        seed, keep = _chunk_seeds(N, box, part, pf)
-        part, pf, seed = part[keep], pf[keep], seed[keep]
+        seed, keep, E, depth = _chunk_seeds(N, box, part, pf)
+        part, pf, seed, E, depth = part[keep], pf[keep], seed[keep], E[keep], depth[keep]
         _, ok, chi, dchi, err = _certify(N, seed, pf, u)
-        E = seed * seed + 1j
-        depth = _depth(box, E)
         inside = depth >= err
         decided = ok & ((inside & (np.abs(chi.imag) > dchi)) | (depth < -err))
         hit, rest = decided & inside & (chi.imag > 0.0), ~decided
-        certified.append((pf[hit], part[hit], seed[hit], E[hit], err[hit]))
+        hits.append((pf[hit], part[hit], E[hit], err[hit], err[hit]))
         newton += _newton(N, box, pf[rest], part[rest], seed[rest])
         branches += part.size
-    del ns, fam  # the dedupe's peak needs no window
-    while True:
-        bounds = np.cumsum([0] + [cert[3].size for cert in certified])
-        E = np.concatenate([cert[3] for cert in certified] + [hit for hit, _, _ in newton])
-        err = np.concatenate([cert[4] for cert in certified] + [np.zeros(E.size - bounds[-1])])
-        kept, doubt = _distinct(E, err)
-        doubt = doubt[doubt < bounds[-1]]
-        if not doubt.size:
-            break
-        for j, cert in enumerate(certified):
-            pick = np.isin(np.arange(bounds[j], bounds[j + 1]), doubt)
-            newton += _newton(N, box, *(x[pick] for x in cert[:3]))
-            certified[j] = tuple(x[~pick] for x in cert)
+    fam, ns, E, radii, disk = (np.concatenate(c) for c in zip(*hits, *(h for h, _, _ in newton)))
+    keep = ~_repeats(fam, ns, E, disk, radii == 0.0)  # Newton's energies have radius 0
     uncertified = sorted((r for _, records, _ in newton for r in records), key=lambda r: r[:3])
-    count = kept.size
+    count = int(np.add.reduce(counted[2] - counted[1] + 1)) + int(np.count_nonzero(keep))
     return CensusResult(N=N, count=count, ratio=count * math.log(N) / (N * N), box=box,
                         certified=not uncertified, uncertified=tuple(uncertified),
                         branches=branches, blocks=blocks,
-                        refined=sum(size for _, _, size in newton),
-                        energies=tuple(E[kept].tolist()), radii=tuple(err[kept].tolist()))
+                        refined=sum(size for _, _, size in newton), counted_blocks=counted,
+                        branch_energies=E[keep], branch_radii=radii[keep])

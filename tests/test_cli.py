@@ -239,6 +239,20 @@ class TestImagStepCommand:
         assert text.count("<circle") == sum(counts) + grey
         assert (text.count('fill="#d62728"'), text.count('fill="#aaaaaa"')) == (sum(counts), grey)
 
+    def test_counted_energies_are_built_for_svg_only(self, monkeypatch, tmp_path):
+        # N = 128 and 256 count whole blocks, whose energies the census builds on first read:
+        # the CSV alone reads none, and the SVG draws each counted energy once
+        built, disks = [], spectral_count.CensusResult._disks
+        monkeypatch.setattr(spectral_count.CensusResult, "_disks", property(
+            lambda cen: built.append(cen.N) or disks.func(cen)))
+        out, svg = tmp_path / "census.csv", tmp_path / "census.svg"
+        assert run(["imag-step", "--N", "128,256", "--out", str(out)]) == 0
+        assert built == []
+        assert run(["imag-step", "--N", "128,256", "--out", str(out), "--svg", str(svg)]) == 0
+        assert built == [128, 256]
+        counts = [int(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert svg.read_text().count('fill="#d62728"') == sum(counts) == 663 + 2265
+
     def test_svg_draws_one_box_per_census(self, tmp_path):
         # each N's census box, dashed, all inside the plot area (the last N's box alone
         # was drawn once)

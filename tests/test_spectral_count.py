@@ -934,22 +934,27 @@ def _newton_recount(cen):
                     key=lambda e: (e.real, e.imag)):
         count += last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e))
         last = e
-    reach = spectral_count._reachable(cen.box, np.array([r.kappa_seed for r in cen.results]), cen.N)
+    seeds = np.array([r.kappa_seed for r in cen.results])
+    reach = spectral_count._reachable(cen.box, seeds, cen.N)[0]
     return count, all(r.converged for r, ok in zip(cen.results, reach) if ok)
 
 
+@pytest.fixture(scope="module")
+def census_8192():
+    return imag_step_census(8192, 10.0)
+
+
 #: (N, count, branches, refined, blocks) of the benchmark ladder's censuses at C_box 10
-_PINNED = ((32, 60, 289, 3, 28), (64, 198, 374, 1, 106), (128, 663, 836, 1, 390),
-           (192, 1357, 1634, 1, 824), (256, 2265, 2463, 1, 1408))
+_PINNED = ((32, 60, 289, 3, 28), (64, 198, 374, 1, 106), (128, 663, 324, 1, 406),
+           (192, 1357, 386, 1, 863), (256, 2265, 415, 1, 1472))
 
 
 def _series_ladders(N, box):
     """Each family's whole census window with its series seeds: (parity, sign, ns, seeds)."""
     lo, hi = _box_window(N, box)
     ns = np.arange(lo, hi + 1)
-    seed_of = spectral_count._census_seed
-    return [(parity, sign, ns, spectral_count._seeds(N, ns, parity, sign, seed_of))
-            for parity, sign in FAMILIES]
+    return [(parity, sign, ns, spectral_count._census_seed(N, ns, np.full(ns.size, f, np.int8)))
+            for f, (parity, sign) in enumerate(FAMILIES)]
 
 
 def _window(N, box):
@@ -973,7 +978,7 @@ def _certified_disks(N, C_box=10.0):
     u = spectral_count._rounding(N, _box_window(N, box)[1])
     ns, fam = _window(N, box)
     seed = np.concatenate([ladder[3] for ladder in _series_ladders(N, box)])
-    keep = spectral_count._reachable(box, seed, N)
+    keep = spectral_count._reachable(box, seed, N)[0]
     ns, fam, seed = ns[keep], fam[keep], seed[keep]
     rho, ok = spectral_count._certify(N, seed, fam, u)[:2]
     return [(*FAMILIES[f], n, k, r) for f, n, k, r in zip(
@@ -1046,12 +1051,13 @@ class TestSeriesSeeds:
             assert np.all(np.abs(series - lam)[poor] <= spectral_count._POOR_PAD / N)
             assert np.all(pad[poor] == 0.0)
             fam = np.full(ns.size, f, dtype=np.int8)
-            seed, keep = spectral_count._chunk_seeds(N, box, ns, fam)
+            seed, keep, E, depth = spectral_count._chunk_seeds(N, box, ns, fam)
+            assert _bits((E, depth)) == _bits((seed * seed + 1j, spectral_count._depth(box, E)))
             assert np.all(seed[~poor] == series[~poor])
             assert np.all(seed[poor] == lam[poor]) or (
                 np.all(seed[poor] == series[poor]) and not keep[poor].any())
-            assert np.all(keep | ~spectral_count._reachable(box, lam, N))
-            seed, keep = spectral_count._chunk_seeds(N, everything, ns, fam)
+            assert np.all(keep | ~spectral_count._reachable(box, lam, N)[0])
+            seed, keep, *_ = spectral_count._chunk_seeds(N, everything, ns, fam)
             assert keep.all() and np.all(seed[poor] == lam[poor])
 
     def test_census_equals_the_lambert_seeded_census(self, monkeypatch):
@@ -1062,7 +1068,9 @@ class TestSeriesSeeds:
 
         cases = [(N, C_box) for N in range(8, 65) for C_box in (1.5, 10.0, 50.0, 100.0)]
         series = [summary(imag_step_census(N, C_box)) for N, C_box in cases]
-        monkeypatch.setattr(spectral_count, "_census_seed", spectral_count.imag_step_seed)
+        monkeypatch.setattr(spectral_count, "_census_seed", lambda N, ns, fam: np.concatenate([
+            spectral_count._seeds(N, ns[part], parity, sign)
+            for parity, sign, part in spectral_count._families(fam)]))
         assert [summary(imag_step_census(N, C_box)) for N, C_box in cases] == series
 
 
@@ -1112,23 +1120,6 @@ class TestCensusCertificate:
         for parts in (ladders, literal):
             assert _bits(np.concatenate(col) for col in zip(*parts)) == whole
 
-    def test_doubted_energies_go_to_newton(self, monkeypatch):
-        # no census here leaves a pair in doubt, so doubt every other certified energy once:
-        # Newton refines those branches, and the count and its certificate stand
-        certified = imag_step_census(32, 10.0)
-        distinct, doubted = spectral_count._distinct, []
-
-        def doubting(E, err):
-            count, doubt = distinct(E, err)
-            if not doubted:
-                doubted.append(doubt := np.flatnonzero(err > 0.0)[::2])
-            return count, doubt
-
-        monkeypatch.setattr(spectral_count, "_distinct", doubting)
-        cen = imag_step_census(32, 10.0)
-        assert (cen.count, cen.certified) == (certified.count, certified.certified)
-        assert cen.refined == certified.refined + doubted[0].size > certified.refined
-
     @pytest.mark.parametrize("N, C_box", [(16, 10.0), (32, 100.0)])
     def test_moved_seeds_go_to_newton(self, monkeypatch, N, C_box):
         # a quarter of the ladder spacing 2 pi/N puts a seed midway between a zero of its
@@ -1136,8 +1127,8 @@ class TestCensusCertificate:
         # Both of the census's seed functions move: its poor entries |n| < 12 reach these
         # boxes, and they take the Lambert seed
         for name in ("_census_seed", "imag_step_seed"):
-            monkeypatch.setattr(spectral_count, name, lambda N, n, sign=1, seed=getattr(
-                spectral_count, name): seed(N, n, sign) + 0.5 * math.pi / N)
+            monkeypatch.setattr(spectral_count, name, lambda N, *args, seed=getattr(
+                spectral_count, name): seed(N, *args) + 0.5 * math.pi / N)
         cen = imag_step_census(N, C_box)
         assert cen.refined == cen.branches > 0
         assert (cen.count, cen.certified) == _newton_recount(cen)
@@ -1171,13 +1162,13 @@ class TestBlocks:
         b = a + size - 1
         decided_total = 0
         for f, (parity, sign, ns, _) in enumerate(_series_ladders(N, box)):
-            decided, *bounds = spectral_count._block_bounds(
+            decided, counted, *bounds = spectral_count._block_bounds(
                 N, box, parity == "odd", sign, a, b, u)
             poor = (a < spectral_count._SERIES_N) & (b > -spectral_count._SERIES_N)
             assert not np.any(decided & poor)
             decided_total += np.count_nonzero(decided)
             fam = np.full(ns.size, f, dtype=np.int8)
-            seed, keep = spectral_count._chunk_seeds(N, box, ns, fam)
+            seed, keep, *_ = spectral_count._chunk_seeds(N, box, ns, fam)
             block = (ns - a[0]) // size
             keep &= decided[block]
             block, seed, fam = block[keep], seed[keep], fam[keep]
@@ -1188,8 +1179,45 @@ class TestBlocks:
             assert np.all((chi_lo <= chi.imag - dchi) & (chi.imag + dchi <= chi_hi))
             assert np.all((depth_lo <= depth - err) & (depth + err <= depth_hi))
             inside = depth >= err
-            assert np.all(ok & ((inside & (chi.imag < -dchi)) | (depth < -err)))
+            assert np.all(ok & np.where(counted[block], inside & (chi.imag > dchi),
+                                        (inside & (chi.imag < -dchi)) | (depth < -err)))
         assert decided_total > 0 or N <= 16
+
+    @pytest.mark.parametrize("C_box", [1.5, 10.0, 100.0])
+    @pytest.mark.parametrize("N", [128, 256, 1024])
+    def test_counted_blocks_hold_counted_branches(self, N, C_box):
+        # every branch of every block the census counts whole passes its own certificate, lies
+        # inside the box by more than its error and on the physical sheet by more than its chi
+        # error: the census would count it branch by branch.  At C_box 1.5 no block is counted
+        box = census_box(N, C_box)
+        u = spectral_count._rounding(N, _box_window(N, box)[1])
+        counted = spectral_count._undecided(N, box, _box_window(N, box), u)[1]
+        ns, fam = spectral_count._expand(*counted)
+        assert (ns.size > 0) == (C_box > 1.5)
+        assert np.all(np.abs(ns) >= spectral_count._SERIES_N)
+        seed = spectral_count._census_seed(N, ns, fam)
+        _, ok, chi, dchi, err = spectral_count._certify(N, seed, fam, u)
+        depth = spectral_count._depth(box, seed * seed + 1j)
+        assert np.all(ok & (depth >= err) & (chi.imag > dchi))
+
+    @pytest.mark.parametrize("hop", [0.75, 1.0 - 1e-6])
+    def test_counted_hop_disks_clear_their_neighbours(self, monkeypatch, hop):
+        # why counted energies are distinct: on a counted block each branch's hop disk holds no
+        # other seed of its ladder, whose seeds are (2 pi - V1)/N apart, nor of the other sign's,
+        # half a step away, once V1 < 2 pi - 2 hop.  With a hop of nearly pi the other sign's
+        # seeds near n = 0 fall inside it, and that guard keeps their blocks uncounted
+        monkeypatch.setattr(spectral_count, "_HOP", hop * math.pi)
+        seeds, total = spectral_count._census_seed, 0
+        for N, C_box in ((64, 100.0), (128, 10.0), (256, 100.0)):
+            box = census_box(N, C_box)
+            u = spectral_count._rounding(N, _box_window(N, box)[1])
+            ns, fam = spectral_count._expand(*spectral_count._undecided(
+                N, box, _box_window(N, box), u)[1])
+            seed, total = seeds(N, ns, fam), total + ns.size
+            ladder = np.min([np.abs(seeds(N, ns + d, fam) - seed) for d in (-1, 1)], axis=0)
+            other = np.min([np.abs(seeds(N, ns + d, fam ^ 1) - seed) for d in (-1, 0, 1)], axis=0)
+            assert np.all(ladder > 2.0 * hop * math.pi / N) and np.all(other > hop * math.pi / N)
+        assert (total > 0) == (hop == 0.75)
 
     @pytest.mark.parametrize("C_box", [1.5, 10.0, 100.0])
     def test_blocks_change_no_census(self, monkeypatch, C_box):
@@ -1201,11 +1229,15 @@ class TestBlocks:
 
         Ns = list(range(8, 65)) + [96, 128, 200, 256, 300, 512]
         blocked = [imag_step_census(N, C_box) for N in Ns]
+        # the energies of the counted blocks are built on first read
+        assert not any("_disks" in vars(cen) for cen in blocked)
+        assert any(cen.counted_blocks[0].size for cen in blocked) == (C_box > 1.5)
         monkeypatch.setattr(spectral_count, "_block_bounds", lambda N, box, odd, sign, a, b, u: (
-            np.zeros(np.broadcast(odd, a).shape, dtype=bool),))
+            np.zeros(np.broadcast(odd, a).shape, dtype=bool),) * 2)
         for N, cen in zip(Ns, blocked):
             branchwise = imag_step_census(N, C_box)
             assert (cen.blocks, branchwise.blocks) == (cen.blocks, 0)
+            assert branchwise.counted_blocks[0].size == 0
             assert summary(cen) == summary(branchwise)
             assert cen.branches <= branchwise.branches == _reachable_count(N, C_box)
 
@@ -1252,19 +1284,60 @@ class TestCensus:
             assert not any(cmath.isnan(r.energy) for r in cen.results)
 
     def test_census_512_certified(self):
-        # of 94,881 reachable branches, 8,003 are certified one at a time
+        # of 94,881 reachable branches, 323 are certified one at a time
         cen = imag_step_census(512, 10.0)
-        assert (cen.count, cen.branches, cen.refined, cen.blocks) == (7846, 8003, 1, 5031)
+        assert (cen.count, cen.branches, cen.refined, cen.blocks) == (7846, 323, 1, 5271)
         assert cen.certified
         assert cen.ratio == pytest.approx(0.18671377185081472, rel=1e-15)
 
     def test_census_1024_certified(self):
         # Newton refined all 335,184 reachable branches before the certificate, which then
-        # certified each of them before the block bounds; now 27,772 are, one at a time
+        # certified each of them before the block bounds, and 27,772 before the blocks counted;
+        # now 380 are, one at a time
         cen = imag_step_census(1024, 10.0)
-        assert (cen.count, cen.branches, cen.refined, cen.blocks) == (27524, 27772, 2, 18160)
+        assert (cen.count, cen.branches, cen.refined, cen.blocks) == (27524, 380, 2, 19016)
         assert cen.certified
         assert cen.ratio == pytest.approx(0.18194373128635344, rel=1e-15)
+
+    def test_census_8192_certified(self, census_8192):
+        # the 1e-6 dedupe dropped 760,389 of these distinct energies and called 500,690 certified
+        cen = census_8192
+        assert (cen.count, cen.certified) == (1261079, True)
+        assert cen.count == np.add.reduce(cen.counted_blocks[2] - cen.counted_blocks[1] + 1) + len(
+            cen.branch_energies)
+
+    def test_adjacent_counted_zeros_are_distinct_at_8192(self, census_8192):
+        # on a seeded sample of 200 counted branches of the counted blocks, each paired with its
+        # ladder's next branch or with the nearest seed of the other sign's ladder, both counted:
+        # findroot at 30 digits from each seed finds a zero of the parity secular i + kappa^2
+        # csc^2(kappa N) (odd) or sec^2 inside its certificate disk, and the two disks are apart
+        N, (fam, a, b) = 8192, census_8192.counted_blocks
+        u = spectral_count._rounding(N, _box_window(N, census_8192.box)[1])
+        ns, fams = spectral_count._expand(fam, a, b)
+        pick = np.random.default_rng(8192).choice(ns.size, 400, replace=False)
+        n, f, across = ns[pick], fams[pick], np.arange(400) % 2 == 1
+        seed = spectral_count._census_seed(N, n, f)
+        near = [np.abs(spectral_count._census_seed(N, n + d, f ^ 1) - seed) for d in (-1, 0, 1)]
+        g = np.where(across, f ^ 1, f)
+        m = np.where(across, n + np.argmin(near, axis=0) - 1, n + 1)
+        counted = np.any((g[:, None] == fam) & (a <= m[:, None]) & (m[:, None] <= b), axis=1)
+        pairs = [np.flatnonzero(counted & (across == side))[:100] for side in (False, True)]
+        assert [p.size for p in pairs] == [100, 100]
+        pairs = np.concatenate(pairs)
+
+        def zero(fam, n):
+            seed = spectral_count._census_seed(N, np.array([n]), np.array([fam], dtype=np.int8))
+            rho, ok = spectral_count._certify(N, seed, np.array([fam], dtype=np.int8), u)[:2]
+            trig = mpmath.sin if FAMILIES[fam][0] == "odd" else mpmath.cos
+            with mpmath.workdps(30):
+                k0 = mpmath.mpc(seed[0])  # secant steps from two points a hundredth of rho apart
+                root = mpmath.findroot(lambda k: 1j + k * k / trig(k * N) ** 2, (k0, k0 + rho[0] / 100))
+            assert ok[0] and abs(complex(root) - seed[0]) <= rho[0]
+            return complex(root), seed[0], rho[0]
+
+        for i in pairs.tolist():
+            (r1, s1, rho1), (r2, s2, rho2) = zero(int(f[i]), int(n[i])), zero(int(g[i]), int(m[i]))
+            assert abs(s1 - s2) > rho1 + rho2 and r1 != r2
 
     @pytest.mark.parametrize("chunk", [7, 100])
     def test_chunks_across_ladders_change_no_census(self, monkeypatch, chunk):
@@ -1301,44 +1374,55 @@ class TestCensus:
             imag_step_census(N, 10.0)
         assert calls == [N for N, *_ in _PINNED]
         box = census_box(256)
-        ns, fam, _ = spectral_count._undecided(256, box, _box_window(256, box), 0.0)
-        assert fam.dtype == np.int8 and ns.size == fam.size
+        undecided, counted, _ = spectral_count._undecided(256, box, _box_window(256, box), 0.0)
+        ns, fam = spectral_count._expand(*undecided)
+        assert fam.dtype == counted[0].dtype == np.int8 and ns.size == fam.size
 
     def test_near_equal_energies_count_once(self, monkeypatch):
-        # one energy from two ladders, and a chain whose links are 0.6e-6 relative
-        # apart but whose ends are 1.2e-6 apart: each counts once
+        # Newton finds one energy e on three ladders, two odd and one even, and a chain f, f(1 +
+        # 0.6e-6), f(1 + 1.2e-6), its middle link on an even ladder, all at n = 0.  e counts once
+        # per parity.  With disks of radius 1e-9 each link of the chain counts; with radius 2.5e-6
+        # the two odd links' disks meet and they count once (the 1e-6 dedupe counted e once and
+        # the chain once, 2 in all)
         box = census_box(8, 10.0)
         e, f = complex(box.re_lo + 1.0, 1.0), complex(box.re_lo + 2.0, 1.0)
         chain = [f, f * (1.0 + 0.6e-6), f * (1.0 + 1.2e-6)]
-        # the census keeps the first branch of each ladder, certifies none of them, and
-        # Newton finds these energies on the four ladders
-        hits = iter([[e, chain[0]], [e, chain[2]], [chain[1]], []])
+        hits = [[e, chain[0]], [e, chain[2]], [e, chain[1]], []]
+        # the census keeps the first branch of each ladder, certifies none of them, and Newton
+        # finds these energies on the four ladders, each in a disk of radius disk[0]
+        disk = [0.0]
         monkeypatch.setattr(spectral_count, "_chunk_seeds", lambda N, box, ns, fam: (
-            np.ones(ns.size, dtype=complex), np.diff(fam, prepend=-1) != 0))
+            np.ones(ns.size, dtype=complex), np.diff(fam, prepend=-1) != 0,
+            np.ones(ns.size, dtype=complex), np.ones(ns.size)))
         monkeypatch.setattr(spectral_count, "_certify", lambda N, seed, fam, u: (
             seed.real, np.zeros(seed.size, dtype=bool), seed, seed.real, seed.real))
         monkeypatch.setattr(spectral_count, "_newton", lambda N, box, fam, ns, seed: [
-            (np.array(next(hits), dtype=complex), [], 1) for _ in fam])
-        cen = imag_step_census(8, 10.0)
-        assert (cen.count, cen.branches, cen.refined) == (2, 4, 4)
+            ((np.full(len(h), f, dtype=np.int8), np.zeros(len(h), dtype=int),
+              np.array(h, dtype=complex), np.zeros(len(h)), np.full(len(h), disk[0])), [], 1)
+            for f, h in enumerate(hits)])
+        for disk[0], count in ((1e-9, 5), (2.5e-6, 4)):
+            cen = imag_step_census(8, 10.0)
+            assert cen.counted_blocks[0].size == 0
+            assert (cen.count, cen.branches, cen.refined) == (count, 4, 4)
+            assert len(cen.energies) == count and set(cen.radii) == {0.0}
 
-    def test_dedupe_doubts_pairs_that_errors_could_change(self):
-        distinct, a = spectral_count._distinct, 1000.0 + 1j
-        # 1e-3 apart, a pair lies 1.5e-9 below its threshold 1e-6*|a + 1e-3|
-        pair = np.array([a, a + 1e-3])
-        assert distinct(pair, np.zeros(2))[0].tolist() == [0]
-        assert distinct(pair, np.zeros(2))[1].size == 0
-        assert distinct(pair, np.array([0.0, 1e-8]))[1].tolist() == [0, 1]
-        # far apart, but 1e-12 apart in Re E: an error of 1e-9 could swap their order
-        pair = np.array([a + 1e-12 + 1j, a])
-        assert distinct(pair, np.array([1e-9, 0.0]))[1].tolist() == [0, 1]
-        assert distinct(pair, np.array([1e-13, 0.0]))[1].size == 0
-        # well below the threshold, and known well enough to say so
-        kept, doubt = distinct(np.array([a + 5e-4, a]), np.array([1e-6, 1e-6]))
-        assert kept.tolist() == [1] and doubt.size == 0
-        # the kept positions in sorted order, by Re E and then Im E
-        kept, doubt = distinct(np.array([a + 1j, a + 2.0, a]), np.zeros(3))
-        assert kept.tolist() == [2, 0, 1] and doubt.size == 0
+    def test_poor_entries_repeat_only_where_disks_meet(self):
+        repeats, a = spectral_count._repeats, 1000.0 + 1j
+        # two certified disks 1e-3 apart on one ladder: of radius 6e-4 they meet, and the later
+        # in the order by Re E repeats the earlier; of radius 4e-4 they do not
+        fam, ns, E = np.zeros(2, dtype=np.int8), np.array([1, 2]), np.array([a + 1e-3, a])
+        disk, certified, newton = np.full(2, 6e-4), np.zeros(2, dtype=bool), np.ones(2, dtype=bool)
+        assert repeats(fam, ns, E, disk, certified).tolist() == [True, False]
+        assert not repeats(fam, ns, E, np.full(2, 4e-4), certified).any()
+        # two factors of one parity share no zero: their certified disks never repeat, but a
+        # Newton energy, which may have converged to the other factor's zero, can
+        two = np.array([0, 1], dtype=np.int8)
+        assert not repeats(two, ns, E, disk, certified).any()
+        assert repeats(two, ns, E, disk, np.array([True, False])).tolist() == [True, False]
+        # two parities share no eigenvalue; from |n| = 12 on no pair is compared
+        assert not repeats(np.array([0, 2], dtype=np.int8), ns, E, disk, newton).any()
+        assert not repeats(fam, np.array([11, 12]), E, disk, newton).any()
+        assert repeats(fam, np.array([-11, 11]), E, disk, newton).tolist() == [True, False]
 
     @pytest.mark.parametrize("C_box", [1.5, 10.0, 50.0])
     @pytest.mark.parametrize("N", [8, 16, 64, 256])
@@ -1365,7 +1449,7 @@ class TestCensus:
         # certifies one at a time those the block bounds leave undecided
         assert len(cen.results) == {16: 412, 64: 4004}[N]
         seeds = np.array([r.kappa_seed for r in cen.results])
-        reach = np.count_nonzero(spectral_count._reachable(cen.box, seeds, N))
+        reach = np.count_nonzero(spectral_count._reachable(cen.box, seeds, N)[0])
         assert reach == _reachable_count(N) == {16: 261, 64: 2443}[N]
         assert cen.branches == {16: 261, 64: 374}[N] <= reach
 
@@ -1379,7 +1463,7 @@ class TestCensus:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert (cen.count, cen.branches) == (663, 836)  # of 8,049 reachable, 13,636 in the window
+        assert (cen.count, cen.branches) == (663, 324)  # of 8,049 reachable, 13,636 in the window
         assert retained < 64 * 1024
 
     @pytest.mark.parametrize("N, C_box", [(8, 10.0), (8, 50.0), (9, 30.0), (16, 200.0),
@@ -1387,7 +1471,7 @@ class TestCensus:
     def test_refining_only_reachable_branches_is_sound(self, N, C_box):
         cen = imag_step_census(N, C_box)
         full = cen.results
-        reach = spectral_count._reachable(cen.box, np.array([r.kappa_seed for r in full]), N)
+        reach = spectral_count._reachable(cen.box, np.array([r.kappa_seed for r in full]), N)[0]
         counted = [r for r in full
                    if r.converged and r.on_physical_sheet and cen.box.contains(r.energy)]
         assert (cen.count, cen.certified) == _newton_recount(cen)
