@@ -19,6 +19,7 @@ from .schrodinger_1d import (
 from .special_functions import branch_of_w, lambert_w, sqrt_upper
 from .spectral_count import (
     BranchResult,
+    CensusList,
     CensusResult,
     Region,
     SolverStats,

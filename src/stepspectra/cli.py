@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContourError, SchemaError, StepSpectraError
 from .schrodinger_1d import PiecewisePotential, make_secular_handle, reconstruct_eigenfunction
-from .spectral_count import Region, census_box, imag_step_census, locate_zeros
+from .spectral_count import Region, imag_step_census, locate_zeros
 from .step_model import SECTOR_APERTURE, bump_norm_lq, construct_bump, davies_nath
 from .special_functions import _dist_to_ray, sqrt_upper
 
@@ -192,20 +192,21 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_imag_step(args) -> int:
-    n_values = [int(v) for v in args.N.split(",")]
-    for n in n_values:  # every N and --c-box, before any output
-        census_box(n, args.c_box)
+    try:
+        n_values = [int(v) for v in args.N.split(",")]
+    except ValueError:
+        raise _UsageError(f"--N takes a comma list of integers >= 8, got {args.N!r}")
     rows, points, colors, boxes = [], [], [], []
-    for n in n_values:
-        cen = imag_step_census(n, args.c_box)
+    # every N and --c-box checked, and every census taken, before any output
+    for cen in imag_step_census(n_values, args.c_box):
         rows.append(cen.table_row())
         if args.svg:  # red: the counted energies; grey: unconverged, could lie in the box
             points += [*cen.energies, *(r.energy for r in cen.uncertified)]
             colors += ["#d62728"] * cen.count + ["#aaaaaa"] * len(cen.uncertified)
             boxes.append((cen.box.re_lo, cen.box.re_hi, cen.box.im_lo, cen.box.im_hi))
-        print(f"N={n}: count={cen.count} ratio={_fmt(cen.ratio)}")
+        print(f"N={cen.N}: count={cen.count} ratio={_fmt(cen.ratio)}")
         if not cen.certified:
-            print(f"N={n}: {len(cen.uncertified)} unconverged branch(es) could lie in the box; "
+            print(f"N={cen.N}: {len(cen.uncertified)} unconverged branch(es) could lie in the box; "
                   "count not certified", file=sys.stderr)
     _emit(args.out, _csv(rows[0], (row.values() for row in rows)))
     if args.svg:

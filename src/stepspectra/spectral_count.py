@@ -19,23 +19,26 @@ cell is split in four only when a polished zero leaves it or meets another, or
 multiplicities do not add up; a cluster that makes H0 rank deficient is one
 multiple zero in a cell below the floor, else solved again on a small disk.
 
-The census of V = i*1_[-N,N] cuts each resonance ladder's window of branch numbers n into
-blocks of 32 and decides a block whole where closed-form bounds, its values at its centre plus
-half its width times derivative bounds in a real n, prove every branch in it unreachable,
-outside the box, inside it and off the physical sheet, or counted (certified inside it and on
-the sheet, hop disks clear of their neighbours), which adds its size unseeded.  The other
-blocks' branches, all four ladders' in one array with a family column, are seeded in chunks by
-one call of W's asymptotic series (Lambert W only at |n| < 12 in reach of the box) and those
-that can reach the box certified in one array pass by one closed form: one zero in a disk
-around the seed, and the disk's box and sheet.  Newton refines the few left undecided (7 of
-the 1,788 certified one at a time at N = 32..256, all on a box edge).  Counted energies are
-distinct by proof: the parities share no eigenvalue (a 1-d eigenvalue has one eigenfunction,
-even or odd); a parity's two sign ladders are zeros of 2 kappa p -+ c (1 - sigma p^2), which
-share only kappa = 0; no certified disk (|p| < 1) holds the negative of another's zero, p(-kappa) =
-1/p(kappa); and from |n| = 12 a ladder's seeds are (2 pi - V1)/N apart, over twice the hop, the
-other sign's half a step away, so a Newton energy in its hop disk is its branch's zero.  Only
-|n| < 12 is compared pairwise (``_repeats``).  The census takes about 6 ms, 70 ms and 0.8 s at
-N = 1024, 4096 and 8192 (2 cores), tracemalloc peaks 1.9, 3.8 and 52 MB, energies built on read.
+The census of V = i*1_[-N,N] takes a list of N's, each stage once over all of them: an entry
+carries its N column beside its family column, and reads its N's R, u, box and log z from one
+table.  It cuts each resonance ladder's window of branch numbers n into blocks of 32 and decides
+a block whole where closed-form bounds, its values at its centre plus half its width times
+derivative bounds in a real n, prove every branch in it unreachable, outside the box, inside it
+and off the physical sheet, or counted (certified inside it and on the sheet, hop disks clear of
+their neighbours), which adds its size unseeded.  The other blocks' branches, all four ladders'
+of every N in one array, are seeded in chunks by one call of W's asymptotic series (Lambert W
+only at |n| < 12 in reach of the box) and those that can reach the box certified in one array
+pass by one closed form: one zero in a disk around the seed, and the disk's box and sheet.
+Newton refines the few left undecided, one call per ladder for the whole list (7 of the 1,788
+certified one at a time at N = 32..256, all on a box edge).  Counted energies are distinct by
+proof: the parities share no eigenvalue (a 1-d eigenvalue has one eigenfunction, even or odd); a
+parity's two sign ladders are zeros of 2 kappa p -+ c (1 - sigma p^2), which share only kappa =
+0; no certified disk (|p| < 1) holds the negative of another's zero, p(-kappa) = 1/p(kappa); and
+from |n| = 12 a ladder's seeds are (2 pi - V1)/N apart, over twice the hop, the other sign's
+half a step away, so a Newton energy in its hop disk is its branch's zero.  Only |n| < 12 of one
+N is compared pairwise (``_repeats``).  The census takes about 2.6 ms for the list N = 32..256
+(5.4 ms one N at a time), and 7 ms, 80 ms and 0.85 s at N = 1024, 4096 and 8192 (2 cores),
+tracemalloc peaks 2.0, 4.7 and 44 MB, energies built on read.
 CensusResult.results and enumerate_imag_step, Newton on the full window from Lambert seeds,
 are the independent oracle that no package code reads.
 """
@@ -45,6 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -539,15 +543,16 @@ _ROOT_I = cmath.sqrt(1j)
 #: s sqrt(i) and 1 on the odd ladders, s i sqrt(i) and -1 on the even ones
 _C = np.array([s * (_ROOT_I if parity == "odd" else 1j * _ROOT_I) for parity, s in FAMILIES])
 _SIGMA = np.array([1.0 if parity == "odd" else -1.0 for parity, _ in FAMILIES])
+_SIGN = np.array([sign for _, sign in FAMILIES])
 #: the certificate's disk radius in Newton steps |H/H'| (Rouche needs more than one)
 _CERT_STEPS = 2.0
 _EPS = 2.0**-52  # the float64 epsilon
 #: the census's series seed errs in W by under _SERIES_C/(2 pi (|n| - 3/8))^3 <= _SERIES_C/|L1|^3
 #: from |n| = _SERIES_N on (below 1e-6), and by under _POOR_PAD below it (0.063 at n = 0)
 _SERIES_N, _SERIES_C, _POOR_PAD = 12, 0.5, 0.25
-#: the census bounds a ladder's branches a block of _BLOCK at a time, and takes the four ladders'
-#: block bounds, and the branches of the blocks it leaves undecided, _CHUNK at a time, so its
-#: arrays stay small (the bounds run about 1.3x as fast on 4,096 entries as on 16,384)
+#: the census bounds a ladder's branches a block of _BLOCK at a time, the four ladders' block
+#: bounds _CHUNK at a time, and the undecided blocks' branches _CHUNK // _BLOCK blocks at a time,
+#: so its arrays stay small (the bounds run about 1.3x as fast on 4,096 entries as on 16,384)
 _BLOCK, _CHUNK = 32, 4096
 
 
@@ -565,43 +570,66 @@ class BranchResult(NamedTuple):
     converged: bool
 
 
-def imag_step_seed(N: int, n, sign: int = +1):
+def imag_step_seed(N, n, sign=+1):
     """Lambert-W branch seed kappa = -i W_n(i*sign*sqrt(i)*N/2)/N for the odd ladder
-    of this sign (an array of seeds for an int array ``n``); the even ladders are
-    its mirror images (``_ladders``)."""
-    R = float(N)
-    return -1j * lambert_w(n, 1j * sign * cmath.sqrt(1j) * R / 2.0) / R
+    of this sign (an array of seeds for arrays of ``N``, ``n`` and ``sign``, broadcast); the
+    even ladders are its mirror images (``_seeds``)."""
+    return -1j * lambert_w(n, 1j * sign * _ROOT_I * N / 2.0) / N
 
 
-def _census_seed(N: int, ns, fam):
-    """imag_step_seed (``_seeds``) from W's series alone, no Halley step or branch check, at the
-    branch numbers ns of the families fam (int8), in one series call from a table of log z per
-    family: the seed that the census certifies, within ``_series_pad`` of it at |n| >= 12."""
+def _seeds(R, ns, fam):
+    """imag_step_seed's seeds at the branch numbers ns of the families fam, R = N (arrays or one
+    each): the odd ladders', and the even ones their mirror images (W_n(conj z) = conj W_-n(z))."""
     odd = _SIGMA.take(fam) > 0.0
-    log_z = np.log([1j * sign * _ROOT_I * N / 2.0 for _, sign in FAMILIES])
-    seed = -1j * _w_series(np.where(odd, ns, -ns), None, log_z.take(fam)) / N
+    seed = imag_step_seed(R, np.where(odd, ns, -ns), _SIGN.take(fam))
     return np.where(odd, seed, -np.conj(seed))
 
 
-def _refine_ladder(N: int, seed, parity: str) -> dict:
-    """Newton from the seed array of one ladder: the record columns.
-    A branch stops unconverged at a zero derivative or as soon as an iterate
+#: a census list per N: R = N (float), the window's top branch number, u (``_rounding``), log z
+#: (4, len) per family, z = i s sqrt(i) N/2 of its sign on the odd ladders and its conjugate on
+#: the even ones, and the box edges (4, len) in _Box order; each stage takes the table and an N
+#: column k, the index of each entry's N, and gathers by it
+_Table = namedtuple("_Table", "R top u log_z box")
+_Box = namedtuple("_Box", "re_lo re_hi im_lo im_hi")
+
+
+def _table(Ns, boxes) -> _Table:
+    R, top = np.array(Ns, dtype=float), np.array([_box_window(*nb)[1] for nb in zip(Ns, boxes)])
+    u = np.array([_rounding(N, n) for N, n in zip(Ns, top.tolist())])
+    edges = np.array([(b.re_lo, b.re_hi, b.im_lo, b.im_hi) for b in boxes]).T
+    log_z = np.log(1j * _SIGN[:, None] * _ROOT_I * R / 2.0)
+    return _Table(R, top, u, np.where(_SIGMA[:, None] > 0.0, log_z, np.conj(log_z)), edges)
+
+
+def _census_seed(t: _Table, k, ns, fam):
+    """imag_step_seed (``_seeds``) from W's series alone, no Halley step or branch check, at the
+    branch numbers ns of the families fam (int8) and N column k, in one series call from the
+    table's log z (log conj z on the even ladders, so no mirror image): the seed that the census
+    certifies, within ``_series_pad`` of it at |n| >= 12."""
+    log_z = t.log_z.T.take(k * len(FAMILIES) + fam)  # of each entry's N and family
+    return -1j * _w_series(ns, None, log_z) / t.R.take(k)
+
+
+def _refine_ladder(R, seed, parity: str) -> dict:
+    """Newton from the seed array of one ladder, R = N per seed or one for all: the record
+    columns.  A branch stops unconverged at a zero derivative or as soon as an iterate
     leaves the hop disk |kappa - seed| <= _HOP/N, keeping the last inside."""
-    v0, R, hop = 1j, float(N), _HOP / N
+    v0, R = 1j, np.full(seed.shape, R, dtype=float)
+    hop = _HOP / R
     kappa, res, step = seed.copy(), np.full(seed.shape, math.inf), np.zeros(seed.shape)
     # chi at convergence: the matched exterior momentum i*kappa*r, even in kappa
     converged, chi = np.zeros(seed.shape, dtype=bool), np.zeros(seed.shape, dtype=complex)
     idx, ka, sd = np.arange(seed.size), seed, seed  # the running branches' index, iterate, seed
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
-            fval, d, r = _secular_terms(parity, v0, R, ka)
+            fval, d, r = _secular_terms(parity, v0, R[idx], ka)
             res[idx] = mod = np.abs(fval)
             hit = mod <= _NEWTON_TOL
             converged[idx[hit]] = True
             chi[idx[hit]] = 1j * ka[hit] * r[hit]
             step[idx[hit]] = np.abs(fval[hit] / d[hit])
             k_new = ka - fval / d
-            go = ~hit & (d != 0) & (np.abs(k_new - sd) <= hop)
+            go = ~hit & (d != 0) & (np.abs(k_new - sd) <= hop[idx])
             idx, ka, sd = idx[go], k_new[go], sd[go]
             kappa[idx] = ka
             if not idx.size:
@@ -624,20 +652,13 @@ def _require_census_N(N: int) -> None:
         raise ValueError(f"census requires N >= 8, got {N}")
 
 
-def _reachable(box: Region, seed, N: int, pad=0.0):
+def _reachable(t: _Table, k, seed, pad=0.0):
     """The mask of seeds s whose branch can converge into the box, E_s = s^2 + i and its depth:
     E = kappa^2 + i with |kappa -+ s| <= hop lies within hop*(2|s| + hop) of E_s.  ``pad``, a
     bound on each seed's distance from imag_step_seed's, widens hop to keep every branch."""
-    hop, E_s = _HOP / N + pad, seed * seed + 1j
-    reach, depth = hop * (2.0 * np.abs(seed) + hop), _depth(box, E_s)
+    hop, E_s = _HOP / t.R.take(k) + pad, seed * seed + 1j
+    reach, depth = hop * (2.0 * np.abs(seed) + hop), _depth(_Box(*t.box.take(k, axis=1)), E_s)
     return depth >= -(reach + _HOP_SLACK * (np.abs(E_s) + reach)), E_s, depth
-
-
-def _seeds(N: int, ns, parity: str, sign: int):
-    """One ladder's imag_step_seed seeds at the branch numbers ``ns``: the odd ones, and the even
-    ones their mirror images, by W_n(conj z) = conj W_-n(z)."""
-    seed = imag_step_seed(N, ns if parity == "odd" else -ns, sign)
-    return seed if parity == "odd" else -np.conj(seed)
 
 
 def _ladders(N: int, n_window: tuple[int, int], families):
@@ -650,7 +671,7 @@ def _ladders(N: int, n_window: tuple[int, int], families):
         raise ValueError(f"unknown ladder families {unknown}, not in {FAMILIES}")
     ns = np.arange(lo, hi + 1)
     for parity, sign in sorted(families):
-        yield parity, sign, ns, _seeds(N, ns, parity, sign)
+        yield parity, sign, ns, _seeds(N, ns, FAMILIES.index((parity, sign)))
 
 
 def _rounding(N: int, top: int) -> float:
@@ -661,19 +682,20 @@ def _rounding(N: int, top: int) -> float:
     return 16.0 * _EPS * (L1 + math.log(L1) + math.pi + 5.0)
 
 
-def _certify(N: int, seed, fam, u: float):
-    """A closed-form one-zero certificate per seed kappa0 of ladder FAMILIES[fam]: (rho, ok, chi,
-    dchi, err).  One formula serves both parities: with p = e^{i kappa N} and q = sigma p^2, c
-    and sigma = +-1 the family's (``_C``, ``_SIGMA``), the ladder's zeros of the parity secular
-    are those of H(kappa) = 2 kappa p - c (1 - q), and the seed solves 2 kappa p = c.  By Rouche
-    against H's linear part at kappa0, the disk |kappa - kappa0| <= rho, rho = _CERT_STEPS Newton
-    steps, holds exactly one zero of H when |H(kappa0)| + M rho^2/2 < |H'(kappa0)| rho, with
-    M >= |H''| on the disk from |p| <= |p0| e^{N rho}; ``ok`` says so for a disk inside the hop
-    disk.  At a zero, chi = i kappa r = kappa (1 + q)/(q - 1); over the disk it moves from its
-    value at kappa0 by less than ``dchi``, padded by _HOP_SLACK of |chi| for Newton's own error,
-    and E = kappa^2 + i by less than ``err`` from kappa0^2 + i, padded as the reach is.  Every
-    bound is padded by ``u`` (``_rounding``) for the rounding of p0, one exp per seed."""
-    R, k, c = float(N), seed, _C.take(fam)
+def _certify(t: _Table, k, seed, fam):
+    """A closed-form one-zero certificate per seed kappa0 of ladder FAMILIES[fam] and N column k:
+    (rho, ok, chi, dchi, err).  One formula serves both parities: with p = e^{i kappa N} and q =
+    sigma p^2, c and sigma = +-1 the family's (``_C``, ``_SIGMA``), the ladder's zeros of the
+    parity secular are those of H(kappa) = 2 kappa p - c (1 - q), and the seed solves 2 kappa p =
+    c.  By Rouche against H's linear part at kappa0, the disk |kappa - kappa0| <= rho, rho =
+    _CERT_STEPS Newton steps, holds exactly one zero of H when |H(kappa0)| + M rho^2/2 <
+    |H'(kappa0)| rho, with M >= |H''| on the disk from |p| <= |p0| e^{N rho}; ``ok`` says so for
+    a disk inside the hop disk.  At a zero, chi = i kappa r = kappa (1 + q)/(q - 1); over the
+    disk it moves from its value at kappa0 by less than ``dchi``, padded by _HOP_SLACK of |chi|
+    for Newton's own error, and E = kappa^2 + i by less than ``err`` from kappa0^2 + i, padded
+    as the reach is.  Every bound is padded by the N's ``u`` (``_rounding``) for the rounding of
+    p0, one exp per seed."""
+    R, u, k, c = t.R.take(k), t.u.take(k), seed, _C.take(fam)
     with np.errstate(all="ignore"):
         p = np.exp(k * (1j * R))
         q = _SIGMA.take(fam) * (p * p)
@@ -696,18 +718,18 @@ def _certify(N: int, seed, fam, u: float):
     return rho, ok, chi, dchi, err
 
 
-def _series_pad(N: int, ns):
-    """Each series seed's distance bound from imag_step_seed's over the branch numbers ns, in
-    closed form from |n|; 0 on the poor entries |n| < _SERIES_N, which ``_chunk_seeds``
+def _series_pad(R, ns):
+    """Each series seed's distance bound from imag_step_seed's over the branch numbers ns, R = N,
+    in closed form from |n|; 0 on the poor entries |n| < _SERIES_N, which ``_chunk_seeds``
     judges apart."""
     an = np.abs(ns)
     x = _TWO_PI * (an - 0.375)
-    return np.where(an < _SERIES_N, 0.0, _SERIES_C / (N * (x * x * x)))
+    return np.where(an < _SERIES_N, 0.0, _SERIES_C / (R * (x * x * x)))
 
 
-def _block_bounds(N: int, box: Region, odd, sign, a, b, u: float):
-    """Bounds over each block a <= n <= b of the ladder (odd or even, sign), the four arrays
-    broadcast, on what ``_certify`` gives each branch: (decided, counted, rho, chi_lo, chi_hi,
+def _block_bounds(t: _Table, k, a, b):
+    """Bounds over each block a <= n <= b of N column k, on all four ladders (rows in FAMILIES
+    order), on what ``_certify`` gives each branch: (decided, counted, rho, chi_lo, chi_hi,
     depth_lo, depth_hi), with rho >= each rho, chi.imag -+ dchi in [chi_lo, chi_hi] and
     depth -+ err in [depth_lo, depth_hi], depth = _depth(box, kappa0^2 + i).
 
@@ -722,19 +744,19 @@ def _block_bounds(N: int, box: Region, odd, sign, a, b, u: float):
     and on the sheet: counted, once V1 < 2 pi - 2 _HOP also keeps each hop disk clear of the
     other seeds of both sign ladders; blocks holding |n| < _SERIES_N never are.  Each bound is
     padded by 2u to 6u for the rounding of a branch's own seed and p0, and by _HOP_SLACK."""
-    R, hw, tc = float(N), 0.5 * (b - a), 0.5 * (a + b)
-    up, lo = 1.0 + _HOP_SLACK, 1.0 - _HOP_SLACK
-    z = 1j * sign * _ROOT_I * R / 2.0
-    z = np.where(odd, z, np.conj(z))
-    L1 = np.log(z) + (2j * math.pi) * tc
+    R, u, box = t.R.take(k), t.u.take(k), _Box(*t.box.take(k, axis=1))
+    hw, tc, up, lo = 0.5 * (b - a), 0.5 * (a + b), 1.0 + _HOP_SLACK, 1.0 - _HOP_SLACK
+    sigma = _SIGMA[:, None]
+    log_z = t.log_z.take(k, axis=1).reshape(sigma.size, -1)  # log conj z on the even ladders
+    L1 = log_z + (2j * math.pi) * tc
     least = np.hypot(L1.real, np.maximum(np.abs(L1.imag) - _TWO_PI * hw, 0.0))  # of |L1|
     T, l = 1.0 / least, np.hypot(np.log(np.abs(L1) + _TWO_PI * hw), math.pi)  # l >= |log L1|
     V1 = _TWO_PI * T * (1.0 + T * (1.0 + l + T * (1.0 + l * (3.0 + l)
                                                   + T * (1.0 + l * (6.0 + l * (5.5 + l))))))
     nmin = np.where(a * b <= 0, 0, np.minimum(np.abs(a), np.abs(b)))
-    pad = _series_pad(N, nmin)
+    pad = _series_pad(R, nmin)
     with np.errstate(all="ignore"):
-        w = _w_series(tc, z)
+        w = _w_series(tc, None, log_z)
         k, v = -1j * w / R, w - (2j * math.pi) * tc
         K1 = (_TWO_PI + V1) / R  # |kappa'|
         AK, TA, VA = np.abs(k) + hw * K1, np.abs(tc) + hw, np.abs(v) + hw * V1
@@ -750,7 +772,7 @@ def _block_bounds(N: int, box: Region, odd, sign, a, b, u: float):
         ok = ((nmin >= _SERIES_N) & (G > 0.0) & (D > 0.0) & (rho < _HOP / R)
               & (F + 0.5 * M * rho * rho < lo * G * rho))
         # chi = -kappa r, r = (1 + q)/(1 - q) = 1 +- 2 p^2/(1 -+ p^2): |r - 1| <= X1, |r'| <= X2
-        q = np.where(odd, 1.0, -1.0) * np.exp(2.0 * v)
+        q = sigma * np.exp(2.0 * v)
         chi = -k * (1.0 + q) / (1.0 - q)
         X1, X2 = 2.0 * AQ / (1.0 - AQ), 4.0 * V1 * AQ / (1.0 - AQ) ** 2
         dchi = (up * rho * ((1.0 + Q) / D + 4.0 * R * K * Q / (D * D))
@@ -775,26 +797,33 @@ def _block_bounds(N: int, box: Region, odd, sign, a, b, u: float):
     return decided, counted, rho, chi_lo, chi_hi, depth_lo, depth_hi
 
 
-def _undecided(N: int, box: Region, n_window: tuple[int, int], u: float):
-    """The window in blocks of _BLOCK, one centred on n = 0 to hold every poor entry, of the four
-    ladders: the blocks ``_block_bounds`` leaves undecided and those it counts, each as (family
-    column (int8), first n, last n) grouped by family, and the number decided, counted included."""
-    lo, hi = n_window
-    start = np.arange(lo - (lo + _BLOCK // 2) % _BLOCK, hi + 1, _BLOCK)
-    a, b = np.maximum(start, lo), np.minimum(start + _BLOCK - 1, hi)
-    odd, sign = np.array([[parity == "odd", sign] for parity, sign in FAMILIES]).T[:, :, None]
+def _undecided(t: _Table):
+    """Each N's window |n| <= top in blocks of _BLOCK, one centred on n = 0 to hold every poor
+    entry, of the four ladders, bounded _CHUNK at a time over all the N's: the blocks
+    ``_block_bounds`` leaves undecided and those it counts, each as (family column (int8), N
+    column, first n, last n) grouped by family, then N, and the number decided per N, counted
+    included."""
+    lo, hi = -t.top, t.top
+    first = lo - (lo + _BLOCK // 2) % _BLOCK
+    size = (hi - first) // _BLOCK + 1  # blocks per N
+    j, k = _expand(np.arange(size.size), np.zeros_like(size), size - 1)  # block j of N column k
+    start = first[k] + _BLOCK * j
+    a, b = np.maximum(start, lo[k]), np.minimum(start + _BLOCK - 1, hi[k])
     step = _CHUNK // len(FAMILIES)  # blocks per call, _CHUNK bounds
     decided, counted = (np.concatenate(col, axis=1) for col in zip(*(
-        _block_bounds(N, box, odd, sign, a[i:i + step], b[i:i + step], u)[:2]
+        _block_bounds(t, k[i:i + step], a[i:i + step], b[i:i + step])[:2]
         for i in range(0, a.size, step))))
-    blocks = [(fam.astype(np.int8), a[i], b[i]) for fam, i in map(np.nonzero, (~decided, counted))]
-    return blocks[0], blocks[1], int(decided.sum())
+    blocks = [(fam.astype(np.int8), k[i], a[i], b[i])
+              for fam, i in map(np.nonzero, (~decided, counted))]
+    return blocks[0], blocks[1], np.bincount(k, np.add.reduce(decided), size.size).astype(int)
 
 
-def _expand(fam, a, b):
-    """The branch numbers a..b of each block, and their family column."""
+def _expand(*blocks):
+    """The branch numbers a..b of each block (columns ..., a, b), its other columns per branch."""
+    *cols, a, b = blocks
     size = b - a + 1
-    return np.repeat(a + size - np.cumsum(size), size) + np.arange(size.sum()), np.repeat(fam, size)
+    return (np.repeat(a + size - np.cumsum(size), size) + np.arange(size.sum()),
+            *(np.repeat(c, size) for c in cols))
 
 
 def _families(fam):
@@ -803,17 +832,17 @@ def _families(fam):
     return [(*FAMILIES[f], slice(i, j)) for f, (i, j) in enumerate(zip(cut, cut[1:])) if i < j]
 
 
-def _chunk_seeds(N: int, box: Region, ns, fam):
-    """Seeds of the branches ``ns`` of the families ``fam`` (grouped by family) by _census_seed, a
-    ladder's poor entries by imag_step_seed where theirs, padded by _POOR_PAD, can reach the box;
-    with ``_reachable``'s mask of those that can, hops padded by ``_series_pad``, E_s and depth."""
-    seed = _census_seed(N, ns, fam)
-    poor = np.flatnonzero(np.abs(ns) < _SERIES_N)
-    reach = _reachable(box, seed[poor], N, _POOR_PAD / N)[0]
-    for parity, sign, part in _families(fam[poor]):
-        if reach[part].any():
-            seed[poor[part]] = _seeds(N, ns[poor[part]], parity, sign)
-    return (seed, *_reachable(box, seed, N, _series_pad(N, ns)))
+def _chunk_seeds(t: _Table, k, ns, fam):
+    """Seeds of the branches ``ns`` of the families ``fam`` and N column k by _census_seed, the
+    poor entries by imag_step_seed where theirs, padded by _POOR_PAD, can reach the box; with
+    ``_reachable``'s mask of those that can, hops padded by ``_series_pad``, E_s and depth."""
+    seed, poor = _census_seed(t, k, ns, fam), np.flatnonzero(np.abs(ns) < _SERIES_N)
+    kp, Rp = k[poor], t.R[k[poor]]
+    ladder = kp * len(FAMILIES) + fam[poor]  # a poor entry's N and family
+    reach = np.isin(ladder, ladder[_reachable(t, kp, seed[poor], _POOR_PAD / Rp)[0]])
+    if reach.any():
+        seed[poor[reach]] = _seeds(Rp[reach], ns[poor[reach]], fam[poor[reach]])
+    return (seed, *_reachable(t, k, seed, _series_pad(t.R.take(k), ns)))
 
 
 def _records(ladder, idx) -> list[BranchResult]:
@@ -839,7 +868,8 @@ def enumerate_imag_step(N: int, n_window: tuple[int, int],
 
 @dataclass(frozen=True)
 class CensusResult:
-    """``blocks`` counts the blocks of branch numbers decided whole, the counted ones
+    """One N's census, as ``imag_step_census`` gives it for each N of a list in one pass.
+    ``blocks`` counts the blocks of branch numbers decided whole, the counted ones
     (``counted_blocks``: family column, first n, last n) among them, never seeded; ``branches``
     the other blocks' branches whose hop disk can reach the box, each certified one at a time;
     ``refined`` those Newton refined, where the certificate left the zero, box or sheet undecided.
@@ -866,13 +896,13 @@ class CensusResult:
     @cached_property
     def _disks(self) -> tuple:
         """(energies, radii), the counted blocks' disks certified a chunk at a time."""
-        (ns, fam), N = _expand(*self.counted_blocks), self.N
-        u = _rounding(N, _box_window(N, self.box)[1])
+        ns, fam = _expand(*self.counted_blocks)
+        t = _table((self.N,), (self.box,))
         E, err = [self.branch_energies], [self.branch_radii]
         for i in range(0, ns.size, _CHUNK):
-            seed = _census_seed(N, ns[i:i + _CHUNK], fam[i:i + _CHUNK])
+            seed = _census_seed(t, 0, ns[i:i + _CHUNK], fam[i:i + _CHUNK])
             E.append(seed * seed + 1j)
-            err.append(_certify(N, seed, fam[i:i + _CHUNK], u)[4])
+            err.append(_certify(t, 0, seed, fam[i:i + _CHUNK])[4])
         E, err = np.concatenate(E), np.concatenate(err)
         order = np.lexsort((E.imag, E.real))
         return tuple(E[order].tolist()), tuple(err[order].tolist())
@@ -913,76 +943,104 @@ def _box_window(N: int, box: Region) -> tuple[int, int]:
     return (-n_max, n_max)
 
 
-def _depth(box: Region, E, spread=None):
-    """How far each E lies inside the box, by its nearest edge: negative outside it.  With a
-    ``spread`` s, the least depth over the rectangle |Re(e - E)| <= Re s, |Im(e - E)| <= Im s;
-    with -s, a bound on the greatest."""
+def _depth(box, E, spread=None):
+    """How far each E lies inside the box (a Region, or a _Box of edges per E), by its nearest
+    edge: negative outside it.  With a ``spread`` s, the least depth over the rectangle
+    |Re(e - E)| <= Re s, |Im(e - E)| <= Im s; with -s, a bound on the greatest."""
     lo, hi = (E, E) if spread is None else (E - spread, E + spread)
     return np.minimum(np.minimum(lo.real - box.re_lo, box.re_hi - hi.real),
                       np.minimum(lo.imag - box.im_lo, box.im_hi - hi.imag))
 
 
-def _newton(N: int, box: Region, fam, ns, seed) -> list:
-    """Newton on these branches, grouped by family, a ladder at a time: per ladder its counted
-    energies as (family, n, E, radius 0, disk), the disk's radius _CERT_STEPS Newton steps
-    |F/F'| in kappa, taken to E; its unconverged records; and its number of branches."""
+def _newton(t: _Table, k, fam, ns, seed) -> list:
+    """Newton on these branches, grouped by family, one ladder's branches of every N at a time:
+    per ladder its counted energies as (family, N column, n, E, radius 0, disk), the disk's
+    radius _CERT_STEPS Newton steps |F/F'| in kappa, taken to E, and its unconverged records,
+    each with its N column."""
     out = []
     for parity, sign, part in _families(fam):
-        cols = _refine_ladder(N, seed[part], parity)
+        kp = k[part]
+        cols = _refine_ladder(t.R[kp], seed[part], parity)
         E, conv = cols["energy"], cols["converged"]
-        hit = conv & cols["on_physical_sheet"] & (_depth(box, E) >= 0.0)
+        hit = conv & cols["on_physical_sheet"] & (_depth(_Box(*t.box.take(kp, axis=1)), E) >= 0.0)
         s = _CERT_STEPS * cols["step"][hit]
-        out.append(((fam[part][hit], ns[part][hit], E[hit], np.zeros(s.size),
+        out.append(((fam[part][hit], kp[hit], ns[part][hit], E[hit], np.zeros(s.size),
                      s * (2.0 * np.abs(cols["kappa_refined"][hit]) + s)),
-                    _records((parity, sign, ns[part], cols), np.flatnonzero(~conv)), conv.size))
+                    list(zip(kp[~conv].tolist(), _records((parity, sign, ns[part], cols),
+                                                          np.flatnonzero(~conv))))))
     return out
 
 
-def _repeats(fam, ns, E, disk, newton):
+def _repeats(fam, k, ns, E, disk, newton):
     """The entries that repeat an earlier one's zero in the order by Re E, then Im E: poor entries
-    (|n| < _SERIES_N) of one parity whose error disks (radius ``disk``) meet, and of one factor
-    unless one is a ``newton`` energy, which may have converged to the other factor's zero.  No
-    other two counted energies can share a zero (module docstring)."""
+    (|n| < _SERIES_N) of one N (column k) and parity whose error disks (radius ``disk``) meet, and
+    of one factor unless one is a ``newton`` energy, which may have converged to the other
+    factor's zero.  No other two counted energies can share a zero (module docstring)."""
     repeat, poor = np.zeros(E.size, dtype=bool), np.flatnonzero(np.abs(ns) < _SERIES_N)
     if poor.size < 2:
         return repeat
     poor = poor[np.lexsort((E[poor].imag, E[poor].real))]
-    f, e, r, nt = fam[poor], E[poor], disk[poor], newton[poor]
+    f, kp, e, r, nt = fam[poor], k[poor], E[poor], disk[poor], newton[poor]
     meet = ((np.abs(e[:, None] - e) <= r[:, None] + r) & (f[:, None] // 2 == f // 2)
-            & ((f[:, None] == f) | nt[:, None] | nt))
+            & (kp[:, None] == kp) & ((f[:, None] == f) | nt[:, None] | nt))
     repeat[poor] = np.tril(meet, -1).any(axis=1)
     return repeat
 
 
-def imag_step_census(N: int, C_box: float = 10.0) -> CensusResult:
-    """Count physical-sheet ladder energies inside the census box: (N, count, count*log(N)/N^2)
-    and the box, for the locality-violation scaling check.  A block that ``_block_bounds`` proves
-    counted adds its size unseeded; the branches of undecided blocks are seeded (``_chunk_seeds``)
-    and certified (``_certify``) in one array pass per chunk, and Newton refines, a ladder at a
-    time, those the certificate leaves undecided.  Counted energies are distinct by proof, but for
-    the poor entries, which ``_repeats`` compares pairwise."""
-    box = census_box(N, C_box)
-    window, hits, newton, branches = _box_window(N, box), [], [], 0
-    u = _rounding(N, window[1])
-    undecided, counted, blocks = _undecided(N, box, window, u)
-    ns, fam = _expand(*undecided)
-    for i in range(0, ns.size, _CHUNK):
-        part, pf = ns[i:i + _CHUNK], fam[i:i + _CHUNK]
-        seed, keep, E, depth = _chunk_seeds(N, box, part, pf)
-        part, pf, seed, E, depth = part[keep], pf[keep], seed[keep], E[keep], depth[keep]
-        _, ok, chi, dchi, err = _certify(N, seed, pf, u)
+class CensusList(list):
+    """The CensusResult of each N of a list, in list order, from one census pass; ``results``
+    chains their oracles' records, N by N."""
+
+    results = property(lambda self: tuple(r for cen in self for r in cen.results))
+
+
+def imag_step_census(N, C_box: float = 10.0) -> CensusResult | CensusList:
+    """The census of one N, or a CensusList of each N of a list (any iterable) in one pass."""
+    return _census(list(N), C_box) if isinstance(N, Iterable) else _census([N], C_box)[0]
+
+
+def _census(Ns: list, C_box: float) -> CensusList:
+    """Count physical-sheet ladder energies inside the census box of each N of the list: (N,
+    count, count*log(N)/N^2) and the box, for the locality-violation scaling check, one
+    CensusResult per N in list order.  Every stage runs once over all the N's, each entry
+    carrying its N column: a block that ``_block_bounds`` proves counted adds its size unseeded;
+    the branches of undecided blocks are seeded (``_chunk_seeds``) and certified (``_certify``)
+    in one array pass per chunk of blocks, and Newton refines, after the last chunk and one ladder
+    of every N at a time, those the certificate leaves undecided.  Counted energies are distinct
+    by proof, but for the poor entries, which ``_repeats`` compares pairwise within one N."""
+    boxes = [census_box(N, C_box) for N in Ns]
+    if not Ns:
+        return CensusList()
+    t = _table(Ns, boxes)
+    undecided, counted, blocks = _undecided(t)
+    hits, rest, branches, step = [], [], np.zeros(len(Ns), dtype=int), _CHUNK // _BLOCK
+    for i in range(0, undecided[0].size, step):  # each chunk's branches expanded from its blocks
+        part, pf, pk = _expand(*(c[i:i + step] for c in undecided))
+        seed, keep, E, depth = _chunk_seeds(t, pk, part, pf)
+        keep = np.flatnonzero(keep)  # indices take the six columns faster than the mask
+        part, pf, pk, seed, E, depth = (x[keep] for x in (part, pf, pk, seed, E, depth))
+        _, ok, chi, dchi, err = _certify(t, pk, seed, pf)
         inside = depth >= err
         decided = ok & ((inside & (np.abs(chi.imag) > dchi)) | (depth < -err))
-        hit, rest = decided & inside & (chi.imag > 0.0), ~decided
-        hits.append((pf[hit], part[hit], E[hit], err[hit], err[hit]))
-        newton += _newton(N, box, pf[rest], part[rest], seed[rest])
-        branches += part.size
-    fam, ns, E, radii, disk = (np.concatenate(c) for c in zip(*hits, *(h for h, _, _ in newton)))
-    keep = ~_repeats(fam, ns, E, disk, radii == 0.0)  # Newton's energies have radius 0
-    uncertified = sorted((r for _, records, _ in newton for r in records), key=lambda r: r[:3])
-    count = int(np.add.reduce(counted[2] - counted[1] + 1)) + int(np.count_nonzero(keep))
-    return CensusResult(N=N, count=count, ratio=count * math.log(N) / (N * N), box=box,
-                        certified=not uncertified, uncertified=tuple(uncertified),
-                        branches=branches, blocks=blocks,
-                        refined=sum(size for _, _, size in newton), counted_blocks=counted,
-                        branch_energies=E[keep], branch_radii=radii[keep])
+        hit, new = decided & inside & (chi.imag > 0.0), ~decided
+        hits.append((pf[hit], pk[hit], part[hit], E[hit], err[hit], err[hit]))
+        rest.append((pk[new], pf[new], part[new], seed[new]))
+        branches += np.bincount(pk, minlength=len(Ns))
+    rest = [np.concatenate(c) for c in zip(*rest)]
+    newton = _newton(t, *rest)
+    fam, k, ns, E, radii, disk = (np.concatenate(c) for c in zip(*hits, *(h for h, _ in newton)))
+    keep = ~_repeats(fam, k, ns, E, disk, radii == 0.0)  # Newton's energies have radius 0
+    E, radii, k = E[keep], radii[keep], k[keep]
+    records = sorted((rec for _, recs in newton for rec in recs), key=lambda r: r[1][:3])
+    refined = np.bincount(rest[0], minlength=len(Ns))
+    out = CensusList()
+    for i, (N, box) in enumerate(zip(Ns, boxes)):
+        cf, ca, cb = (c[counted[1] == i] for c in (counted[0], counted[2], counted[3]))
+        uncertified = tuple(r for j, r in records if j == i)
+        count = int(np.add.reduce(cb - ca + 1)) + int(np.count_nonzero(k == i))
+        out.append(CensusResult(N=N, count=count, ratio=count * math.log(N) / (N * N), box=box,
+                                certified=not uncertified, uncertified=uncertified,
+                                branches=int(branches[i]), blocks=int(blocks[i]),
+                                refined=int(refined[i]), counted_blocks=(cf, ca, cb),
+                                branch_energies=E[k == i], branch_radii=radii[k == i]))
+    return out

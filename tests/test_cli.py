@@ -282,6 +282,31 @@ class TestImagStepCommand:
             "N=8: 4 unconverged branch(es) could lie in the box; count not certified",
         ]
 
+    @pytest.mark.parametrize("N", ["", "32,,64", "1e3", "32 64"])
+    def test_N_not_a_list_of_integers_names_the_flag(self, capsys, tmp_path, N):
+        # int() alone said "invalid literal for int() with base 10: ''"
+        out = tmp_path / "census.csv"
+        assert run(["imag-step", "--N", N, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: --N takes a comma list of integers >= 8, got {N!r}\n")
+        assert not out.exists()
+
+    def test_N_below_8_late_in_the_list_prints_nothing(self, capsys, tmp_path):
+        # every N is checked before any census is printed or written
+        out = tmp_path / "census.csv"
+        assert run(["imag-step", "--N", "32,64,4", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "usage error: census requires N >= 8, got 4\n")
+        assert not out.exists()
+
+    def test_repeated_N_gives_repeated_rows_in_list_order(self, capsys, tmp_path):
+        out = tmp_path / "census.csv"
+        assert run(["imag-step", "--N", "64,32,64", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["64", "32", "64"] and rows[0] == rows[2]
+        assert capsys.readouterr().out.splitlines() == [
+            "N=64: count=198 ratio=0.20103975842412475", "N=32: count=60 ratio=0.20307046305467147",
+            "N=64: count=198 ratio=0.20103975842412475"]
+
     @pytest.mark.parametrize("c_box", ["0", "1", "-1", "inf", "nan"])
     def test_c_box_outside_finite_above_1_exit_1(self, capsys, c_box):
         assert run(["imag-step", "--N", "8", "--c-box", c_box]) == 1

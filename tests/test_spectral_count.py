@@ -21,6 +21,7 @@ from stepspectra.sparse_builder import EnvelopeParams, TargetSequence, assemble_
 from stepspectra.special_functions import branch_of_w, lambert_w
 from stepspectra.spectral_count import (
     FAMILIES,
+    CensusList,
     Region,
     SolverStats,
     _Contour,
@@ -935,7 +936,7 @@ def _newton_recount(cen):
         count += last is None or abs(e - last) >= 1e-6 * max(1.0, abs(e))
         last = e
     seeds = np.array([r.kappa_seed for r in cen.results])
-    reach = spectral_count._reachable(cen.box, seeds, cen.N)[0]
+    reach = spectral_count._reachable(_one(cen.N, cen.box), 0, seeds)[0]
     return count, all(r.converged for r, ok in zip(cen.results, reach) if ok)
 
 
@@ -949,12 +950,17 @@ _PINNED = ((32, 60, 289, 3, 28), (64, 198, 374, 1, 106), (128, 663, 324, 1, 406)
            (192, 1357, 386, 1, 863), (256, 2265, 415, 1, 1472))
 
 
+def _one(N, box):
+    """The census table of the one-N list (N), with this box: its N column is 0."""
+    return spectral_count._table([N], [box])
+
+
 def _series_ladders(N, box):
     """Each family's whole census window with its series seeds: (parity, sign, ns, seeds)."""
     lo, hi = _box_window(N, box)
     ns = np.arange(lo, hi + 1)
-    return [(parity, sign, ns, spectral_count._census_seed(N, ns, np.full(ns.size, f, np.int8)))
-            for f, (parity, sign) in enumerate(FAMILIES)]
+    return [(parity, sign, ns, spectral_count._census_seed(_one(N, box), 0, ns, np.full(
+        ns.size, f, np.int8))) for f, (parity, sign) in enumerate(FAMILIES)]
 
 
 def _window(N, box):
@@ -969,18 +975,18 @@ def _window(N, box):
 def _reachable_count(N, C_box=10.0):
     """The branches of the whole window that can reach the box, as the census seeds them."""
     box = census_box(N, C_box)
-    return np.count_nonzero(spectral_count._chunk_seeds(N, box, *_window(N, box))[1])
+    ns, fam = _window(N, box)
+    return np.count_nonzero(spectral_count._chunk_seeds(_one(N, box), 0 * ns, ns, fam)[1])
 
 
 def _certified_disks(N, C_box=10.0):
     """(parity, sign, n, seed, rho) of each reachable branch whose disk the certificate holds."""
     box = census_box(N, C_box)
-    u = spectral_count._rounding(N, _box_window(N, box)[1])
     ns, fam = _window(N, box)
     seed = np.concatenate([ladder[3] for ladder in _series_ladders(N, box)])
-    keep = spectral_count._reachable(box, seed, N)[0]
+    keep = spectral_count._reachable(_one(N, box), 0, seed)[0]
     ns, fam, seed = ns[keep], fam[keep], seed[keep]
-    rho, ok = spectral_count._certify(N, seed, fam, u)[:2]
+    rho, ok = spectral_count._certify(_one(N, box), 0, seed, fam)[:2]
     return [(*FAMILIES[f], n, k, r) for f, n, k, r in zip(
         fam[ok].tolist(), ns[ok].tolist(), seed[ok].tolist(), rho[ok].tolist())]
 
@@ -1021,6 +1027,19 @@ class TestSeriesSeeds:
     """The census seeds from the asymptotic series of W, with no Halley step, and takes
     the Lambert seed only for the poor entries |n| < _SERIES_N that can reach the box."""
 
+    @pytest.mark.parametrize("N", [8, 256, 4096])
+    def test_even_series_seeds_are_mirrored_odd_ones_bit_for_bit(self, N):
+        # the census seeds an even ladder from log conj z, and W's series commutes with the
+        # conjugation exactly: its seed at n is -conj of the odd ladder's at -n, to the bit
+        t, (lo, hi) = _one(N, census_box(N)), _box_window(N, census_box(N))
+        ns = np.arange(lo, hi + 1)
+
+        def seeds(n, f):
+            return spectral_count._census_seed(t, 0, n, np.full(n.size, f, np.int8))
+
+        for odd, even in ((0, 2), (1, 3)):  # FAMILIES: the odd ladders, then the even ones
+            assert _bits([seeds(ns, even)]) == _bits([-np.conj(seeds(-ns, odd))])
+
     def test_benchmark_ladder_takes_no_lambert_call(self, monkeypatch):
         # no poor entry reaches these boxes (the least reachable |n| is 15, at N = 32), so
         # nothing on the census path calls lambert_w
@@ -1051,13 +1070,13 @@ class TestSeriesSeeds:
             assert np.all(np.abs(series - lam)[poor] <= spectral_count._POOR_PAD / N)
             assert np.all(pad[poor] == 0.0)
             fam = np.full(ns.size, f, dtype=np.int8)
-            seed, keep, E, depth = spectral_count._chunk_seeds(N, box, ns, fam)
+            seed, keep, E, depth = spectral_count._chunk_seeds(_one(N, box), 0 * ns, ns, fam)
             assert _bits((E, depth)) == _bits((seed * seed + 1j, spectral_count._depth(box, E)))
             assert np.all(seed[~poor] == series[~poor])
             assert np.all(seed[poor] == lam[poor]) or (
                 np.all(seed[poor] == series[poor]) and not keep[poor].any())
-            assert np.all(keep | ~spectral_count._reachable(box, lam, N)[0])
-            seed, keep, *_ = spectral_count._chunk_seeds(N, everything, ns, fam)
+            assert np.all(keep | ~spectral_count._reachable(_one(N, box), 0, lam)[0])
+            seed, keep, *_ = spectral_count._chunk_seeds(_one(N, everything), 0 * ns, ns, fam)
             assert keep.all() and np.all(seed[poor] == lam[poor])
 
     def test_census_equals_the_lambert_seeded_census(self, monkeypatch):
@@ -1068,9 +1087,8 @@ class TestSeriesSeeds:
 
         cases = [(N, C_box) for N in range(8, 65) for C_box in (1.5, 10.0, 50.0, 100.0)]
         series = [summary(imag_step_census(N, C_box)) for N, C_box in cases]
-        monkeypatch.setattr(spectral_count, "_census_seed", lambda N, ns, fam: np.concatenate([
-            spectral_count._seeds(N, ns[part], parity, sign)
-            for parity, sign, part in spectral_count._families(fam)]))
+        monkeypatch.setattr(spectral_count, "_census_seed",
+                            lambda t, k, ns, fam: spectral_count._seeds(t.R[k], ns, fam))
         assert [summary(imag_step_census(N, C_box)) for N, C_box in cases] == series
 
 
@@ -1104,17 +1122,16 @@ class TestCensusCertificate:
         # on a seeded sample of the census's seeds of the window, the four ladders' in one
         # array, the certificate gives bit for bit what it gives each ladder's own slice and
         # what the per-parity formula (q = p^2 or -p^2, chi from -cot or tan) gives
-        box = census_box(N, C_box)
-        u = spectral_count._rounding(N, _box_window(N, box)[1])
-        ns, fam = _window(N, box)
+        t = _one(N, census_box(N, C_box))
+        ns, fam = _window(N, census_box(N, C_box))
         pick = np.sort(np.random.default_rng([N, int(C_box)]).choice(
             ns.size, min(4096, ns.size), replace=False))
-        seed, fam = spectral_count._chunk_seeds(N, box, ns, fam)[0][pick], fam[pick]
-        whole = _bits(cert := spectral_count._certify(N, seed, fam, u))
+        seed, fam = spectral_count._chunk_seeds(t, 0 * ns, ns, fam)[0][pick], fam[pick]
+        whole = _bits(cert := spectral_count._certify(t, 0, seed, fam))
         assert cert[1].any()
-        ladders = [spectral_count._certify(N, seed[part], fam[part], u)
+        ladders = [spectral_count._certify(t, 0, seed[part], fam[part])
                    for *_, part in spectral_count._families(fam)]
-        literal = [_two_branch_certify(N, seed[part], parity, sign, u)
+        literal = [_two_branch_certify(N, seed[part], parity, sign, t.u[0])
                    for parity, sign, part in spectral_count._families(fam)]
         assert len(ladders) == len(FAMILIES)
         for parts in (ladders, literal):
@@ -1126,9 +1143,10 @@ class TestCensusCertificate:
         # own factor and one of the other sign's: no disk is certified, Newton counts all.
         # Both of the census's seed functions move: its poor entries |n| < 12 reach these
         # boxes, and they take the Lambert seed
-        for name in ("_census_seed", "imag_step_seed"):
-            monkeypatch.setattr(spectral_count, name, lambda N, *args, seed=getattr(
-                spectral_count, name): seed(N, *args) + 0.5 * math.pi / N)
+        monkeypatch.setattr(spectral_count, "_census_seed", lambda t, k, *args, seed=getattr(
+            spectral_count, "_census_seed"): seed(t, k, *args) + 0.5 * math.pi / t.R[k])
+        monkeypatch.setattr(spectral_count, "imag_step_seed", lambda N, *args, seed=getattr(
+            spectral_count, "imag_step_seed"): seed(N, *args) + 0.5 * math.pi / N)
         cen = imag_step_census(N, C_box)
         assert cen.refined == cen.branches > 0
         assert (cen.count, cen.certified) == _newton_recount(cen)
@@ -1157,22 +1175,21 @@ class TestBlocks:
         # depth -+ err lie inside the block's bounds, and the certificate decides it uncounted
         box, size = census_box(N, C_box), spectral_count._BLOCK
         lo, hi = _box_window(N, box)
-        u = spectral_count._rounding(N, hi)
+        t = _one(N, box)
         a = np.arange(lo - int(np.random.default_rng([N, int(C_box)]).integers(size)), hi + 1, size)
         b = a + size - 1
-        decided_total = 0
+        decided_total, ladders = 0, spectral_count._block_bounds(t, 0, a, b)
         for f, (parity, sign, ns, _) in enumerate(_series_ladders(N, box)):
-            decided, counted, *bounds = spectral_count._block_bounds(
-                N, box, parity == "odd", sign, a, b, u)
+            decided, counted, *bounds = (x[f] for x in ladders)
             poor = (a < spectral_count._SERIES_N) & (b > -spectral_count._SERIES_N)
             assert not np.any(decided & poor)
             decided_total += np.count_nonzero(decided)
             fam = np.full(ns.size, f, dtype=np.int8)
-            seed, keep, *_ = spectral_count._chunk_seeds(N, box, ns, fam)
+            seed, keep, *_ = spectral_count._chunk_seeds(t, 0 * ns, ns, fam)
             block = (ns - a[0]) // size
             keep &= decided[block]
             block, seed, fam = block[keep], seed[keep], fam[keep]
-            rho, ok, chi, dchi, err = spectral_count._certify(N, seed, fam, u)
+            rho, ok, chi, dchi, err = spectral_count._certify(t, 0, seed, fam)
             depth = spectral_count._depth(box, seed * seed + 1j)
             rho_hi, chi_lo, chi_hi, depth_lo, depth_hi = (x[block] for x in bounds)
             assert np.all(rho <= rho_hi)
@@ -1190,13 +1207,12 @@ class TestBlocks:
         # inside the box by more than its error and on the physical sheet by more than its chi
         # error: the census would count it branch by branch.  At C_box 1.5 no block is counted
         box = census_box(N, C_box)
-        u = spectral_count._rounding(N, _box_window(N, box)[1])
-        counted = spectral_count._undecided(N, box, _box_window(N, box), u)[1]
-        ns, fam = spectral_count._expand(*counted)
+        t = _one(N, box)
+        ns, fam, _ = spectral_count._expand(*spectral_count._undecided(t)[1])
         assert (ns.size > 0) == (C_box > 1.5)
         assert np.all(np.abs(ns) >= spectral_count._SERIES_N)
-        seed = spectral_count._census_seed(N, ns, fam)
-        _, ok, chi, dchi, err = spectral_count._certify(N, seed, fam, u)
+        seed = spectral_count._census_seed(t, 0, ns, fam)
+        _, ok, chi, dchi, err = spectral_count._certify(t, 0, seed, fam)
         depth = spectral_count._depth(box, seed * seed + 1j)
         assert np.all(ok & (depth >= err) & (chi.imag > dchi))
 
@@ -1209,13 +1225,12 @@ class TestBlocks:
         monkeypatch.setattr(spectral_count, "_HOP", hop * math.pi)
         seeds, total = spectral_count._census_seed, 0
         for N, C_box in ((64, 100.0), (128, 10.0), (256, 100.0)):
-            box = census_box(N, C_box)
-            u = spectral_count._rounding(N, _box_window(N, box)[1])
-            ns, fam = spectral_count._expand(*spectral_count._undecided(
-                N, box, _box_window(N, box), u)[1])
-            seed, total = seeds(N, ns, fam), total + ns.size
-            ladder = np.min([np.abs(seeds(N, ns + d, fam) - seed) for d in (-1, 1)], axis=0)
-            other = np.min([np.abs(seeds(N, ns + d, fam ^ 1) - seed) for d in (-1, 0, 1)], axis=0)
+            t = _one(N, census_box(N, C_box))
+            ns, fam, _ = spectral_count._expand(*spectral_count._undecided(t)[1])
+            seed, total = seeds(t, 0, ns, fam), total + ns.size
+            ladder = np.min([np.abs(seeds(t, 0, ns + d, fam) - seed) for d in (-1, 1)], axis=0)
+            other = np.min([np.abs(seeds(t, 0, ns + d, fam ^ 1) - seed) for d in (-1, 0, 1)],
+                           axis=0)
             assert np.all(ladder > 2.0 * hop * math.pi / N) and np.all(other > hop * math.pi / N)
         assert (total > 0) == (hop == 0.75)
 
@@ -1232,8 +1247,8 @@ class TestBlocks:
         # the energies of the counted blocks are built on first read
         assert not any("_disks" in vars(cen) for cen in blocked)
         assert any(cen.counted_blocks[0].size for cen in blocked) == (C_box > 1.5)
-        monkeypatch.setattr(spectral_count, "_block_bounds", lambda N, box, odd, sign, a, b, u: (
-            np.zeros(np.broadcast(odd, a).shape, dtype=bool),) * 2)
+        monkeypatch.setattr(spectral_count, "_block_bounds", lambda t, k, a, b: (
+            np.zeros((len(FAMILIES), a.size), dtype=bool),) * 2)
         for N, cen in zip(Ns, blocked):
             branchwise = imag_step_census(N, C_box)
             assert (cen.blocks, branchwise.blocks) == (cen.blocks, 0)
@@ -1312,12 +1327,12 @@ class TestCensus:
         # findroot at 30 digits from each seed finds a zero of the parity secular i + kappa^2
         # csc^2(kappa N) (odd) or sec^2 inside its certificate disk, and the two disks are apart
         N, (fam, a, b) = 8192, census_8192.counted_blocks
-        u = spectral_count._rounding(N, _box_window(N, census_8192.box)[1])
+        t = _one(N, census_8192.box)
         ns, fams = spectral_count._expand(fam, a, b)
         pick = np.random.default_rng(8192).choice(ns.size, 400, replace=False)
         n, f, across = ns[pick], fams[pick], np.arange(400) % 2 == 1
-        seed = spectral_count._census_seed(N, n, f)
-        near = [np.abs(spectral_count._census_seed(N, n + d, f ^ 1) - seed) for d in (-1, 0, 1)]
+        seed = spectral_count._census_seed(t, 0, n, f)
+        near = [np.abs(spectral_count._census_seed(t, 0, n + d, f ^ 1) - seed) for d in (-1, 0, 1)]
         g = np.where(across, f ^ 1, f)
         m = np.where(across, n + np.argmin(near, axis=0) - 1, n + 1)
         counted = np.any((g[:, None] == fam) & (a <= m[:, None]) & (m[:, None] <= b), axis=1)
@@ -1326,8 +1341,8 @@ class TestCensus:
         pairs = np.concatenate(pairs)
 
         def zero(fam, n):
-            seed = spectral_count._census_seed(N, np.array([n]), np.array([fam], dtype=np.int8))
-            rho, ok = spectral_count._certify(N, seed, np.array([fam], dtype=np.int8), u)[:2]
+            seed = spectral_count._census_seed(t, 0, np.array([n]), np.array([fam], dtype=np.int8))
+            rho, ok = spectral_count._certify(t, 0, seed, np.array([fam], dtype=np.int8))[:2]
             trig = mpmath.sin if FAMILIES[fam][0] == "odd" else mpmath.cos
             with mpmath.workdps(30):
                 k0 = mpmath.mpc(seed[0])  # secant steps from two points a hundredth of rho apart
@@ -1339,10 +1354,11 @@ class TestCensus:
             (r1, s1, rho1), (r2, s2, rho2) = zero(int(f[i]), int(n[i])), zero(int(g[i]), int(m[i]))
             assert abs(s1 - s2) > rho1 + rho2 and r1 != r2
 
-    @pytest.mark.parametrize("chunk", [7, 100])
+    @pytest.mark.parametrize("chunk", [64, 100])
     def test_chunks_across_ladders_change_no_census(self, monkeypatch, chunk):
-        # chunks of 7 and 100 branches cut across the ladders' boundaries in the one undecided
-        # array: counts, records, energies and radii are those of the whole chunks, bit for bit
+        # chunks of 2 and 3 blocks (64 and 100 branches) cut across the ladders' boundaries in
+        # the one undecided array, and across the N's of a list: counts, records, energies and
+        # radii are those of the whole chunks, bit for bit
         def summary(cen):
             return (cen.count, cen.certified, cen.branches, cen.blocks, cen.refined,
                     [repr(r) for r in cen.uncertified], repr(cen.energies), repr(cen.radii))
@@ -1351,32 +1367,64 @@ class TestCensus:
         whole = [summary(imag_step_census(N, C_box)) for N, C_box in cases]
         certify, mixed = spectral_count._certify, []
 
-        def recording(N, seed, fam, u):
-            mixed.append(np.unique(fam).size > 1)
-            return certify(N, seed, fam, u)
+        def recording(t, k, seed, fam):
+            mixed.append((np.unique(fam).size > 1, np.ndim(k) > 0))
+            return certify(t, k, seed, fam)
 
         monkeypatch.setattr(spectral_count, "_CHUNK", chunk)
         monkeypatch.setattr(spectral_count, "_certify", recording)
         assert [summary(imag_step_census(N, C_box)) for N, C_box in cases] == whole
-        assert any(mixed)
+        listed = {(cen.N, C_box): summary(cen) for C_box in (1.5, 10.0, 100.0)
+                  for cen in imag_step_census((8, 64, 256), C_box)}
+        assert [listed[case] for case in cases] == whole
+        assert all(map(any, zip(*mixed)))  # chunks of several ladders, and of several N's
+
+    @pytest.mark.parametrize("C_box", [1.5, 10.0, 100.0])
+    @pytest.mark.parametrize("Ns", [(256, 8, 32, 32, 1024), (16, 4096, 64)])
+    def test_list_equals_one_census_per_N(self, Ns, C_box):
+        # one pass over an unsorted list with a repeat gives each N, in list order, the census a
+        # one-N call gives it, bit for bit; neither has built its energies before they are read
+        def summary(cen):
+            return (cen.N, cen.count, repr(cen.ratio), cen.box, cen.certified,
+                    [repr(r) for r in cen.uncertified], cen.branches, cen.blocks, cen.refined,
+                    _bits(cen.counted_blocks), _bits((np.array(cen.energies), np.array(cen.radii))))
+
+        assert imag_step_census((), C_box) == []
+        listed = imag_step_census(Ns, C_box)
+        alone = [imag_step_census(N, C_box) for N in Ns]
+        assert [cen.N for cen in listed] == list(Ns)
+        assert not any("_disks" in vars(cen) for cen in listed + alone)
+        assert [summary(cen) for cen in listed] == [summary(cen) for cen in alone]
+
+    def test_list_takes_any_iterable_and_chains_the_oracles(self):
+        # a generator is read once, a repeated N is another column, and the list's ``results``
+        # are its censuses' oracle records, N by N
+        cens = imag_step_census((N for N in (64, 32, 64)), 10.0)
+        assert isinstance(cens, CensusList) and [cen.N for cen in cens] == [64, 32, 64]
+        assert cens[0].count == cens[2].count == imag_step_census(64, 10.0).count
+        assert cens.results == cens[0].results + cens[1].results + cens[2].results
 
     def test_one_certificate_pass_per_chunk(self, monkeypatch):
-        # the benchmark ladder's undecided branches, all four ladders', fit in one chunk at
-        # each N: the certificate runs once per census, not once per ladder
+        # the benchmark ladder's undecided branches, all four ladders' of all five N's, fit in one
+        # chunk: the certificate runs once per census list, not once per N or per ladder
         certify, calls = spectral_count._certify, []
 
-        def counting(N, seed, fam, u):
-            calls.append(N)
-            return certify(N, seed, fam, u)
+        def counting(t, k, seed, fam):
+            calls.append(t.R[np.unique(k)].tolist())
+            return certify(t, k, seed, fam)
 
         monkeypatch.setattr(spectral_count, "_certify", counting)
-        for N, *_ in _PINNED:
+        ladder = [N for N, *_ in _PINNED]
+        for N in ladder:
             imag_step_census(N, 10.0)
-        assert calls == [N for N, *_ in _PINNED]
-        box = census_box(256)
-        undecided, counted, _ = spectral_count._undecided(256, box, _box_window(256, box), 0.0)
-        ns, fam = spectral_count._expand(*undecided)
-        assert fam.dtype == counted[0].dtype == np.int8 and ns.size == fam.size
+        assert calls == [[N] for N in ladder]
+        calls.clear()
+        imag_step_census(ladder, 10.0)
+        assert calls == [ladder]
+        t = _one(256, census_box(256))._replace(u=np.zeros(1))
+        undecided, counted, _ = spectral_count._undecided(t)
+        ns, fam, k = spectral_count._expand(*undecided)
+        assert fam.dtype == counted[0].dtype == np.int8 and ns.size == fam.size == k.size
 
     def test_near_equal_energies_count_once(self, monkeypatch):
         # Newton finds one energy e on three ladders, two odd and one even, and a chain f, f(1 +
@@ -1391,14 +1439,14 @@ class TestCensus:
         # the census keeps the first branch of each ladder, certifies none of them, and Newton
         # finds these energies on the four ladders, each in a disk of radius disk[0]
         disk = [0.0]
-        monkeypatch.setattr(spectral_count, "_chunk_seeds", lambda N, box, ns, fam: (
+        monkeypatch.setattr(spectral_count, "_chunk_seeds", lambda t, k, ns, fam: (
             np.ones(ns.size, dtype=complex), np.diff(fam, prepend=-1) != 0,
             np.ones(ns.size, dtype=complex), np.ones(ns.size)))
-        monkeypatch.setattr(spectral_count, "_certify", lambda N, seed, fam, u: (
+        monkeypatch.setattr(spectral_count, "_certify", lambda t, k, seed, fam: (
             seed.real, np.zeros(seed.size, dtype=bool), seed, seed.real, seed.real))
-        monkeypatch.setattr(spectral_count, "_newton", lambda N, box, fam, ns, seed: [
-            ((np.full(len(h), f, dtype=np.int8), np.zeros(len(h), dtype=int),
-              np.array(h, dtype=complex), np.zeros(len(h)), np.full(len(h), disk[0])), [], 1)
+        monkeypatch.setattr(spectral_count, "_newton", lambda t, k, fam, ns, seed: [
+            ((np.full(len(h), f, dtype=np.int8), *np.zeros((2, len(h)), dtype=int),
+              np.array(h, dtype=complex), np.zeros(len(h)), np.full(len(h), disk[0])), [])
             for f, h in enumerate(hits)])
         for disk[0], count in ((1e-9, 5), (2.5e-6, 4)):
             cen = imag_step_census(8, 10.0)
@@ -1412,17 +1460,20 @@ class TestCensus:
         # in the order by Re E repeats the earlier; of radius 4e-4 they do not
         fam, ns, E = np.zeros(2, dtype=np.int8), np.array([1, 2]), np.array([a + 1e-3, a])
         disk, certified, newton = np.full(2, 6e-4), np.zeros(2, dtype=bool), np.ones(2, dtype=bool)
-        assert repeats(fam, ns, E, disk, certified).tolist() == [True, False]
-        assert not repeats(fam, ns, E, np.full(2, 4e-4), certified).any()
+        k = np.zeros(2, dtype=int)  # both of one N
+        assert repeats(fam, k, ns, E, disk, certified).tolist() == [True, False]
+        assert not repeats(fam, k, ns, E, np.full(2, 4e-4), certified).any()
         # two factors of one parity share no zero: their certified disks never repeat, but a
         # Newton energy, which may have converged to the other factor's zero, can
         two = np.array([0, 1], dtype=np.int8)
-        assert not repeats(two, ns, E, disk, certified).any()
-        assert repeats(two, ns, E, disk, np.array([True, False])).tolist() == [True, False]
+        assert not repeats(two, k, ns, E, disk, certified).any()
+        assert repeats(two, k, ns, E, disk, np.array([True, False])).tolist() == [True, False]
         # two parities share no eigenvalue; from |n| = 12 on no pair is compared
-        assert not repeats(np.array([0, 2], dtype=np.int8), ns, E, disk, newton).any()
-        assert not repeats(fam, np.array([11, 12]), E, disk, newton).any()
-        assert repeats(fam, np.array([-11, 11]), E, disk, newton).tolist() == [True, False]
+        assert not repeats(np.array([0, 2], dtype=np.int8), k, ns, E, disk, newton).any()
+        assert not repeats(fam, k, np.array([11, 12]), E, disk, newton).any()
+        assert repeats(fam, k, np.array([-11, 11]), E, disk, newton).tolist() == [True, False]
+        # two N's of a census list are two censuses: their energies are never compared
+        assert not repeats(fam, np.array([0, 1]), ns, E, disk, newton).any()
 
     @pytest.mark.parametrize("C_box", [1.5, 10.0, 50.0])
     @pytest.mark.parametrize("N", [8, 16, 64, 256])
@@ -1449,7 +1500,7 @@ class TestCensus:
         # certifies one at a time those the block bounds leave undecided
         assert len(cen.results) == {16: 412, 64: 4004}[N]
         seeds = np.array([r.kappa_seed for r in cen.results])
-        reach = np.count_nonzero(spectral_count._reachable(cen.box, seeds, N)[0])
+        reach = np.count_nonzero(spectral_count._reachable(_one(N, cen.box), 0, seeds)[0])
         assert reach == _reachable_count(N) == {16: 261, 64: 2443}[N]
         assert cen.branches == {16: 261, 64: 374}[N] <= reach
 
@@ -1471,7 +1522,8 @@ class TestCensus:
     def test_refining_only_reachable_branches_is_sound(self, N, C_box):
         cen = imag_step_census(N, C_box)
         full = cen.results
-        reach = spectral_count._reachable(cen.box, np.array([r.kappa_seed for r in full]), N)[0]
+        seeds = np.array([r.kappa_seed for r in full])
+        reach = spectral_count._reachable(_one(N, cen.box), 0, seeds)[0]
         counted = [r for r in full
                    if r.converged and r.on_physical_sheet and cen.box.contains(r.energy)]
         assert (cen.count, cen.certified) == _newton_recount(cen)
